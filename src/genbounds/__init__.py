@@ -70,12 +70,10 @@ from .harness import (
     dp_prior_trial,
     draw_supersample,
     enumerate_joint,
-    mc_correction,
     run_cmi_experiment,
     run_dp_prior_experiment,
     run_violation_experiment,
     union_beta_grid,
-    union_grid_allowance,
     verify_expectation_bounds,
     violation_trial,
 )
@@ -110,10 +108,8 @@ from .posteriors import (
 )
 from .problems import (
     FiniteProblem,
-    annealed_expectation,
     annealed_risks,
     empirical_risks,
-    exact_true_risk,
     iter_samples,
     true_risks,
 )

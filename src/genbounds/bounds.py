@@ -7,8 +7,9 @@ value either by plain summation or through a recorded monotone transform
 re-audited from its parts.
 
 Vacuity convention: bounds defined only for [0, 1]-valued losses clamp to 1
-and set the flag when their raw value exceeds 1; bounds valid for unbounded
-losses never clamp (the flag is still set when the value exceeds the range
+and set the flag when their raw value exceeds 1 (distance inversions, which
+saturate at 1, set it on reaching 1); bounds valid for unbounded losses
+never clamp (the flag is still set when the value exceeds the range
 the loss model makes trivially known).
 
 The inverse temperature beta is always an input fixed before any data is
@@ -19,6 +20,7 @@ it pays the corresponding union-bound penalty.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .divergences import kl_binary_inverse_upper
@@ -39,9 +41,10 @@ class BoundRequest:
     """Scalar inputs shared by the bound computations.
 
     ``empirical_risk`` is the posterior-averaged empirical risk, ``kl`` the
-    posterior-to-prior divergence (the +inf sentinel is allowed).  ``delta``
-    above 1 is tolerated as a degenerate confidence request; operations clamp
-    it to 1 and flag the result.
+    posterior-to-prior divergence (the +inf sentinel is allowed).  ``n`` must
+    be an integer (numpy integers included, bool not).  ``delta`` above 1 is
+    tolerated as a degenerate confidence request; operations clamp it to 1
+    and flag the result.
     """
 
     n: int
@@ -52,10 +55,12 @@ class BoundRequest:
     model: LossModel = field(default_factory=LossModel.bounded_unit)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 1:
             raise ParameterError("n must be a positive integer")
         if not self.delta > 0:
             raise ParameterError("delta must be positive")
+        if math.isnan(self.empirical_risk):
+            raise ParameterError("empirical_risk must not be NaN")
         if self.kl < 0 or math.isnan(self.kl):
             raise ParameterError("kl must be nonnegative (inf allowed)")
         if self.beta is not None and not self.beta > 0:
@@ -88,15 +93,39 @@ class BoundResult:
             assert self.beta_used is not None
             return phi_beta_inverse(self.beta_used, inner)
         if self.transform == _KL_INVERSE or self.transform.startswith(_DELTA_INVERSE):
-            risk = self.components["empirical_risk"]
-            radius = self.components["radius"]
             variant = self.transform.partition(":")[2] or "kl"
-            if variant == "quadratic":
-                return risk + math.sqrt(radius / 2.0)
-            if variant == "normalized":
-                return risk + radius + math.sqrt(radius**2 + 2.0 * radius * risk)
-            return kl_binary_inverse_upper(risk, radius)
+            risk, radius = self.components["empirical_risk"], self.components["radius"]
+            return _invert_delta(variant, risk, radius)
         raise ParameterError(f"no recomposition rule for transform {self.transform!r}")
+
+
+def _invert_delta(variant: str, risk: float, radius: float) -> float:
+    """Largest x with Delta(risk, x) <= radius for the named convex distance."""
+    if variant == "quadratic":
+        return risk + math.sqrt(radius / 2.0)
+    if variant == "normalized":
+        return risk + radius + math.sqrt(radius**2 + 2.0 * radius * risk)
+    return kl_binary_inverse_upper(risk, radius)
+
+
+def _inverse_result(
+    risk: float, radius: float, variant: str, transform: str, flags: tuple[str, ...]
+) -> BoundResult:
+    """A risk bound inverting a distance to the empirical risk.
+
+    The binary-KL inversion saturates at 1 rather than exceed it (for an
+    infinite KL, say), so reaching 1 already makes the result vacuous.
+    """
+    raw = _invert_delta(variant, risk, radius)
+    vacuous = raw >= 1.0
+    return BoundResult(
+        value=1.0 if vacuous else raw,
+        components={"empirical_risk": risk, "radius": radius},
+        vacuous=vacuous,
+        raw_value=raw,
+        transform=transform,
+        flags=flags,
+    )
 
 
 def _effective_delta(req: BoundRequest) -> tuple[float, tuple[str, ...]]:
@@ -373,16 +402,7 @@ def pac_bayes_kl(req: BoundRequest) -> BoundResult:
     _require_unit_model(req)
     delta, flags = _effective_delta(req)
     radius = (req.kl + math.log(2.0 * math.sqrt(req.n) / delta)) / req.n
-    value = kl_binary_inverse_upper(req.empirical_risk, radius)
-    return BoundResult(
-        value=value,
-        components={"empirical_risk": req.empirical_risk, "radius": radius},
-        vacuous=False,
-        beta_used=None,
-        raw_value=value,
-        transform=_KL_INVERSE,
-        flags=flags,
-    )
+    return _inverse_result(req.empirical_risk, radius, "kl", _KL_INVERSE, flags)
 
 
 _DELTA_VARIANTS = ("kl", "quadratic", "normalized")
@@ -402,22 +422,8 @@ def delta_bound(req: BoundRequest, delta_fn: str, moment_bound: float) -> BoundR
     _require_unit_model(req)
     delta, flags = _effective_delta(req)
     radius = (req.kl + math.log(1.0 / delta) + moment_bound) / req.n
-    risk = req.empirical_risk
-    if delta_fn == "quadratic":
-        raw = risk + math.sqrt(radius / 2.0)
-    elif delta_fn == "normalized":
-        raw = risk + radius + math.sqrt(radius**2 + 2.0 * radius * risk)
-    else:
-        raw = kl_binary_inverse_upper(risk, radius)
-    vacuous = raw > 1.0
-    return BoundResult(
-        value=1.0 if vacuous else raw,
-        components={"empirical_risk": risk, "radius": radius},
-        vacuous=vacuous,
-        beta_used=None,
-        raw_value=raw,
-        transform=f"{_DELTA_INVERSE}:{delta_fn}",
-        flags=flags,
+    return _inverse_result(
+        req.empirical_risk, radius, delta_fn, f"{_DELTA_INVERSE}:{delta_fn}", flags
     )
 
 

@@ -22,8 +22,7 @@ import numpy as np
 import yaml
 
 from . import bounds as bound_ops
-from . import posteriors
-from .divergences import DiscreteDist, max_info_dp_bound
+from .divergences import DiscreteDist
 from .errors import ConfigurationError, GenBoundsError
 from .harness import (
     BoundSpec,
@@ -34,13 +33,10 @@ from .harness import (
     run_dp_prior_experiment,
     run_violation_experiment,
 )
-from .losses import LossModel
 from .problems import FiniteProblem
+from .registry import BOUNDS, _require
 
 CSV_HEADER = ("bound", "name", "n", "beta", "delta", "kl", "value", "vacuous", "seed")
-
-#: Bounds whose value is an information quantity and therefore unit-converted.
-_INFO_VALUED = {"max-info-dp"}
 
 _LN2 = math.log(2.0)
 
@@ -147,139 +143,17 @@ def load_config(path: str, kind: str) -> dict:
     return data
 
 
-def _require(section: dict, key: str, context: str):
-    if key not in section:
-        raise ConfigurationError(f"missing required field {context}.{key}")
-    return section[key]
-
-
 # ---------------------------------------------------------------------------
 # Bound dispatch
 # ---------------------------------------------------------------------------
 
 
-def _model_from(cfg: dict | None) -> LossModel:
-    if cfg is None:
-        return LossModel.bounded_unit()
-    family = _require(cfg, "family", "bound.model")
-    return LossModel(family=family, sigma=cfg.get("sigma", 0.5), c=cfg.get("c", 0.0))
-
-
-def _request_from(cfg: dict) -> bound_ops.BoundRequest:
-    return bound_ops.BoundRequest(
-        n=_require(cfg, "n", "bound"),
-        delta=_require(cfg, "delta", "bound"),
-        empirical_risk=cfg.get("empirical_risk", 0.0),
-        kl=cfg.get("kl", 0.0),
-        beta=cfg.get("beta"),
-        model=_model_from(cfg.get("model")),
-    )
-
-
-def _quadratic_model_from(cfg: dict) -> posteriors.QuadraticModel:
-    return posteriors.QuadraticModel(
-        hessian_eigenvalues=np.asarray(_require(cfg, "hessian_eigenvalues", "bound"), float),
-        w_p=np.asarray(_require(cfg, "w_p", "bound"), float),
-        w_q=np.asarray(_require(cfg, "w_q", "bound"), float),
-        lam=_require(cfg, "lam", "bound"),
-        n=_require(cfg, "n", "bound"),
-        beta=_require(cfg, "beta", "bound"),
-    )
-
-
-def _scalar_record(value: float) -> bound_ops.BoundResult:
-    return bound_ops.BoundResult(value=value, components={"value": value}, raw_value=value)
-
-
 def compute_named_bound(cfg: dict) -> bound_ops.BoundResult:
     """Evaluate one named bound from a flat config mapping."""
     name = _require(cfg, "name", "bound")
-    if name == "zhang":
-        return bound_ops.zhang_high_prob(_request_from(cfg))
-    if name == "zhang-gen":
-        return bound_ops.zhang_gen_high_prob(_request_from(cfg))
-    if name == "zhang-gen-expectation":
-        return _scalar_record(
-            bound_ops.zhang_gen_expectation(
-                _require(cfg, "avg_kl", "bound"), _require(cfg, "n", "bound"), _model_from(cfg.get("model"))
-            )
-        )
-    if name == "xu-raginsky":
-        return _scalar_record(
-            bound_ops.xu_raginsky(
-                _require(cfg, "mi", "bound"), _require(cfg, "n", "bound"), _require(cfg, "sigma", "bound")
-            )
-        )
-    if name == "subgamma-mi":
-        return _scalar_record(
-            bound_ops.subgamma_mi(
-                _require(cfg, "mi", "bound"),
-                _require(cfg, "n", "bound"),
-                _require(cfg, "sigma", "bound"),
-                cfg.get("c", 0.0),
-            )
-        )
-    if name == "subgamma":
-        return bound_ops.subgamma_pacbayes(_request_from(cfg))
-    if name == "union-beta":
-        return bound_ops.union_bound_beta(
-            _request_from(cfg), _require(cfg, "alpha", "bound"), _require(cfg, "v", "bound")
-        )
-    if name == "catoni":
-        return bound_ops.catoni_bound(_request_from(cfg))
-    if name == "catoni-linear":
-        return bound_ops.catoni_linear(_request_from(cfg))
-    if name == "mcallester-linear":
-        return bound_ops.mcallester_linear(_request_from(cfg))
-    if name == "pac-bayes-kl":
-        return bound_ops.pac_bayes_kl(_request_from(cfg))
-    if name == "delta":
-        return bound_ops.delta_bound(
-            _request_from(cfg), _require(cfg, "variant", "bound"), _require(cfg, "moment_bound", "bound")
-        )
-    if name == "cmi":
-        return bound_ops.cmi_pac_high_prob(_request_from(cfg))
-    if name == "cmi-expectation":
-        arg = cfg.get("cmi", cfg.get("avg_kl"))
-        if arg is None:
-            raise ConfigurationError("cmi-expectation needs a cmi or avg_kl field")
-        return _scalar_record(bound_ops.cmi_expectation(arg, _require(cfg, "n", "bound")))
-    if name == "fano":
-        return _scalar_record(
-            bound_ops.fano_identification_lb(_require(cfg, "cmi", "bound"), _require(cfg, "n", "bound"))
-        )
-    if name == "dp-prior":
-        return bound_ops.dp_prior_high_prob(_request_from(cfg), _require(cfg, "epsilon", "bound"))
-    if name == "dp-prior-gen":
-        return bound_ops.dp_prior_gen_bound(_request_from(cfg), _require(cfg, "epsilon", "bound"))
-    if name == "max-info-dp":
-        return _scalar_record(
-            max_info_dp_bound(
-                _require(cfg, "epsilon", "bound"), _require(cfg, "n", "bound"), cfg.get("alpha", 0.0)
-            )
-        )
-    if name == "occam":
-        return posteriors.occam_bound(
-            _quadratic_model_from(cfg),
-            _require(cfg, "delta", "bound"),
-            cfg.get("empirical_risk", 0.0),
-        )
-    if name == "pac-bayes-sgd":
-        params = posteriors.PacBayesSgdParams(
-            n=_require(cfg, "n", "bound"),
-            beta=_require(cfg, "beta", "bound"),
-            lam=_require(cfg, "lam", "bound"),
-            alpha=_require(cfg, "alpha", "bound"),
-            b=_require(cfg, "b", "bound"),
-            c=_require(cfg, "c", "bound"),
-            m=_require(cfg, "m", "bound"),
-            delta=_require(cfg, "delta", "bound"),
-            delta_prime=_require(cfg, "delta_prime", "bound"),
-            mc_empirical_risk=_require(cfg, "mc_empirical_risk", "bound"),
-            kl=cfg.get("kl", 0.0),
-        )
-        return posteriors.pacbayes_sgd_objective(params)
-    raise ConfigurationError(f"unknown bound name: {name!r}")
+    if name not in BOUNDS:
+        raise ConfigurationError(f"unknown bound name: {name!r}")
+    return BOUNDS[name].evaluate(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +167,8 @@ def _convert_units(record: dict, unit: str) -> dict:
     out = dict(record)
     if isinstance(out.get("kl"), float):
         out["kl"] = out["kl"] / _LN2
-    if out.get("bound") in _INFO_VALUED and isinstance(out.get("value"), float):
+    entry = BOUNDS.get(out.get("bound"))
+    if entry is not None and entry.info_valued and isinstance(out.get("value"), float):
         out["value"] = out["value"] / _LN2
     return out
 
@@ -491,7 +366,19 @@ def _trial_config(config: dict, args) -> tuple[TrialConfig, dict]:
     return trial_config, section
 
 
-def _experiment_exit(args, config, trial_config, section, report) -> int:
+def cmd_experiment(args) -> int:
+    """Run the subcommand's certification; the harness rejects a bound its trial does not check."""
+    config = load_config(args.config, "experiment")
+    trial_config, section = _trial_config(config, args)
+    if args.subcommand == "dp-prior":
+        epsilon = section.get("epsilon")
+        if epsilon is None:
+            raise ConfigurationError("experiment.epsilon is required for dp-prior")
+        report = run_dp_prior_experiment(trial_config, epsilon)
+    elif args.subcommand == "cmi":
+        report = run_cmi_experiment(trial_config)
+    else:
+        report = run_violation_experiment(trial_config)
     path, unit, fmt = _output_options(config, args)
     record = {
         "bound": trial_config.bound.name,
@@ -515,30 +402,6 @@ def _experiment_exit(args, config, trial_config, section, report) -> int:
         file=sys.stderr,
     )
     return 0 if certified else 1
-
-
-def cmd_experiment_run(args) -> int:
-    config = load_config(args.config, "experiment")
-    trial_config, section = _trial_config(config, args)
-    report = run_violation_experiment(trial_config)
-    return _experiment_exit(args, config, trial_config, section, report)
-
-
-def cmd_experiment_cmi(args) -> int:
-    config = load_config(args.config, "experiment")
-    trial_config, section = _trial_config(config, args)
-    report = run_cmi_experiment(trial_config)
-    return _experiment_exit(args, config, trial_config, section, report)
-
-
-def cmd_experiment_dp_prior(args) -> int:
-    config = load_config(args.config, "experiment")
-    trial_config, section = _trial_config(config, args)
-    epsilon = section.get("epsilon")
-    if epsilon is None:
-        raise ConfigurationError("experiment.epsilon is required for dp-prior")
-    report = run_dp_prior_experiment(trial_config, epsilon)
-    return _experiment_exit(args, config, trial_config, section, report)
 
 
 def _sort_key(row: dict):
@@ -597,14 +460,10 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser("experiment", help="run certification experiments").add_subparsers(
         dest="subcommand", required=True
     )
-    for name, fn in (
-        ("run", cmd_experiment_run),
-        ("cmi", cmd_experiment_cmi),
-        ("dp-prior", cmd_experiment_dp_prior),
-    ):
+    for name in ("run", "cmi", "dp-prior"):
         p = experiment.add_parser(name)
         add_common(p)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_experiment)
 
     report = sub.add_parser("report", help="merge emitted report files")
     report.add_argument("inputs", nargs="+", help="previously emitted report files")

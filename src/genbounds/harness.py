@@ -20,18 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import beta as beta_dist
 
-from .bounds import (
-    BoundRequest,
-    catoni_bound,
-    catoni_linear,
-    cmi_pac_high_prob,
-    dp_prior_high_prob,
-    mcallester_linear,
-    pac_bayes_kl,
-    xu_raginsky,
-    zhang_gen_expectation,
-    zhang_high_prob,
-)
+from .bounds import BoundRequest, xu_raginsky, zhang_gen_expectation
 from .divergences import (
     DiscreteDist,
     JointTable,
@@ -52,6 +41,7 @@ from .problems import (
     iter_samples,
     true_risks,
 )
+from .registry import BOUNDS, BoundEntry
 
 
 # ---------------------------------------------------------------------------
@@ -278,21 +268,20 @@ def verify_expectation_bounds(
 # Violation-rate certification of the high-probability bounds
 # ---------------------------------------------------------------------------
 
-#: Bounds certifiable by :func:`run_violation_experiment`, with the exact
-#: comparison quantity each one promises to dominate.
-SUPPORTED_BOUNDS = ("zhang", "catoni", "catoni-linear", "mcallester-linear", "pac-bayes-kl")
-
-
-def _check_bound_pairing(config: TrialConfig) -> None:
+def _registered(config: TrialConfig, trial: str) -> BoundEntry:
+    """The configured bound's table entry, checked against the trial and the losses."""
     name = config.bound.name
-    if name not in SUPPORTED_BOUNDS:
+    entry = BOUNDS.get(name)
+    if entry is None or entry.trial != trial:
+        supported = ", ".join(key for key, e in BOUNDS.items() if e.trial == trial)
         raise ConfigurationError(
-            f"unknown bound {name!r}; supported: {', '.join(SUPPORTED_BOUNDS)}"
+            f"bound {name!r} is not certified by the {trial} trial; supported: {supported}"
         )
-    if name != "zhang" and not config.problem.has_unit_losses:
-        raise ConfigurationError(f"bound {name!r} requires losses in [0, 1]")
-    if name in ("catoni", "catoni-linear", "mcallester-linear") and not config.problem.has_binary_losses:
+    if entry.losses == "binary" and not config.problem.has_binary_losses:
         raise ConfigurationError(f"bound {name!r} is stated for {{0, 1}}-valued losses")
+    if entry.losses == "unit" and not config.problem.has_unit_losses:
+        raise ConfigurationError(f"bound {name!r} requires losses in [0, 1]")
+    return entry
 
 
 def _bound_model(problem: FiniteProblem) -> LossModel:
@@ -303,43 +292,45 @@ def _bound_model(problem: FiniteProblem) -> LossModel:
     return LossModel.sub_gaussian(1.0)
 
 
+def _bound_and_truth(
+    config: TrialConfig,
+    entry: BoundEntry,
+    sample,
+    posterior: DiscreteDist,
+    prior: DiscreteDist,
+    *params,
+) -> tuple[float, float]:
+    """The bound on the training sample and the exact quantity it must dominate."""
+    problem = config.problem
+    beta = config.bound.params.get("beta")
+    request = BoundRequest(
+        n=problem.n,
+        delta=config.delta,
+        empirical_risk=float(posterior.probs @ empirical_risks(problem, sample)),
+        kl=kl_discrete(posterior, prior),
+        beta=beta,
+        model=_bound_model(problem),
+    )
+    result = entry.request(request, *params)
+    if entry.truth == "annealed":
+        truth = float(posterior.probs @ annealed_risks(problem, beta))
+    else:
+        truth = float(posterior.probs @ true_risks(problem))
+    return result.value + config.bound_offset, truth
+
+
 def violation_trial(config: TrialConfig, trial: int) -> tuple[float, float]:
     """Run one certification trial; returns (bound value, exact true quantity).
 
     Deterministic in (config.seed, trial) alone, independent of any other
     trial.
     """
-    _check_bound_pairing(config)
+    entry = _registered(config, "plain")
     problem = config.problem
-    name = config.bound.name
-    params = config.bound.params
-    prior = _bound_prior(config)
-    model = _bound_model(problem)
-
     rng = _trial_rng(config.seed, trial)
     sample = rng.choice(problem.num_outcomes, size=problem.n, p=problem.mu.probs)
     posterior = config.algorithm.posterior(problem, sample)
-    request = BoundRequest(
-        n=problem.n,
-        delta=config.delta,
-        empirical_risk=float(posterior.probs @ empirical_risks(problem, sample)),
-        kl=kl_discrete(posterior, prior),
-        beta=params.get("beta"),
-        model=model,
-    )
-    if name == "zhang":
-        result = zhang_high_prob(request)
-        truth = float(posterior.probs @ annealed_risks(problem, request.beta))
-    else:
-        fn = {
-            "catoni": catoni_bound,
-            "catoni-linear": catoni_linear,
-            "mcallester-linear": mcallester_linear,
-            "pac-bayes-kl": pac_bayes_kl,
-        }[name]
-        result = fn(request)
-        truth = float(posterior.probs @ true_risks(problem))
-    return result.value + config.bound_offset, truth
+    return _bound_and_truth(config, entry, sample, posterior, _bound_prior(config))
 
 
 def _summarize(pairs: list[tuple[float, float]]) -> ViolationReport:
@@ -381,9 +372,8 @@ def draw_supersample(problem: FiniteProblem, rng: np.random.Generator) -> Supers
 
 def cmi_trial(config: TrialConfig, trial: int) -> tuple[float, float]:
     """One supersample trial; returns (bound value, exact posterior-mean gap)."""
+    entry = _registered(config, "supersample")
     problem = config.problem
-    if not problem.has_unit_losses:
-        raise ConfigurationError("the supersample bound requires losses in [0, 1]")
     prior = _bound_prior(config)
     rng = _trial_rng(config.seed, trial)
     draw = draw_supersample(problem, rng)
@@ -399,7 +389,7 @@ def cmi_trial(config: TrialConfig, trial: int) -> tuple[float, float]:
         beta=config.bound.params.get("beta"),
         model=_bound_model(problem),
     )
-    return cmi_pac_high_prob(request).value + config.bound_offset, gap
+    return entry.request(request).value + config.bound_offset, gap
 
 
 def run_cmi_experiment(config: TrialConfig) -> ViolationReport:
@@ -493,9 +483,9 @@ def dp_mechanism_max_log_ratio(
 
 def dp_prior_trial(config: TrialConfig, trial: int, epsilon: float) -> tuple[float, float]:
     """One trial of the private-prior certification; returns (bound, annealed risk)."""
+    entry = _registered(config, "private-prior")
     problem = config.problem
-    beta = config.bound.params.get("beta")
-    if beta is None:
+    if config.bound.params.get("beta") is None:
         raise ConfigurationError("the private-prior bound requires a beta parameter")
     rng = _trial_rng(config.seed, trial)
     sample = rng.choice(problem.num_outcomes, size=problem.n, p=problem.mu.probs)
@@ -508,17 +498,7 @@ def dp_prior_trial(config: TrialConfig, trial: int, epsilon: float) -> tuple[flo
         )
     else:
         posterior = config.algorithm.posterior(problem, sample)
-    request = BoundRequest(
-        n=problem.n,
-        delta=config.delta,
-        empirical_risk=float(posterior.probs @ empirical_risks(problem, sample)),
-        kl=kl_discrete(posterior, prior),
-        beta=beta,
-        model=_bound_model(problem),
-    )
-    result = dp_prior_high_prob(request, epsilon)
-    truth = float(posterior.probs @ annealed_risks(problem, beta))
-    return result.value + config.bound_offset, truth
+    return _bound_and_truth(config, entry, sample, posterior, prior, epsilon)
 
 
 def run_dp_prior_experiment(config: TrialConfig, epsilon: float) -> ViolationReport:
@@ -530,17 +510,8 @@ def run_dp_prior_experiment(config: TrialConfig, epsilon: float) -> ViolationRep
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo deviation allowance and the union-bound grid audit
+# The union-bound grid
 # ---------------------------------------------------------------------------
-
-
-def mc_correction(m: int, delta_prime: float) -> float:
-    """Deviation allowance sqrt(log(2/delta') / (2m)) for an m-draw risk estimate."""
-    if m < 1:
-        raise DomainError("m must be a positive integer")
-    if not 0 < delta_prime < 1:
-        raise DomainError("delta_prime must lie in (0, 1)")
-    return math.sqrt(math.log(2.0 / delta_prime) / (2.0 * m))
 
 
 def union_beta_grid(n: int, alpha: float, v: float, sigma: float) -> np.ndarray:
@@ -554,16 +525,3 @@ def union_beta_grid(n: int, alpha: float, v: float, sigma: float) -> np.ndarray:
     u = min(math.sqrt(2.0 * alpha / sigma**2), v) / math.sqrt(n)
     count = max(math.ceil(math.log(v / u) / math.log(alpha)), 1)
     return u * alpha ** np.arange(count)
-
-
-def union_grid_allowance(n: int, alpha: float, v: float, sigma: float) -> tuple[int, float]:
-    """Grid size versus the allowance log_alpha(sqrt n) + K priced into the bound.
-
-    The first element never exceeds the second, which is what makes the
-    union-bound penalty valid.
-    """
-    grid = union_beta_grid(n, alpha, v, sigma)
-    log_alpha = math.log(alpha)
-    k_const = max(math.log(v * sigma / math.sqrt(2.0 * alpha)) / log_alpha, 0.0) + math.e
-    allowance = math.log(math.sqrt(n)) / log_alpha + k_const
-    return len(grid), allowance

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import logsumexp
 
-from .bounds import BoundResult
+from .bounds import BoundResult, _phi_result, _sum_result
 from .divergences import (
     DiscreteDist,
     GaussianKLInputs,
@@ -29,7 +29,6 @@ from .divergences import (
     kl_gaussian_spectral,
 )
 from .errors import DegenerateError, DomainError, ParameterError, ShapeError
-from .losses import phi_beta_inverse
 from .problems import (
     FiniteProblem,
     annealed_risks,
@@ -309,14 +308,9 @@ def occam_bound(model: QuadraticModel, delta: float, empirical_risk: float) -> B
         "prior_mismatch": model.lam * mean_gap / (2.0 * scale),
         "occam_complexity": log_ratio_sum / (2.0 * scale),
     }
-    raw = math.fsum(components.values())
-    return BoundResult(
-        value=raw,
-        components=components,
-        vacuous=math.isinf(raw),
+    return _sum_result(
+        components,
         beta_used=model.beta,
-        raw_value=raw,
-        transform="sum",
         extras={"occam_factor": math.exp(-0.5 * log_ratio_sum)},
     )
 
@@ -405,17 +399,7 @@ def pacbayes_sgd_objective(params: PacBayesSgdParams) -> BoundResult:
         "lambda_grid_cost": lambda_grid_cost,
         "mc_deviation": mc_cost,
     }
-    inner = math.fsum(components.values())
-    raw = phi_beta_inverse(p.beta, inner)
-    vacuous = raw > 1.0 or math.isinf(raw)
-    return BoundResult(
-        value=1.0 if vacuous else raw,
-        components=components,
-        vacuous=vacuous,
-        beta_used=p.beta,
-        raw_value=raw,
-        transform="phi_beta_inverse",
-    )
+    return _phi_result(components, p.beta)
 
 
 # ---------------------------------------------------------------------------

@@ -62,15 +62,8 @@ def _check_sample(problem: FiniteProblem, sample) -> np.ndarray:
     return s
 
 
-def exact_true_risk(problem: FiniteProblem, w: int) -> float:
-    """Population risk of hypothesis w: the mu-expectation of its loss row."""
-    if not 0 <= w < problem.num_hypotheses:
-        raise DomainError("hypothesis index out of range")
-    return float(problem.losses[w] @ problem.mu.probs)
-
-
 def true_risks(problem: FiniteProblem) -> np.ndarray:
-    """Population risks of all hypotheses at once."""
+    """Population risks of all hypotheses: the mu-expectation of each loss row."""
     return problem.losses @ problem.mu.probs
 
 
@@ -80,21 +73,12 @@ def empirical_risks(problem: FiniteProblem, sample) -> np.ndarray:
     return problem.losses[:, s].mean(axis=1)
 
 
-def annealed_expectation(problem: FiniteProblem, w: int, beta: float) -> float:
-    """Annealed risk -log E_mu[exp(-beta * loss(w, Z))] / beta via log-sum-exp.
-
-    A soft-min surrogate for the true risk: it never exceeds it and is
-    nonincreasing in beta.
-    """
-    if not 0 <= w < problem.num_hypotheses:
-        raise DomainError("hypothesis index out of range")
-    if beta <= 0:
-        raise DomainError("beta must be positive")
-    return float(-logsumexp(-beta * problem.losses[w], b=problem.mu.probs) / beta)
-
-
 def annealed_risks(problem: FiniteProblem, beta: float) -> np.ndarray:
-    """Annealed risks of all hypotheses at once."""
+    """Annealed risks -log E_mu[exp(-beta * loss(w, Z))] / beta of all hypotheses.
+
+    A soft-min surrogate for the true risk, computed by log-sum-exp: it never
+    exceeds it and is nonincreasing in beta.
+    """
     if beta <= 0:
         raise DomainError("beta must be positive")
     return -logsumexp(-beta * problem.losses, b=problem.mu.probs[None, :], axis=1) / beta

@@ -58,6 +58,13 @@ class TestBoundRequest:
             BoundRequest(n=5, delta=0.5, kl=-1.0)
         with pytest.raises(ParameterError):
             BoundRequest(n=5, delta=0.5, beta=0.0)
+        with pytest.raises(ParameterError):
+            BoundRequest(n=5, delta=0.5, empirical_risk=math.nan)
+        with pytest.raises(ParameterError):
+            BoundRequest(n=50.5, delta=0.5)
+        with pytest.raises(ParameterError):
+            BoundRequest(n=True, delta=0.5)
+        assert BoundRequest(n=np.int64(50), delta=0.5).n == 50
 
     def test_degenerate_delta_is_tolerated(self):
         BoundRequest(n=5, delta=2.0)

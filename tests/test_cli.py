@@ -64,6 +64,11 @@ class TestBoundCompute:
         cfg = compute_config(tmp_path, name="oracle")
         assert main(["bound", "compute", "--config", cfg]) == 2
 
+    def test_nan_empirical_risk_exits_2(self, tmp_path):
+        cfg = compute_config(tmp_path, name="zhang", empirical_risk=float("nan"))
+        assert ".nan" in (tmp_path / "compute.yaml").read_text()
+        assert main(["bound", "compute", "--config", cfg]) == 2
+
     def test_unknown_config_field_exits_2(self, tmp_path):
         cfg = write_yaml(tmp_path / "bad.yaml", {"bound": {"name": "catoni", "banana": 1}})
         assert main(["bound", "compute", "--config", cfg]) == 2
@@ -188,6 +193,10 @@ class TestExperimentCommands:
             tmp_path, filename="dp.yaml", bound="dp-prior", delta=0.1, epsilon=0.2, trials=300
         )
         assert main(["experiment", "dp-prior", "--config", cfg, "--out", str(tmp_path / "d.csv")]) == 0
+
+    def test_cmi_rejects_a_bound_of_another_trial(self, tmp_path):
+        cfg = experiment_config(tmp_path, filename="zhang.yaml", bound="zhang", trials=10)
+        assert main(["experiment", "cmi", "--config", cfg]) == 2
 
     def test_dp_prior_needs_epsilon(self, tmp_path):
         cfg = experiment_config(tmp_path, filename="noeps.yaml", bound="dp-prior", trials=10)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from genbounds import (
+    BoundRequest,
     BoundSpec,
     BudgetError,
     ConfigurationError,
@@ -13,6 +14,8 @@ from genbounds import (
     ErmAlgorithm,
     FiniteProblem,
     GibbsAlgorithm,
+    LossModel,
+    PacBayesSgdParams,
     TrialConfig,
     annealed_risks,
     clopper_pearson_upper,
@@ -27,13 +30,13 @@ from genbounds import (
     enumerate_joint,
     iter_samples,
     kl_discrete,
-    mc_correction,
     mutual_info,
+    pacbayes_sgd_objective,
     run_cmi_experiment,
     run_dp_prior_experiment,
     run_violation_experiment,
     union_beta_grid,
-    union_grid_allowance,
+    union_bound_beta,
     verify_expectation_bounds,
     violation_trial,
 )
@@ -156,7 +159,7 @@ class TestVerifyExpectationBounds:
             verify_expectation_bounds(problem, ErmAlgorithm())
 
     def test_enumerated_information_and_gap_match_monte_carlo(self, rng):
-        from genbounds import exact_true_risk, true_risks
+        from genbounds import true_risks
 
         problem = random_problem(rng, 3, 2, n=4)
         algorithm = GibbsAlgorithm(beta_alg=1.5)
@@ -236,6 +239,10 @@ class TestCmiExperiment:
         report = run_cmi_experiment(config)
         assert report.certified(0.05)
 
+    def test_rejects_a_bound_of_another_trial(self):
+        with pytest.raises(ConfigurationError):
+            run_cmi_experiment(make_config(standard_problem(), "catoni", trials=10))
+
     def test_sample_ignoring_rule_has_zero_information(self, rng):
         problem = random_problem(rng, 3, 2, n=2)
 
@@ -303,17 +310,26 @@ class TestDpPriorExperiment:
         assert run_dp_prior_experiment(config, 0.2) == run_dp_prior_experiment(config, 0.2)
 
 
+def mc_deviation(m, delta_prime):
+    """The Monte Carlo deviation allowance priced into the retraining objective."""
+    params = PacBayesSgdParams(
+        n=100, beta=2.0, lam=0.1, alpha=2.0, b=10, c=0.5, m=m, delta=0.05,
+        delta_prime=delta_prime, mc_empirical_risk=0.1, kl=1.0,
+    )
+    return pacbayes_sgd_objective(params).components["mc_deviation"]
+
+
 class TestMcCorrection:
     def test_known_value(self):
-        assert mc_correction(200, 0.05) == pytest.approx(0.09603227913199208, abs=1e-14)
+        assert mc_deviation(200, 0.05) == pytest.approx(0.09603227913199208, abs=1e-14)
 
     def test_vanishes_with_draws(self):
-        assert mc_correction(10**12, 0.05) <= 1e-5
+        assert mc_deviation(10**12, 0.05) <= 1e-5
 
     def test_coverage_guarantee(self):
         rng = np.random.default_rng(17)
         m, delta_prime, p = 200, 0.05, 0.3
-        allowance = mc_correction(m, delta_prime)
+        allowance = mc_deviation(m, delta_prime)
         means = rng.binomial(m, p, size=10**4) / m
         coverage = np.mean(np.abs(means - p) <= allowance)
         assert coverage >= 1 - delta_prime
@@ -330,5 +346,6 @@ class TestUnionGrid:
         for n in (1, 10, 100, 10**4):
             for v in (0.1, 1.0, 10.0, 100.0):
                 for sigma in (0.25, 0.5, 1.0, 3.0):
-                    count, allowance = union_grid_allowance(n, 2.0, v, sigma)
-                    assert count <= allowance
+                    request = BoundRequest(n=n, delta=0.5, model=LossModel.sub_gaussian(sigma))
+                    allowance = union_bound_beta(request, 2.0, v).extras["union_grid_allowance"]
+                    assert len(union_beta_grid(n, 2.0, v, sigma)) <= allowance

@@ -10,10 +10,8 @@ from genbounds import (
     DiscreteDist,
     DomainError,
     FiniteProblem,
-    annealed_expectation,
     annealed_risks,
     empirical_risks,
-    exact_true_risk,
     iter_samples,
     phi_beta,
     true_risks,
@@ -30,12 +28,12 @@ def test_construction_validation():
 
 def test_true_risk_point_mass():
     problem = FiniteProblem(losses=[[0.3, 0.9]], mu=DiscreteDist([0.0, 1.0]), n=2)
-    assert exact_true_risk(problem, 0) == pytest.approx(0.9)
+    assert true_risks(problem)[0] == pytest.approx(0.9)
 
 
 def test_true_risk_uniform():
     problem = FiniteProblem(losses=[[0.0, 1.0]], mu=DiscreteDist([0.5, 0.5]), n=2)
-    assert exact_true_risk(problem, 0) == pytest.approx(0.5)
+    assert true_risks(problem)[0] == pytest.approx(0.5)
 
 
 def test_true_risk_matches_monte_carlo(rng):
@@ -44,7 +42,7 @@ def test_true_risk_matches_monte_carlo(rng):
     for w in range(3):
         mc = problem.losses[w, draws]
         se = mc.std(ddof=1) / math.sqrt(mc.size)
-        assert abs(exact_true_risk(problem, w) - mc.mean()) <= 3 * se
+        assert abs(true_risks(problem)[w] - mc.mean()) <= 3 * se
 
 
 def test_empirical_risks():
@@ -59,19 +57,17 @@ class TestAnnealedExpectation:
     def test_constant_loss_is_fixed_point(self):
         problem = FiniteProblem(losses=[[0.7, 0.7]], mu=DiscreteDist([0.3, 0.7]), n=1)
         for beta in (0.1, 1.0, 10.0):
-            assert annealed_expectation(problem, 0, beta) == pytest.approx(0.7, abs=1e-12)
+            assert annealed_risks(problem, beta)[0] == pytest.approx(0.7, abs=1e-12)
 
     def test_bernoulli_matches_phi(self):
         # For a {0,1} loss with mean p the annealed risk equals phi_beta(p).
         problem = FiniteProblem(losses=[[0.0, 1.0]], mu=DiscreteDist([0.6, 0.4]), n=1)
         for beta in (0.25, 1.0, 4.0):
-            assert annealed_expectation(problem, 0, beta) == pytest.approx(
-                phi_beta(beta, 0.4), abs=1e-12
-            )
+            assert annealed_risks(problem, beta)[0] == pytest.approx(phi_beta(beta, 0.4), abs=1e-12)
 
     def test_uniform_binary_at_log2(self):
         problem = FiniteProblem(losses=[[0.0, 1.0]], mu=DiscreteDist([0.5, 0.5]), n=1)
-        assert annealed_expectation(problem, 0, math.log(2.0)) == pytest.approx(
+        assert annealed_risks(problem, math.log(2.0))[0] == pytest.approx(
             0.41503749927884382, abs=1e-12
         )
 
@@ -80,7 +76,7 @@ class TestAnnealedExpectation:
             problem = random_problem(rng, 4, 3, n=2)
             betas = np.linspace(0.05, 12.0, 40)
             for w in range(4):
-                values = [annealed_expectation(problem, w, b) for b in betas]
+                values = [annealed_risks(problem, b)[w] for b in betas]
                 assert np.all(np.diff(values) <= 1e-12)
 
     def test_dominated_by_true_risk(self, rng):
@@ -93,7 +89,7 @@ class TestAnnealedExpectation:
     def test_beta_must_be_positive(self, rng):
         problem = random_problem(rng, 2, 2, n=1)
         with pytest.raises(DomainError):
-            annealed_expectation(problem, 0, 0.0)
+            annealed_risks(problem, 0.0)
 
 
 class TestIterSamples:
