@@ -413,15 +413,17 @@ def delta_bound(req: BoundRequest, delta_fn: str, moment_bound: float) -> BoundR
 
     ``moment_bound`` is the caller-supplied log exponential-moment constant
     (log(2 sqrt(n)) for the kl and quadratic variants, via Pinsker); the
-    radius is (kl + log(1/delta) + moment_bound) / n.  ``quadratic`` inverts
-    2 (y - x)^2, ``normalized`` inverts (y - x)^2 / (2x), and ``kl`` inverts
-    the binary KL.
+    radius is (kl + log(1/delta) + moment_bound) / n and must be nonnegative.
+    ``quadratic`` inverts 2 (y - x)^2, ``normalized`` inverts
+    (y - x)^2 / (2x), and ``kl`` inverts the binary KL.
     """
     if delta_fn not in _DELTA_VARIANTS:
         raise ParameterError(f"unknown delta variant {delta_fn!r}; pick one of {_DELTA_VARIANTS}")
     _require_unit_model(req)
     delta, flags = _effective_delta(req)
     radius = (req.kl + math.log(1.0 / delta) + moment_bound) / req.n
+    if not radius >= 0.0:
+        raise ParameterError(f"moment_bound {moment_bound} gives the negative radius {radius}")
     return _inverse_result(
         req.empirical_risk, radius, delta_fn, f"{_DELTA_INVERSE}:{delta_fn}", flags
     )

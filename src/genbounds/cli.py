@@ -316,6 +316,8 @@ def cmd_bound_sweep(args) -> int:
         raise ConfigurationError("sweep grid is empty")
     records = []
     for point in grid:
+        if parameter == "n" and not float(point).is_integer():
+            raise ConfigurationError(f"sweep points for n must be integers; got {float(point)}")
         cfg[parameter] = int(point) if parameter == "n" else float(point)
         result = compute_named_bound(cfg)
         records.append(_make_record(cfg, result, seed=args.seed, **{parameter: cfg[parameter]}))

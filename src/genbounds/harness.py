@@ -3,9 +3,16 @@
 Each experiment draws training samples, runs a learning rule, evaluates a
 pre-registered bound against the exactly computed comparison quantity, and
 reports the violation rate together with a Clopper-Pearson upper confidence
-bound on it.  Per-trial randomness comes from counter-based streams derived
-from (seed, trial index), so results do not depend on execution order and
+bound on it.  One trial pipeline serves every bound; the bound table's
+``trial`` field picks how it draws (a sample or a supersample) and which
+prior it measures the posterior against (the fixed one or the private one).
+Per-trial randomness comes from counter-based streams derived from
+(seed, trial index), so results do not depend on execution order and
 parallel or serial runs agree bit-exactly.
+
+The exact checks read one sample table, :func:`~genbounds.problems.tabulate`:
+the learner or mechanism runs once per sample, a supersample is a pair of
+rows, and a neighbouring sample is a row at a known offset.
 
 All bound parameters (beta, delta, the prior) are fixed in the trial
 configuration before any sample is drawn.
@@ -13,12 +20,11 @@ configuration before any sample is drawn.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv
 
 from .bounds import BoundRequest, xu_raginsky, zhang_gen_expectation
 from .divergences import (
@@ -38,7 +44,7 @@ from .problems import (
     FiniteProblem,
     annealed_risks,
     empirical_risks,
-    iter_samples,
+    tabulate,
     true_risks,
 )
 from .registry import BOUNDS, BoundEntry
@@ -176,22 +182,24 @@ def clopper_pearson_upper(violations: int, trials: int, confidence: float = 0.95
         raise DomainError("need 0 <= violations <= trials with trials >= 1")
     if violations == trials:
         return 1.0
-    return float(beta_dist.ppf(confidence, violations + 1, trials - violations))
+    return float(betaincinv(violations + 1, trials - violations, confidence))
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, trial])
 
 
-def _bound_prior(config: TrialConfig) -> DiscreteDist:
-    if config.prior is not None:
-        return config.prior
-    return DiscreteDist.uniform(config.problem.num_hypotheses)
-
-
 # ---------------------------------------------------------------------------
 # Exact enumeration: joints and expectation bounds
 # ---------------------------------------------------------------------------
+
+
+def _joint_and_risks(
+    problem: FiniteProblem, algorithm, budget: int
+) -> tuple[JointTable, np.ndarray]:
+    """The exact joint over (sample, hypothesis) and each sample row's empirical risks."""
+    _, weights, risks, probs = tabulate(problem, lambda s: algorithm.posterior(problem, s), budget)
+    return JointTable.from_weights(weights[:, None] * probs), risks
 
 
 def enumerate_joint(
@@ -200,10 +208,7 @@ def enumerate_joint(
     budget: int = ENUMERATION_BUDGET,
 ) -> JointTable:
     """Exact joint p(s, w) = mu^n(s) P(w | s) over all samples and hypotheses."""
-    rows = []
-    for sample, weight in iter_samples(problem, budget=budget):
-        rows.append(weight * algorithm.posterior(problem, sample).probs)
-    return JointTable.from_weights(np.array(rows))
+    return _joint_and_risks(problem, algorithm, budget)[0]
 
 
 @dataclass(frozen=True)
@@ -243,21 +248,12 @@ def verify_expectation_bounds(
         raise ConfigurationError("a [0, 1] loss model requires losses in [0, 1]")
     q = prior if prior is not None else DiscreteDist.uniform(problem.num_hypotheses)
 
-    joint = enumerate_joint(problem, algorithm, budget=budget)
-    risks_true = true_risks(problem)
-    expected_gap = 0.0
-    for (sample, weight), row in zip(iter_samples(problem, budget=budget), joint.probs):
-        posterior_mass = row.sum()
-        if posterior_mass == 0:
-            continue
-        gaps = risks_true - empirical_risks(problem, sample)
-        expected_gap += float(row @ gaps)
-
+    joint, risks = _joint_and_risks(problem, algorithm, budget)
     info = mutual_info(joint)
     avg_kl = conditional_kl(joint, q)
     return ExpectationBoundReport(
         mutual_information=info,
-        expected_gap=expected_gap,
+        expected_gap=float(np.sum(joint.probs * (true_risks(problem) - risks))),
         mi_gap_bound=xu_raginsky(info, problem.n, 0.5),
         prior_gap_bound=zhang_gen_expectation(avg_kl, problem.n, model),
         golden_residual=golden_formula_residual(joint, q),
@@ -292,45 +288,57 @@ def _bound_model(problem: FiniteProblem) -> LossModel:
     return LossModel.sub_gaussian(1.0)
 
 
-def _bound_and_truth(
-    config: TrialConfig,
-    entry: BoundEntry,
-    sample,
-    posterior: DiscreteDist,
-    prior: DiscreteDist,
-    *params,
-) -> tuple[float, float]:
-    """The bound on the training sample and the exact quantity it must dominate."""
+def _trial(config: TrialConfig, trial: int, kind: str, *params) -> tuple[float, float]:
+    """One certification trial; returns (bound value, exact quantity it must dominate).
+
+    ``kind`` is the bound table's trial: ``plain`` and ``private-prior`` draw
+    a sample, ``supersample`` draws a supersample and trains on its selected
+    column.  ``private-prior`` measures the posterior against
+    :func:`dp_prior_mechanism` at ``params`` (epsilon), the others against the
+    configured prior.  Deterministic in (config.seed, trial) alone.
+    """
+    entry = _registered(config, kind)
     problem = config.problem
-    beta = config.bound.params.get("beta")
+    rng = _trial_rng(config.seed, trial)
+    if kind == "supersample":
+        draw = draw_supersample(problem, rng)
+        sample = draw.training_sample
+    else:
+        sample = rng.choice(problem.num_outcomes, size=problem.n, p=problem.mu.probs)
+    risks = empirical_risks(problem, sample)
+    if kind == "private-prior":
+        prior = dp_prior_mechanism(problem, sample, *params)
+    elif config.prior is not None:
+        prior = config.prior
+    else:
+        prior = DiscreteDist.uniform(problem.num_hypotheses)
+    if kind == "private-prior" and isinstance(config.algorithm, GibbsAlgorithm):
+        # The learner runs relative to the private prior so the divergence
+        # term states how far the data pulled it from there.
+        posterior = gibbs_posterior(prior, risks, problem.n * config.algorithm.beta_alg)
+    else:
+        posterior = config.algorithm.posterior(problem, sample)
     request = BoundRequest(
         n=problem.n,
         delta=config.delta,
-        empirical_risk=float(posterior.probs @ empirical_risks(problem, sample)),
+        empirical_risk=float(posterior.probs @ risks),
         kl=kl_discrete(posterior, prior),
-        beta=beta,
+        beta=config.bound.params.get("beta"),
         model=_bound_model(problem),
     )
-    result = entry.request(request, *params)
+    bound = entry.request(request, *params).value + config.bound_offset
     if entry.truth == "annealed":
-        truth = float(posterior.probs @ annealed_risks(problem, beta))
+        truth = posterior.probs @ annealed_risks(problem, request.beta)
+    elif entry.truth == "true":
+        truth = posterior.probs @ true_risks(problem)
     else:
-        truth = float(posterior.probs @ true_risks(problem))
-    return result.value + config.bound_offset, truth
+        truth = posterior.probs @ (empirical_risks(problem, draw.ghost_sample) - risks)
+    return bound, float(truth)
 
 
 def violation_trial(config: TrialConfig, trial: int) -> tuple[float, float]:
-    """Run one certification trial; returns (bound value, exact true quantity).
-
-    Deterministic in (config.seed, trial) alone, independent of any other
-    trial.
-    """
-    entry = _registered(config, "plain")
-    problem = config.problem
-    rng = _trial_rng(config.seed, trial)
-    sample = rng.choice(problem.num_outcomes, size=problem.n, p=problem.mu.probs)
-    posterior = config.algorithm.posterior(problem, sample)
-    return _bound_and_truth(config, entry, sample, posterior, _bound_prior(config))
+    """One trial of the plain certification; returns (bound value, exact true quantity)."""
+    return _trial(config, trial, "plain")
 
 
 def _summarize(pairs: list[tuple[float, float]]) -> ViolationReport:
@@ -355,8 +363,7 @@ def run_violation_experiment(config: TrialConfig) -> ViolationReport:
     pre-registered bound, and compare with the exactly computed quantity it
     bounds (annealed risk for the annealed-risk bound, true risk otherwise).
     """
-    pairs = [violation_trial(config, t) for t in range(config.trials)]
-    return _summarize(pairs)
+    return _summarize([violation_trial(config, t) for t in range(config.trials)])
 
 
 # ---------------------------------------------------------------------------
@@ -372,30 +379,12 @@ def draw_supersample(problem: FiniteProblem, rng: np.random.Generator) -> Supers
 
 def cmi_trial(config: TrialConfig, trial: int) -> tuple[float, float]:
     """One supersample trial; returns (bound value, exact posterior-mean gap)."""
-    entry = _registered(config, "supersample")
-    problem = config.problem
-    prior = _bound_prior(config)
-    rng = _trial_rng(config.seed, trial)
-    draw = draw_supersample(problem, rng)
-    posterior = config.algorithm.posterior(problem, draw.training_sample)
-    gap = float(
-        posterior.probs
-        @ (empirical_risks(problem, draw.ghost_sample) - empirical_risks(problem, draw.training_sample))
-    )
-    request = BoundRequest(
-        n=problem.n,
-        delta=config.delta,
-        kl=kl_discrete(posterior, prior),
-        beta=config.bound.params.get("beta"),
-        model=_bound_model(problem),
-    )
-    return entry.request(request).value + config.bound_offset, gap
+    return _trial(config, trial, "supersample")
 
 
 def run_cmi_experiment(config: TrialConfig) -> ViolationReport:
     """Certify the high-probability supersample gap bound."""
-    pairs = [cmi_trial(config, t) for t in range(config.trials)]
-    return _summarize(pairs)
+    return _summarize([cmi_trial(config, t) for t in range(config.trials)])
 
 
 def cmi_exact_quantities(
@@ -405,37 +394,30 @@ def cmi_exact_quantities(
 ) -> tuple[float, float]:
     """Exhaustively compute (conditional mutual information, expected gap).
 
-    Enumerates every supersample and selector configuration, builds the full
-    joint over (supersample, selector, hypothesis), and evaluates both the
-    selector information I(W; U | supersample) and the exact expected gap
-    E[ghost risk - training risk].
+    Builds the full joint over (supersample, selector, hypothesis) and
+    evaluates both the selector information I(W; U | supersample) and the
+    exact expected gap E[ghost risk - training risk].  A supersample is a
+    pair (a, b) of sample-table rows, its first and second column, with
+    weight w_a w_b; selector bit u_i takes training coordinate i from b when
+    set and from a otherwise, and the ghost coordinate from the other row.
     """
-    k, n = problem.num_outcomes, problem.n
-    num_z = k ** (2 * n)
-    num_u = 2**n
-    if num_z * num_u * problem.num_hypotheses > budget:
-        raise BudgetError("supersample enumeration exceeds the budget")
-    mu = problem.mu.probs
-    selectors = list(itertools.product((0, 1), repeat=n))
-    joint = np.zeros((num_z, num_u, problem.num_hypotheses))
-    expected_gap = 0.0
-    for zi, flat in enumerate(itertools.product(range(k), repeat=2 * n)):
-        z_tilde = np.array(flat, dtype=int).reshape(n, 2)
-        pz = float(np.prod(mu[z_tilde]))
-        if pz == 0.0:
-            continue
-        for ui, u_bits in enumerate(selectors):
-            u = np.array(u_bits, dtype=int)
-            draw = SupersampleDraw(z_tilde=z_tilde, u=u)
-            posterior = algorithm.posterior(problem, draw.training_sample)
-            weight = pz / num_u
-            joint[zi, ui] = weight * posterior.probs
-            gaps = empirical_risks(problem, draw.ghost_sample) - empirical_risks(
-                problem, draw.training_sample
-            )
-            expected_gap += weight * float(posterior.probs @ gaps)
-    joint /= joint.sum()
-    return conditional_mutual_info(joint), expected_gap
+    k, n, h = problem.num_outcomes, problem.n, problem.num_hypotheses
+    size = k ** (2 * n) * 2**n * h
+    if size > budget:
+        raise BudgetError(f"a supersample joint of {size} entries exceeds the budget of {budget}")
+    samples, weights, risks, probs = tabulate(
+        problem, lambda s: algorithm.posterior(problem, s), budget
+    )
+    place = k ** np.arange(n - 1, -1, -1)
+    selectors = ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(bool)
+    first, second = samples[:, None, None, :], samples[None, :, None, :]
+    train = np.where(selectors, second, first) @ place
+    ghost = np.where(selectors, first, second) @ place
+    pair_weights = np.multiply.outer(weights, weights) / 2**n
+    joint = pair_weights[:, :, None, None] * probs[train]
+    expected_gap = float(np.sum(joint * (risks[ghost] - risks[train])))
+    joint = joint.reshape(-1, 2**n, h)
+    return conditional_mutual_info(joint / joint.sum()), expected_gap
 
 
 # ---------------------------------------------------------------------------
@@ -465,48 +447,37 @@ def dp_mechanism_max_log_ratio(
 
     Returns the largest absolute log-probability ratio between priors on
     samples differing in one coordinate; at most epsilon when the mechanism
-    is correctly calibrated.
+    is correctly calibrated.  A hypothesis that only one of the two priors
+    gives probability 0 has an infinite ratio, one that both give 0 has
+    ratio 0.
     """
+    samples, _, _, priors = tabulate(
+        problem, lambda s: dp_prior_mechanism(problem, s, epsilon), budget
+    )
+    k, n = problem.num_outcomes, problem.n
+    rows = np.arange(len(samples))
     worst = 0.0
-    for sample, _ in iter_samples(problem, budget=budget):
-        prior = dp_prior_mechanism(problem, sample, epsilon).probs
-        for i in range(problem.n):
-            for z in range(problem.num_outcomes):
-                if z == sample[i]:
-                    continue
-                neighbor = sample.copy()
-                neighbor[i] = z
-                other = dp_prior_mechanism(problem, neighbor, epsilon).probs
-                worst = max(worst, float(np.max(np.abs(np.log(prior) - np.log(other)))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_priors = np.log(priors)
+        for i in range(n):
+            for z in range(k):
+                # Rows with s_i = z pair with themselves, at ratio 0.
+                neighbors = rows + (z - samples[:, i]) * k ** (n - 1 - i)
+                ratios = np.abs(log_priors - log_priors[neighbors])
+                worst = max(worst, float(np.nanmax(ratios)))
     return worst
 
 
 def dp_prior_trial(config: TrialConfig, trial: int, epsilon: float) -> tuple[float, float]:
     """One trial of the private-prior certification; returns (bound, annealed risk)."""
-    entry = _registered(config, "private-prior")
-    problem = config.problem
-    if config.bound.params.get("beta") is None:
-        raise ConfigurationError("the private-prior bound requires a beta parameter")
-    rng = _trial_rng(config.seed, trial)
-    sample = rng.choice(problem.num_outcomes, size=problem.n, p=problem.mu.probs)
-    prior = dp_prior_mechanism(problem, sample, epsilon)
-    if isinstance(config.algorithm, GibbsAlgorithm):
-        # The learner runs relative to the private prior so the divergence
-        # term states how far the data pulled it from there.
-        posterior = gibbs_posterior(
-            prior, empirical_risks(problem, sample), problem.n * config.algorithm.beta_alg
-        )
-    else:
-        posterior = config.algorithm.posterior(problem, sample)
-    return _bound_and_truth(config, entry, sample, posterior, prior, epsilon)
+    return _trial(config, trial, "private-prior", epsilon)
 
 
 def run_dp_prior_experiment(config: TrialConfig, epsilon: float) -> ViolationReport:
     """Certify the annealed-risk bound against the exponential-mechanism prior."""
     if not epsilon > 0:
         raise ConfigurationError("epsilon must be positive")
-    pairs = [dp_prior_trial(config, t, epsilon) for t in range(config.trials)]
-    return _summarize(pairs)
+    return _summarize([dp_prior_trial(config, t, epsilon) for t in range(config.trials)])
 
 
 # ---------------------------------------------------------------------------

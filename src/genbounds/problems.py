@@ -101,3 +101,22 @@ def iter_samples(
     for tup in itertools.product(range(problem.num_outcomes), repeat=problem.n):
         sample = np.array(tup, dtype=int)
         yield sample, float(np.prod(mu[sample]))
+
+
+def tabulate(
+    problem: FiniteProblem, rule, budget: int = ENUMERATION_BUDGET
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every sample as one table row: (samples, weights, risks, probs).
+
+    Row r holds the r-th sample of :func:`iter_samples`, its product-measure
+    weight, its per-hypothesis empirical risks and ``rule(sample).probs``.
+    Sample s sits at row sum_i s_i k^(n-1-i), so changing coordinate i to z
+    moves it by (z - s_i) k^(n-1-i) rows.
+    """
+    samples, weights, risks, probs = [], [], [], []
+    for sample, weight in iter_samples(problem, budget=budget):
+        samples.append(sample)
+        weights.append(weight)
+        risks.append(empirical_risks(problem, sample))
+        probs.append(rule(sample).probs)
+    return np.array(samples), np.array(weights), np.array(risks), np.array(probs)

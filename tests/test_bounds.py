@@ -307,6 +307,14 @@ class TestDeltaBound:
         with pytest.raises(ParameterError):
             delta_bound(req, "cubic", 0.0)
 
+    @pytest.mark.parametrize("risk", [0.0, 0.1])
+    @pytest.mark.parametrize("variant", ["kl", "quadratic", "normalized"])
+    def test_negative_radius_rejected(self, variant, risk):
+        # (0 + log 2 - 5) / 50 < 0: no distance is that small
+        req = BoundRequest(n=50, delta=0.5, empirical_risk=risk, kl=0.0, model=COIN)
+        with pytest.raises(ParameterError):
+            delta_bound(req, variant, -5.0)
+
 
 class TestCmiBounds:
     def test_slack_only(self):

@@ -69,6 +69,12 @@ class TestBoundCompute:
         assert ".nan" in (tmp_path / "compute.yaml").read_text()
         assert main(["bound", "compute", "--config", cfg]) == 2
 
+    def test_negative_delta_radius_exits_2(self, tmp_path):
+        cfg = compute_config(
+            tmp_path, name="delta", delta=0.5, variant="quadratic", moment_bound=-5.0
+        )
+        assert main(["bound", "compute", "--config", cfg]) == 2
+
     def test_unknown_config_field_exits_2(self, tmp_path):
         cfg = write_yaml(tmp_path / "bad.yaml", {"bound": {"name": "catoni", "banana": 1}})
         assert main(["bound", "compute", "--config", cfg]) == 2
@@ -139,6 +145,18 @@ class TestBoundSweep:
         _, rows = read_records(str(out_path))
         values = [r["value"] for r in rows]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+    def test_non_integral_n_point_exits_2(self, tmp_path):
+        bound = {"name": "catoni", "beta": 1.0, "delta": 0.1, "kl": 1.0, "empirical_risk": 0.2}
+        bad = {"parameter": "n", "start": 10, "stop": 11, "points": 3}
+        cfg = write_yaml(tmp_path / "bad.yaml", {"bound": bound, "sweep": bad})
+        assert main(["bound", "sweep", "--config", cfg]) == 2
+        good = {"parameter": "n", "start": 10.0, "stop": 12.0, "points": 3}
+        cfg = write_yaml(tmp_path / "good.yaml", {"bound": bound, "sweep": good})
+        out_path = tmp_path / "good.csv"
+        assert main(["bound", "sweep", "--config", cfg, "--out", str(out_path)]) == 0
+        _, rows = read_records(str(out_path))
+        assert [r["n"] for r in rows] == [10, 11, 12]
 
     def test_empty_grid_exits_2(self, tmp_path):
         cfg = write_yaml(

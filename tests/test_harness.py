@@ -1,5 +1,6 @@
 """Tests for the certification harness: enumeration, experiments, privacy audit."""
 
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from genbounds import (
     GibbsAlgorithm,
     LossModel,
     PacBayesSgdParams,
+    SupersampleDraw,
     TrialConfig,
     annealed_risks,
     clopper_pearson_upper,
@@ -23,6 +25,7 @@ from genbounds import (
     cmi_expectation,
     cmi_trial,
     conditional_kl,
+    conditional_mutual_info,
     dp_mechanism_max_log_ratio,
     dp_prior_mechanism,
     draw_supersample,
@@ -40,6 +43,7 @@ from genbounds import (
     verify_expectation_bounds,
     violation_trial,
 )
+from genbounds.problems import tabulate
 from conftest import random_problem
 
 
@@ -93,6 +97,26 @@ class TestClopperPearson:
     def test_monotone_in_violations(self):
         uppers = [clopper_pearson_upper(k, 50) for k in range(0, 51, 5)]
         assert np.all(np.diff(uppers) > 0)
+
+    def test_acceptance_value(self):
+        assert clopper_pearson_upper(65, 10_000) == 0.00798471527353767
+
+
+class TestSampleTable:
+    def test_rows_follow_iter_samples_and_the_index_formula(self, rng):
+        problem = random_problem(rng, 3, 3, n=3)
+        algorithm = GibbsAlgorithm(beta_alg=1.0)
+        samples, weights, risks, probs = tabulate(
+            problem, lambda s: algorithm.posterior(problem, s)
+        )
+        expected = list(iter_samples(problem))
+        assert len(samples) == len(expected) == 27
+        for row, (sample, weight) in enumerate(expected):
+            assert np.array_equal(samples[row], sample)
+            assert sum(int(s) * 3 ** (2 - i) for i, s in enumerate(sample)) == row
+            assert weights[row] == weight
+            assert np.array_equal(risks[row], empirical_risks(problem, sample))
+            assert np.array_equal(probs[row], algorithm.posterior(problem, sample).probs)
 
 
 class TestEnumerateJoint:
@@ -227,6 +251,26 @@ class TestViolationExperiment:
         assert abs(report.true_quantity_mean - exact) <= 3 * se
 
 
+def reference_cmi_quantities(problem, algorithm):
+    """(CMI, expected gap) by a loop over every supersample and selector pair."""
+    k, n = problem.num_outcomes, problem.n
+    selectors = list(itertools.product((0, 1), repeat=n))
+    joint = np.zeros((k ** (2 * n), 2**n, problem.num_hypotheses))
+    expected_gap = 0.0
+    for zi, flat in enumerate(itertools.product(range(k), repeat=2 * n)):
+        z_tilde = np.array(flat, dtype=int).reshape(n, 2)
+        weight = float(np.prod(problem.mu.probs[z_tilde])) / 2**n
+        for ui, u in enumerate(selectors):
+            draw = SupersampleDraw(z_tilde=z_tilde, u=np.array(u))
+            posterior = algorithm.posterior(problem, draw.training_sample)
+            joint[zi, ui] = weight * posterior.probs
+            gaps = empirical_risks(problem, draw.ghost_sample) - empirical_risks(
+                problem, draw.training_sample
+            )
+            expected_gap += weight * float(posterior.probs @ gaps)
+    return conditional_mutual_info(joint / joint.sum()), expected_gap
+
+
 class TestCmiExperiment:
     def test_supersample_split(self, rng):
         problem = random_problem(rng, 2, 2, n=6)
@@ -261,6 +305,21 @@ class TestCmiExperiment:
             assert 0.0 <= cmi <= problem.n * math.log(2.0) + 1e-12
             assert gap <= cmi_expectation(cmi, problem.n) + 1e-12
 
+    def test_budget_error_names_the_joint_size(self, rng):
+        problem = random_problem(rng, 3, 2, n=3)
+        with pytest.raises(BudgetError, match="1536 entries exceeds the budget of 1000"):
+            cmi_exact_quantities(problem, ErmAlgorithm(), budget=1000)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_exact_quantities_match_the_pair_loop(self, n, k):
+        problem = random_problem(np.random.default_rng([n, k]), 3, k, n=n)
+        algorithm = GibbsAlgorithm(beta_alg=2.0)
+        cmi, gap = cmi_exact_quantities(problem, algorithm)
+        ref_cmi, ref_gap = reference_cmi_quantities(problem, algorithm)
+        assert cmi == pytest.approx(ref_cmi, abs=1e-12)
+        assert gap == pytest.approx(ref_gap, abs=1e-12)
+
     def test_exact_cmi_matches_monte_carlo(self, rng):
         problem = random_problem(rng, 3, 2, n=3)
         algorithm = GibbsAlgorithm(beta_alg=2.0)
@@ -283,12 +342,47 @@ class TestCmiExperiment:
         assert abs(values.mean() - cmi) <= 3 * se
 
 
+def reference_audit(problem, epsilon):
+    """The privacy audit by recomputing the mechanism on every neighbour."""
+    worst = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for sample, _ in iter_samples(problem):
+            prior = dp_prior_mechanism(problem, sample, epsilon).probs
+            for i in range(problem.n):
+                for z in range(problem.num_outcomes):
+                    if z == sample[i]:
+                        continue
+                    neighbor = sample.copy()
+                    neighbor[i] = z
+                    other = dp_prior_mechanism(problem, neighbor, epsilon).probs
+                    ratios = np.abs(np.log(prior) - np.log(other))
+                    worst = max(worst, float(np.nanmax(ratios)))
+    return worst
+
+
 class TestDpPriorExperiment:
     def test_mechanism_is_private_exhaustively(self, rng):
         for epsilon in (0.2, 1.0):
             problem = random_problem(rng, 3, 2, n=4)
             worst = dp_mechanism_max_log_ratio(problem, epsilon)
             assert worst <= epsilon + 1e-12
+
+    def test_audit_matches_the_neighbour_loop(self, rng):
+        for k, n in ((2, 4), (3, 3)):
+            problem = random_problem(rng, 3, k, n=n)
+            for epsilon in (0.2, 1.0, 50.0):
+                assert dp_mechanism_max_log_ratio(problem, epsilon) == reference_audit(
+                    problem, epsilon
+                )
+
+    def test_audit_sees_a_ratio_beside_a_hypothesis_both_priors_exclude(self):
+        # Priors (1, 0, 0) on [0, 0] and (.5, .5, 0) on [0, 1]: hypothesis 1
+        # has an infinite ratio, hypothesis 2 probability 0 under both.
+        problem = FiniteProblem(
+            losses=[[0, 1], [1, 0], [1, 1]], mu=DiscreteDist([0.5, 0.5]), n=2
+        )
+        assert dp_mechanism_max_log_ratio(problem, 3000.0) == math.inf
+        assert reference_audit(problem, 3000.0) == math.inf
 
     def test_small_epsilon_prior_is_nearly_uniform(self, rng):
         problem = random_problem(rng, 4, 2, n=6)
