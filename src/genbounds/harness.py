@@ -8,7 +8,11 @@ bound on it.  One trial pipeline serves every bound; the bound table's
 prior it measures the posterior against (the fixed one or the private one).
 Per-trial randomness comes from counter-based streams derived from
 (seed, trial index), so results do not depend on execution order and
-parallel or serial runs agree bit-exactly.
+parallel or serial runs agree bit-exactly.  The learning rules see a sample
+only through its type (its count vector), so within one run the trials that
+draw the same type share one evaluation of the posterior, the bound and the
+truth; a report still depends only on (seed, trial index), and replaying one
+trial runs the same code on that trial alone.
 
 The exact checks read one sample table, :func:`~genbounds.problems.tabulate`:
 the learner or mechanism runs once per sample, a supersample is a pair of
@@ -128,8 +132,17 @@ class TrialConfig:
     bound_offset: float = 0.0
 
     def __post_init__(self) -> None:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigurationError(f"seed must be a non-negative integer; got {self.seed!r}")
         if self.trials < 1:
             raise ConfigurationError("trials must be positive")
+        if type(self.algorithm) not in (ErmAlgorithm, GibbsAlgorithm):
+            # Trials of one sample type share an evaluation, which is only
+            # right for rules that see the sample through its type.
+            raise ConfigurationError(
+                "the algorithm must be an ErmAlgorithm or a GibbsAlgorithm; "
+                f"got {type(self.algorithm).__name__}"
+            )
         if not 0 < self.delta <= 1:
             raise ConfigurationError("delta must lie in (0, 1]")
         if self.prior is not None and len(self.prior) != self.problem.num_hypotheses:
@@ -288,57 +301,74 @@ def _bound_model(problem: FiniteProblem) -> LossModel:
     return LossModel.sub_gaussian(1.0)
 
 
-def _trial(config: TrialConfig, trial: int, kind: str, *params) -> tuple[float, float]:
-    """One certification trial; returns (bound value, exact quantity it must dominate).
+def _trials(config: TrialConfig, kind: str, trials, *params) -> list[tuple[float, float]]:
+    """Certification trials; returns each one's (bound value, exact quantity it must dominate).
 
     ``kind`` is the bound table's trial: ``plain`` and ``private-prior`` draw
     a sample, ``supersample`` draws a supersample and trains on its selected
     column.  ``private-prior`` measures the posterior against
     :func:`dp_prior_mechanism` at ``params`` (epsilon), the others against the
-    configured prior.  Deterministic in (config.seed, trial) alone.
+    configured prior.  Each trial is deterministic in (config.seed, trial)
+    alone.  The learning rules are exchangeable, so everything but the ghost
+    risks of a supersample is a function of the training sample's type: it is
+    computed on the first trial of each type and reused by the others.
     """
     entry = _registered(config, kind)
     problem = config.problem
-    rng = _trial_rng(config.seed, trial)
-    if kind == "supersample":
-        draw = draw_supersample(problem, rng)
-        sample = draw.training_sample
+    model = _bound_model(problem)
+    if config.prior is not None:
+        fixed_prior = config.prior
     else:
-        sample = rng.choice(problem.num_outcomes, size=problem.n, p=problem.mu.probs)
-    risks = empirical_risks(problem, sample)
-    if kind == "private-prior":
-        prior = dp_prior_mechanism(problem, sample, *params)
-    elif config.prior is not None:
-        prior = config.prior
-    else:
-        prior = DiscreteDist.uniform(problem.num_hypotheses)
-    if kind == "private-prior" and isinstance(config.algorithm, GibbsAlgorithm):
-        # The learner runs relative to the private prior so the divergence
-        # term states how far the data pulled it from there.
-        posterior = gibbs_posterior(prior, risks, problem.n * config.algorithm.beta_alg)
-    else:
-        posterior = config.algorithm.posterior(problem, sample)
-    request = BoundRequest(
-        n=problem.n,
-        delta=config.delta,
-        empirical_risk=float(posterior.probs @ risks),
-        kl=kl_discrete(posterior, prior),
-        beta=config.bound.params.get("beta"),
-        model=_bound_model(problem),
-    )
-    bound = entry.request(request, *params).value + config.bound_offset
-    if entry.truth == "annealed":
-        truth = posterior.probs @ annealed_risks(problem, request.beta)
-    elif entry.truth == "true":
-        truth = posterior.probs @ true_risks(problem)
-    else:
-        truth = posterior.probs @ (empirical_risks(problem, draw.ghost_sample) - risks)
-    return bound, float(truth)
+        fixed_prior = DiscreteDist.uniform(problem.num_hypotheses)
+    truth_risks = None  # after the first bound, so a missing beta raises the bound's error
+    by_type: dict[bytes, tuple] = {}
+    pairs = []
+    for trial in trials:
+        rng = _trial_rng(config.seed, trial)
+        if kind == "supersample":
+            draw = draw_supersample(problem, rng)
+            sample = draw.training_sample
+        else:
+            sample = rng.choice(problem.num_outcomes, size=problem.n, p=problem.mu.probs)
+        key = np.bincount(sample, minlength=problem.num_outcomes).tobytes()
+        if key not in by_type:
+            risks = empirical_risks(problem, sample)
+            if kind == "private-prior":
+                prior = dp_prior_mechanism(problem, sample, *params)
+            else:
+                prior = fixed_prior
+            if kind == "private-prior" and isinstance(config.algorithm, GibbsAlgorithm):
+                # The learner runs relative to the private prior so the divergence
+                # term states how far the data pulled it from there.
+                posterior = gibbs_posterior(prior, risks, problem.n * config.algorithm.beta_alg)
+            else:
+                posterior = config.algorithm.posterior(problem, sample)
+            request = BoundRequest(
+                n=problem.n,
+                delta=config.delta,
+                empirical_risk=float(posterior.probs @ risks),
+                kl=kl_discrete(posterior, prior),
+                beta=config.bound.params.get("beta"),
+                model=model,
+            )
+            bound = entry.request(request, *params).value + config.bound_offset
+            truth = None
+            if entry.truth != "gap":
+                if truth_risks is None:
+                    annealed = entry.truth == "annealed"
+                    truth_risks = annealed_risks(problem, request.beta) if annealed else true_risks(problem)
+                truth = float(posterior.probs @ truth_risks)
+            by_type[key] = (risks, posterior, bound, truth)
+        risks, posterior, bound, truth = by_type[key]
+        if truth is None:  # the gap to the ghost sample, which the type leaves open
+            truth = float(posterior.probs @ (empirical_risks(problem, draw.ghost_sample) - risks))
+        pairs.append((bound, truth))
+    return pairs
 
 
 def violation_trial(config: TrialConfig, trial: int) -> tuple[float, float]:
     """One trial of the plain certification; returns (bound value, exact true quantity)."""
-    return _trial(config, trial, "plain")
+    return _trials(config, "plain", [trial])[0]
 
 
 def _summarize(pairs: list[tuple[float, float]]) -> ViolationReport:
@@ -363,7 +393,7 @@ def run_violation_experiment(config: TrialConfig) -> ViolationReport:
     pre-registered bound, and compare with the exactly computed quantity it
     bounds (annealed risk for the annealed-risk bound, true risk otherwise).
     """
-    return _summarize([violation_trial(config, t) for t in range(config.trials)])
+    return _summarize(_trials(config, "plain", range(config.trials)))
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +409,12 @@ def draw_supersample(problem: FiniteProblem, rng: np.random.Generator) -> Supers
 
 def cmi_trial(config: TrialConfig, trial: int) -> tuple[float, float]:
     """One supersample trial; returns (bound value, exact posterior-mean gap)."""
-    return _trial(config, trial, "supersample")
+    return _trials(config, "supersample", [trial])[0]
 
 
 def run_cmi_experiment(config: TrialConfig) -> ViolationReport:
     """Certify the high-probability supersample gap bound."""
-    return _summarize([cmi_trial(config, t) for t in range(config.trials)])
+    return _summarize(_trials(config, "supersample", range(config.trials)))
 
 
 def cmi_exact_quantities(
@@ -470,14 +500,14 @@ def dp_mechanism_max_log_ratio(
 
 def dp_prior_trial(config: TrialConfig, trial: int, epsilon: float) -> tuple[float, float]:
     """One trial of the private-prior certification; returns (bound, annealed risk)."""
-    return _trial(config, trial, "private-prior", epsilon)
+    return _trials(config, "private-prior", [trial], epsilon)[0]
 
 
 def run_dp_prior_experiment(config: TrialConfig, epsilon: float) -> ViolationReport:
     """Certify the annealed-risk bound against the exponential-mechanism prior."""
     if not epsilon > 0:
         raise ConfigurationError("epsilon must be positive")
-    return _summarize([dp_prior_trial(config, t, epsilon) for t in range(config.trials)])
+    return _summarize(_trials(config, "private-prior", range(config.trials), epsilon))
 
 
 # ---------------------------------------------------------------------------

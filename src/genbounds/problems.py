@@ -54,12 +54,22 @@ class FiniteProblem:
 
 
 def _check_sample(problem: FiniteProblem, sample) -> np.ndarray:
-    s = np.asarray(sample, dtype=int)
+    s = np.asarray(sample)
     if s.ndim != 1 or s.size == 0:
         raise DomainError("a sample must be a nonempty 1-D list of outcome indices")
+    # NumPy turns a list mixing bools and ints into ints, so look at its entries.
+    has_bool = s.dtype.kind == "b" or (
+        not isinstance(sample, np.ndarray) and any(isinstance(x, (bool, np.bool_)) for x in sample)
+    )
+    # A cast would truncate 0.7 to 0; integral floats such as 1.0 pass.
+    integral = s.dtype.kind in "iu" or (
+        s.dtype.kind == "f" and bool(np.all(np.isfinite(s) & (s == np.round(s))))
+    )
+    if has_bool or not integral:
+        raise DomainError("sample entries must be integer outcome indices")
     if np.any(s < 0) or np.any(s >= problem.num_outcomes):
         raise DomainError("sample contains out-of-range outcome indices")
-    return s
+    return s.astype(int, copy=False)
 
 
 def true_risks(problem: FiniteProblem) -> np.ndarray:
@@ -68,9 +78,13 @@ def true_risks(problem: FiniteProblem) -> np.ndarray:
 
 
 def empirical_risks(problem: FiniteProblem, sample) -> np.ndarray:
-    """Per-hypothesis average loss on a sample of outcome indices."""
+    """Per-hypothesis average loss on a sample of outcome indices.
+
+    Computed from the sample's type (its count vector), so it is exactly the
+    same for every ordering of the sample and costs O(h k), not O(h n).
+    """
     s = _check_sample(problem, sample)
-    return problem.losses[:, s].mean(axis=1)
+    return problem.losses @ np.bincount(s, minlength=problem.num_outcomes) / s.size
 
 
 def annealed_risks(problem: FiniteProblem, beta: float) -> np.ndarray:

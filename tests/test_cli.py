@@ -220,6 +220,12 @@ class TestExperimentCommands:
         cfg = experiment_config(tmp_path, filename="noeps.yaml", bound="dp-prior", trials=10)
         assert main(["experiment", "dp-prior", "--config", cfg]) == 2
 
+    def test_negative_seed_exits_2(self, tmp_path):
+        cfg = experiment_config(tmp_path, filename="neg.yaml", seed=-1, trials=10)
+        assert main(["experiment", "run", "--config", cfg]) == 2
+        cfg = experiment_config(tmp_path, trials=10)
+        assert main(["experiment", "run", "--config", cfg, "--seed", "-1"]) == 2
+
     def test_seed_flag_overrides_and_reproduces_bit_exactly(self, tmp_path):
         cfg = experiment_config(tmp_path, trials=100)
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import genbounds.bounds
 from genbounds import (
     BoundRequest,
     BoundSpec,
@@ -17,6 +18,7 @@ from genbounds import (
     GibbsAlgorithm,
     LossModel,
     PacBayesSgdParams,
+    ParameterError,
     SupersampleDraw,
     TrialConfig,
     annealed_risks,
@@ -28,6 +30,7 @@ from genbounds import (
     conditional_mutual_info,
     dp_mechanism_max_log_ratio,
     dp_prior_mechanism,
+    dp_prior_trial,
     draw_supersample,
     empirical_risks,
     enumerate_joint,
@@ -43,6 +46,7 @@ from genbounds import (
     verify_expectation_bounds,
     violation_trial,
 )
+from genbounds.harness import _summarize
 from genbounds.problems import tabulate
 from conftest import random_problem
 
@@ -402,6 +406,81 @@ class TestDpPriorExperiment:
     def test_deterministic(self):
         config = make_config(standard_problem(), "dp-prior", trials=100, delta=0.1)
         assert run_dp_prior_experiment(config, 0.2) == run_dp_prior_experiment(config, 0.2)
+
+
+class TestTrialConfig:
+    def test_rejects_a_rule_that_may_not_be_exchangeable(self):
+        class Constant:
+            def posterior(self, problem, sample):
+                return DiscreteDist.uniform(4)
+
+        class Subclassed(GibbsAlgorithm):
+            pass
+
+        for algorithm in (Constant(), Subclassed(beta_alg=5.0)):
+            with pytest.raises(ConfigurationError):
+                make_config(standard_problem(), "zhang", algorithm=algorithm)
+        make_config(standard_problem(), "zhang", algorithm=ErmAlgorithm(tie_break="uniform"))
+
+    def test_seed_must_be_a_non_negative_integer(self):
+        for seed in (-1, True, 1.5):
+            with pytest.raises(ConfigurationError):
+                make_config(standard_problem(), "zhang", seed=seed)
+        config = make_config(standard_problem(), "zhang", seed=np.int64(3), trials=20)
+        assert run_violation_experiment(config) == run_violation_experiment(
+            make_config(standard_problem(), "zhang", seed=3, trials=20)
+        )
+
+
+def soft_problem(n=12):
+    """Random [0, 1] losses, so trials of one type sum their losses in another order."""
+    return random_problem(np.random.default_rng(11), 4, 3, n=n)
+
+
+class TestTypeLoop:
+    """Trials of one training type share an evaluation; reports must not notice."""
+
+    @pytest.mark.parametrize("problem", [standard_problem(n=20), soft_problem()], ids=["coin", "soft"])
+    @pytest.mark.parametrize(
+        "algorithm", [GibbsAlgorithm(beta_alg=5.0), ErmAlgorithm()], ids=["gibbs", "erm"]
+    )
+    @pytest.mark.parametrize("prior", [None, DiscreteDist([0.4, 0.3, 0.2, 0.1])], ids=["uniform", "fixed"])
+    def test_reports_equal_the_one_trial_entry_points(self, problem, algorithm, prior):
+        runs = (
+            ("zhang", run_violation_experiment, violation_trial, ()),
+            ("cmi", run_cmi_experiment, cmi_trial, ()),
+            ("dp-prior", run_dp_prior_experiment, dp_prior_trial, (0.3,)),
+        )
+        for bound, run, one_trial, params in runs:
+            config = make_config(problem, bound, trials=120, algorithm=algorithm, prior=prior)
+            singles = [one_trial(config, t, *params) for t in range(config.trials)]
+            assert run(config, *params) == _summarize(singles), bound
+
+    def test_bound_is_evaluated_once_per_training_type(self, monkeypatch):
+        calls = []
+        original = genbounds.bounds.zhang_high_prob
+
+        def counted(request):
+            calls.append(request)
+            return original(request)
+
+        monkeypatch.setattr(genbounds.bounds, "zhang_high_prob", counted)
+        config = make_config(standard_problem(), "zhang", trials=2000)
+        run_violation_experiment(config)
+        types = {
+            int(np.random.default_rng([config.seed, t]).choice(2, size=50, p=[0.5, 0.5]).sum())
+            for t in range(config.trials)
+        }
+        assert len(calls) == len(types) < 51
+
+    @pytest.mark.parametrize("bound", ["zhang", "dp-prior"])
+    def test_annealed_truth_without_beta_raises_the_bounds_error(self, bound):
+        config = make_config(standard_problem(), bound, trials=10, beta=None)
+        with pytest.raises(ParameterError):
+            if bound == "zhang":
+                run_violation_experiment(config)
+            else:
+                run_dp_prior_experiment(config, 0.2)
 
 
 def mc_deviation(m, delta_prime):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genbounds import (
     BudgetError,
@@ -51,6 +53,47 @@ def test_empirical_risks():
     assert np.allclose(risks, [0.5, 0.5])
     with pytest.raises(DomainError):
         empirical_risks(problem, [0, 2, 0, 0])
+
+
+def test_sample_entries_must_be_integers():
+    problem = FiniteProblem(losses=[[0.0, 1.0], [1.0, 0.0]], mu=DiscreteDist([0.5, 0.5]), n=3)
+    for sample in (
+        [0.7, 1.2, 0.0],
+        [0.9, 0.9, 0.9],
+        [0.0, math.nan, 1.0],
+        [True, False, True],
+        [1, True, 0],
+        np.array([True, False]),
+        ["0", "1"],
+    ):
+        with pytest.raises(DomainError):
+            empirical_risks(problem, sample)
+    # Integral floats and NumPy integers are outcome indices like any other.
+    assert np.array_equal(empirical_risks(problem, [1.0, 0.0, 1.0]), empirical_risks(problem, [1, 0, 1]))
+    assert np.array_equal(
+        empirical_risks(problem, np.array([1, 0, 1], dtype=np.uint8)), empirical_risks(problem, [1, 0, 1])
+    )
+
+
+@st.composite
+def loss_matrix_and_sample(draw):
+    h, k = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    losses = draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k), min_size=h, max_size=h))
+    sample = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=120))
+    return np.array(losses), sample, draw(st.permutations(sample))
+
+
+@given(loss_matrix_and_sample())
+@settings(max_examples=200, deadline=None)
+def test_empirical_risks_depend_on_the_type_alone(case):
+    losses, sample, permuted = case
+    problem = FiniteProblem(losses=losses, mu=DiscreteDist.uniform(losses.shape[1]), n=len(sample))
+    risks = empirical_risks(problem, sample)
+    assert np.array_equal(risks, empirical_risks(problem, permuted))
+    # A dot product over k counts against a sum of n losses in [0, 1]: their
+    # rounding errors together stay under (k + n) eps.
+    tolerance = (losses.shape[1] + len(sample)) * np.finfo(float).eps
+    assert np.all(np.abs(risks - losses[:, sample].mean(axis=1)) <= tolerance)
 
 
 class TestAnnealedExpectation:
