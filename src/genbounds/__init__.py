@@ -111,6 +111,7 @@ from .problems import (
     annealed_risks,
     empirical_risks,
     iter_samples,
+    iter_types,
     true_risks,
 )
 

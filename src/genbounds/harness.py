@@ -14,9 +14,16 @@ draw the same type share one evaluation of the posterior, the bound and the
 truth; a report still depends only on (seed, trial index), and replaying one
 trial runs the same code on that trial alone.
 
-The exact checks read one sample table, :func:`~genbounds.problems.tabulate`:
-the learner or mechanism runs once per sample, a supersample is a pair of
-rows, and a neighbouring sample is a row at a known offset.
+The exact checks read a sample table: one row per type from
+:func:`~genbounds.problems.tabulate_types`, or one row per sequence from
+:func:`~genbounds.problems.tabulate`.  The expectation-bound check runs on
+types when the rule is an :class:`ErmAlgorithm` or a
+:class:`GibbsAlgorithm`, since then W is independent of S given the type and
+I(S;W), the averaged KL and the expected gap do not change; any other rule
+runs on sequences.  The privacy audit always runs on types (the mechanism
+sees the sample through its empirical risks), where a neighbour moves one
+count from outcome a to outcome b.  :func:`enumerate_joint` and the
+supersample check run on sequences: a supersample is a pair of rows.
 
 All bound parameters (beta, delta, the prior) are fixed in the trial
 configuration before any sample is drawn.
@@ -46,9 +53,11 @@ from .posteriors import gibbs_posterior
 from .problems import (
     ENUMERATION_BUDGET,
     FiniteProblem,
+    _type_neighbors,
     annealed_risks,
     empirical_risks,
     tabulate,
+    tabulate_types,
     true_risks,
 )
 from .registry import BOUNDS, BoundEntry
@@ -105,6 +114,14 @@ class GibbsAlgorithm:
         return gibbs_posterior(base, empirical_risks(problem, sample), problem.n * self.beta_alg)
 
 
+def _is_exchangeable(algorithm) -> bool:
+    """True for the rules known to see a sample only through its type.
+
+    A subclass may override ``posterior``, so only the two classes qualify.
+    """
+    return type(algorithm) in (ErmAlgorithm, GibbsAlgorithm)
+
+
 # ---------------------------------------------------------------------------
 # Configuration and reports
 # ---------------------------------------------------------------------------
@@ -134,9 +151,9 @@ class TrialConfig:
     def __post_init__(self) -> None:
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ConfigurationError(f"seed must be a non-negative integer; got {self.seed!r}")
-        if self.trials < 1:
-            raise ConfigurationError("trials must be positive")
-        if type(self.algorithm) not in (ErmAlgorithm, GibbsAlgorithm):
+        if isinstance(self.trials, bool) or not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
+            raise ConfigurationError(f"trials must be a positive integer; got {self.trials!r}")
+        if not _is_exchangeable(self.algorithm):
             # Trials of one sample type share an evaluation, which is only
             # right for rules that see the sample through its type.
             raise ConfigurationError(
@@ -208,10 +225,10 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def _joint_and_risks(
-    problem: FiniteProblem, algorithm, budget: int
+    problem: FiniteProblem, algorithm, budget: int, table=tabulate
 ) -> tuple[JointTable, np.ndarray]:
-    """The exact joint over (sample, hypothesis) and each sample row's empirical risks."""
-    _, weights, risks, probs = tabulate(problem, lambda s: algorithm.posterior(problem, s), budget)
+    """The exact joint over (table row, hypothesis) and each row's empirical risks."""
+    _, weights, risks, probs = table(problem, lambda s: algorithm.posterior(problem, s), budget)
     return JointTable.from_weights(weights[:, None] * probs), risks
 
 
@@ -253,7 +270,9 @@ def verify_expectation_bounds(
     From the enumerated joint: the expected gap E[true - empirical risk], the
     mutual information route (sub-Gaussian scale 1/2 for [0, 1] losses), and
     the averaged-KL route for an arbitrary fixed prior.  The golden-formula
-    residual ties the two complexity measures together.
+    residual ties the two complexity measures together.  The joint is over
+    sample types for an :class:`ErmAlgorithm` or a :class:`GibbsAlgorithm`
+    and over sequences for any other rule.
     """
     if model is None:
         model = LossModel.bounded_unit()
@@ -261,7 +280,8 @@ def verify_expectation_bounds(
         raise ConfigurationError("a [0, 1] loss model requires losses in [0, 1]")
     q = prior if prior is not None else DiscreteDist.uniform(problem.num_hypotheses)
 
-    joint, risks = _joint_and_risks(problem, algorithm, budget)
+    table = tabulate_types if _is_exchangeable(algorithm) else tabulate
+    joint, risks = _joint_and_risks(problem, algorithm, budget, table)
     info = mutual_info(joint)
     avg_kl = conditional_kl(joint, q)
     return ExpectationBoundReport(
@@ -315,24 +335,27 @@ def _trials(config: TrialConfig, kind: str, trials, *params) -> list[tuple[float
     """
     entry = _registered(config, kind)
     problem = config.problem
+    k, n = problem.num_outcomes, problem.n
     model = _bound_model(problem)
     if config.prior is not None:
         fixed_prior = config.prior
     else:
         fixed_prior = DiscreteDist.uniform(problem.num_hypotheses)
     truth_risks = None  # after the first bound, so a missing beta raises the bound's error
+    rows = np.arange(n)
     by_type: dict[bytes, tuple] = {}
     pairs = []
     for trial in trials:
         rng = _trial_rng(config.seed, trial)
         if kind == "supersample":
-            draw = draw_supersample(problem, rng)
-            sample = draw.training_sample
+            z_tilde, u = _draw_supersample(problem, rng)
+            sample, ghost = z_tilde[rows, u], z_tilde[rows, 1 - u]
         else:
-            sample = rng.choice(problem.num_outcomes, size=problem.n, p=problem.mu.probs)
-        key = np.bincount(sample, minlength=problem.num_outcomes).tobytes()
+            sample = rng.choice(k, size=n, p=problem.mu.probs)
+        counts = np.bincount(sample, minlength=k)
+        key = counts.tobytes()
         if key not in by_type:
-            risks = empirical_risks(problem, sample)
+            risks = problem.losses @ counts / n
             if kind == "private-prior":
                 prior = dp_prior_mechanism(problem, sample, *params)
             else:
@@ -340,11 +363,11 @@ def _trials(config: TrialConfig, kind: str, trials, *params) -> list[tuple[float
             if kind == "private-prior" and isinstance(config.algorithm, GibbsAlgorithm):
                 # The learner runs relative to the private prior so the divergence
                 # term states how far the data pulled it from there.
-                posterior = gibbs_posterior(prior, risks, problem.n * config.algorithm.beta_alg)
+                posterior = gibbs_posterior(prior, risks, n * config.algorithm.beta_alg)
             else:
                 posterior = config.algorithm.posterior(problem, sample)
             request = BoundRequest(
-                n=problem.n,
+                n=n,
                 delta=config.delta,
                 empirical_risk=float(posterior.probs @ risks),
                 kl=kl_discrete(posterior, prior),
@@ -361,7 +384,8 @@ def _trials(config: TrialConfig, kind: str, trials, *params) -> list[tuple[float
             by_type[key] = (risks, posterior, bound, truth)
         risks, posterior, bound, truth = by_type[key]
         if truth is None:  # the gap to the ghost sample, which the type leaves open
-            truth = float(posterior.probs @ (empirical_risks(problem, draw.ghost_sample) - risks))
+            ghost_risks = problem.losses @ np.bincount(ghost, minlength=k) / n
+            truth = float(posterior.probs @ (ghost_risks - risks))
         pairs.append((bound, truth))
     return pairs
 
@@ -401,9 +425,14 @@ def run_violation_experiment(config: TrialConfig) -> ViolationReport:
 # ---------------------------------------------------------------------------
 
 
-def draw_supersample(problem: FiniteProblem, rng: np.random.Generator) -> SupersampleDraw:
+def _draw_supersample(problem: FiniteProblem, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """An n x 2 supersample and n selector bits, in this order from ``rng``."""
     z_tilde = rng.choice(problem.num_outcomes, size=(problem.n, 2), p=problem.mu.probs)
-    u = rng.integers(0, 2, size=problem.n)
+    return z_tilde, rng.integers(0, 2, size=problem.n)
+
+
+def draw_supersample(problem: FiniteProblem, rng: np.random.Generator) -> SupersampleDraw:
+    z_tilde, u = _draw_supersample(problem, rng)
     return SupersampleDraw(z_tilde=z_tilde, u=u)
 
 
@@ -479,23 +508,17 @@ def dp_mechanism_max_log_ratio(
     samples differing in one coordinate; at most epsilon when the mechanism
     is correctly calibrated.  A hypothesis that only one of the two priors
     gives probability 0 has an infinite ratio, one that both give 0 has
-    ratio 0.
+    ratio 0.  The mechanism sees a sample through its type, so the audit
+    runs over the type table and its neighbouring rows.
     """
-    samples, _, _, priors = tabulate(
+    samples, _, _, priors = tabulate_types(
         problem, lambda s: dp_prior_mechanism(problem, s, epsilon), budget
     )
-    k, n = problem.num_outcomes, problem.n
-    rows = np.arange(len(samples))
-    worst = 0.0
+    rows, neighbors = _type_neighbors(problem, samples)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_priors = np.log(priors)
-        for i in range(n):
-            for z in range(k):
-                # Rows with s_i = z pair with themselves, at ratio 0.
-                neighbors = rows + (z - samples[:, i]) * k ** (n - 1 - i)
-                ratios = np.abs(log_priors - log_priors[neighbors])
-                worst = max(worst, float(np.nanmax(ratios)))
-    return worst
+        ratios = np.abs(log_priors[rows] - log_priors[neighbors])
+    return float(np.nanmax(ratios, initial=0.0))
 
 
 def dp_prior_trial(config: TrialConfig, trial: int, epsilon: float) -> tuple[float, float]:

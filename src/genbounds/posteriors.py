@@ -33,7 +33,7 @@ from .problems import (
     FiniteProblem,
     annealed_risks,
     empirical_risks,
-    iter_samples,
+    tabulate,
 )
 
 #: A learning rule mapping a sample (vector of outcome indices) to a posterior.
@@ -141,16 +141,21 @@ def dv_identity_residual(p: DiscreteDist, q: DiscreteDist, f_values, beta: float
 
 def _iei_term(
     problem: FiniteProblem,
-    posterior: DiscreteDist,
+    probs: np.ndarray,
     q: DiscreteDist,
     beta: float,
     annealed: np.ndarray,
-    sample: np.ndarray,
-) -> float:
-    gap = float(posterior.probs @ (annealed - empirical_risks(problem, sample)))
-    divergence = kl_discrete(posterior, q)
-    exponent = problem.n * beta * gap - divergence
-    return math.exp(exponent) if not math.isinf(exponent) else (0.0 if exponent < 0 else math.inf)
+    risks: np.ndarray,
+) -> np.ndarray:
+    """exp{n beta E_P[annealed - empirical] - D(P || Q)} of each row of posteriors and risks.
+
+    A posterior that puts mass where q has none has D = inf and term 0.
+    """
+    gap = np.sum(probs * (annealed - risks), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_ratio = np.where(probs > 0, np.log(probs) - np.log(q.probs), 0.0)
+        divergence = np.sum(probs * log_ratio, axis=1)
+        return np.exp(problem.n * beta * gap - divergence)
 
 
 def iei_exact(
@@ -162,18 +167,16 @@ def iei_exact(
     """Exhaustively enumerate E_S exp{n beta E_P[annealed - empirical] - D(P || Q)}.
 
     The exponential-moment inequality states this expectation never exceeds 1,
-    for any sample-dependent posterior rule and any fixed prior q.
+    for any sample-dependent posterior rule and any fixed prior q.  The rule
+    may read the order of the sample, so it runs once per sequence.
     """
     if beta <= 0:
         raise DomainError("beta must be positive")
     annealed = annealed_risks(problem, beta)
-    total = 0.0
-    for sample, weight in iter_samples(problem):
-        if weight == 0.0:
-            continue
-        posterior = posterior_rule(sample)
-        total += weight * _iei_term(problem, posterior, q, beta, annealed, sample)
-    return total
+    _, weights, risks, probs = tabulate(problem, posterior_rule)
+    terms = _iei_term(problem, probs, q, beta, annealed, risks)
+    positive = weights > 0  # a zero-weight row adds 0 even if its term overflows
+    return float(weights[positive] @ terms[positive])
 
 
 def iei_empirical_check(
@@ -196,10 +199,9 @@ def iei_empirical_check(
     rng = np.random.default_rng(seed)
     annealed = annealed_risks(problem, beta)
     samples = rng.choice(problem.num_outcomes, size=(trials, problem.n), p=problem.mu.probs)
-    terms = np.empty(trials)
-    for i in range(trials):
-        posterior = posterior_rule(samples[i])
-        terms[i] = _iei_term(problem, posterior, q, beta, annealed, samples[i])
+    probs = np.array([posterior_rule(sample).probs for sample in samples])
+    risks = np.array([empirical_risks(problem, sample) for sample in samples])
+    terms = _iei_term(problem, probs, q, beta, annealed, risks)
     value = float(terms.mean())
     std_error = float(terms.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf
     return MonteCarloEstimate(value=value, std_error=std_error, draws=trials)

@@ -1,8 +1,17 @@
-"""Finite learning problems on which every risk quantity is exactly computable."""
+"""Finite learning problems on which every risk quantity is exactly computable.
+
+The exact checks enumerate samples in one of two tables.  The sequence table
+(:func:`tabulate`, rows from :func:`iter_samples`) has one row per sample,
+k^n in all.  The type table (:func:`tabulate_types`, rows from
+:func:`iter_types`) has one row per count vector, C(n + k - 1, k - 1) in all,
+weighted by the multinomial probability of the type; it represents any rule
+that sees a sample only through its type, as the empirical risks do.
+"""
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -98,23 +107,98 @@ def annealed_risks(problem: FiniteProblem, beta: float) -> np.ndarray:
     return -logsumexp(-beta * problem.losses, b=problem.mu.probs[None, :], axis=1) / beta
 
 
+def _check_budget(count: int, rows: str, budget: int) -> None:
+    if count > budget:
+        raise BudgetError(f"enumerating {count} {rows} exceeds the budget of {budget}")
+
+
 def iter_samples(
     problem: FiniteProblem, budget: int = ENUMERATION_BUDGET
 ) -> Iterator[tuple[np.ndarray, float]]:
     """Yield every sample of length n with its product-measure weight.
 
-    Raises :class:`BudgetError` when the outcome space is too large to
+    Raises :class:`BudgetError` when the k^n sequences are too many to
     enumerate exhaustively.
     """
-    count = problem.num_outcomes**problem.n
-    if count > budget:
-        raise BudgetError(
-            f"enumerating {count} samples exceeds the budget of {budget}"
-        )
+    _check_budget(problem.num_outcomes**problem.n, "sequences", budget)
     mu = problem.mu.probs
     for tup in itertools.product(range(problem.num_outcomes), repeat=problem.n):
         sample = np.array(tup, dtype=int)
         yield sample, float(np.prod(mu[sample]))
+
+
+def iter_types(
+    problem: FiniteProblem, budget: int = ENUMERATION_BUDGET
+) -> Iterator[tuple[np.ndarray, float]]:
+    """Yield one sorted sample per type (count vector c) with the type's probability.
+
+    The weight n! / prod_j c_j! * prod_j mu_j^c_j is the mass of all samples
+    of that type.  Types come in lexicographic order of their sorted samples.
+    Raises :class:`BudgetError` when the C(n + k - 1, k - 1) types are too
+    many to enumerate exhaustively.
+    """
+    k, n = problem.num_outcomes, problem.n
+    _check_budget(math.comb(n + k - 1, k - 1), "types", budget)
+    mu = problem.mu.probs
+    for tup in itertools.combinations_with_replacement(range(k), n):
+        sample = np.array(tup, dtype=int)
+        counts = np.bincount(sample, minlength=k)
+        multinomial, left = 1, n
+        for c in counts.tolist():
+            multinomial *= math.comb(left, c)
+            left -= c
+        yield sample, multinomial * float(np.prod(mu**counts))
+
+
+def _type_radix(problem: FiniteProblem) -> np.ndarray:
+    """Place values of the base-(n + 1) code sum_j c_j (n + 1)^(k-1-j) of a count vector.
+
+    A sample's code is ``_type_radix(problem)[sample].sum()``.  Codes descend
+    strictly along :func:`iter_types`.  They are Python integers where int64
+    could overflow.
+    """
+    k, n = problem.num_outcomes, problem.n
+    dtype = np.int64 if (n + 1) ** k <= np.iinfo(np.int64).max else object
+    return np.array([(n + 1) ** (k - 1 - j) for j in range(k)], dtype=dtype)
+
+
+def _type_rows(type_codes: np.ndarray, codes) -> np.ndarray:
+    """Rows of the type table, whose codes are ``type_codes``, holding each of ``codes``."""
+    return len(type_codes) - 1 - np.searchsorted(type_codes[::-1], codes)
+
+
+def _type_neighbors(problem: FiniteProblem, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row pairs of the type table ``samples`` whose types are neighbours.
+
+    Changing one coordinate of a sample from a to b moves one count from a
+    to b, so every (row, a, b) with a != b and c_a >= 1 gives one pair.
+    """
+    k = problem.num_outcomes
+    radix = _type_radix(problem)
+    codes = radix[samples].sum(axis=1)
+    present = (samples[:, :, None] == np.arange(k)).any(axis=1)
+    rows, a, b = np.nonzero(present[:, :, None] & ~np.eye(k, dtype=bool))
+    return rows, _type_rows(codes, codes[rows] - radix[a] + radix[b])
+
+
+def _type_table(problem: FiniteProblem, budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    samples, weights = zip(*iter_types(problem, budget=budget))
+    risks = [empirical_risks(problem, sample) for sample in samples]
+    return np.array(samples), np.array(weights), np.array(risks)
+
+
+def tabulate_types(
+    problem: FiniteProblem, rule, budget: int = ENUMERATION_BUDGET
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every sample type as one table row: (samples, weights, risks, probs).
+
+    Row r holds the r-th sample of :func:`iter_types`, the probability of
+    its type, its per-hypothesis empirical risks and ``rule(sample).probs``.
+    Only a rule that sees the sample through its type is faithfully
+    represented.
+    """
+    samples, weights, risks = _type_table(problem, budget)
+    return samples, weights, risks, np.array([rule(sample).probs for sample in samples])
 
 
 def tabulate(
@@ -125,12 +209,14 @@ def tabulate(
     Row r holds the r-th sample of :func:`iter_samples`, its product-measure
     weight, its per-hypothesis empirical risks and ``rule(sample).probs``.
     Sample s sits at row sum_i s_i k^(n-1-i), so changing coordinate i to z
-    moves it by (z - s_i) k^(n-1-i) rows.
+    moves it by (z - s_i) k^(n-1-i) rows.  The risks are those of the
+    sample's type, which :func:`empirical_risks` gives every ordering.
     """
-    samples, weights, risks, probs = [], [], [], []
-    for sample, weight in iter_samples(problem, budget=budget):
-        samples.append(sample)
-        weights.append(weight)
-        risks.append(empirical_risks(problem, sample))
-        probs.append(rule(sample).probs)
-    return np.array(samples), np.array(weights), np.array(risks), np.array(probs)
+    k, n = problem.num_outcomes, problem.n
+    _check_budget(k**n, "sequences", budget)
+    samples = np.arange(k**n)[:, None] // k ** np.arange(n - 1, -1, -1) % k
+    weights = np.prod(problem.mu.probs[samples], axis=1)
+    types, _, type_risks = _type_table(problem, budget)
+    radix = _type_radix(problem)
+    risks = type_risks[_type_rows(radix[types].sum(axis=1), radix[samples].sum(axis=1))]
+    return samples, weights, risks, np.array([rule(sample).probs for sample in samples])

@@ -14,8 +14,10 @@ from genbounds import (
     ConfigurationError,
     DiscreteDist,
     ErmAlgorithm,
+    ExpectationBoundReport,
     FiniteProblem,
     GibbsAlgorithm,
+    JointTable,
     LossModel,
     PacBayesSgdParams,
     ParameterError,
@@ -34,6 +36,7 @@ from genbounds import (
     draw_supersample,
     empirical_risks,
     enumerate_joint,
+    golden_formula_residual,
     iter_samples,
     kl_discrete,
     mutual_info,
@@ -41,13 +44,16 @@ from genbounds import (
     run_cmi_experiment,
     run_dp_prior_experiment,
     run_violation_experiment,
+    true_risks,
     union_beta_grid,
     union_bound_beta,
     verify_expectation_bounds,
     violation_trial,
+    xu_raginsky,
+    zhang_gen_expectation,
 )
 from genbounds.harness import _summarize
-from genbounds.problems import tabulate
+from genbounds.problems import tabulate, tabulate_types
 from conftest import random_problem
 
 
@@ -207,6 +213,100 @@ class TestVerifyExpectationBounds:
             assert abs(terms.mean() - target) <= 3 * se
 
 
+def table_report(table, problem, algorithm, prior=None):
+    """The expectation-bound report computed from one sample table, whatever the rule."""
+    _, weights, risks, probs = table(problem, lambda s: algorithm.posterior(problem, s))
+    joint = JointTable.from_weights(weights[:, None] * probs)
+    q = prior if prior is not None else DiscreteDist.uniform(problem.num_hypotheses)
+    info = mutual_info(joint)
+    return ExpectationBoundReport(
+        mutual_information=info,
+        expected_gap=float(np.sum(joint.probs * (true_risks(problem) - risks))),
+        mi_gap_bound=xu_raginsky(info, problem.n, 0.5),
+        prior_gap_bound=zhang_gen_expectation(conditional_kl(joint, q), problem.n, LossModel.bounded_unit()),
+        golden_residual=golden_formula_residual(joint, q),
+    )
+
+
+class FirstOutcome:
+    """A rule that reads the order of the sample: it trusts the first outcome most."""
+
+    def posterior(self, problem, sample):
+        weights = np.ones(problem.num_hypotheses)
+        weights[int(sample[0]) % problem.num_hypotheses] += 4.0
+        return DiscreteDist.from_weights(weights)
+
+
+class TestTypeTable:
+    """Exchangeable rules are checked on C(n + k - 1, k - 1) types instead of k^n sequences."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_rows_are_the_types(self, n, k):
+        problem = random_problem(np.random.default_rng([n, k, 1]), 3, k, n=n)
+        algorithm = GibbsAlgorithm(beta_alg=2.0)
+        samples, weights, risks, probs = tabulate_types(problem, lambda s: algorithm.posterior(problem, s))
+        assert len(samples) == len(weights) == len(risks) == len(probs) == math.comb(n + k - 1, k - 1)
+        assert abs(math.fsum(weights) - 1.0) <= 1e-12
+        for row, sample in enumerate(samples):
+            assert np.all(np.diff(sample) >= 0)
+            assert np.array_equal(risks[row], empirical_risks(problem, sample))
+            assert np.array_equal(probs[row], algorithm.posterior(problem, sample).probs)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "algorithm",
+        [GibbsAlgorithm(beta_alg=2.0), ErmAlgorithm(), ErmAlgorithm(tie_break="uniform")],
+        ids=["gibbs", "erm-lowest", "erm-uniform"],
+    )
+    @pytest.mark.parametrize("fixed_prior", [False, True], ids=["uniform", "fixed"])
+    def test_verify_matches_the_sequence_table(self, n, k, algorithm, fixed_prior):
+        rng = np.random.default_rng([n, k, 2])
+        problem = random_problem(rng, 4, k, n=n, binary=isinstance(algorithm, ErmAlgorithm))
+        prior = DiscreteDist.from_weights(rng.random(4) + 0.05) if fixed_prior else None
+        got = verify_expectation_bounds(problem, algorithm, prior=prior)
+        want = table_report(tabulate, problem, algorithm, prior)
+        for field in ("mutual_information", "expected_gap", "prior_gap_bound", "golden_residual"):
+            assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12, field
+        # The bound is sqrt(I / 2n): rounding noise of 1e-16 in an information
+        # that is truly 0 moves it by 1e-8, so compare the information it is made of.
+        assert got.mi_gap_bound == xu_raginsky(got.mutual_information, n, 0.5)
+        assert abs(got.mi_gap_bound**2 - want.mi_gap_bound**2) <= 1e-12
+
+    def test_a_rule_that_reads_the_order_runs_on_sequences(self, rng):
+        problem = random_problem(rng, 3, 2, n=4)
+        report = verify_expectation_bounds(problem, FirstOutcome())
+        assert report == table_report(tabulate, problem, FirstOutcome())
+        # On types the rule would see only sorted samples, which changes the result.
+        assert report != table_report(tabulate_types, problem, FirstOutcome())
+
+    def test_verify_runs_where_the_sequences_exceed_the_budget(self, rng):
+        problem = random_problem(rng, 3, 2, n=25)
+        report = verify_expectation_bounds(problem, GibbsAlgorithm(beta_alg=1.0))
+        assert report.mi_bound_holds and report.prior_bound_holds
+        assert abs(report.golden_residual) <= 1e-10
+        with pytest.raises(BudgetError, match="33554432 sequences"):
+            enumerate_joint(problem, GibbsAlgorithm(beta_alg=1.0))
+        with pytest.raises(BudgetError, match="33554432 sequences"):
+            verify_expectation_bounds(problem, FirstOutcome())
+
+    def test_budget_error_names_the_type_count(self, rng):
+        problem = random_problem(rng, 3, 3, n=4)
+        with pytest.raises(BudgetError, match="enumerating 15 types exceeds the budget of 10"):
+            verify_expectation_bounds(problem, ErmAlgorithm(), budget=10)
+        with pytest.raises(BudgetError, match="enumerating 15 types exceeds the budget of 10"):
+            dp_mechanism_max_log_ratio(problem, 0.5, budget=10)
+
+    def test_codes_beyond_int64(self, rng):
+        # 64 outcomes at n = 1: the code of a count vector reaches 2^63.
+        problem = random_problem(rng, 3, 64, n=1)
+        _, _, risks, _ = tabulate(problem, lambda s: DiscreteDist.uniform(3))
+        for row, (sample, _) in enumerate(iter_samples(problem)):
+            assert np.array_equal(risks[row], empirical_risks(problem, sample))
+        assert dp_mechanism_max_log_ratio(problem, 0.7) == reference_audit(problem, 0.7)
+
+
 class TestViolationExperiment:
     def test_catoni_certifies_on_standard_problem(self):
         report = run_violation_experiment(make_config(standard_problem(), "catoni", trials=2000))
@@ -281,6 +381,20 @@ class TestCmiExperiment:
         draw = draw_supersample(problem, np.random.default_rng(3))
         both = np.sort(np.stack([draw.training_sample, draw.ghost_sample], axis=1), axis=1)
         assert np.array_equal(both, np.sort(draw.z_tilde, axis=1))
+
+    def test_trials_follow_the_validated_draw(self):
+        problem = soft_problem(n=9)
+        config = make_config(problem, "cmi", trials=60, beta=0.3, algorithm=ErmAlgorithm("uniform"))
+        for trial in range(config.trials):
+            draw = draw_supersample(problem, np.random.default_rng([config.seed, trial]))
+            posterior = config.algorithm.posterior(problem, draw.training_sample)
+            risks = empirical_risks(problem, draw.training_sample)
+            gap = float(posterior.probs @ (empirical_risks(problem, draw.ghost_sample) - risks))
+            request = BoundRequest(
+                n=problem.n, delta=config.delta, empirical_risk=float(posterior.probs @ risks),
+                kl=kl_discrete(posterior, DiscreteDist.uniform(4)), beta=0.3, model=LossModel.bounded_unit(),
+            )
+            assert cmi_trial(config, trial) == (genbounds.bounds.cmi_pac_high_prob(request).value, gap)
 
     def test_certifies_on_standard_problem(self):
         config = make_config(standard_problem(), "cmi", trials=2000, beta=0.3)
@@ -379,6 +493,13 @@ class TestDpPriorExperiment:
                     problem, epsilon
                 )
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_audit_over_types_matches_the_neighbour_loop(self, n, k):
+        problem = random_problem(np.random.default_rng([n, k, 3]), 3, k, n=n)
+        for epsilon in (0.2, 1.0, 50.0):
+            assert dp_mechanism_max_log_ratio(problem, epsilon) == reference_audit(problem, epsilon)
+
     def test_audit_sees_a_ratio_beside_a_hypothesis_both_priors_exclude(self):
         # Priors (1, 0, 0) on [0, 0] and (.5, .5, 0) on [0, 1]: hypothesis 1
         # has an infinite ratio, hypothesis 2 probability 0 under both.
@@ -421,6 +542,18 @@ class TestTrialConfig:
             with pytest.raises(ConfigurationError):
                 make_config(standard_problem(), "zhang", algorithm=algorithm)
         make_config(standard_problem(), "zhang", algorithm=ErmAlgorithm(tie_break="uniform"))
+
+    def test_rejects_a_fractional_trial_count(self):
+        with pytest.raises(ConfigurationError, match="trials must be a positive integer"):
+            make_config(standard_problem(), "zhang", trials=2.5)
+
+    def test_rejects_a_bool_trial_count(self):
+        with pytest.raises(ConfigurationError, match="trials must be a positive integer"):
+            make_config(standard_problem(), "zhang", trials=True)
+        config = make_config(standard_problem(), "zhang", trials=np.int64(20))
+        assert run_violation_experiment(config) == run_violation_experiment(
+            make_config(standard_problem(), "zhang", trials=20)
+        )
 
     def test_seed_must_be_a_non_negative_integer(self):
         for seed in (-1, True, 1.5):

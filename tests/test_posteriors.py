@@ -175,6 +175,12 @@ class TestIei:
         point_mass_off_support = lambda s: DiscreteDist([0.0, 1.0])
         assert iei_exact(problem, point_mass_off_support, prior, 1.0) == 0.0
 
+    def test_zero_weight_sample_contributes_zero_even_if_its_term_overflows(self):
+        # Sample [1, 1] has weight 0 and gap 1, so its term is exp(800).
+        problem = FiniteProblem(losses=[[1.0, 0.0]], mu=DiscreteDist([1.0, 0.0]), n=2)
+        q = DiscreteDist([1.0])
+        assert iei_exact(problem, lambda s: q, q, 400.0) == 1.0
+
 
 class TestQuadraticModel:
     def make(self, rng, k=3):

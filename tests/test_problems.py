@@ -15,6 +15,7 @@ from genbounds import (
     annealed_risks,
     empirical_risks,
     iter_samples,
+    iter_types,
     phi_beta,
     true_risks,
 )
@@ -146,3 +147,35 @@ class TestIterSamples:
         problem = random_problem(rng, 2, 2, n=30)
         with pytest.raises(BudgetError):
             list(iter_samples(problem))
+
+    def test_budget_error_names_the_sequence_count(self, rng):
+        problem = random_problem(rng, 2, 2, n=25)
+        with pytest.raises(BudgetError, match="enumerating 33554432 sequences exceeds the budget of 1000000"):
+            list(iter_samples(problem))
+
+
+class TestIterTypes:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_one_sorted_sample_per_type_weighted_by_its_sequences(self, n, k):
+        problem = random_problem(np.random.default_rng([n, k]), 2, k, n=n)
+        types = list(iter_types(problem))
+        assert len(types) == math.comb(n + k - 1, k - 1)
+        assert math.fsum(w for _, w in types) == pytest.approx(1.0, abs=1e-12)
+        by_type = {}
+        for sample, weight in iter_samples(problem):
+            key = tuple(np.sort(sample))
+            by_type[key] = by_type.get(key, 0.0) + weight
+        assert [tuple(s) for s, _ in types] == sorted(by_type)
+        for sample, weight in types:
+            assert weight == pytest.approx(by_type[tuple(sample)], rel=1e-12)
+
+    def test_zero_mass_outcomes_give_zero_weight_types(self):
+        problem = FiniteProblem(losses=[[0.0, 1.0, 0.5]], mu=DiscreteDist([0.5, 0.5, 0.0]), n=3)
+        weights = {tuple(s): w for s, w in iter_types(problem)}
+        assert weights[(0, 1, 1)] == 0.375 and weights[(0, 0, 2)] == 0.0
+
+    def test_budget_error_names_the_type_count(self, rng):
+        problem = random_problem(rng, 2, 3, n=4)
+        with pytest.raises(BudgetError, match="enumerating 15 types exceeds the budget of 10"):
+            list(iter_types(problem, budget=10))
