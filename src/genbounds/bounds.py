@@ -61,7 +61,7 @@ class BoundRequest:
             raise ParameterError("delta must be positive")
         if math.isnan(self.empirical_risk):
             raise ParameterError("empirical_risk must not be NaN")
-        if self.kl < 0 or math.isnan(self.kl):
+        if not self.kl >= 0:
             raise ParameterError("kl must be nonnegative (inf allowed)")
         if self.beta is not None and not self.beta > 0:
             raise ParameterError("beta must be positive when given")
@@ -132,6 +132,14 @@ def _effective_delta(req: BoundRequest) -> tuple[float, tuple[str, ...]]:
     if req.delta > 1.0:
         return 1.0, ("delta_clamped_to_1",)
     return req.delta, ()
+
+
+def _require_nonnegative(name: str, value: float, n: int) -> None:
+    """``value`` nonnegative (inf allowed) and ``n`` a positive integer; NaN fails both."""
+    if not value >= 0:
+        raise DomainError(f"{name} must be nonnegative")
+    if not n >= 1:
+        raise DomainError("n must be a positive integer")
 
 
 def _require_beta(req: BoundRequest) -> float:
@@ -246,19 +254,13 @@ def zhang_gen_expectation(avg_kl: float, n: int, model: LossModel) -> float:
     ``avg_kl`` is the sample-averaged posterior-to-prior KL, which equals the
     input-output mutual information under the oracle prior.
     """
-    if avg_kl < 0:
-        raise DomainError("avg_kl must be nonnegative")
-    if n < 1:
-        raise DomainError("n must be a positive integer")
+    _require_nonnegative("avg_kl", avg_kl, n)
     return psi_star_inverse(model, avg_kl / n)
 
 
 def xu_raginsky(mi: float, n: int, sigma: float) -> float:
     """Expected-gap bound sqrt(2 sigma^2 mi / n) for sigma-sub-Gaussian losses."""
-    if mi < 0:
-        raise DomainError("mi must be nonnegative")
-    if n < 1:
-        raise DomainError("n must be a positive integer")
+    _require_nonnegative("mi", mi, n)
     if not sigma > 0:
         raise DomainError("sigma must be positive")
     return math.sqrt(2.0 * sigma**2 * mi / n)
@@ -266,7 +268,7 @@ def xu_raginsky(mi: float, n: int, sigma: float) -> float:
 
 def subgamma_mi(mi: float, n: int, sigma: float, c: float) -> float:
     """Expected-gap bound sqrt(2 sigma^2 mi / n) + c mi / n for sub-gamma losses."""
-    if c < 0:
+    if not c >= 0:
         raise DomainError("c must be nonnegative")
     return xu_raginsky(mi, n, sigma) + c * mi / n
 
@@ -454,10 +456,7 @@ def cmi_expectation(avg_kl_or_cmi: float, n: int) -> float:
     Under the oracle prior the argument is the conditional mutual information
     between the output and the selector bits.
     """
-    if avg_kl_or_cmi < 0:
-        raise DomainError("avg_kl_or_cmi must be nonnegative")
-    if n < 1:
-        raise DomainError("n must be a positive integer")
+    _require_nonnegative("avg_kl_or_cmi", avg_kl_or_cmi, n)
     return math.sqrt(2.0 * avg_kl_or_cmi / n)
 
 
@@ -466,10 +465,7 @@ def fano_identification_lb(cmi: float, n: int) -> float:
 
     value = max(0, 1 - (cmi + log 2) / (n log 2)).
     """
-    if cmi < 0:
-        raise DomainError("cmi must be nonnegative")
-    if n < 1:
-        raise DomainError("n must be a positive integer")
+    _require_nonnegative("cmi", cmi, n)
     return max(0.0, 1.0 - (cmi + math.log(2.0)) / (n * math.log(2.0)))
 
 
@@ -480,12 +476,9 @@ def fano_identification_lb(cmi: float, n: int) -> float:
 
 def dp_prior_penalty(n: int, delta: float, epsilon: float) -> float:
     """Privacy-adjusted confidence penalty log(2/delta) + n eps^2/2 + eps sqrt(n/2 log(4/delta))."""
-    if n < 1:
-        raise DomainError("n must be a positive integer")
+    _require_nonnegative("epsilon", epsilon, n)
     if not 0 < delta <= 1:
         raise DomainError("delta must lie in (0, 1]")
-    if epsilon < 0:
-        raise DomainError("epsilon must be nonnegative")
     return (
         math.log(2.0 / delta)
         + n * epsilon**2 / 2.0

@@ -4,6 +4,10 @@ Absolute-continuity failures are data, not crashes: every divergence returns
 ``math.inf`` when the reference measure misses mass, and the sentinel
 propagates through downstream bound arithmetic, rendering the bound vacuous.
 All quantities are in nats.
+
+Every KL here, and every information measure as a mass-weighted sum of row
+KLs to a reference row, runs on one row kernel.  In a row, a zero entry adds
+exactly 0 and a positive entry against a zero of the reference gives ``inf``.
 """
 
 from __future__ import annotations
@@ -23,6 +27,27 @@ _MAX_INFO_BRACKET = 50.0
 _MAX_INFO_TOL = 1e-9
 
 
+def _probabilities(values, ndim: int) -> np.ndarray:
+    """``values`` as a float array, checked to be a nonempty ``ndim``-D probability table."""
+    table = np.asarray(values, dtype=float)
+    if table.ndim != ndim or table.size == 0:
+        raise ShapeError(f"expected a nonempty {ndim}-D probability table; got shape {table.shape}")
+    if np.any(table < 0) or not np.all(np.isfinite(table)):
+        raise DomainError("probabilities must be finite and nonnegative")
+    if abs(float(table.sum()) - 1.0) > PROB_MASS_ATOL:
+        raise DomainError(f"probabilities sum to {table.sum()}, not 1")
+    return table
+
+
+def _normalized(weights) -> np.ndarray:
+    """Nonnegative weights divided by their total, which must be positive."""
+    w = np.asarray(weights, dtype=float)
+    total = w.sum()
+    if not total > 0:
+        raise DomainError("weights must have positive total mass")
+    return w / total
+
+
 @dataclass(frozen=True)
 class DiscreteDist:
     """A probability vector over a finite index set."""
@@ -30,14 +55,7 @@ class DiscreteDist:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 1 or probs.size == 0:
-            raise ShapeError("probs must be a nonempty 1-D vector")
-        if np.any(probs < 0) or not np.all(np.isfinite(probs)):
-            raise DomainError("probabilities must be finite and nonnegative")
-        if abs(float(probs.sum()) - 1.0) > PROB_MASS_ATOL:
-            raise DomainError(f"probabilities sum to {probs.sum()}, not 1")
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", _probabilities(self.probs, 1))
 
     def __len__(self) -> int:
         return self.probs.size
@@ -48,11 +66,7 @@ class DiscreteDist:
 
     @classmethod
     def from_weights(cls, weights) -> "DiscreteDist":
-        w = np.asarray(weights, dtype=float)
-        total = w.sum()
-        if not total > 0:
-            raise DomainError("weights must have positive total mass")
-        return cls(w / total)
+        return cls(_normalized(weights))
 
 
 @dataclass(frozen=True)
@@ -62,26 +76,11 @@ class JointTable:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 2 or probs.size == 0:
-            raise ShapeError("a joint table must be a nonempty 2-D matrix")
-        if np.any(probs < 0) or not np.all(np.isfinite(probs)):
-            raise DomainError("joint entries must be finite and nonnegative")
-        if abs(float(probs.sum()) - 1.0) > PROB_MASS_ATOL:
-            raise DomainError(f"joint mass is {probs.sum()}, not 1")
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", _probabilities(self.probs, 2))
 
     @classmethod
     def from_weights(cls, weights) -> "JointTable":
-        w = np.asarray(weights, dtype=float)
-        total = w.sum()
-        if not total > 0:
-            raise DomainError("weights must have positive total mass")
-        return cls(w / total)
-
-    @property
-    def num_samples(self) -> int:
-        return self.probs.shape[0]
+        return cls(_normalized(weights))
 
     @property
     def num_hypotheses(self) -> int:
@@ -120,16 +119,27 @@ class GaussianKLInputs:
         object.__setattr__(self, "eigenvalues", eig)
 
 
+def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """KL of each row of ``p`` to ``q``, which is one row or one row per row of ``p``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0)
+    return terms.sum(axis=-1)
+
+
+def _mixture_kl(p: np.ndarray, q: np.ndarray) -> float:
+    """sum_i m_i D(p_i / m_i || q_i) over the rows p_i of ``p`` with mass m_i > 0."""
+    mass = p.sum(axis=1)
+    kept = mass > 0
+    if q.ndim == 2:
+        q = q[kept]
+    return float(mass[kept] @ _kl_rows(p[kept] / mass[kept, None], q))
+
+
 def kl_discrete(p: DiscreteDist, q: DiscreteDist) -> float:
     """KL divergence between finite distributions; inf if q misses p's support."""
     if len(p) != len(q):
         raise ShapeError(f"support sizes differ: {len(p)} vs {len(q)}")
-    pv, qv = p.probs, q.probs
-    support = pv > 0
-    if np.any(qv[support] == 0):
-        return math.inf
-    ps = pv[support]
-    return float(np.sum(ps * (np.log(ps) - np.log(qv[support]))))
+    return float(_kl_rows(p.probs, q.probs))
 
 
 def kl_binary(y: float, x: float) -> float:
@@ -161,7 +171,7 @@ def kl_binary_inverse_upper(y: float, c: float) -> float:
     """
     if not 0.0 <= y <= 1.0:
         raise DomainError("y must lie in [0, 1]")
-    if c < 0:
+    if not c >= 0:
         raise DomainError("c must be nonnegative")
     if c == 0.0 or y >= 1.0:
         return float(y) if y < 1.0 else 1.0
@@ -202,29 +212,16 @@ def kl_gaussian_diag(p_mean, p_var, q_mean, q_var) -> float:
 
 
 def mutual_info(joint: JointTable) -> float:
-    """Exact mutual information of a finite joint table, in nats."""
+    """Exact mutual information I(S;W) = D(P_{W|S} || P_W | P_S) of a joint table, in nats."""
     p = joint.probs
-    outer = p.sum(axis=1, keepdims=True) * p.sum(axis=0, keepdims=True)
-    mask = p > 0
-    value = float(np.sum(p[mask] * (np.log(p[mask]) - np.log(outer[mask]))))
-    return max(value, 0.0)
+    return max(_mixture_kl(p, p.sum(axis=0)), 0.0)
 
 
 def conditional_kl(joint: JointTable, q: DiscreteDist) -> float:
     """D(P_{W|S} || q | P_S): the sample-averaged KL of the conditionals to q."""
-    p = joint.probs
-    if p.shape[1] != len(q):
+    if joint.num_hypotheses != len(q):
         raise ShapeError("q must match the hypothesis axis of the joint")
-    total = 0.0
-    for row in p:
-        mass = row.sum()
-        if mass == 0:
-            continue
-        term = kl_discrete(DiscreteDist.from_weights(row), q)
-        if math.isinf(term):
-            return math.inf
-        total += mass * term
-    return float(total)
+    return _mixture_kl(joint.probs, q.probs)
 
 
 def golden_formula_residual(joint: JointTable, q: DiscreteDist) -> float:
@@ -244,21 +241,13 @@ def golden_formula_residual(joint: JointTable, q: DiscreteDist) -> float:
 
 
 def conditional_mutual_info(joint3) -> float:
-    """Exact I(W;U | Z) for a 3-D joint table indexed by (z, u, w)."""
-    table = np.asarray(joint3, dtype=float)
-    if table.ndim != 3 or table.size == 0:
-        raise ShapeError("expected a nonempty 3-D joint table over (z, u, w)")
-    if np.any(table < 0) or not np.all(np.isfinite(table)):
-        raise DomainError("joint entries must be finite and nonnegative")
-    if abs(float(table.sum()) - 1.0) > PROB_MASS_ATOL:
-        raise DomainError(f"joint mass is {table.sum()}, not 1")
-    value = 0.0
-    for sheet in table:
-        mass = sheet.sum()
-        if mass == 0:
-            continue
-        value += mass * mutual_info(JointTable(sheet / mass))
-    return max(value, 0.0)
+    """Exact I(W;U | Z) = sum_{z,u} P(z, u) D(P_{W|z,u} || P_{W|z}) for a (z, u, w) table."""
+    table = _probabilities(joint3, 3)
+    sheets = table.sum(axis=1)
+    with np.errstate(invalid="ignore"):  # a zero-mass z has only zero-mass rows
+        given_z = sheets / sheets.sum(axis=1, keepdims=True)
+    rows = np.repeat(given_z, table.shape[1], axis=0)
+    return max(_mixture_kl(table.reshape(-1, table.shape[2]), rows), 0.0)
 
 
 def max_info_exact(joint: JointTable, alpha: float = 0.0) -> float:
@@ -304,9 +293,9 @@ def max_info_dp_bound(epsilon: float, n: int, alpha: float = 0.0) -> float:
     ``n * epsilon`` for alpha = 0, and
     ``n eps^2 / 2 + eps sqrt(n log(2/alpha) / 2)`` for alpha > 0.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise DomainError("epsilon must be nonnegative")
-    if n < 1:
+    if not n >= 1:
         raise DomainError("n must be a positive integer")
     if not 0.0 <= alpha <= 1.0:
         raise DomainError("alpha must lie in [0, 1]")

@@ -219,6 +219,17 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, trial])
 
 
+def _draw(rng: np.random.Generator, mu: np.ndarray, size) -> np.ndarray:
+    """``rng.choice(len(mu), size, p=mu)`` without its argument checks.
+
+    The inverse-CDF draw ``choice`` runs inside: the same indices, the same
+    stream position afterwards.
+    """
+    cdf = mu.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
 # ---------------------------------------------------------------------------
 # Exact enumeration: joints and expectation bounds
 # ---------------------------------------------------------------------------
@@ -351,7 +362,7 @@ def _trials(config: TrialConfig, kind: str, trials, *params) -> list[tuple[float
             z_tilde, u = _draw_supersample(problem, rng)
             sample, ghost = z_tilde[rows, u], z_tilde[rows, 1 - u]
         else:
-            sample = rng.choice(k, size=n, p=problem.mu.probs)
+            sample = _draw(rng, problem.mu.probs, n)
         counts = np.bincount(sample, minlength=k)
         key = counts.tobytes()
         if key not in by_type:
@@ -427,7 +438,7 @@ def run_violation_experiment(config: TrialConfig) -> ViolationReport:
 
 def _draw_supersample(problem: FiniteProblem, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """An n x 2 supersample and n selector bits, in this order from ``rng``."""
-    z_tilde = rng.choice(problem.num_outcomes, size=(problem.n, 2), p=problem.mu.probs)
+    z_tilde = _draw(rng, problem.mu.probs, (problem.n, 2))
     return z_tilde, rng.integers(0, 2, size=problem.n)
 
 

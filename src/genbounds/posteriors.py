@@ -24,6 +24,7 @@ from .bounds import BoundResult, _phi_result, _sum_result
 from .divergences import (
     DiscreteDist,
     GaussianKLInputs,
+    _kl_rows,
     kl_discrete,
     kl_gaussian_diag,
     kl_gaussian_spectral,
@@ -152,10 +153,8 @@ def _iei_term(
     A posterior that puts mass where q has none has D = inf and term 0.
     """
     gap = np.sum(probs * (annealed - risks), axis=1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_ratio = np.where(probs > 0, np.log(probs) - np.log(q.probs), 0.0)
-        divergence = np.sum(probs * log_ratio, axis=1)
-        return np.exp(problem.n * beta * gap - divergence)
+    with np.errstate(over="ignore"):
+        return np.exp(problem.n * beta * gap - _kl_rows(probs, q.probs))
 
 
 def iei_exact(
@@ -238,9 +237,11 @@ class QuadraticModel:
             raise ShapeError("w_p and w_q must match the eigenvalue vector length")
         if np.any(h < 0) or not np.all(np.isfinite(h)):
             raise DomainError("Hessian eigenvalues must be nonnegative and finite")
+        if not (np.all(np.isfinite(wp)) and np.all(np.isfinite(wq))):
+            raise DomainError("w_p and w_q must be finite")
         if not self.lam > 0:
             raise DomainError("lam must be positive")
-        if self.n < 1:
+        if not self.n >= 1:
             raise DomainError("n must be a positive integer")
         if not self.beta > 0:
             raise DomainError("beta must be positive")
@@ -300,6 +301,8 @@ def occam_bound(model: QuadraticModel, delta: float, empirical_risk: float) -> B
     """
     if not 0 < delta <= 1:
         raise ParameterError("delta must lie in (0, 1]")
+    if math.isnan(empirical_risk):
+        raise ParameterError("empirical_risk must not be NaN")
     spectrum = model.regularized_spectrum()
     scale = model.n * model.beta
     mean_gap = float(np.sum((model.w_q - model.w_p) ** 2))
@@ -355,26 +358,26 @@ class PacBayesSgdParams:
     kl: float
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        if not self.n >= 1:
             raise ParameterError("n must be a positive integer")
         if not self.beta > 1:
             raise ParameterError("the temperature grid covers beta > 1 only")
         if not self.alpha > 1:
             raise ParameterError("alpha must exceed 1")
-        if self.b < 1:
+        if not self.b >= 1:
             raise ParameterError("b must be a positive integer")
         if not 0 < self.c < 1:
             raise ParameterError("c must lie in (0, 1)")
         if not 0 < self.lam < self.c:
             raise ParameterError("lam must lie in (0, c)")
-        if self.m < 1:
+        if not self.m >= 1:
             raise ParameterError("m must be a positive integer")
         if not 0 < self.delta < 1 or not 0 < self.delta_prime < 1:
             raise ParameterError("delta and delta_prime must lie in (0, 1)")
         if not 0 <= self.mc_empirical_risk <= 1:
             raise ParameterError("mc_empirical_risk must lie in [0, 1]")
-        if self.kl < 0:
-            raise ParameterError("kl must be nonnegative")
+        if not self.kl >= 0:
+            raise ParameterError("kl must be nonnegative (inf allowed)")
 
 
 def pacbayes_sgd_objective(params: PacBayesSgdParams) -> BoundResult:

@@ -1,0 +1,58 @@
+"""Tests of the summary that tools/bench_pairs.py writes."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+END_TO_END = [
+    {"name": "trials_per_s", "unit": "trials/s", "better": "higher", "bound": 0.25},
+    {"name": "exact_check_s", "unit": "s", "better": "lower", "bound": 0.1},
+]
+
+
+def line(trials_per_s, exact_check_s, failed=0):
+    return {
+        "correct": failed == 0,
+        "attempted": 10,
+        "failed": failed,
+        "metrics": {
+            "trials_per_s": {"value": trials_per_s, "unit": "trials/s"},
+            "exact_check_s": {"value": exact_check_s, "unit": "s"},
+        },
+    }
+
+
+PAIRS = [
+    {"seed": 1, "parent": line(100.0, 0.30), "change": line(110.0, 0.30)},
+    {"seed": 2, "parent": line(120.0, 0.20), "change": line(90.0, 0.10)},
+    {"seed": 3, "parent": line(80.0, 0.40), "change": line(130.0, 0.35, failed=1)},
+]
+
+
+def test_medians_and_quartiles_per_side():
+    metrics = bench_pairs.summarize(PAIRS, END_TO_END)["metrics"]
+    assert metrics["trials_per_s"]["parent"] == {"median": 100.0, "q1": 90.0, "q3": 110.0}
+    assert metrics["trials_per_s"]["change"] == {"median": 110.0, "q1": 100.0, "q3": 120.0}
+    assert metrics["exact_check_s"]["change"]["median"] == pytest.approx(0.30)
+    assert metrics["exact_check_s"]["parent"]["q1"] == pytest.approx(0.25)
+
+
+def test_wins_follow_the_metric_direction_and_ties_do_not_count():
+    summary = bench_pairs.summarize(PAIRS, END_TO_END)
+    assert summary["change_wins"] == {"trials_per_s": 2, "exact_check_s": 2}
+    assert summary["pairs"] == 3
+
+
+def test_failed_operations_are_totalled_per_side():
+    assert bench_pairs.summarize(PAIRS, END_TO_END)["failed"] == {"parent": 0, "change": 1}
+
+
+def test_one_pair_has_degenerate_quartiles():
+    spread = bench_pairs.summarize(PAIRS[:1], END_TO_END)["metrics"]["trials_per_s"]["parent"]
+    assert spread == {"median": 100.0, "q1": 100.0, "q3": 100.0}

@@ -69,6 +69,10 @@ class TestBoundCompute:
         assert ".nan" in (tmp_path / "compute.yaml").read_text()
         assert main(["bound", "compute", "--config", cfg]) == 2
 
+    def test_nan_epsilon_exits_2(self, tmp_path):
+        cfg = compute_config(tmp_path, name="dp-prior", epsilon=float("nan"))
+        assert main(["bound", "compute", "--config", cfg]) == 2
+
     def test_negative_delta_radius_exits_2(self, tmp_path):
         cfg = compute_config(
             tmp_path, name="delta", delta=0.5, variant="quadratic", moment_bound=-5.0

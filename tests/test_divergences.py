@@ -117,6 +117,10 @@ class TestKlBinaryInverseUpper:
     def test_saturation_at_y_one(self):
         assert kl_binary_inverse_upper(1.0, 5.0) == 1.0
 
+    def test_nan_radius_is_rejected(self):
+        with pytest.raises(DomainError):
+            kl_binary_inverse_upper(0.1, math.nan)
+
     @given(y=st.floats(0.0, 0.9), u_extra=st.floats(0.01, 14.0))
     @settings(max_examples=150, deadline=None)
     def test_round_trip(self, y, u_extra):
@@ -230,6 +234,91 @@ class TestConditionalMutualInfo:
     def test_mass_validation(self):
         with pytest.raises(DomainError):
             conditional_mutual_info(np.full((2, 2, 2), 0.25))
+
+
+# Reference implementations: the support-masked KL formula, the per-row
+# averaged-KL loop and the per-sheet selector-information loop that the row
+# kernel replaced.  They share no code with the package.
+
+
+def reference_kl(p: np.ndarray, q: np.ndarray) -> float:
+    support = p > 0
+    if np.any(q[support] == 0):
+        return math.inf
+    ps = p[support]
+    return float(np.sum(ps * (np.log(ps) - np.log(q[support]))))
+
+
+def reference_mutual_info(p: np.ndarray) -> float:
+    outer = p.sum(axis=1, keepdims=True) * p.sum(axis=0, keepdims=True)
+    mask = p > 0
+    return max(float(np.sum(p[mask] * (np.log(p[mask]) - np.log(outer[mask])))), 0.0)
+
+
+def reference_conditional_kl(p: np.ndarray, q: np.ndarray) -> float:
+    total = 0.0
+    for row in p:
+        mass = row.sum()
+        if mass == 0:
+            continue
+        term = reference_kl(row / mass, q)
+        if math.isinf(term):
+            return math.inf
+        total += mass * term
+    return total
+
+
+def reference_conditional_mutual_info(table: np.ndarray) -> float:
+    value = 0.0
+    for sheet in table:
+        mass = sheet.sum()
+        if mass == 0:
+            continue
+        value += mass * reference_mutual_info(sheet / mass)
+    return max(value, 0.0)
+
+
+def sparse_table(rng, shape) -> np.ndarray:
+    """A random probability table with about a third of its entries zero, a zero
+    first slice along axis 0 (a zero-mass row or sheet) and a zero last column."""
+    while True:
+        w = rng.random(shape) * (rng.random(shape) > 0.35)
+        w[0] = 0.0
+        w[..., -1] = 0.0
+        if w.sum() > 0:
+            return w / w.sum()
+
+
+class TestRowKernelAgainstReferences:
+    def test_kl_discrete_matches_the_support_masked_formula(self, rng):
+        for _ in range(300):
+            p = sparse_table(rng, (int(rng.integers(3, 12)),))
+            q = random_dist(rng, p.size).probs
+            assert abs(kl_discrete(DiscreteDist(p), DiscreteDist(q)) - reference_kl(p, q)) <= 1e-15
+
+    def test_conditional_kl_and_mutual_info_match_the_row_loop(self, rng):
+        for _ in range(300):
+            p = sparse_table(rng, (int(rng.integers(2, 9)), int(rng.integers(2, 7))))
+            q = random_dist(rng, p.shape[1]).probs
+            joint = JointTable(p)
+            assert abs(conditional_kl(joint, DiscreteDist(q)) - reference_conditional_kl(p, q)) <= 1e-15
+            assert abs(mutual_info(joint) - reference_mutual_info(p)) <= 1e-15
+
+    def test_a_q_that_misses_the_support_gives_inf(self, rng):
+        for _ in range(50):
+            p = sparse_table(rng, (int(rng.integers(2, 9)), int(rng.integers(2, 7))))
+            q = random_dist(rng, p.shape[1]).probs
+            q[np.flatnonzero(p.sum(axis=0))[0]] = 0.0
+            q /= q.sum()
+            assert reference_conditional_kl(p, q) == math.inf
+            assert conditional_kl(JointTable(p), DiscreteDist(q)) == math.inf
+            assert kl_discrete(DiscreteDist(p.sum(axis=0)), DiscreteDist(q)) == math.inf
+
+    def test_conditional_mutual_info_matches_the_sheet_loop(self, rng):
+        for _ in range(300):
+            shape = (int(rng.integers(2, 6)), int(rng.integers(2, 5)), int(rng.integers(2, 6)))
+            table = sparse_table(rng, shape)
+            assert abs(conditional_mutual_info(table) - reference_conditional_mutual_info(table)) <= 1e-15
 
 
 def brute_force_max_info(joint: JointTable, alpha: float) -> float:

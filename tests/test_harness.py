@@ -52,7 +52,7 @@ from genbounds import (
     xu_raginsky,
     zhang_gen_expectation,
 )
-from genbounds.harness import _summarize
+from genbounds.harness import _draw, _draw_supersample, _summarize, _trial_rng
 from genbounds.problems import tabulate, tabulate_types
 from conftest import random_problem
 
@@ -373,6 +373,31 @@ def reference_cmi_quantities(problem, algorithm):
             )
             expected_gap += weight * float(posterior.probs @ gaps)
     return conditional_mutual_info(joint / joint.sum()), expected_gap
+
+
+class TestTrialDraw:
+    """The trials draw by inverse CDF, which must be ``Generator.choice`` to the bit."""
+
+    @pytest.mark.parametrize(
+        "weights", [[0.5, 0.5], np.random.default_rng(5).random(8) + 0.2], ids=["coin", "8-outcome"]
+    )
+    def test_draws_equal_generator_choice(self, weights):
+        mu = DiscreteDist.from_weights(weights)
+        k, n = len(mu), 50
+        problem = FiniteProblem(losses=np.zeros((1, k)), mu=mu, n=n)
+        for trial in range(300):
+            ours, theirs = _trial_rng(1, trial), _trial_rng(1, trial)
+            sample = _draw(ours, mu.probs, n)
+            expected = theirs.choice(k, size=n, p=mu.probs)
+            assert sample.dtype == expected.dtype and np.array_equal(sample, expected)
+            assert ours.random() == theirs.random()
+
+            ours, theirs = _trial_rng(2, trial), _trial_rng(2, trial)
+            z_tilde, u = _draw_supersample(problem, ours)
+            expected = theirs.choice(k, size=(n, 2), p=mu.probs)
+            assert z_tilde.dtype == expected.dtype and np.array_equal(z_tilde, expected)
+            assert np.array_equal(u, theirs.integers(0, 2, size=n))
+            assert ours.random() == theirs.random()
 
 
 class TestCmiExperiment:

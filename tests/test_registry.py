@@ -1,6 +1,7 @@
 """Tests of the bound table: every entry evaluates, recomposes and flags vacuity,
 and the README documents exactly the registered names."""
 
+import copy
 import math
 import re
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from genbounds.bounds import COMPONENT_ATOL
+from genbounds.errors import GenBoundsError
 from genbounds.registry import BOUNDS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -78,6 +80,36 @@ def test_components_recompose(name, cfg):
 )
 def test_infinite_kl_is_vacuous(name, cfg):
     assert BOUNDS[name].evaluate({**cfg, "kl": math.inf}).vacuous
+
+
+def _numeric_paths(cfg):
+    """The path to every number in a config: top-level fields, list entries, model fields."""
+    for key, value in cfg.items():
+        if isinstance(value, dict):
+            yield from ((key, sub) for sub, v in value.items() if isinstance(v, (int, float)))
+        elif isinstance(value, list):
+            yield from ((key, i) for i in range(len(value)))
+        elif isinstance(value, (int, float)):
+            yield (key,)
+
+
+def _nan_cases():
+    return [
+        pytest.param(case.values[0], case.values[1], path, id=f"{case.id}-{'.'.join(map(str, path))}")
+        for case in _params(CASES)
+        for path in _numeric_paths(case.values[1])
+    ]
+
+
+@pytest.mark.parametrize("name, cfg, path", _nan_cases())
+def test_nan_input_is_rejected(name, cfg, path):
+    bad = copy.deepcopy(cfg)
+    target = bad
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = math.nan
+    with pytest.raises(GenBoundsError):
+        BOUNDS[name].evaluate(bad)
 
 
 def test_readme_lists_every_bound_name():
