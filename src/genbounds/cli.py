@@ -1,7 +1,9 @@
 """Command-line front end: bound evaluation, sweeps, certification runs, reports.
 
-Configuration comes from a YAML file validated against the schemas below;
-unknown keys are rejected.  Output rows carry the fixed columns
+Configuration comes from a YAML file, read with PyYAML's safe loader (through
+libyaml when PyYAML has it) and validated against the schemas below; unknown
+keys are rejected, and a config that cannot be read or parsed is a
+configuration error.  Output rows carry the fixed columns
 ``bound,name,n,beta,delta,kl,value,vacuous,seed`` as CSV or JSON lines, and
 every emitted file embeds its configuration and seed so reports are
 reproducible.  Exit codes: 0 success, 1 certification failure, 2 usage or
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -134,9 +137,26 @@ def _validate(data, schema, path: str) -> None:
             raise ConfigurationError(f"{where} must be of type {getattr(expected, '__name__', expected)}")
 
 
+#: PyYAML's safe loader, through libyaml when PyYAML was built with it.  Both
+#: loaders share ``SafeConstructor`` and ``Resolver``, so a config loads to
+#: the same values either way.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path: str, kind: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+    """Read and validate a YAML config; any failure to read or parse it is a ``ConfigurationError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = yaml.load(fh.read(), Loader=_YAML_LOADER)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config {path} is not UTF-8 text (byte {exc.start})") from exc
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = " ".join(filter(None, (getattr(exc, "context", None), getattr(exc, "problem", None))))
+        raise ConfigurationError(f"cannot parse config {path}: {problem or exc}{where}") from exc
     if data is None:
         data = {}
     _validate(data, _TOP_SCHEMAS[kind], "")
@@ -196,6 +216,10 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+#: One encoder for every JSON-lines row; ``json.dumps`` with options builds a new one per call.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
+
+
 def write_records(
     records: list[dict], header: dict, path, fmt: str, unit: str, convert: bool = True
 ) -> None:
@@ -208,9 +232,7 @@ def write_records(
     header = dict(header, unit=unit)
     if fmt == "json-lines":
         lines = [json.dumps({"record_type": "header", **header}, sort_keys=True)]
-        lines += [
-            json.dumps({"record_type": "row", **row}, sort_keys=True, default=str) for row in rows
-        ]
+        lines += [_ROW_ENCODER.encode({"record_type": "row", **row}) for row in rows]
         text = "\n".join(lines) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
@@ -454,10 +476,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compute = bound.add_parser("compute", help="evaluate one named bound")
     add_common(compute)
-    compute.set_defaults(func=cmd_bound_compute)
+    compute.set_defaults(handler="cmd_bound_compute")
     sweep = bound.add_parser("sweep", help="evaluate a bound over a parameter grid")
     add_common(sweep)
-    sweep.set_defaults(func=cmd_bound_sweep)
+    sweep.set_defaults(handler="cmd_bound_sweep")
 
     experiment = sub.add_parser("experiment", help="run certification experiments").add_subparsers(
         dest="subcommand", required=True
@@ -465,21 +487,29 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("run", "cmi", "dp-prior"):
         p = experiment.add_parser(name)
         add_common(p)
-        p.set_defaults(func=cmd_experiment)
+        p.set_defaults(handler="cmd_experiment")
 
     report = sub.add_parser("report", help="merge emitted report files")
     report.add_argument("inputs", nargs="+", help="previously emitted report files")
     report.add_argument("--out", default=None)
     report.add_argument("--format", choices=("csv", "json-lines"), default=None)
-    report.set_defaults(func=cmd_report)
+    report.set_defaults(handler="cmd_report")
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # The parser names its handler; looking the name up when the command runs
+    # finds the module attribute as it is now, wrapped or patched.
+    handler = globals()[args.handler]
     try:
-        return args.func(args)
+        return handler(args)
     except GenBoundsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -112,9 +112,9 @@ class GaussianKLInputs:
             raise ShapeError("eigenvalues must be a nonempty 1-D vector")
         if np.any(eig <= 0) or not np.all(np.isfinite(eig)):
             raise DomainError("eigenvalues must be positive and finite")
-        if not self.lam > 0:
-            raise DomainError("lam must be positive")
-        if self.mean_diff_norm_sq < 0:
+        if not 0 < self.lam < math.inf:
+            raise DomainError("lam must be positive and finite")
+        if not self.mean_diff_norm_sq >= 0:
             raise DomainError("mean_diff_norm_sq must be nonnegative")
         object.__setattr__(self, "eigenvalues", eig)
 
@@ -204,8 +204,12 @@ def kl_gaussian_diag(p_mean, p_var, q_mean, q_var) -> float:
     qm, qv = np.asarray(q_mean, float), np.asarray(q_var, float)
     if not pm.shape == pv.shape == qm.shape == qv.shape:
         raise ShapeError("mean and variance vectors must share one shape")
-    if np.any(pv <= 0) or np.any(qv <= 0):
+    if not (np.all(np.isfinite(pm)) and np.all(np.isfinite(qm))):
+        raise DomainError("means must be finite")
+    if not (np.all(pv > 0) and np.all(qv > 0)):
         raise DomainError("variances must be positive")
+    if not np.all(np.isfinite(pv)):
+        raise DomainError("posterior variances must be finite")
     return 0.5 * float(
         np.sum(np.log(qv / pv) + pv / qv - 1.0 + (pm - qm) ** 2 / qv)
     )

@@ -41,7 +41,7 @@ class FiniteProblem:
             raise DomainError("loss entries must be finite")
         if losses.shape[1] != len(self.mu):
             raise ShapeError("mu must have one entry per outcome column")
-        if self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise DomainError("n must be a positive integer")
         object.__setattr__(self, "losses", losses)
 

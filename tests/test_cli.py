@@ -2,12 +2,20 @@
 
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from genbounds.cli import main, read_records
+import genbounds
+import genbounds.cli as cli
+from genbounds.cli import load_config, main, read_records
+from genbounds.errors import ConfigurationError
 
 STANDARD_PROBLEM = {
     "losses": [[0, 1], [1, 0], [0, 1], [1, 0]],
@@ -300,3 +308,120 @@ class TestReport:
         header, rows = read_records(str(merged))
         assert len(rows) == 2
         assert header["unit"] == "nats"
+
+
+def _same_value(a, b) -> bool:
+    """Equal values of equal types; NaN equals NaN."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float) and math.isnan(a):
+        return math.isnan(b)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_value(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(_same_value(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+README_CONFIGS = re.findall(
+    r"```yaml\n(.*?)```", (Path(__file__).resolve().parents[1] / "README.md").read_text(), re.S
+)
+
+FIXED_CONFIGS = [
+    "ints: [0, -7, 1_000, 0x1F, 017, +3]\n",
+    "floats: [1.5, -0.25, 1e-3, 1.0e-3, 6.02e+23, .5, .inf, -.Inf, .nan, .NaN]\n",
+    "bools: [true, false, True, FALSE, yes, no, on, off]\nnulls: [~, null, Null]\nempty:\n",
+    "bound:\n  name: zhang\n  n: 50\n  model: {family: sub_gaussian, sigma: 0.5}\n"
+    "  hessian_eigenvalues:\n    - 1.0\n    - [2, [3.5, {a: b}]]\n",
+    "flow: {a: 1, b: [x, 'y', \"z\\tq\"], c: {d: ~, e: .inf}}\n",
+]
+
+
+class TestConfigLoader:
+    """Configs load through PyYAML's safe loader; an unreadable config exits 2."""
+
+    def test_readme_has_example_configs(self):
+        assert len(README_CONFIGS) >= 2
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
+    @pytest.mark.parametrize("text", README_CONFIGS + FIXED_CONFIGS)
+    def test_libyaml_and_python_loaders_agree(self, text):
+        fast = yaml.load(text, Loader=yaml.CSafeLoader)
+        slow = yaml.load(text, Loader=yaml.SafeLoader)
+        assert _same_value(fast, slow), (fast, slow)
+
+    def test_nan_and_inf_load_as_floats(self, tmp_path):
+        path = tmp_path / "special.yaml"
+        path.write_text("bound: {name: pac-bayes-kl, kl: .inf, delta: .nan}\n")
+        bound = load_config(str(path), "compute")["bound"]
+        assert bound["kl"] == math.inf and math.isnan(bound["delta"])
+
+    def test_malformed_yaml_exits_2_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "malformed.yaml"
+        path.write_text("bound: {name: zhang, n: [1\n")
+        assert main(["bound", "compute", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "line" in err and "column" in err
+
+    def test_parse_error_names_its_line_and_column(self, tmp_path):
+        path = tmp_path / "malformed.yaml"
+        path.write_text("bound:\n  name: zhang\n  n: [1, 2\nsweep: x\n")
+        with pytest.raises(ConfigurationError, match=r"line 4, column 6"):
+            load_config(str(path), "sweep")
+
+    def test_directory_config_exits_2(self, tmp_path, capsys):
+        assert main(["bound", "sweep", "--config", str(tmp_path)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes("bound: {name: zhang, label: caf\u00e9}\n".encode("latin-1"))
+        assert main(["experiment", "run", "--config", str(path)]) == 2
+        assert "UTF-8" in capsys.readouterr().err
+
+    def test_missing_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "absent.yaml"
+        assert main(["bound", "compute", "--config", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process and finds handlers when a command runs."""
+
+    def test_sweeps_in_one_process_match_a_fresh_process(self, tmp_path):
+        bound = {"name": "zhang", "n": 80, "beta": 1.0, "delta": 0.05, "empirical_risk": 0.1}
+        kl_sweep = {"parameter": "kl", "start": 0.0, "stop": 3.0, "points": 7}
+        n_sweep = {"parameter": "n", "grid": [10, 40, 90]}
+        jobs = [
+            ("kl.yaml", {"bound": bound, "sweep": kl_sweep}, "csv"),
+            ("n.yaml", {"bound": {**bound, "kl": 1.5}, "sweep": n_sweep}, "json-lines"),
+        ]
+        argvs = [
+            ["bound", "sweep", "--config", write_yaml(tmp_path / name, payload), "--format", fmt, "--out"]
+            for name, payload, fmt in jobs
+        ]
+        for i, argv in enumerate(argvs):
+            assert main([*argv, str(tmp_path / f"in-process-{i}")]) == 0
+        source = str(Path(genbounds.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        for i, argv in enumerate(argvs):
+            fresh = tmp_path / f"fresh-{i}"
+            subprocess.run(
+                [sys.executable, "-m", "genbounds.cli", *argv, str(fresh)],
+                env=env, check=True, timeout=120,
+            )
+            assert (tmp_path / f"in-process-{i}").read_bytes() == fresh.read_bytes()
+
+    def test_a_handler_patched_after_first_use_is_the_one_run(self, tmp_path, monkeypatch):
+        cfg = compute_config(tmp_path)
+        assert main(["bound", "compute", "--config", cfg, "--out", str(tmp_path / "first.csv")]) == 0
+        seen = []
+
+        def patched(args):
+            seen.append(args.config)
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_bound_compute", patched)
+        assert main(["bound", "compute", "--config", cfg]) == 0
+        assert seen == [cfg]

@@ -173,6 +173,29 @@ class TestGaussianKl:
         with pytest.raises(DomainError):
             kl_gaussian_diag([0.0], [-1.0], [0.0], [1.0])
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: GaussianKLInputs(math.nan, np.array([1.0, 2.0]), 1.0),
+            lambda: GaussianKLInputs(0.0, np.array([1.0]), math.nan),
+            lambda: GaussianKLInputs(0.0, np.array([1.0]), math.inf),
+            lambda: kl_gaussian_diag([math.nan], [1.0], [0.0], [1.0]),
+            lambda: kl_gaussian_diag([0.0], [1.0], [math.inf], [1.0]),
+            lambda: kl_gaussian_diag([0.0], [math.nan], [0.0], [1.0]),
+            lambda: kl_gaussian_diag([0.0], [1.0], [0.0], [math.nan]),
+            lambda: kl_gaussian_diag([0.0], [math.inf], [0.0], [1.0]),
+        ],
+        ids=["spectral-nan-mean-gap", "spectral-nan-lam", "spectral-inf-lam", "diag-nan-mean",
+             "diag-inf-mean", "diag-nan-p-var", "diag-nan-q-var", "diag-inf-p-var"],
+    )
+    def test_inputs_that_would_give_nan_are_rejected(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    def test_infinite_kl_stays_allowed(self):
+        assert kl_gaussian_spectral(GaussianKLInputs(math.inf, np.array([1.0, 2.0]), 1.0)) == math.inf
+        assert kl_gaussian_diag([0.0], [1.0], [0.0], [math.inf]) == math.inf
+
 
 class TestMutualInfo:
     def test_product_joint_zero(self, rng):

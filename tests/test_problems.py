@@ -29,6 +29,16 @@ def test_construction_validation():
         FiniteProblem(losses=[[0.0, 1.0]], mu=DiscreteDist([0.5, 0.5]), n=0)
 
 
+@pytest.mark.parametrize("n", [math.nan, 2.5, True])
+def test_sample_size_must_be_an_integer(n):
+    with pytest.raises(DomainError, match="n must be a positive integer"):
+        FiniteProblem(losses=[[0.0, 1.0]], mu=DiscreteDist([0.5, 0.5]), n=n)
+
+
+def test_numpy_integer_sample_size_is_accepted():
+    assert FiniteProblem(losses=[[0.0, 1.0]], mu=DiscreteDist([0.5, 0.5]), n=np.int64(3)).n == 3
+
+
 def test_true_risk_point_mass():
     problem = FiniteProblem(losses=[[0.3, 0.9]], mu=DiscreteDist([0.0, 1.0]), n=2)
     assert true_risks(problem)[0] == pytest.approx(0.9)
