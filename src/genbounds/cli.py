@@ -3,7 +3,7 @@
 Configuration comes from a YAML file, read with PyYAML's safe loader (through
 libyaml when PyYAML has it) and validated against the schemas below; unknown
 keys are rejected, and a config that cannot be read or parsed is a
-configuration error.  Output rows carry the fixed columns
+configuration error, as is a ``report`` input that cannot be read.  Output rows carry the fixed columns
 ``bound,name,n,beta,delta,kl,value,vacuous,seed`` as CSV or JSON lines, and
 every emitted file embeds its configuration and seed so reports are
 reproducible.  Exit codes: 0 success, 1 certification failure, 2 usage or
@@ -19,6 +19,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -137,21 +138,42 @@ def _validate(data, schema, path: str) -> None:
             raise ConfigurationError(f"{where} must be of type {getattr(expected, '__name__', expected)}")
 
 
+def _config_loader(base: type) -> type:
+    """``base`` reading a dotless exponent such as ``1e-3`` as a float, as YAML 1.2 does.
+
+    YAML 1.1's float pattern needs a dot, so PyYAML reads ``1e-3`` as a
+    string.  The extra resolver comes after the stock ones, so every scalar
+    they resolve, integers included, keeps its type.
+    """
+    loader = type(f"Config{base.__name__}", (base,), {})
+    loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float", re.compile(r"^[-+]?[0-9][0-9_]*[eE][-+]?[0-9]+$"), list("-+0123456789")
+    )
+    return loader
+
+
 #: PyYAML's safe loader, through libyaml when PyYAML was built with it.  Both
 #: loaders share ``SafeConstructor`` and ``Resolver``, so a config loads to
 #: the same values either way.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YAML_LOADER = _config_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+
+
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of ``path``; a file that cannot be read or decoded is a ``ConfigurationError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {what}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{what} is not UTF-8 text (byte {exc.start})") from exc
 
 
 def load_config(path: str, kind: str) -> dict:
     """Read and validate a YAML config; any failure to read or parse it is a ``ConfigurationError``."""
+    text = _read_text(path, f"config {path}")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.load(fh.read(), Loader=_YAML_LOADER)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config {path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"config {path} is not UTF-8 text (byte {exc.start})") from exc
+        data = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -251,22 +273,36 @@ def write_records(
             fh.write(text)
 
 
+def _json_record(path: str, number: int, text: str) -> dict:
+    """The JSON object on line ``number`` of ``path``; anything else is a ``ConfigurationError``."""
+    try:
+        record = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{path} line {number}: malformed JSON ({exc.msg})") from exc
+    if not isinstance(record, dict):
+        raise ConfigurationError(f"{path} line {number}: expected a JSON object")
+    return record
+
+
 def read_records(path: str) -> tuple[dict, list[dict]]:
-    """Read back an emitted file; returns (header, rows)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
+    """Read back an emitted file; returns (header, rows).
+
+    A file that cannot be read, is not UTF-8 or holds a malformed JSON header
+    or row is a ``ConfigurationError`` naming the path (and the line).
+    """
+    numbered = [(i, line) for i, line in enumerate(_read_text(path, path).splitlines(), 1) if line.strip()]
+    if not numbered:
         raise ConfigurationError(f"{path} is empty")
-    if lines[0].startswith("{"):
-        header = json.loads(lines[0])
+    number, first = numbered[0]
+    if first.startswith("{"):
+        header = _json_record(path, number, first)
         if header.get("record_type") != "header":
             raise ConfigurationError(f"{path} lacks a header record")
-        rows = [json.loads(line) for line in lines[1:]]
+        rows = [_json_record(path, *entry) for entry in numbered[1:]]
         return header, rows
-    if lines[0].startswith("# genbounds "):
-        header = json.loads(lines[0][len("# genbounds "):])
-        reader = csv.DictReader(io.StringIO("\n".join(lines[1:])))
+    if first.startswith("# genbounds "):
+        header = _json_record(path, number, first[len("# genbounds "):])
+        reader = csv.DictReader(io.StringIO("\n".join(line for _, line in numbered[1:])))
         rows = []
         for raw in reader:
             row = dict(raw)

@@ -8,6 +8,11 @@ All quantities are in nats.
 Every KL here, and every information measure as a mass-weighted sum of row
 KLs to a reference row, runs on one row kernel.  In a row, a zero entry adds
 exactly 0 and a positive entry against a zero of the reference gives ``inf``.
+
+Every probability table passes one check: its smallest entry must be >= 0,
+which refuses negative entries, NaN and -inf; its largest must not be +inf;
+and its total must be 1 within ``PROB_MASS_ATOL``.  Finite entries whose total
+overflows, such as [1e308, 1e308], are refused as summing to inf.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ def _probabilities(values, ndim: int) -> np.ndarray:
     table = np.asarray(values, dtype=float)
     if table.ndim != ndim or table.size == 0:
         raise ShapeError(f"expected a nonempty {ndim}-D probability table; got shape {table.shape}")
-    if np.any(table < 0) or not np.all(np.isfinite(table)):
+    if not table.min() >= 0 or table.max() == math.inf:
         raise DomainError("probabilities must be finite and nonnegative")
     if abs(float(table.sum()) - 1.0) > PROB_MASS_ATOL:
         raise DomainError(f"probabilities sum to {table.sum()}, not 1")

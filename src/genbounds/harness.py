@@ -47,12 +47,13 @@ from .divergences import (
     kl_discrete,
     mutual_info,
 )
-from .errors import BudgetError, ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError
 from .losses import LossModel
 from .posteriors import gibbs_posterior
 from .problems import (
     ENUMERATION_BUDGET,
     FiniteProblem,
+    _check_budget,
     _type_neighbors,
     annealed_risks,
     empirical_risks,
@@ -472,9 +473,7 @@ def cmi_exact_quantities(
     set and from a otherwise, and the ghost coordinate from the other row.
     """
     k, n, h = problem.num_outcomes, problem.n, problem.num_hypotheses
-    size = k ** (2 * n) * 2**n * h
-    if size > budget:
-        raise BudgetError(f"a supersample joint of {size} entries exceeds the budget of {budget}")
+    _check_budget("a supersample joint of {} entries", lambda m: k ** (2 * m) * 2**m * h, n, budget)
     samples, weights, risks, probs = tabulate(
         problem, lambda s: algorithm.posterior(problem, s), budget
     )

@@ -54,7 +54,7 @@ def _as_values(q: DiscreteDist, f_values) -> np.ndarray:
     f = np.asarray(f_values, dtype=float)
     if f.ndim != 1 or f.size != len(q):
         raise ShapeError("f_values must be a 1-D vector matching the distribution")
-    if np.any(np.isnan(f)) or np.any(np.isneginf(f)):
+    if not f.min() > -np.inf:
         raise DomainError("f_values must be > -inf and not NaN (+inf allowed)")
     return f
 
@@ -66,11 +66,11 @@ def gibbs_posterior(q: DiscreteDist, f_values, beta: float) -> DiscreteDist:
         raise DomainError("beta must be nonnegative")
     if beta == 0:
         return DiscreteDist(q.probs.copy())
-    with np.errstate(divide="ignore"):
-        log_q = np.where(q.probs > 0, np.log(np.maximum(q.probs, 1e-300)), -np.inf)
+    log_q = np.log(np.maximum(q.probs, 1e-300))
+    log_q[q.probs == 0] = -np.inf
     logits = log_q - beta * f
-    peak = np.max(logits)
-    if np.isneginf(peak):
+    peak = logits.max()
+    if peak == -np.inf:
         raise DegenerateError("all prior mass sits on infinite f values")
     weights = np.exp(logits - peak)
     return DiscreteDist(weights / weights.sum())

@@ -76,7 +76,7 @@ def _check_sample(problem: FiniteProblem, sample) -> np.ndarray:
     )
     if has_bool or not integral:
         raise DomainError("sample entries must be integer outcome indices")
-    if np.any(s < 0) or np.any(s >= problem.num_outcomes):
+    if s.min() < 0 or s.max() >= problem.num_outcomes:
         raise DomainError("sample contains out-of-range outcome indices")
     return s.astype(int, copy=False)
 
@@ -107,9 +107,23 @@ def annealed_risks(problem: FiniteProblem, beta: float) -> np.ndarray:
     return -logsumexp(-beta * problem.losses, b=problem.mu.probs[None, :], axis=1) / beta
 
 
-def _check_budget(count: int, rows: str, budget: int) -> None:
-    if count > budget:
-        raise BudgetError(f"enumerating {count} {rows} exceeds the budget of {budget}")
+def _check_budget(what: str, count, n: int, budget: int) -> None:
+    """Raise :class:`BudgetError` if ``count(n)`` exceeds the budget, naming the largest n that fits.
+
+    ``what`` formats the count for the message; ``count`` is nondecreasing in n.
+    """
+    size = count(n)
+    if size > budget:
+        lo, hi = 0, 1  # lo fits (or is 0); grow hi until it does not, then bisect
+        while hi < n and count(hi) <= budget:
+            lo, hi = hi, 2 * hi
+        hi = min(hi, n)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if count(mid) <= budget else (lo, mid)
+        fits = f"n ≤ {lo} fits" if lo else "no n fits"
+        shown = size if size < 10**100 else f"about 10^{math.log10(size):.0f}"
+        raise BudgetError(f"{what.format(shown)} exceeds the budget of {budget}; {fits}")
 
 
 def iter_samples(
@@ -120,9 +134,10 @@ def iter_samples(
     Raises :class:`BudgetError` when the k^n sequences are too many to
     enumerate exhaustively.
     """
-    _check_budget(problem.num_outcomes**problem.n, "sequences", budget)
+    k = problem.num_outcomes
+    _check_budget("enumerating {} sequences", lambda m: k**m, problem.n, budget)
     mu = problem.mu.probs
-    for tup in itertools.product(range(problem.num_outcomes), repeat=problem.n):
+    for tup in itertools.product(range(k), repeat=problem.n):
         sample = np.array(tup, dtype=int)
         yield sample, float(np.prod(mu[sample]))
 
@@ -138,7 +153,7 @@ def iter_types(
     many to enumerate exhaustively.
     """
     k, n = problem.num_outcomes, problem.n
-    _check_budget(math.comb(n + k - 1, k - 1), "types", budget)
+    _check_budget("enumerating {} types", lambda m: math.comb(m + k - 1, k - 1), n, budget)
     mu = problem.mu.probs
     for tup in itertools.combinations_with_replacement(range(k), n):
         sample = np.array(tup, dtype=int)
@@ -213,7 +228,7 @@ def tabulate(
     sample's type, which :func:`empirical_risks` gives every ordering.
     """
     k, n = problem.num_outcomes, problem.n
-    _check_budget(k**n, "sequences", budget)
+    _check_budget("enumerating {} sequences", lambda m: k**m, n, budget)
     samples = np.arange(k**n)[:, None] // k ** np.arange(n - 1, -1, -1) % k
     weights = np.prod(problem.mu.probs[samples], axis=1)
     types, _, type_risks = _type_table(problem, budget)

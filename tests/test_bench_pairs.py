@@ -56,3 +56,42 @@ def test_failed_operations_are_totalled_per_side():
 def test_one_pair_has_degenerate_quartiles():
     spread = bench_pairs.summarize(PAIRS[:1], END_TO_END)["metrics"]["trials_per_s"]["parent"]
     assert spread == {"median": 100.0, "q1": 100.0, "q3": 100.0}
+
+
+def exact_pairs(parent, change):
+    """Pairs whose only moving metric is ``exact_check_s`` (lower is better, bound 0.1)."""
+    return [
+        {"seed": seed, "parent": line(100.0, p), "change": line(100.0, c)}
+        for seed, (p, c) in enumerate(zip(parent, change), 1)
+    ]
+
+
+TIGHT = [0.300 + 0.001 * i for i in range(10)]
+WIDE = [0.2, 0.4] * 5
+
+
+@pytest.mark.parametrize(
+    "parent, change, verdict",
+    [
+        (TIGHT, [0.150 + 0.001 * i for i in range(10)], "gain"),
+        (TIGHT, [0.290] * 8 + [0.400] * 2, "within bound"),  # 8 of 10 wins is no gain
+        (TIGHT, [0.400 + 0.001 * i for i in range(10)], "worse"),
+        (WIDE, [0.4, 0.2] * 5, "unresolved"),
+        (WIDE, [0.1, 0.15] * 5, "within bound"),  # every change run beats every parent run
+        (TIGHT, [0.310 + 0.001 * i for i in range(10)], "within bound"),
+    ],
+    ids=["gain", "8 of 10 wins", "worse", "unresolved", "every run better", "small slowdown"],
+)
+def test_verdict_follows_wins_spread_and_bound(parent, change, verdict):
+    summary = bench_pairs.summarize(exact_pairs(parent, change), END_TO_END)
+    assert summary["verdict"]["exact_check_s"] == verdict
+    assert summary["verdict"]["trials_per_s"] == "within bound"
+
+
+def test_a_gain_follows_the_metric_direction():
+    pairs = [
+        {"seed": i, "parent": line(100.0 + i, 0.3), "change": line(120.0 + i, 0.3)} for i in range(10)
+    ]
+    assert bench_pairs.summarize(pairs, END_TO_END)["verdict"]["trials_per_s"] == "gain"
+    flipped = [{"seed": p["seed"], "parent": p["change"], "change": p["parent"]} for p in pairs]
+    assert bench_pairs.summarize(flipped, END_TO_END)["verdict"]["trials_per_s"] == "within bound"

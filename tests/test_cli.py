@@ -309,6 +309,40 @@ class TestReport:
         assert len(rows) == 2
         assert header["unit"] == "nats"
 
+    def test_directory_input_exits_2(self, tmp_path, capsys):
+        assert main(["report", str(tmp_path)]) == 2
+        assert f"cannot read {tmp_path}" in capsys.readouterr().err
+
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes('# genbounds {"label": "caf\u00e9"}\n'.encode("latin-1"))
+        assert main(["report", str(path)]) == 2
+        assert f"{path} is not UTF-8 text" in capsys.readouterr().err
+
+    def test_truncated_json_header_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "truncated.jsonl"
+        path.write_text('{"record_type": "header"')
+        assert main(["report", str(path)]) == 2
+        assert f"{path} line 1: malformed JSON" in capsys.readouterr().err
+
+    def test_malformed_json_row_names_its_line(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"record_type": "header"}\n\n{"record_type": "row"}\n{"record_type": "row", \n')
+        with pytest.raises(ConfigurationError, match=r"rows\.jsonl line 4: malformed JSON"):
+            read_records(str(path))
+
+    def test_malformed_csv_header_names_its_line(self, tmp_path):
+        path = tmp_path / "run.csv"
+        path.write_text("\n# genbounds {unit: nats}\nbound,name\n")
+        with pytest.raises(ConfigurationError, match=r"run\.csv line 2: malformed JSON"):
+            read_records(str(path))
+
+    def test_json_row_that_is_not_an_object_is_refused(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"record_type": "header"}\n[1, 2]\n')
+        with pytest.raises(ConfigurationError, match=r"rows\.jsonl line 2: expected a JSON object"):
+            read_records(str(path))
+
 
 def _same_value(a, b) -> bool:
     """Equal values of equal types; NaN equals NaN."""
@@ -327,6 +361,8 @@ README_CONFIGS = re.findall(
     r"```yaml\n(.*?)```", (Path(__file__).resolve().parents[1] / "README.md").read_text(), re.S
 )
 
+EXPONENTS = "exponents: [1e-3, -2E+5, 1e3, 1_0e2, '1e-3']\nints: [10, 0x1F, 1_000]\n"
+
 FIXED_CONFIGS = [
     "ints: [0, -7, 1_000, 0x1F, 017, +3]\n",
     "floats: [1.5, -0.25, 1e-3, 1.0e-3, 6.02e+23, .5, .inf, -.Inf, .nan, .NaN]\n",
@@ -334,6 +370,7 @@ FIXED_CONFIGS = [
     "bound:\n  name: zhang\n  n: 50\n  model: {family: sub_gaussian, sigma: 0.5}\n"
     "  hessian_eigenvalues:\n    - 1.0\n    - [2, [3.5, {a: b}]]\n",
     "flow: {a: 1, b: [x, 'y', \"z\\tq\"], c: {d: ~, e: .inf}}\n",
+    EXPONENTS,
 ]
 
 
@@ -349,6 +386,25 @@ class TestConfigLoader:
         fast = yaml.load(text, Loader=yaml.CSafeLoader)
         slow = yaml.load(text, Loader=yaml.SafeLoader)
         assert _same_value(fast, slow), (fast, slow)
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
+    @pytest.mark.parametrize("text", README_CONFIGS + FIXED_CONFIGS)
+    def test_config_loaders_agree_over_libyaml_and_python(self, text):
+        fast = yaml.load(text, Loader=cli._config_loader(yaml.CSafeLoader))
+        slow = yaml.load(text, Loader=cli._config_loader(yaml.SafeLoader))
+        assert _same_value(fast, slow), (fast, slow)
+
+    @pytest.mark.parametrize("base", [yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)])
+    def test_dotless_exponents_load_as_floats_and_ints_stay_ints(self, base):
+        data = yaml.load(EXPONENTS, Loader=cli._config_loader(base))
+        assert _same_value(data, {"exponents": [0.001, -200000.0, 1000.0, 1000.0, "1e-3"], "ints": [10, 31, 1000]})
+        assert yaml.load("1e-3", Loader=base) == "1e-3"  # the stock loader keeps YAML 1.1's reading
+
+    def test_dotless_exponent_delta_is_accepted(self, tmp_path):
+        path = tmp_path / "exponent.yaml"
+        path.write_text("bound: {name: zhang, delta: 1e-3, kl: 2E-1}\n")
+        bound = load_config(str(path), "compute")["bound"]
+        assert bound["delta"] == 0.001 and bound["kl"] == 0.2
 
     def test_nan_and_inf_load_as_floats(self, tmp_path):
         path = tmp_path / "special.yaml"

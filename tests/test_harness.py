@@ -453,6 +453,13 @@ class TestCmiExperiment:
         with pytest.raises(BudgetError, match="1536 entries exceeds the budget of 1000"):
             cmi_exact_quantities(problem, ErmAlgorithm(), budget=1000)
 
+    def test_budget_error_names_the_largest_n_that_fits(self, rng):
+        # k^(2n) 2^n h entries: 24, 192, 1536 and 12288 for n = 1..4 with k = 2, h = 3.
+        problem = random_problem(rng, 3, 2, n=4)
+        for budget, fits in [(1000, "n ≤ 2 fits"), (1536, "n ≤ 3 fits"), (23, "no n fits")]:
+            with pytest.raises(BudgetError, match=f"^a supersample joint of 12288 entries .*; {fits}$"):
+                cmi_exact_quantities(problem, ErmAlgorithm(), budget=budget)
+
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_exact_quantities_match_the_pair_loop(self, n, k):

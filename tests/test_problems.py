@@ -19,6 +19,7 @@ from genbounds import (
     phi_beta,
     true_risks,
 )
+from genbounds.problems import tabulate
 from conftest import random_problem
 
 
@@ -163,6 +164,20 @@ class TestIterSamples:
         with pytest.raises(BudgetError, match="enumerating 33554432 sequences exceeds the budget of 1000000"):
             list(iter_samples(problem))
 
+    @pytest.mark.parametrize("k, n, budget, fits", [(2, 25, 10**6, "n ≤ 19 fits"), (3, 5, 26, "n ≤ 2 fits"),
+                                                    (2, 3, 1, "no n fits")], ids=["k2", "k3", "none"])
+    def test_budget_error_names_the_largest_n_that_fits(self, k, n, budget, fits):
+        problem = random_problem(np.random.default_rng(k), 2, k, n=n)
+        with pytest.raises(BudgetError, match=f"sequences exceeds the budget of {budget}; {fits}$"):
+            list(iter_samples(problem, budget=budget))
+        with pytest.raises(BudgetError, match=f"; {fits}$"):
+            tabulate(problem, lambda sample: None, budget=budget)
+
+    def test_a_count_too_long_to_print_is_shown_by_its_magnitude(self, rng):
+        problem = random_problem(rng, 2, 2, n=100_000)
+        with pytest.raises(BudgetError, match=r"^enumerating about 10\^30103 sequences .*; n ≤ 19 fits$"):
+            list(iter_samples(problem))
+
 
 class TestIterTypes:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -189,3 +204,10 @@ class TestIterTypes:
         problem = random_problem(rng, 2, 3, n=4)
         with pytest.raises(BudgetError, match="enumerating 15 types exceeds the budget of 10"):
             list(iter_types(problem, budget=10))
+
+    @pytest.mark.parametrize("k, n, budget, fits", [(3, 4, 10, "n ≤ 3 fits"), (2, 200, 100, "n ≤ 99 fits"),
+                                                    (5, 10**6, 10**6, "n ≤ 67 fits")], ids=["k3", "k2", "k5"])
+    def test_budget_error_names_the_largest_n_that_fits(self, k, n, budget, fits):
+        problem = random_problem(np.random.default_rng(k), 2, k, n=n)
+        with pytest.raises(BudgetError, match=f"types exceeds the budget of {budget}; {fits}$"):
+            list(iter_types(problem, budget=budget))

@@ -11,9 +11,10 @@ from a clean tree that holds no caches or stored counts of the other.  For each
 workload and each seed 1..pairs, the two sides run ``perfbench/run.py --trace 0``
 one after the other, each for BENCHMARK.json's ``run_seconds``, and the side
 that goes first alternates from pair to pair.  The output holds every run's
-result line, each end-to-end metric's median and quartiles per side, and the
+result line, each end-to-end metric's median and quartiles per side, the
 number of pairs in which the change did better on each metric, in the
-direction BENCHMARK.json gives.
+direction BENCHMARK.json gives, and a verdict per metric: ``gain``, ``worse``,
+``unresolved`` or ``within bound`` (see ``_verdict``).
 """
 
 from __future__ import annotations
@@ -68,25 +69,49 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def _verdict(parent: list[float], change: list[float], wins: int, sign: int, bound: float) -> str:
+    """The verdict on one metric; ``sign`` is +1 where higher is better, ``bound`` a relative bound.
+
+    ``gain``: the change won at least 9 in 10 pairs and its median is better
+    by more than the parent's interquartile range.  ``worse``: its median is
+    worse than the parent's by more than ``bound``.  ``unresolved``: the
+    parent's interquartile range exceeds ``bound`` of its median and not every
+    change run beats every parent run.  Otherwise ``within bound``.
+    """
+    base, spread = _spread(parent), _spread(change)
+    iqr = base["q3"] - base["q1"]
+    gap = sign * (spread["median"] - base["median"])
+    if 10 * wins >= 9 * len(parent) and gap > iqr:
+        return "gain"
+    if -gap > bound * abs(base["median"]):
+        return "worse"
+    if iqr > bound * abs(base["median"]) and not min(sign * c for c in change) > max(sign * p for p in parent):
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per-side median and quartiles of each metric, and the pairs the change won.
+    """Per-side median and quartiles of each metric, the pairs the change won, and a verdict.
 
     ``pairs`` holds one ``{"parent": line, "change": line}`` per pair, each
     line a perfbench result line; ``end_to_end`` is BENCHMARK.json's metric
-    list, whose ``better`` field says which direction wins.  A tie is no win.
+    list, whose ``better`` field says which direction wins and whose
+    ``bound`` is the relative slowdown allowed.  A tie is no win.
     """
-    metrics, wins = {}, {}
+    metrics, wins, verdicts = {}, {}, {}
     for metric in end_to_end:
         name = metric["name"]
         values = {side: [pair[side]["metrics"][name]["value"] for pair in pairs] for side in SIDES}
         metrics[name] = {side: _spread(values[side]) for side in SIDES}
         sign = 1 if metric["better"] == "higher" else -1
         wins[name] = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+        verdicts[name] = _verdict(values["parent"], values["change"], wins[name], sign, metric["bound"])
     return {
         "pairs": len(pairs),
         "failed": {side: sum(pair[side]["failed"] for pair in pairs) for side in SIDES},
         "metrics": metrics,
         "change_wins": wins,
+        "verdict": verdicts,
     }
 
 
