@@ -474,12 +474,14 @@ def _sort_key(row: dict):
 
 
 def cmd_report(args) -> int:
-    headers, rows = [], []
+    units, rows = set(), []
     for path in args.inputs:
         header, file_rows = read_records(path)
-        headers.append(header)
+        unit = header.get("unit", "nats")
+        if unit not in ("nats", "bits"):
+            raise ConfigurationError(f"{path}: header unit must be 'nats' or 'bits'; got {unit!r}")
+        units.add(unit)
         rows.extend(file_rows)
-    units = {h.get("unit", "nats") for h in headers}
     if len(units) > 1:
         raise ConfigurationError(f"refusing to merge mixed units: {sorted(units)}")
     rows.sort(key=_sort_key)

@@ -12,7 +12,8 @@ exactly 0 and a positive entry against a zero of the reference gives ``inf``.
 Every probability table passes one check: its smallest entry must be >= 0,
 which refuses negative entries, NaN and -inf; its largest must not be +inf;
 and its total must be 1 within ``PROB_MASS_ATOL``.  Finite entries whose total
-overflows, such as [1e308, 1e308], are refused as summing to inf.
+overflows, such as [1e308, 1e308], are refused as summing to inf, without a
+floating-point warning.
 """
 
 from __future__ import annotations
@@ -37,10 +38,15 @@ def _probabilities(values, ndim: int) -> np.ndarray:
     table = np.asarray(values, dtype=float)
     if table.ndim != ndim or table.size == 0:
         raise ShapeError(f"expected a nonempty {ndim}-D probability table; got shape {table.shape}")
-    if not table.min() >= 0 or table.max() == math.inf:
+    peak = table.max()
+    if not table.min() >= 0 or peak == math.inf:
         raise DomainError("probabilities must be finite and nonnegative")
-    if abs(float(table.sum()) - 1.0) > PROB_MASS_ATOL:
-        raise DomainError(f"probabilities sum to {table.sum()}, not 1")
+    # An entry above 1 already makes the mass wrong, and only such entries can
+    # overflow the total, so the valid path sums without an errstate block.
+    if peak > 1.0 + PROB_MASS_ATOL or abs(float(table.sum()) - 1.0) > PROB_MASS_ATOL:
+        with np.errstate(over="ignore"):
+            total = table.sum()
+        raise DomainError(f"probabilities sum to {total}, not 1")
     return table
 
 
@@ -129,6 +135,29 @@ def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0)
     return terms.sum(axis=-1)
+
+
+def _logsumexp(a: np.ndarray, b: np.ndarray, axis=None) -> np.ndarray:
+    """log(sum(b * exp(a))) along ``axis``, as ``scipy.special.logsumexp(a, axis, b)`` computes it.
+
+    Zero-weight entries are set to -inf, every tied maximum is summed into
+    ``m``, and the result is ``log1p(s / m) + log(m) + max``; where that is not
+    finite, it is ``log(sum(b * exp(a)))`` computed directly.  For real ``a``
+    and weights ``b >= 0`` the result is bit-identical to scipy's, with one
+    deviation: scipy's direct fallback does not mask zero weights, so a zero
+    weight on an entry whose exp overflows (``a = +inf``, or ``a > 709.78``)
+    gives NaN there and adds nothing here.
+    """
+    a = np.where(b == 0, -np.inf, a)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max(axis=axis, keepdims=True)
+        top = a == a_max
+        m = (b * top).sum(axis=axis)
+        s = (b * np.exp(np.where(top, -np.inf, a) - a_max)).sum(axis=axis)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max.squeeze(axis)
+        direct = np.log((b * np.exp(a)).sum(axis=axis))
+    return np.where(np.isfinite(out), out, direct)
 
 
 def _mixture_kl(p: np.ndarray, q: np.ndarray) -> float:

@@ -27,6 +27,10 @@ supersample check run on sequences: a supersample is a pair of rows.
 
 All bound parameters (beta, delta, the prior) are fixed in the trial
 configuration before any sample is drawn.
+
+``scipy.special`` is imported by the first :func:`clopper_pearson_upper`
+call, not with this module, so the commands that never certify (``bound
+compute``, ``bound sweep``, ``report``) start without it.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .bounds import BoundRequest, xu_raginsky, zhang_gen_expectation
 from .divergences import (
@@ -213,6 +216,9 @@ def clopper_pearson_upper(violations: int, trials: int, confidence: float = 0.95
         raise DomainError("need 0 <= violations <= trials with trials >= 1")
     if violations == trials:
         return 1.0
+    # Imported here: scipy.special would double the start-up of every command that never certifies.
+    from scipy.special import betaincinv
+
     return float(betaincinv(violations + 1, trials - violations, confidence))
 
 

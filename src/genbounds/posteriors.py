@@ -18,13 +18,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bounds import BoundResult, _phi_result, _sum_result
 from .divergences import (
     DiscreteDist,
     GaussianKLInputs,
     _kl_rows,
+    _logsumexp,
     kl_discrete,
     kl_gaussian_diag,
     kl_gaussian_spectral,
@@ -81,7 +81,7 @@ def stochastic_complexity(q: DiscreteDist, f_values, beta: float) -> float:
     f = _as_values(q, f_values)
     if beta <= 0:
         raise DomainError("beta must be positive")
-    return float(-logsumexp(-beta * f, b=q.probs) / beta)
+    return float(-_logsumexp(-beta * f, q.probs) / beta)
 
 
 def information_complexity(p: DiscreteDist, q: DiscreteDist, f_values, beta: float) -> float:
@@ -130,7 +130,7 @@ def dv_identity_residual(p: DiscreteDist, q: DiscreteDist, f_values, beta: float
     rhs = (
         float(p.probs @ f)
         + kl_discrete(p, q) / beta
-        + float(logsumexp(-beta * f, b=q.probs)) / beta
+        + float(_logsumexp(-beta * f, q.probs)) / beta
     )
     return lhs - rhs
 

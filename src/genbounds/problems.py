@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .divergences import DiscreteDist
+from .divergences import DiscreteDist, _logsumexp
 from .errors import BudgetError, DomainError, ShapeError
 
 #: Default ceiling on the number of samples an exhaustive enumeration may visit.
@@ -104,7 +103,7 @@ def annealed_risks(problem: FiniteProblem, beta: float) -> np.ndarray:
     """
     if beta <= 0:
         raise DomainError("beta must be positive")
-    return -logsumexp(-beta * problem.losses, b=problem.mu.probs[None, :], axis=1) / beta
+    return -_logsumexp(-beta * problem.losses, problem.mu.probs[None, :], axis=1) / beta
 
 
 def _check_budget(what: str, count, n: int, budget: int) -> None:

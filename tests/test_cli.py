@@ -337,6 +337,16 @@ class TestReport:
         with pytest.raises(ConfigurationError, match=r"run\.csv line 2: malformed JSON"):
             read_records(str(path))
 
+    @pytest.mark.parametrize("unit", [["a"], 5, "furlongs"], ids=["list", "int", "unknown"])
+    def test_a_header_unit_other_than_nats_or_bits_exits_2(self, tmp_path, capsys, unit):
+        (good, *_) = self.make_runs(tmp_path)
+        path = tmp_path / "odd-unit.csv"
+        path.write_text(f"# genbounds {json.dumps({'unit': unit})}\nbound,name\ncatoni,catoni\n")
+        merged = tmp_path / "merged.csv"
+        assert main(["report", good, str(path), "--out", str(merged)]) == 2
+        assert f"{path}: header unit must be 'nats' or 'bits'; got {unit!r}" in capsys.readouterr().err
+        assert not merged.exists()
+
     def test_json_row_that_is_not_an_object_is_refused(self, tmp_path):
         path = tmp_path / "rows.jsonl"
         path.write_text('{"record_type": "header"}\n[1, 2]\n')

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from genbounds import (
     DiscreteDist,
@@ -25,6 +26,7 @@ from genbounds import (
     max_info_exact,
     mutual_info,
 )
+from genbounds.divergences import _logsumexp
 from conftest import random_dist
 
 
@@ -414,3 +416,53 @@ class TestMaxInfoDpBound:
         assert max_info_dp_bound(0.1, 100, 0.05) == pytest.approx(
             1.8581015157406195, abs=1e-12
         )
+
+
+#: Losses with ties, signs and both infinities; with beta up to 1e300 they
+#: give exponents that underflow, overflow and tie at the maximum.
+LOSSES = st.sampled_from([0.0, 0.25, 0.5, 1.0, -1.0, 3.0, math.inf, -math.inf]) | st.floats(-5.0, 5.0)
+WEIGHTS = st.sampled_from([0.0, 0.1, 0.25, 0.5]) | st.floats(0.0, 1.0)
+BETAS = st.sampled_from([1e-3, 1.0, 50.0, 1e4, 1e300]) | st.floats(1e-3, 1e300)
+
+
+@st.composite
+def logsumexp_inputs(draw):
+    """(a, b, axis) shaped like the call sites: one 1-D vector, or rows against one weight row on axis 1."""
+    k = draw(st.integers(1, 6))
+    rows = draw(st.integers(0, 4))
+    shape = (rows, k) if rows else (k,)
+    f = np.array(draw(st.lists(LOSSES, min_size=math.prod(shape), max_size=math.prod(shape)))).reshape(shape)
+    b = np.array(draw(st.lists(WEIGHTS, min_size=k, max_size=k)))
+    return -draw(BETAS) * f, (b[None, :] if rows else b), (1 if rows else None)
+
+
+def bit_identical(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return (
+        x.shape == y.shape
+        and np.array_equal(x, y, equal_nan=True)
+        and np.array_equal(np.signbit(x), np.signbit(y))
+    )
+
+
+class TestLogSumExp:
+    @given(inputs=logsumexp_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_scipy_bit_for_bit(self, inputs):
+        a, b, axis = inputs
+        got = _logsumexp(a, b, axis=axis)
+        with np.errstate(over="ignore"):  # scipy divides s / m outside its own errstate
+            # scipy masks zero weights to -inf too, except in its direct
+            # fallback; on masked input the two agree everywhere.
+            assert bit_identical(got, logsumexp(np.where(b == 0, -np.inf, a), axis=axis, b=b))
+            if not np.any((b == 0) & (np.exp(a) == np.inf)):
+                assert bit_identical(got, logsumexp(a, axis=axis, b=b))
+
+    def test_a_zero_weight_on_an_overflowing_exponent_adds_nothing(self):
+        # All weight sits on exp(-inf): the sum is 0 at every beta.  scipy's
+        # fallback computes 0 * exp(1e4) = NaN; the helper gives log(0).
+        a, b = np.array([-math.inf, 1e4]), np.array([1.0, 0.0])
+        assert _logsumexp(a, b) == -math.inf
+        assert math.isnan(logsumexp(a, b=b))
+        rows = _logsumexp(np.array([[-math.inf, 1e4], [0.0, 1e4]]), b[None, :], axis=1)
+        assert rows.tolist() == [-math.inf, 0.0]

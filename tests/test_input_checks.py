@@ -62,6 +62,21 @@ def test_a_valid_table_is_kept_bit_for_bit(build, ndim):
     assert build(table).probs.tobytes() == table.tobytes()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "entries, message",
+    [([1e308, 1e308], "probabilities sum to inf, not 1"), ([2.0, 0.0], "probabilities sum to 2.0, not 1")],
+    ids=["sum overflows", "entry above 1"],
+)
+@pytest.mark.parametrize(
+    "build, ndim",
+    [(DiscreteDist, 1), (JointTable, 2), (conditional_mutual_info, 3)],
+    ids=["DiscreteDist", "JointTable", "conditional_mutual_info"],
+)
+def test_a_mass_above_1_is_refused_without_a_warning(build, ndim, entries, message):
+    _raises_exactly(DomainError, message, build, _table(ndim, entries))
+
+
 UNIFORM = DiscreteDist.uniform(3)
 BAD_F_VALUES = "f_values must be > -inf and not NaN (+inf allowed)"
 

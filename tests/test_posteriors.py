@@ -76,6 +76,10 @@ class TestStochasticComplexity:
         value = stochastic_complexity(DiscreteDist.uniform(2), [0.0, 1.0], math.log(2.0))
         assert value == pytest.approx(0.41503749927884382, abs=1e-12)
 
+    @pytest.mark.parametrize("beta", [1.0, 1e4])
+    def test_all_prior_mass_on_infinite_loss_gives_inf_at_every_beta(self, beta):
+        assert stochastic_complexity(DiscreteDist([1.0, 0.0]), [math.inf, -1.0], beta) == math.inf
+
     def test_equals_minimum_information_complexity(self, rng):
         for _ in range(100):
             q = random_dist(rng, 5)
