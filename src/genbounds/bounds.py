@@ -6,11 +6,11 @@ value either by plain summation or through a recorded monotone transform
 (``phi_beta_inverse`` or a binary-KL inversion), so each result can be
 re-audited from its parts.
 
-Vacuity convention: bounds defined only for [0, 1]-valued losses clamp to 1
-and set the flag when their raw value exceeds 1 (distance inversions, which
-saturate at 1, set it on reaching 1); bounds valid for unbounded losses
-never clamp (the flag is still set when the value exceeds the range
-the loss model makes trivially known).
+Vacuity policy, applied once by :func:`_result`: a raw value is *over* above
+1, or for a distance inversion (which saturates at 1) at 1.  A result is
+vacuous when its raw value is infinite, or when it is over and the bound
+clamps or is stated for [0, 1]-valued losses; a clamping bound then reports 1.
+Bounds only for [0, 1]-valued losses clamp, as do phi_beta^-1 and inversions.
 
 The inverse temperature beta is always an input fixed before any data is
 seen; :func:`union_bound_beta` is the only operation that optimizes beta, and
@@ -20,11 +20,10 @@ it pays the corresponding union-bound penalty.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 from .divergences import kl_binary_inverse_upper
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, _is_positive_integer
 from .losses import LossModel, phi_beta_inverse, psi_of, psi_star_inverse
 
 #: Tolerance within which components must recombine into the raw value.
@@ -55,7 +54,7 @@ class BoundRequest:
     model: LossModel = field(default_factory=LossModel.bounded_unit)
 
     def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 1:
+        if not _is_positive_integer(self.n):
             raise ParameterError("n must be a positive integer")
         if not self.delta > 0:
             raise ParameterError("delta must be positive")
@@ -72,7 +71,7 @@ class BoundResult:
     """A computed upper bound with its component breakdown.
 
     ``raw_value`` composes exactly from ``components`` via ``transform``;
-    ``value`` equals ``raw_value`` unless a [0, 1]-loss bound was clamped.
+    ``value`` equals ``raw_value`` unless the bound clamped it to 1.
     """
 
     value: float
@@ -86,21 +85,23 @@ class BoundResult:
 
     def recompose(self) -> float:
         """Recombine the components through the recorded transform."""
-        inner = math.fsum(self.components.values())
-        if self.transform == _SUM:
-            return inner
-        if self.transform == _PHI_INVERSE:
-            assert self.beta_used is not None
-            return phi_beta_inverse(self.beta_used, inner)
-        if self.transform == _KL_INVERSE or self.transform.startswith(_DELTA_INVERSE):
-            variant = self.transform.partition(":")[2] or "kl"
-            risk, radius = self.components["empirical_risk"], self.components["radius"]
-            return _invert_delta(variant, risk, radius)
-        raise ParameterError(f"no recomposition rule for transform {self.transform!r}")
+        return _compose(self.transform, self.components, self.beta_used)
 
 
-def _invert_delta(variant: str, risk: float, radius: float) -> float:
-    """Largest x with Delta(risk, x) <= radius for the named convex distance."""
+def _compose(transform: str, components: dict[str, float], beta: float | None) -> float:
+    """The raw value: the components' sum, phi_beta^-1 of it, or an inversion.
+
+    An inversion is the largest x with Delta(empirical_risk, x) <= radius.
+    """
+    if transform == _SUM:
+        return math.fsum(components.values())
+    if transform == _PHI_INVERSE:
+        assert beta is not None
+        return phi_beta_inverse(beta, math.fsum(components.values()))
+    if transform != _KL_INVERSE and not transform.startswith(_DELTA_INVERSE):
+        raise ParameterError(f"no recomposition rule for transform {transform!r}")
+    variant = transform.partition(":")[2]
+    risk, radius = components["empirical_risk"], components["radius"]
     if variant == "quadratic":
         return risk + math.sqrt(radius / 2.0)
     if variant == "normalized":
@@ -108,22 +109,29 @@ def _invert_delta(variant: str, risk: float, radius: float) -> float:
     return kl_binary_inverse_upper(risk, radius)
 
 
-def _inverse_result(
-    risk: float, radius: float, variant: str, transform: str, flags: tuple[str, ...]
+def _result(
+    components: dict[str, float],
+    transform: str = _SUM,
+    *,
+    beta_used: float | None = None,
+    clamp: bool = False,
+    unit_range: bool = False,
+    flags: tuple[str, ...] = (),
+    extras: dict[str, float] | None = None,
 ) -> BoundResult:
-    """A risk bound inverting a distance to the empirical risk.
-
-    The binary-KL inversion saturates at 1 rather than exceed it (for an
-    infinite KL, say), so reaching 1 already makes the result vacuous.
-    """
-    raw = _invert_delta(variant, risk, radius)
-    vacuous = raw >= 1.0
+    """The result composed from ``components`` under the module's vacuity policy."""
+    raw = _compose(transform, components, beta_used)
+    inversion = transform not in (_SUM, _PHI_INVERSE)
+    clamp = clamp or transform != _SUM
+    over = raw >= 1.0 if inversion else raw > 1.0
     return BoundResult(
-        value=1.0 if vacuous else raw,
-        components={"empirical_risk": risk, "radius": radius},
-        vacuous=vacuous,
+        value=1.0 if clamp and over else raw,
+        components=components,
+        vacuous=math.isinf(raw) or ((clamp or unit_range) and over),
+        beta_used=beta_used,
         raw_value=raw,
         transform=transform,
+        extras=extras or {},
         flags=flags,
     )
 
@@ -138,7 +146,7 @@ def _require_nonnegative(name: str, value: float, n: int) -> None:
     """``value`` nonnegative (inf allowed) and ``n`` a positive integer; NaN fails both."""
     if not value >= 0:
         raise DomainError(f"{name} must be nonnegative")
-    if not n >= 1:
+    if not _is_positive_integer(n):
         raise DomainError("n must be a positive integer")
 
 
@@ -155,50 +163,10 @@ def _require_unit_model(req: BoundRequest) -> None:
         raise DomainError("empirical_risk must lie in [0, 1] for a [0, 1]-valued loss")
 
 
-def _sum_result(
-    components: dict[str, float],
-    *,
-    beta_used: float | None = None,
-    clamp_unit: bool = False,
-    unit_range: bool = False,
-    flags: tuple[str, ...] = (),
-    extras: dict[str, float] | None = None,
-) -> BoundResult:
-    raw = math.fsum(components.values())
-    vacuous = math.isinf(raw) or ((unit_range or clamp_unit) and raw > 1.0)
-    value = 1.0 if (clamp_unit and raw > 1.0) else raw
-    return BoundResult(
-        value=value,
-        components=components,
-        vacuous=vacuous,
-        beta_used=beta_used,
-        raw_value=raw,
-        transform=_SUM,
-        extras=extras or {},
-        flags=flags,
-    )
-
-
-def _phi_result(
-    components: dict[str, float],
-    beta: float,
-    *,
-    flags: tuple[str, ...] = (),
-    extras: dict[str, float] | None = None,
-) -> BoundResult:
-    inner = math.fsum(components.values())
-    raw = phi_beta_inverse(beta, inner)
-    vacuous = raw > 1.0 or math.isinf(raw)
-    return BoundResult(
-        value=1.0 if vacuous else raw,
-        components=components,
-        vacuous=vacuous,
-        beta_used=beta,
-        raw_value=raw,
-        transform=_PHI_INVERSE,
-        extras=extras or {},
-        flags=flags,
-    )
+def _iei_terms(req: BoundRequest, beta: float) -> tuple[float, float, tuple[str, ...]]:
+    """The IEI terms kl / (n beta) and log(1/delta) / (n beta), with the flags of delta."""
+    delta, flags = _effective_delta(req)
+    return req.kl / (req.n * beta), math.log(1.0 / delta) / (req.n * beta), flags
 
 
 # ---------------------------------------------------------------------------
@@ -213,17 +181,12 @@ def zhang_high_prob(req: BoundRequest) -> BoundResult:
     information complexity and the confidence penalty.
     """
     beta = _require_beta(req)
-    delta, flags = _effective_delta(req)
+    complexity, confidence, flags = _iei_terms(req, beta)
     components = {
-        "information_complexity": req.empirical_risk + req.kl / (req.n * beta),
-        "confidence": math.log(1.0 / delta) / (req.n * beta),
+        "information_complexity": req.empirical_risk + complexity,
+        "confidence": confidence,
     }
-    return _sum_result(
-        components,
-        beta_used=beta,
-        unit_range=req.model.is_unit_range,
-        flags=flags,
-    )
+    return _result(components, beta_used=beta, unit_range=req.model.is_unit_range, flags=flags)
 
 
 def zhang_gen_high_prob(req: BoundRequest) -> BoundResult:
@@ -233,19 +196,10 @@ def zhang_gen_high_prob(req: BoundRequest) -> BoundResult:
     request's loss model.
     """
     beta = _require_beta(req)
-    delta, flags = _effective_delta(req)
     slack = psi_of(req.model, beta) / beta
-    components = {
-        "complexity": req.kl / (req.n * beta),
-        "confidence": math.log(1.0 / delta) / (req.n * beta),
-        "cgf_slack": slack,
-    }
-    return _sum_result(
-        components,
-        beta_used=beta,
-        unit_range=req.model.is_unit_range,
-        flags=flags,
-    )
+    complexity, confidence, flags = _iei_terms(req, beta)
+    components = {"complexity": complexity, "confidence": confidence, "cgf_slack": slack}
+    return _result(components, beta_used=beta, unit_range=req.model.is_unit_range, flags=flags)
 
 
 def zhang_gen_expectation(avg_kl: float, n: int, model: LossModel) -> float:
@@ -282,13 +236,13 @@ def subgamma_pacbayes(req: BoundRequest) -> BoundResult:
         raise ParameterError("requires a sub-gamma loss model")
     if req.model.c >= 1.0:
         raise ParameterError("requires sub-gamma tail parameter c < 1")
-    delta, flags = _effective_delta(req)
+    complexity, confidence, flags = _iei_terms(req, 1.0)
     components = {
-        "complexity": req.kl / req.n,
-        "confidence": math.log(1.0 / delta) / req.n,
+        "complexity": complexity,
+        "confidence": confidence,
         "variance_slack": req.model.sigma**2 / (2.0 * (1.0 - req.model.c)),
     }
-    return _sum_result(components, beta_used=1.0, flags=flags)
+    return _result(components, beta_used=1.0, flags=flags)
 
 
 def _sub_gaussian_scale(model: LossModel) -> float:
@@ -325,7 +279,7 @@ def union_bound_beta(req: BoundRequest, alpha: float, v: float) -> BoundResult:
         "complexity": alpha * penalty / (req.n * beta),
         "cgf_slack": beta * sigma**2 / 2.0,
     }
-    return _sum_result(
+    return _result(
         components,
         beta_used=beta,
         unit_range=req.model.is_unit_range,
@@ -343,33 +297,33 @@ def catoni_bound(req: BoundRequest) -> BoundResult:
     """Risk bound phi_beta^-1(empirical_risk + (kl + log(1/delta)) / (n beta))."""
     beta = _require_beta(req)
     _require_unit_model(req)
-    delta, flags = _effective_delta(req)
+    complexity, confidence, flags = _iei_terms(req, beta)
     components = {
         "empirical_risk": req.empirical_risk,
-        "complexity": req.kl / (req.n * beta),
-        "confidence": math.log(1.0 / delta) / (req.n * beta),
+        "complexity": complexity,
+        "confidence": confidence,
     }
-    return _phi_result(components, beta, flags=flags)
+    return _result(components, _PHI_INVERSE, beta_used=beta, flags=flags)
 
 
-def catoni_linear(req: BoundRequest) -> BoundResult:
-    """Linearized risk bound with prefactor beta / (1 - e^-beta)."""
-    beta = _require_beta(req)
+def _linearized(req: BoundRequest, beta: float, prefactor: float) -> BoundResult:
+    """prefactor * (empirical_risk + (kl + log(1/delta)) / (n beta)), clamped to 1."""
     _require_unit_model(req)
     delta, flags = _effective_delta(req)
-    prefactor = beta / -math.expm1(-beta)
     components = {
         "empirical_risk": prefactor * req.empirical_risk,
         "complexity": prefactor * req.kl / (req.n * beta),
         "confidence": prefactor * math.log(1.0 / delta) / (req.n * beta),
     }
-    return _sum_result(
-        components,
-        beta_used=beta,
-        clamp_unit=True,
-        flags=flags,
-        extras={"prefactor": prefactor},
+    return _result(
+        components, beta_used=beta, clamp=True, flags=flags, extras={"prefactor": prefactor}
     )
+
+
+def catoni_linear(req: BoundRequest) -> BoundResult:
+    """Linearized risk bound with prefactor beta / (1 - e^-beta)."""
+    beta = _require_beta(req)
+    return _linearized(req, beta, beta / -math.expm1(-beta))
 
 
 def mcallester_linear(req: BoundRequest) -> BoundResult:
@@ -377,21 +331,7 @@ def mcallester_linear(req: BoundRequest) -> BoundResult:
     beta = _require_beta(req)
     if beta >= 2.0:
         raise ParameterError("the linearized prefactor requires beta < 2")
-    _require_unit_model(req)
-    delta, flags = _effective_delta(req)
-    prefactor = 1.0 / (1.0 - beta / 2.0)
-    components = {
-        "empirical_risk": prefactor * req.empirical_risk,
-        "complexity": prefactor * req.kl / (req.n * beta),
-        "confidence": prefactor * math.log(1.0 / delta) / (req.n * beta),
-    }
-    return _sum_result(
-        components,
-        beta_used=beta,
-        clamp_unit=True,
-        flags=flags,
-        extras={"prefactor": prefactor},
-    )
+    return _linearized(req, beta, 1.0 / (1.0 - beta / 2.0))
 
 
 def pac_bayes_kl(req: BoundRequest) -> BoundResult:
@@ -404,7 +344,8 @@ def pac_bayes_kl(req: BoundRequest) -> BoundResult:
     _require_unit_model(req)
     delta, flags = _effective_delta(req)
     radius = (req.kl + math.log(2.0 * math.sqrt(req.n) / delta)) / req.n
-    return _inverse_result(req.empirical_risk, radius, "kl", _KL_INVERSE, flags)
+    components = {"empirical_risk": req.empirical_risk, "radius": radius}
+    return _result(components, _KL_INVERSE, flags=flags)
 
 
 _DELTA_VARIANTS = ("kl", "quadratic", "normalized")
@@ -426,9 +367,8 @@ def delta_bound(req: BoundRequest, delta_fn: str, moment_bound: float) -> BoundR
     radius = (req.kl + math.log(1.0 / delta) + moment_bound) / req.n
     if not radius >= 0.0:
         raise ParameterError(f"moment_bound {moment_bound} gives the negative radius {radius}")
-    return _inverse_result(
-        req.empirical_risk, radius, delta_fn, f"{_DELTA_INVERSE}:{delta_fn}", flags
-    )
+    components = {"empirical_risk": req.empirical_risk, "radius": radius}
+    return _result(components, f"{_DELTA_INVERSE}:{delta_fn}", flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +381,9 @@ def cmi_pac_high_prob(req: BoundRequest) -> BoundResult:
     beta = _require_beta(req)
     if not req.model.is_unit_range:
         raise ParameterError("the supersample bound applies only to [0, 1]-valued losses")
-    delta, flags = _effective_delta(req)
-    components = {
-        "complexity": req.kl / (req.n * beta),
-        "confidence": math.log(1.0 / delta) / (req.n * beta),
-        "hoeffding_slack": beta / 2.0,
-    }
-    return _sum_result(components, beta_used=beta, clamp_unit=True, flags=flags)
+    complexity, confidence, flags = _iei_terms(req, beta)
+    components = {"complexity": complexity, "confidence": confidence, "hoeffding_slack": beta / 2.0}
+    return _result(components, beta_used=beta, clamp=True, flags=flags)
 
 
 def cmi_expectation(avg_kl_or_cmi: float, n: int) -> float:
@@ -500,12 +436,7 @@ def dp_prior_high_prob(req: BoundRequest, epsilon: float) -> BoundResult:
         "complexity": req.kl / (req.n * beta),
         "privacy_penalty": penalty / (req.n * beta),
     }
-    return _sum_result(
-        components,
-        beta_used=beta,
-        unit_range=req.model.is_unit_range,
-        flags=flags,
-    )
+    return _result(components, beta_used=beta, unit_range=req.model.is_unit_range, flags=flags)
 
 
 def dp_prior_gen_bound(req: BoundRequest, epsilon: float) -> BoundResult:
@@ -518,9 +449,4 @@ def dp_prior_gen_bound(req: BoundRequest, epsilon: float) -> BoundResult:
         "privacy_penalty": penalty / (req.n * beta),
         "cgf_slack": psi_of(req.model, beta) / beta,
     }
-    return _sum_result(
-        components,
-        beta_used=beta,
-        unit_range=req.model.is_unit_range,
-        flags=flags,
-    )
+    return _result(components, beta_used=beta, unit_range=req.model.is_unit_range, flags=flags)

@@ -248,7 +248,8 @@ def write_records(
     """Emit rows with the embedded configuration header in CSV or JSON lines.
 
     Unit conversion happens here, exactly once; pass ``convert=False`` when
-    re-emitting rows that already carry the target unit.
+    re-emitting rows that already carry the target unit.  An output file that
+    cannot be written is a ``ConfigurationError`` naming the path.
     """
     rows = [_convert_units(r, unit) for r in records] if convert else records
     header = dict(header, unit=unit)
@@ -268,9 +269,12 @@ def write_records(
         raise ConfigurationError(f"unknown format {fmt!r}")
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _json_record(path: str, number: int, text: str) -> dict:
@@ -500,11 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="genbounds", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        if config_required:
-            p.add_argument("--config", required=True, help="YAML configuration file")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="YAML configuration file")
         p.add_argument("--seed", type=int, default=None, help="64-bit experiment seed")
-        p.add_argument("--trials", type=int, default=None, help="number of trials")
         p.add_argument("--out", default=None, help="output path (stdout when omitted)")
         p.add_argument("--unit", choices=("nats", "bits"), default=None)
         p.add_argument("--format", choices=("csv", "json-lines"), default=None)
@@ -525,6 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("run", "cmi", "dp-prior"):
         p = experiment.add_parser(name)
         add_common(p)
+        p.add_argument("--trials", type=int, default=None, help="number of trials")
         p.set_defaults(handler="cmd_experiment")
 
     report = sub.add_parser("report", help="merge emitted report files")
@@ -549,9 +552,6 @@ def main(argv=None) -> int:
     try:
         return handler(args)
     except GenBoundsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

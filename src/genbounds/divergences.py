@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, _is_positive_integer
 
 #: Tolerance on total probability mass for distribution-like inputs.
 PROB_MASS_ATOL = 1e-12
@@ -333,7 +333,7 @@ def max_info_dp_bound(epsilon: float, n: int, alpha: float = 0.0) -> float:
     """
     if not epsilon >= 0:
         raise DomainError("epsilon must be nonnegative")
-    if not n >= 1:
+    if not _is_positive_integer(n):
         raise DomainError("n must be a positive integer")
     if not 0.0 <= alpha <= 1.0:
         raise DomainError("alpha must lie in [0, 1]")

@@ -1,4 +1,11 @@
-"""Semantic exception types shared across the package."""
+"""Semantic exception types shared across the package, and the integer check behind them."""
+
+import numbers
+
+
+def _is_positive_integer(value) -> bool:
+    """True for an integer of at least 1 (numpy integers included; bool, floats and NaN not)."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 1
 
 
 class GenBoundsError(Exception):

@@ -50,7 +50,7 @@ from .divergences import (
     kl_discrete,
     mutual_info,
 )
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, _is_positive_integer
 from .losses import LossModel
 from .posteriors import gibbs_posterior
 from .problems import (
@@ -103,18 +103,17 @@ class GibbsAlgorithm:
     """The empirical-risk Gibbs kernel at inverse temperature n * beta_alg.
 
     This is the information-complexity minimizer at beta_alg relative to the
-    base distribution (uniform when not given).
+    uniform distribution on hypotheses.
     """
 
     beta_alg: float
-    base: DiscreteDist | None = None
 
     def __post_init__(self) -> None:
         if not self.beta_alg > 0:
             raise ConfigurationError("beta_alg must be positive")
 
     def posterior(self, problem: FiniteProblem, sample) -> DiscreteDist:
-        base = self.base if self.base is not None else DiscreteDist.uniform(problem.num_hypotheses)
+        base = DiscreteDist.uniform(problem.num_hypotheses)
         return gibbs_posterior(base, empirical_risks(problem, sample), problem.n * self.beta_alg)
 
 
@@ -155,7 +154,7 @@ class TrialConfig:
     def __post_init__(self) -> None:
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ConfigurationError(f"seed must be a non-negative integer; got {self.seed!r}")
-        if isinstance(self.trials, bool) or not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
+        if not _is_positive_integer(self.trials):
             raise ConfigurationError(f"trials must be a positive integer; got {self.trials!r}")
         if not _is_exchangeable(self.algorithm):
             # Trials of one sample type share an evaluation, which is only

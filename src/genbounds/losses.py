@@ -86,9 +86,6 @@ class LossModel:
             return 1.0 / self.c
         return math.inf
 
-    def admits_beta(self, beta: float) -> bool:
-        return 0.0 <= beta < self.beta_sup
-
 
 def psi_of(model: LossModel, beta: float) -> float:
     """Evaluate the CGF upper bound psi of the model at inverse temperature beta."""

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import BoundResult, _phi_result, _sum_result
+from .bounds import _PHI_INVERSE, BoundResult, _result
 from .divergences import (
     DiscreteDist,
     GaussianKLInputs,
@@ -29,7 +29,7 @@ from .divergences import (
     kl_gaussian_diag,
     kl_gaussian_spectral,
 )
-from .errors import DegenerateError, DomainError, ParameterError, ShapeError
+from .errors import DegenerateError, DomainError, ParameterError, ShapeError, _is_positive_integer
 from .problems import (
     FiniteProblem,
     annealed_risks,
@@ -57,6 +57,11 @@ def _as_values(q: DiscreteDist, f_values) -> np.ndarray:
     if not f.min() > -np.inf:
         raise DomainError("f_values must be > -inf and not NaN (+inf allowed)")
     return f
+
+
+def _expectation(p: DiscreteDist, f: np.ndarray) -> float:
+    """E_p[f] over the support of p, so an entry without mass adds 0 even where f is +inf."""
+    return float(p.probs @ np.where(p.probs > 0, f, 0.0))
 
 
 def gibbs_posterior(q: DiscreteDist, f_values, beta: float) -> DiscreteDist:
@@ -90,7 +95,7 @@ def information_complexity(p: DiscreteDist, q: DiscreteDist, f_values, beta: flo
     if beta <= 0:
         raise DomainError("beta must be positive")
     divergence = kl_discrete(p, q)
-    return float(p.probs @ f) + divergence / beta
+    return _expectation(p, f) + divergence / beta
 
 
 def oic(
@@ -128,7 +133,7 @@ def dv_identity_residual(p: DiscreteDist, q: DiscreteDist, f_values, beta: float
     p_star = gibbs_posterior(q, f, beta)
     lhs = kl_discrete(p, p_star) / beta
     rhs = (
-        float(p.probs @ f)
+        _expectation(p, f)
         + kl_discrete(p, q) / beta
         + float(_logsumexp(-beta * f, q.probs)) / beta
     )
@@ -241,7 +246,7 @@ class QuadraticModel:
             raise DomainError("w_p and w_q must be finite")
         if not self.lam > 0:
             raise DomainError("lam must be positive")
-        if not self.n >= 1:
+        if not _is_positive_integer(self.n):
             raise DomainError("n must be a positive integer")
         if not self.beta > 0:
             raise DomainError("beta must be positive")
@@ -313,7 +318,7 @@ def occam_bound(model: QuadraticModel, delta: float, empirical_risk: float) -> B
         "prior_mismatch": model.lam * mean_gap / (2.0 * scale),
         "occam_complexity": log_ratio_sum / (2.0 * scale),
     }
-    return _sum_result(
+    return _result(
         components,
         beta_used=model.beta,
         extras={"occam_factor": math.exp(-0.5 * log_ratio_sum)},
@@ -358,19 +363,19 @@ class PacBayesSgdParams:
     kl: float
 
     def __post_init__(self) -> None:
-        if not self.n >= 1:
+        if not _is_positive_integer(self.n):
             raise ParameterError("n must be a positive integer")
         if not self.beta > 1:
             raise ParameterError("the temperature grid covers beta > 1 only")
         if not self.alpha > 1:
             raise ParameterError("alpha must exceed 1")
-        if not self.b >= 1:
+        if not _is_positive_integer(self.b):
             raise ParameterError("b must be a positive integer")
         if not 0 < self.c < 1:
             raise ParameterError("c must lie in (0, 1)")
         if not 0 < self.lam < self.c:
             raise ParameterError("lam must lie in (0, c)")
-        if not self.m >= 1:
+        if not _is_positive_integer(self.m):
             raise ParameterError("m must be a positive integer")
         if not 0 < self.delta < 1 or not 0 < self.delta_prime < 1:
             raise ParameterError("delta and delta_prime must lie in (0, 1)")
@@ -404,7 +409,7 @@ def pacbayes_sgd_objective(params: PacBayesSgdParams) -> BoundResult:
         "lambda_grid_cost": lambda_grid_cost,
         "mc_deviation": mc_cost,
     }
-    return _phi_result(components, p.beta)
+    return _result(components, _PHI_INVERSE, beta_used=p.beta)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .divergences import DiscreteDist, _logsumexp
-from .errors import BudgetError, DomainError, ShapeError
+from .errors import BudgetError, DomainError, ShapeError, _is_positive_integer
 
 #: Default ceiling on the number of samples an exhaustive enumeration may visit.
 ENUMERATION_BUDGET = 10**6
@@ -40,7 +40,7 @@ class FiniteProblem:
             raise DomainError("loss entries must be finite")
         if losses.shape[1] != len(self.mu):
             raise ShapeError("mu must have one entry per outcome column")
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
+        if not _is_positive_integer(self.n):
             raise DomainError("n must be a positive integer")
         object.__setattr__(self, "losses", losses)
 

@@ -109,7 +109,7 @@ def _on_request(request, *params: str, **facts) -> BoundEntry:
 
 
 def _scalar(value_of: Callable[[dict], float], **facts) -> BoundEntry:
-    return BoundEntry(lambda cfg: bounds._sum_result({"value": value_of(cfg)}), **facts)
+    return BoundEntry(lambda cfg: bounds._result({"value": value_of(cfg)}), **facts)
 
 
 def _cmi_expectation(cfg: dict) -> float:

@@ -372,6 +372,32 @@ class TestDpPriorBounds:
         assert result.value == pytest.approx(expected, abs=1e-12)
 
 
+#: (case, a call, the value and the vacuity flag it must give) at the vacuity boundary.
+VACUITY_BOUNDARY = [
+    ("zhang raw 1", lambda: zhang_high_prob(BoundRequest(n=1, delta=1.0, empirical_risk=1.0, beta=1.0, model=UNIT)),
+     1.0, False),
+    ("zhang raw 1.001", lambda: zhang_high_prob(
+        BoundRequest(n=1000, delta=1.0, empirical_risk=1.0, kl=1.0, beta=1.0, model=UNIT)), 1.001, True),
+    ("zhang kl inf", lambda: zhang_high_prob(BoundRequest(n=10, delta=0.5, kl=math.inf, beta=1.0, model=UNIT)),
+     math.inf, True),
+    ("cmi beta 2", lambda: cmi_pac_high_prob(BoundRequest(n=10, delta=1.0, beta=2.0, model=UNIT)), 1.0, False),
+    ("cmi beta 2.5", lambda: cmi_pac_high_prob(BoundRequest(n=10, delta=1.0, beta=2.5, model=UNIT)), 1.0, True),
+    ("catoni risk 1", lambda: catoni_bound(BoundRequest(n=10, delta=1.0, empirical_risk=1.0, beta=0.7, model=COIN)),
+     1.0, False),
+    ("delta quadratic reaches 1", lambda: delta_bound(
+        BoundRequest(n=1, delta=1.0, empirical_risk=0.5, model=UNIT), "quadratic", 0.5), 1.0, True),
+]
+
+
+@pytest.mark.parametrize("call, value, vacuous", [case[1:] for case in VACUITY_BOUNDARY],
+                         ids=[case[0] for case in VACUITY_BOUNDARY])
+def test_vacuity_policy_at_its_boundary(call, value, vacuous):
+    result = call()
+    assert result.value == pytest.approx(value, rel=1e-12)
+    assert result.vacuous is vacuous
+    assert result.recompose() == result.raw_value
+
+
 class TestResultInvariants:
     def test_components_recompose(self, rng):
         from genbounds.bounds import COMPONENT_ATOL

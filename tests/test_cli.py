@@ -115,6 +115,25 @@ class TestBoundCompute:
         assert bits_rows[0]["value"] == pytest.approx(nats_rows[0]["value"])
 
 
+    def test_an_output_directory_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = compute_config(tmp_path)
+        assert main(["bound", "compute", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"cannot write {tmp_path}" in capsys.readouterr().err
+
+    def test_an_output_in_a_missing_directory_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = compute_config(tmp_path)
+        out_path = tmp_path / "missing" / "x.csv"
+        assert main(["bound", "compute", "--config", cfg, "--out", str(out_path)]) == 2
+        assert f"cannot write {out_path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["bound", "compute"], ["bound", "sweep"]])
+    def test_trials_is_an_experiment_option_only(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([*command, "--config", compute_config(tmp_path), "--trials", "5"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --trials 5" in capsys.readouterr().err
+
+
 class TestBoundSweep:
     def test_beta_sweep_minimum_near_optimum(self, tmp_path):
         kl, delta, n = 2.0, 0.05, 50

@@ -6,6 +6,7 @@ np.where(q > 0, log(max(q, 1e-300)), -inf) - beta f, shifted by its maximum
 and normalized.
 """
 
+import math
 import re
 
 import numpy as np
@@ -13,10 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genbounds import DiscreteDist, FiniteProblem
-from genbounds.divergences import JointTable, conditional_mutual_info
-from genbounds.errors import DegenerateError, DomainError
-from genbounds.posteriors import gibbs_posterior
+from genbounds import DiscreteDist, FiniteProblem, LossModel
+from genbounds.bounds import (
+    BoundRequest,
+    cmi_expectation,
+    dp_prior_penalty,
+    fano_identification_lb,
+    xu_raginsky,
+    zhang_gen_expectation,
+)
+from genbounds.divergences import JointTable, conditional_mutual_info, max_info_dp_bound
+from genbounds.errors import DegenerateError, DomainError, ParameterError
+from genbounds.posteriors import PacBayesSgdParams, QuadraticModel, gibbs_posterior
 from genbounds.problems import empirical_risks
 
 NAN, INF = float("nan"), float("inf")
@@ -171,3 +180,36 @@ def test_gibbs_posterior_matches_the_reference_formula_bit_for_bit(data, size, b
             gibbs_posterior(prior, f, beta)
     else:
         assert gibbs_posterior(prior, f, beta).probs.tobytes() == want.tobytes()
+
+
+_SGD = dict(n=50, beta=2.0, lam=0.1, alpha=2.0, b=10, c=0.5, m=200, delta=0.05, delta_prime=0.05,
+            mc_empirical_risk=0.1, kl=2.0)
+_ONE = [1.0]
+
+#: (site, a call taking the integer under test, the error class, its message)
+INTEGER_SITES = [
+    ("BoundRequest", lambda k: BoundRequest(n=k, delta=0.5), ParameterError, "n must be a positive integer"),
+    ("xu_raginsky", lambda k: xu_raginsky(1.0, k, 0.5), DomainError, "n must be a positive integer"),
+    ("cmi_expectation", lambda k: cmi_expectation(1.0, k), DomainError, "n must be a positive integer"),
+    ("fano_identification_lb", lambda k: fano_identification_lb(1.0, k), DomainError,
+     "n must be a positive integer"),
+    ("dp_prior_penalty", lambda k: dp_prior_penalty(k, 0.1, 0.1), DomainError, "n must be a positive integer"),
+    ("zhang_gen_expectation", lambda k: zhang_gen_expectation(1.0, k, LossModel.bounded_unit()), DomainError,
+     "n must be a positive integer"),
+    ("max_info_dp_bound", lambda k: max_info_dp_bound(0.1, k), DomainError, "n must be a positive integer"),
+    ("QuadraticModel.n", lambda k: QuadraticModel(_ONE, _ONE, _ONE, lam=1.0, n=k, beta=1.0), DomainError,
+     "n must be a positive integer"),
+    *[
+        (f"PacBayesSgdParams.{key}", lambda k, key=key: PacBayesSgdParams(**{**_SGD, key: k}), ParameterError,
+         f"{key} must be a positive integer")
+        for key in ("n", "b", "m")
+    ],
+]
+
+
+@pytest.mark.parametrize("value", [2.5, True, math.nan], ids=["2.5", "True", "nan"])
+@pytest.mark.parametrize("call, cls, message", [case[1:] for case in INTEGER_SITES],
+                         ids=[case[0] for case in INTEGER_SITES])
+def test_every_integer_count_refuses_a_non_integer_with_its_own_error(call, cls, message, value):
+    _raises_exactly(cls, message, call, value)
+    call(np.int64(3))

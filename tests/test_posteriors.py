@@ -89,6 +89,14 @@ class TestStochasticComplexity:
             gibbs = gibbs_posterior(q, f, beta)
             assert information_complexity(gibbs, q, f, beta) == pytest.approx(sc, abs=1e-10)
 
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_f_outside_the_posterior_support_adds_nothing(self):
+        q, f = DiscreteDist.uniform(2), [0.0, math.inf]
+        gibbs = gibbs_posterior(q, f, 1.0)
+        assert gibbs.probs.tolist() == [1.0, 0.0]
+        assert information_complexity(gibbs, q, f, 1.0) == stochastic_complexity(q, f, 1.0) == math.log(2.0)
+        assert dv_identity_residual(gibbs, q, f, 1.0) == 0.0
+
 
 class TestOic:
     def test_small_beta_returns_prior_average(self, rng):
