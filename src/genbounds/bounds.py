@@ -41,9 +41,9 @@ class BoundRequest:
 
     ``empirical_risk`` is the posterior-averaged empirical risk, ``kl`` the
     posterior-to-prior divergence (the +inf sentinel is allowed).  ``n`` must
-    be an integer (numpy integers included, bool not).  ``delta`` above 1 is
-    tolerated as a degenerate confidence request; operations clamp it to 1
-    and flag the result.
+    be an integer (numpy integers included, bool not) and is stored as an
+    int.  ``delta`` above 1 is tolerated as a degenerate confidence request;
+    operations clamp it to 1 and flag the result.
     """
 
     n: int
@@ -56,6 +56,8 @@ class BoundRequest:
     def __post_init__(self) -> None:
         if not _is_positive_integer(self.n):
             raise ParameterError("n must be a positive integer")
+        # A numpy integer would turn the bound arithmetic into numpy scalar arithmetic.
+        object.__setattr__(self, "n", int(self.n))
         if not self.delta > 0:
             raise ParameterError("delta must be positive")
         if math.isnan(self.empirical_risk):
@@ -105,7 +107,11 @@ def _compose(transform: str, components: dict[str, float], beta: float | None) -
     if variant == "quadratic":
         return risk + math.sqrt(radius / 2.0)
     if variant == "normalized":
-        return risk + radius + math.sqrt(radius**2 + 2.0 * radius * risk)
+        try:
+            root = math.sqrt(radius**2 + 2.0 * radius * risk)
+        except OverflowError:  # radius**2 exceeds a float; the factored root does not
+            root = radius * math.sqrt(1.0 + 2.0 * risk / radius)
+        return risk + radius + root
     return kl_binary_inverse_upper(risk, radius)
 
 

@@ -7,12 +7,16 @@ bound on it.  One trial pipeline serves every bound; the bound table's
 ``trial`` field picks how it draws (a sample or a supersample) and which
 prior it measures the posterior against (the fixed one or the private one).
 Per-trial randomness comes from counter-based streams derived from
-(seed, trial index), so results do not depend on execution order and
-parallel or serial runs agree bit-exactly.  The learning rules see a sample
-only through its type (its count vector), so within one run the trials that
-draw the same type share one evaluation of the posterior, the bound and the
-truth; a report still depends only on (seed, trial index), and replaying one
-trial runs the same code on that trial alone.
+(seed, trial index): trial t draws from ``numpy.random.default_rng([seed,
+t])``, so results do not depend on execution order and parallel or serial
+runs agree bit-exactly.  No generator is created per trial: SeedSequence and
+PCG64 are fixed algorithms, so the harness computes the streams of a block
+of trials at once in array arithmetic, bit for bit, and the test suite pins
+this to the installed numpy.  The learning rules see a sample only through
+its type (its count vector), so within one run the trials that draw the
+same type share one evaluation of the posterior, the bound and the truth; a
+report still depends only on (seed, trial index), and replaying one trial
+runs the same code on that trial alone.
 
 The exact checks read a sample table: one row per type from
 :func:`~genbounds.problems.tabulate_types`, or one row per sequence from
@@ -35,7 +39,10 @@ compute``, ``bound sweep``, ``report``) start without it.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -231,9 +238,191 @@ def _draw(rng: np.random.Generator, mu: np.ndarray, size) -> np.ndarray:
     The inverse-CDF draw ``choice`` runs inside: the same indices, the same
     stream position afterwards.
     """
+    return _inverse_cdf(mu).searchsorted(rng.random(size), side="right")
+
+
+def _inverse_cdf(mu: np.ndarray) -> np.ndarray:
+    """The cumulative table ``Generator.choice`` searches, normalised to end at 1."""
     cdf = mu.cumsum()
     cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(size), side="right")
+    return cdf
+
+
+# ---------------------------------------------------------------------------
+# Trial streams, a block at a time
+# ---------------------------------------------------------------------------
+
+# ``default_rng([seed, trial])`` is PCG64 seeded by SeedSequence([seed, trial]).
+# Both are fixed algorithms whose output numpy keeps stable (NEP 19), so the
+# streams of a block of trials are computed here as array arithmetic, bit for
+# bit: SeedSequence's hash constants on uint32 words, PCG64's 128-bit LCG on
+# pairs of uint64 limbs.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+#: Stream words of one block: each limb array holds about this many uint64s,
+#: whatever the trial count, n and k, so the memory of a certification does not
+#: grow with them.
+_BLOCK_WORDS = 8192
+
+
+def _entropy_words(value: int) -> list[int]:
+    """``value`` as SeedSequence reads it: its uint32 words, least significant first."""
+    words = [value & _M32]
+    while value := value >> 32:
+        words.append(value & _M32)
+    return words
+
+
+def _hashmix(value: np.ndarray, const: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's ``hashmix`` of uint32 words, and the advanced hash constant."""
+    value = value ^ const
+    const = const * _MULT_A & _M32
+    value *= const
+    value ^= value >> 16
+    return value, const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_L - y * _MIX_R
+    result ^= result >> 16
+    return result
+
+
+def _seed_pool(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """SeedSequence's pool from columns of uint32 entropy words, each an array over the trials."""
+    const = _INIT_A
+    pool = []
+    for i in range(_POOL_WORDS):
+        word, const = _hashmix(entropy[i] if i < len(entropy) else np.zeros_like(entropy[0]), const)
+        pool.append(word)
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                word, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], word)
+    for extra in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            word, const = _hashmix(extra, const)
+            pool[dst] = _mix(pool[dst], word)
+    return pool
+
+
+def _pcg64_origins(seed: int, trials: np.ndarray) -> np.ndarray:
+    """Each trial's x = initstate + inc and LCG increment: rows x_hi, x_lo, inc_hi, inc_lo.
+
+    ``generate_state(4, uint64)`` of the trial's pool gives PCG64 its
+    initstate and initseq, and inc = 2 initseq + 1.  Seeding steps the LCG
+    from 0, adds initstate and steps again, so the state the j-th output
+    reads is step^(j+1)(x).  A trial of 2^32 or more is two entropy words, so
+    the trials are seeded in groups of one word count.
+    """
+    seed_words = _entropy_words(seed)
+    widths = np.where(trials > _M32, 2, 1)
+    limbs = np.empty((4, len(trials)), dtype=np.uint64)
+    for width in np.unique(widths).tolist():
+        rows = widths == width
+        group = trials[rows]
+        entropy = [np.full(len(group), word, dtype=np.uint32) for word in seed_words]
+        entropy += [(group >> 32 * i & _M32).astype(np.uint32) for i in range(width)]
+        pool = _seed_pool(entropy)
+        const = _INIT_B
+        halves = []
+        for i in range(8):
+            word = pool[i % _POOL_WORDS] ^ const
+            const = const * _MULT_B & _M32
+            word *= const
+            word ^= word >> 16
+            halves.append(word.astype(np.uint64))
+        init_hi, init_lo, seq_hi, seq_lo = (halves[2 * i] | halves[2 * i + 1] << 32 for i in range(4))
+        inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+        x_lo = init_lo + inc_lo
+        limbs[:, rows] = init_hi + inc_hi + (x_lo < inc_lo), x_lo, inc_hi, inc_lo
+    return limbs
+
+
+@functools.lru_cache(maxsize=8)
+def _jump_constants(m: int) -> tuple[np.ndarray, ...]:
+    """(a_hi, a_lo, c_hi, c_lo): limbs of MULT^t and of sum_{i<t} MULT^i mod 2^128, t = 2..m+1.
+
+    t steps of the LCG take a state s to MULT^t s + inc sum_{i<t} MULT^i.
+    Computed on first use of a width m; a certification reads one width.
+    """
+    power, total = _PCG_MULT, 1
+    mults, sums = [], []
+    for _ in range(m):
+        total = (total + power) & _M128
+        power = power * _PCG_MULT & _M128
+        mults.append(power)
+        sums.append(total)
+    return tuple(
+        np.array([v >> shift & _M64 for v in values], dtype=np.uint64)
+        for values in (mults, sums)
+        for shift in (64, 0)
+    )
+
+
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high 64 bits of the 128-bit products of uint64 arrays, from 32-bit halves."""
+    a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
+    low, mid_a, mid_b = a0 * b0, a0 * b1, a1 * b0
+    carry = (low >> 32) + (mid_a & _M32) + (mid_b & _M32)
+    return a1 * b1 + (mid_a >> 32) + (mid_b >> 32) + (carry >> 32)
+
+
+def _stream_words(origins: np.ndarray, m: int) -> np.ndarray:
+    """The first ``m`` raw outputs of each trial's PCG64, one row per column of ``origins``.
+
+    ``origins`` is :func:`_pcg64_origins` of the trials.  Every state of the
+    block is one jump from its trial's x (see :func:`_jump_constants`), and
+    each output is PCG64's XSL-RR of its state.
+    """
+    x_hi, x_lo, inc_hi, inc_lo = origins[:, :, None]
+    a_hi, a_lo, c_hi, c_lo = _jump_constants(m)
+    lo_a, lo_c = a_lo * x_lo, c_lo * inc_lo
+    lo = lo_a + lo_c
+    hi = _mulhi(a_lo, x_lo) + _mulhi(c_lo, inc_lo) + (lo < lo_c)
+    hi += a_lo * x_hi + a_hi * x_lo + c_lo * inc_hi + c_hi * inc_lo
+    rotation = hi >> 58
+    hi ^= lo
+    return (hi >> rotation) | (hi << ((64 - rotation) & 63))
+
+
+def _trial_counts(problem: FiniteProblem, seed: int, trials: np.ndarray, supersample: bool):
+    """Yield the draws of consecutive blocks of ``trials`` as count vectors.
+
+    Each block is an array of shape (block, 1, k) of training counts, or
+    (block, 2, k) of training and ghost counts for a supersample.  The draws
+    are those of :func:`_draw` and :func:`_draw_supersample` from
+    :func:`_trial_rng`: a double is the top 53 bits of an output, and the
+    selector bit ``integers(0, 2)`` takes from a 32-bit half-word (low half
+    first) is its top bit.
+    """
+    k, n = problem.num_outcomes, problem.n
+    cdf = _inverse_cdf(problem.mu.probs)
+    doubles = 2 * n if supersample else n
+    width = doubles + (n + 1) // 2 if supersample else n
+    step = max(1, _BLOCK_WORDS // width)
+    parts = 2 if supersample else 1
+    for start in range(0, len(trials), _BLOCK_WORDS):
+        origins = _pcg64_origins(seed, trials[start : start + _BLOCK_WORDS])
+        for first in range(0, origins.shape[1], step):
+            words = _stream_words(origins[:, first : first + step], width)
+            size = len(words)
+            draws = cdf.searchsorted((words[:, :doubles] >> 11) * 2.0**-53, side="right")
+            block = np.arange(size)[:, None, None]
+            if supersample:
+                halves = words[:, doubles:]
+                u = np.stack([halves >> 31 & 1, halves >> 63], axis=2).reshape(size, -1)[:, :n]
+                group = 2 * block + (np.arange(2) != u[:, :, None])
+                draws = draws.reshape(size, n, 2)
+            else:
+                group = block[:, :, 0]
+            counts = np.bincount((draws + k * group).ravel(), minlength=size * parts * k)
+            yield counts.reshape(size, parts, k)
 
 
 # ---------------------------------------------------------------------------
@@ -338,78 +527,102 @@ def _bound_model(problem: FiniteProblem) -> LossModel:
     return LossModel.sub_gaussian(1.0)
 
 
-def _trials(config: TrialConfig, kind: str, trials, *params) -> list[tuple[float, float]]:
-    """Certification trials; returns each one's (bound value, exact quantity it must dominate).
+def _type_evaluator(config: TrialConfig, kind: str, params: tuple):
+    """The per-type body of a certification trial, as a function of the training counts.
 
-    ``kind`` is the bound table's trial: ``plain`` and ``private-prior`` draw
-    a sample, ``supersample`` draws a supersample and trains on its selected
-    column.  ``private-prior`` measures the posterior against
+    The function returns (empirical risks, posterior, bound value, truth).
+    ``private-prior`` measures the posterior against
     :func:`dp_prior_mechanism` at ``params`` (epsilon), the others against the
-    configured prior.  Each trial is deterministic in (config.seed, trial)
-    alone.  The learning rules are exchangeable, so everything but the ghost
-    risks of a supersample is a function of the training sample's type: it is
-    computed on the first trial of each type and reused by the others.
+    configured prior.  The learning rules are exchangeable, so the sample they
+    see is the type's sorted sample.  The truth is None for the gap to a ghost
+    sample, which the type leaves open.
     """
     entry = _registered(config, kind)
     problem = config.problem
-    k, n = problem.num_outcomes, problem.n
+    n = problem.n
     model = _bound_model(problem)
     if config.prior is not None:
         fixed_prior = config.prior
     else:
         fixed_prior = DiscreteDist.uniform(problem.num_hypotheses)
+    outcomes = np.arange(problem.num_outcomes)
     truth_risks = None  # after the first bound, so a missing beta raises the bound's error
-    rows = np.arange(n)
-    by_type: dict[bytes, tuple] = {}
-    pairs = []
-    for trial in trials:
-        rng = _trial_rng(config.seed, trial)
-        if kind == "supersample":
-            z_tilde, u = _draw_supersample(problem, rng)
-            sample, ghost = z_tilde[rows, u], z_tilde[rows, 1 - u]
+
+    def evaluate(counts: np.ndarray) -> tuple:
+        nonlocal truth_risks
+        sample = np.repeat(outcomes, counts)
+        risks = problem.losses @ counts / n
+        if kind == "private-prior":
+            prior = dp_prior_mechanism(problem, sample, *params)
         else:
-            sample = _draw(rng, problem.mu.probs, n)
-        counts = np.bincount(sample, minlength=k)
-        key = counts.tobytes()
-        if key not in by_type:
-            risks = problem.losses @ counts / n
-            if kind == "private-prior":
-                prior = dp_prior_mechanism(problem, sample, *params)
-            else:
-                prior = fixed_prior
-            if kind == "private-prior" and isinstance(config.algorithm, GibbsAlgorithm):
-                # The learner runs relative to the private prior so the divergence
-                # term states how far the data pulled it from there.
-                posterior = gibbs_posterior(prior, risks, n * config.algorithm.beta_alg)
-            else:
-                posterior = config.algorithm.posterior(problem, sample)
-            request = BoundRequest(
-                n=n,
-                delta=config.delta,
-                empirical_risk=float(posterior.probs @ risks),
-                kl=kl_discrete(posterior, prior),
-                beta=config.bound.params.get("beta"),
-                model=model,
-            )
-            bound = entry.request(request, *params).value + config.bound_offset
-            truth = None
-            if entry.truth != "gap":
-                if truth_risks is None:
-                    annealed = entry.truth == "annealed"
-                    truth_risks = annealed_risks(problem, request.beta) if annealed else true_risks(problem)
-                truth = float(posterior.probs @ truth_risks)
-            by_type[key] = (risks, posterior, bound, truth)
-        risks, posterior, bound, truth = by_type[key]
-        if truth is None:  # the gap to the ghost sample, which the type leaves open
-            ghost_risks = problem.losses @ np.bincount(ghost, minlength=k) / n
-            truth = float(posterior.probs @ (ghost_risks - risks))
-        pairs.append((bound, truth))
+            prior = fixed_prior
+        if kind == "private-prior" and isinstance(config.algorithm, GibbsAlgorithm):
+            # The learner runs relative to the private prior so the divergence
+            # term states how far the data pulled it from there.
+            posterior = gibbs_posterior(prior, risks, n * config.algorithm.beta_alg)
+        else:
+            posterior = config.algorithm.posterior(problem, sample)
+        request = BoundRequest(
+            n=n,
+            delta=config.delta,
+            empirical_risk=float(posterior.probs @ risks),
+            kl=kl_discrete(posterior, prior),
+            beta=config.bound.params.get("beta"),
+            model=model,
+        )
+        bound = entry.request(request, *params).value + config.bound_offset
+        if entry.truth == "gap":
+            return risks, posterior, bound, None
+        if truth_risks is None:
+            annealed = entry.truth == "annealed"
+            truth_risks = annealed_risks(problem, request.beta) if annealed else true_risks(problem)
+        return risks, posterior, bound, float(posterior.probs @ truth_risks)
+
+    return evaluate
+
+
+def _trials(config: TrialConfig, kind: str, trials: np.ndarray, *params) -> list[tuple[float, float]]:
+    """Certification trials; returns each one's (bound value, exact quantity it must dominate).
+
+    ``kind`` is the bound table's trial: ``plain`` and ``private-prior`` draw
+    a sample, ``supersample`` draws a supersample and trains on its selected
+    column.  ``trials`` holds the trial indices, each below 2^64.  Each trial
+    is deterministic in (config.seed, trial) alone: the trials are drawn a
+    block at a time by :func:`_trial_counts`, and everything but the ghost
+    risks of a supersample is evaluated once per training type, in the order
+    the types first appear, by the :func:`_type_evaluator` body.
+    """
+    evaluate = _type_evaluator(config, kind, params)
+    problem = config.problem
+    pairs = []
+    by_type: dict[bytes, tuple] = {}
+    for counts in _trial_counts(problem, config.seed, trials, kind == "supersample"):
+        types, first, inverse = np.unique(counts[:, 0], axis=0, return_index=True, return_inverse=True)
+        evaluated = [None] * len(types)
+        for row in np.argsort(first):
+            key = types[row].tobytes()
+            if key not in by_type:
+                by_type[key] = evaluate(types[row])
+            evaluated[row] = by_type[key]
+        ghosts = counts[:, 1] if counts.shape[1] == 2 else itertools.repeat(None)
+        for row, ghost in zip(inverse.reshape(-1).tolist(), ghosts):
+            risks, posterior, bound, truth = evaluated[row]
+            if truth is None:  # the gap to the ghost sample, which the type leaves open
+                truth = float(posterior.probs @ (problem.losses @ ghost / problem.n - risks))
+            pairs.append((bound, truth))
     return pairs
+
+
+def _trial_index(trial) -> np.ndarray:
+    """One trial index as the array :func:`_trials` reads; an integer in [0, 2^64)."""
+    if isinstance(trial, bool) or not isinstance(trial, numbers.Integral) or not 0 <= trial <= _M64:
+        raise ConfigurationError(f"trial must be an integer in [0, 2^64); got {trial!r}")
+    return np.array([trial], dtype=np.uint64)
 
 
 def violation_trial(config: TrialConfig, trial: int) -> tuple[float, float]:
     """One trial of the plain certification; returns (bound value, exact true quantity)."""
-    return _trials(config, "plain", [trial])[0]
+    return _trials(config, "plain", _trial_index(trial))[0]
 
 
 def _summarize(pairs: list[tuple[float, float]]) -> ViolationReport:
@@ -434,7 +647,7 @@ def run_violation_experiment(config: TrialConfig) -> ViolationReport:
     pre-registered bound, and compare with the exactly computed quantity it
     bounds (annealed risk for the annealed-risk bound, true risk otherwise).
     """
-    return _summarize(_trials(config, "plain", range(config.trials)))
+    return _summarize(_trials(config, "plain", np.arange(config.trials, dtype=np.uint64)))
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +668,12 @@ def draw_supersample(problem: FiniteProblem, rng: np.random.Generator) -> Supers
 
 def cmi_trial(config: TrialConfig, trial: int) -> tuple[float, float]:
     """One supersample trial; returns (bound value, exact posterior-mean gap)."""
-    return _trials(config, "supersample", [trial])[0]
+    return _trials(config, "supersample", _trial_index(trial))[0]
 
 
 def run_cmi_experiment(config: TrialConfig) -> ViolationReport:
     """Certify the high-probability supersample gap bound."""
-    return _summarize(_trials(config, "supersample", range(config.trials)))
+    return _summarize(_trials(config, "supersample", np.arange(config.trials, dtype=np.uint64)))
 
 
 def cmi_exact_quantities(
@@ -538,14 +751,14 @@ def dp_mechanism_max_log_ratio(
 
 def dp_prior_trial(config: TrialConfig, trial: int, epsilon: float) -> tuple[float, float]:
     """One trial of the private-prior certification; returns (bound, annealed risk)."""
-    return _trials(config, "private-prior", [trial], epsilon)[0]
+    return _trials(config, "private-prior", _trial_index(trial), epsilon)[0]
 
 
 def run_dp_prior_experiment(config: TrialConfig, epsilon: float) -> ViolationReport:
     """Certify the annealed-risk bound against the exponential-mechanism prior."""
     if not epsilon > 0:
         raise ConfigurationError("epsilon must be positive")
-    return _summarize(_trials(config, "private-prior", range(config.trials), epsilon))
+    return _summarize(_trials(config, "private-prior", np.arange(config.trials, dtype=np.uint64), epsilon))
 
 
 # ---------------------------------------------------------------------------

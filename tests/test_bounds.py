@@ -69,6 +69,16 @@ class TestBoundRequest:
     def test_degenerate_delta_is_tolerated(self):
         BoundRequest(n=5, delta=2.0)
 
+    def test_a_numpy_n_gives_python_scalars(self):
+        # With a numpy n, kl / (n beta) overflowed as numpy scalar arithmetic: a RuntimeWarning.
+        req = BoundRequest(n=np.int64(50), delta=0.05, empirical_risk=0.1, kl=1e300, beta=1e-10)
+        assert type(req.n) is int
+        inversion = BoundRequest(n=np.int64(50), delta=0.05, empirical_risk=0.1, kl=1.0, model=COIN)
+        for result in (zhang_high_prob(req), pac_bayes_kl(inversion)):
+            assert type(result.value) is float and type(result.raw_value) is float
+            assert type(result.vacuous) is bool
+        assert zhang_high_prob(req).vacuous and not pac_bayes_kl(inversion).vacuous
+
 
 class TestZhangHighProb:
     def test_penalties_vanish(self):
@@ -301,6 +311,12 @@ class TestDeltaBound:
             x = result.raw_value
             radius = (2.0 + math.log(5.0)) / 60.0
             assert (x - risk) ** 2 / (2.0 * x) == pytest.approx(radius, abs=1e-10)
+
+    def test_a_radius_whose_square_overflows_is_vacuous(self):
+        req = BoundRequest(n=1, delta=0.5, empirical_risk=0.1, kl=1e300, model=COIN)
+        result = delta_bound(req, "normalized", 1.0)
+        assert (result.value, result.vacuous) == (1.0, True)
+        assert result.raw_value == pytest.approx(2e300) and result.recompose() == result.raw_value
 
     def test_unknown_variant(self):
         req = BoundRequest(n=10, delta=0.5, empirical_risk=0.1, model=COIN)

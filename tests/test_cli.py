@@ -87,6 +87,15 @@ class TestBoundCompute:
         )
         assert main(["bound", "compute", "--config", cfg]) == 2
 
+    def test_a_radius_whose_square_overflows_exits_0_vacuous(self, tmp_path):
+        bound = {"name": "delta", "n": 1, "delta": 0.5, "kl": 1e300, "empirical_risk": 0.1,
+                 "variant": "normalized", "moment_bound": 1.0}
+        cfg = write_yaml(tmp_path / "overflow.yaml", {"bound": bound})
+        out_path = tmp_path / "overflow.csv"
+        assert main(["bound", "compute", "--config", cfg, "--out", str(out_path)]) == 0
+        _, rows = read_records(str(out_path))
+        assert (float(rows[0]["value"]), rows[0]["vacuous"]) == (1.0, "True")
+
     def test_unknown_config_field_exits_2(self, tmp_path):
         cfg = write_yaml(tmp_path / "bad.yaml", {"bound": {"name": "catoni", "banana": 1}})
         assert main(["bound", "compute", "--config", cfg]) == 2

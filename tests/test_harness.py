@@ -52,7 +52,8 @@ from genbounds import (
     xu_raginsky,
     zhang_gen_expectation,
 )
-from genbounds.harness import _draw, _draw_supersample, _summarize, _trial_rng
+import genbounds.harness
+from genbounds.harness import _draw, _draw_supersample, _summarize, _trial_counts, _trial_rng
 from genbounds.problems import tabulate, tabulate_types
 from conftest import random_problem
 
@@ -398,6 +399,73 @@ class TestTrialDraw:
             assert z_tilde.dtype == expected.dtype and np.array_equal(z_tilde, expected)
             assert np.array_equal(u, theirs.integers(0, 2, size=n))
             assert ours.random() == theirs.random()
+
+
+def per_trial_counts(problem, seed, trial, supersample):
+    """One trial's training (and ghost) counts, drawn from its own generator."""
+    rng, k = _trial_rng(seed, trial), problem.num_outcomes
+    if not supersample:
+        return np.bincount(_draw(rng, problem.mu.probs, problem.n), minlength=k)[None]
+    draw = SupersampleDraw(*_draw_supersample(problem, rng))
+    return np.stack([np.bincount(draw.training_sample, minlength=k), np.bincount(draw.ghost_sample, minlength=k)])
+
+
+def block_counts(problem, seed, trials, supersample):
+    return np.concatenate(list(_trial_counts(problem, seed, trials, supersample)))
+
+
+def count_problem(k, n):
+    weights = [0.3, 0.7] if k == 2 else np.random.default_rng(5).random(k) + 0.2
+    return FiniteProblem(losses=np.zeros((1, k)), mu=DiscreteDist.from_weights(weights), n=n)
+
+
+#: Unsorted, with a duplicate, and on both sides of the two-word trial index 2^32.
+BLOCK_TRIALS = np.array([2**32, *range(299, -1, -1), 2**32 - 1, 17], dtype=np.uint64)
+
+
+class TestBlockDraw:
+    """The block draw is ``default_rng([seed, trial])`` to the bit, on the installed numpy."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 20240817, 2**32 - 1, 2**32, 2**64 + 3])
+    @pytest.mark.parametrize("k", [2, 8])
+    @pytest.mark.parametrize("n", [7, 10])
+    @pytest.mark.parametrize("supersample", [False, True], ids=["sample", "supersample"])
+    def test_counts_equal_the_per_trial_draws(self, seed, k, n, supersample):
+        problem = count_problem(k, n)
+        expected = [per_trial_counts(problem, seed, t, supersample) for t in BLOCK_TRIALS.tolist()]
+        assert np.array_equal(block_counts(problem, seed, BLOCK_TRIALS, supersample), expected)
+
+    @pytest.mark.parametrize("n", [50, 51])
+    @pytest.mark.parametrize("supersample", [False, True], ids=["sample", "supersample"])
+    def test_a_run_longer_than_one_block(self, n, supersample):
+        problem = count_problem(8, n)
+        assert len(list(_trial_counts(problem, 3, BLOCK_TRIALS, supersample))) > 1
+        expected = [per_trial_counts(problem, 3, t, supersample) for t in BLOCK_TRIALS.tolist()]
+        assert np.array_equal(block_counts(problem, 3, BLOCK_TRIALS, supersample), expected)
+
+    def test_block_boundaries_of_the_seeding_and_the_draws(self, monkeypatch):
+        # 100 words: the trials are seeded 100 at a time and drawn 14 or 5 at a time.
+        monkeypatch.setattr(genbounds.harness, "_BLOCK_WORDS", 100)
+        problem = count_problem(2, 7)
+        for supersample in (False, True):
+            expected = [per_trial_counts(problem, 11, t, supersample) for t in BLOCK_TRIALS.tolist()]
+            assert np.array_equal(block_counts(problem, 11, BLOCK_TRIALS, supersample), expected)
+
+    def test_certifications_create_no_generator(self, monkeypatch):
+        zhang = make_config(standard_problem(), "zhang", trials=2000)
+        cmi = make_config(standard_problem(), "cmi", trials=2000, beta=0.3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a certification seeded a generator per trial")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert run_violation_experiment(zhang).trials == 2000
+        assert run_cmi_experiment(cmi).trials == 2000
+
+    @pytest.mark.parametrize("trial", [-1, 2**64, 1.0, True])
+    def test_a_trial_index_is_an_integer_below_2_to_the_64(self, trial):
+        with pytest.raises(ConfigurationError):
+            violation_trial(make_config(standard_problem(), "zhang", trials=1), trial)
 
 
 class TestCmiExperiment:
