@@ -14,9 +14,13 @@ PCG64 are fixed algorithms, so the harness computes the streams of a block
 of trials at once in array arithmetic, bit for bit, and the test suite pins
 this to the installed numpy.  The learning rules see a sample only through
 its type (its count vector), so within one run the trials that draw the
-same type share one evaluation of the posterior, the bound and the truth; a
-report still depends only on (seed, trial index), and replaying one trial
-runs the same code on that trial alone.
+same type share one evaluation of the posterior, the bound and the truth.
+The types a block of trials sees first are evaluated together: risks,
+priors, posteriors, KLs and truths as arrays of rows, each row bit for bit
+what the one-sample functions give, and the bound as one scalar call per
+type.  A report still depends only on (seed, trial index), and replaying one
+trial runs the same code on that trial alone.  A NaN bound or truth refuses
+the report, since no comparison with NaN can count as a violation.
 
 The exact checks read a sample table: one row per type from
 :func:`~genbounds.problems.tabulate_types`, or one row per sequence from
@@ -40,7 +44,6 @@ compute``, ``bound sweep``, ``report``) start without it.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -51,15 +54,16 @@ from .bounds import BoundRequest, xu_raginsky, zhang_gen_expectation
 from .divergences import (
     DiscreteDist,
     JointTable,
+    _check_rows,
+    _kl_rows,
     conditional_kl,
     conditional_mutual_info,
     golden_formula_residual,
-    kl_discrete,
     mutual_info,
 )
 from .errors import ConfigurationError, DomainError, _is_positive_integer
 from .losses import LossModel
-from .posteriors import gibbs_posterior
+from .posteriors import _gibbs_rows, gibbs_posterior
 from .problems import (
     ENUMERATION_BUDGET,
     FiniteProblem,
@@ -95,14 +99,15 @@ class ErmAlgorithm:
             raise ConfigurationError("tie_break must be 'lowest' or 'uniform'")
 
     def posterior(self, problem: FiniteProblem, sample) -> DiscreteDist:
-        risks = empirical_risks(problem, sample)
-        mask = risks <= risks.min()
-        weights = np.zeros(problem.num_hypotheses)
+        return DiscreteDist(self._posterior_rows(empirical_risks(problem, sample), None, problem.n))
+
+    def _posterior_rows(self, risks: np.ndarray, base, n: int) -> np.ndarray:
+        """The posterior of each row of empirical risks; ``base`` and ``n`` are unused."""
+        mask = risks <= risks.min(axis=-1, keepdims=True)
         if self.tie_break == "lowest":
-            weights[int(np.argmax(mask))] = 1.0
-        else:
-            weights[mask] = 1.0 / mask.sum()
-        return DiscreteDist(weights)
+            mask &= mask.cumsum(axis=-1) == 1  # the first index of the argmin set
+            return mask.astype(float)
+        return mask / mask.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -122,6 +127,10 @@ class GibbsAlgorithm:
     def posterior(self, problem: FiniteProblem, sample) -> DiscreteDist:
         base = DiscreteDist.uniform(problem.num_hypotheses)
         return gibbs_posterior(base, empirical_risks(problem, sample), problem.n * self.beta_alg)
+
+    def _posterior_rows(self, risks: np.ndarray, base: np.ndarray, n: int) -> np.ndarray:
+        """The Gibbs posterior relative to ``base`` (one row, or one per row) of each row of risks."""
+        return _gibbs_rows(base, risks, n * self.beta_alg)
 
 
 def _is_exchangeable(algorithm) -> bool:
@@ -172,6 +181,9 @@ class TrialConfig:
             )
         if not 0 < self.delta <= 1:
             raise ConfigurationError("delta must lie in (0, 1]")
+        if not isinstance(self.bound_offset, numbers.Real) or not math.isfinite(self.bound_offset):
+            # No truth exceeds a NaN or +inf bound, so such an offset would certify anything.
+            raise ConfigurationError(f"bound_offset must be a finite number; got {self.bound_offset!r}")
         if self.prior is not None and len(self.prior) != self.problem.num_hypotheses:
             raise ConfigurationError("prior must match the hypothesis count")
 
@@ -520,116 +532,143 @@ def _registered(config: TrialConfig, trial: str) -> BoundEntry:
 
 
 def _bound_model(problem: FiniteProblem) -> LossModel:
+    """The loss model a bound reads: Bernoulli, [0, 1], or by Hoeffding's lemma sub-Gaussian at half the range."""
     if problem.has_binary_losses:
         return LossModel.bernoulli()
     if problem.has_unit_losses:
         return LossModel.bounded_unit()
-    return LossModel.sub_gaussian(1.0)
+    losses = problem.losses
+    return LossModel.sub_gaussian(max(1.0, (losses.max() - losses.min()) / 2))
 
 
-def _type_evaluator(config: TrialConfig, kind: str, params: tuple):
-    """The per-type body of a certification trial, as a function of the training counts.
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i] @ b[i]`` for each row, ``b`` one row or one per row, each as the 1-D product gives it.
 
-    The function returns (empirical risks, posterior, bound value, truth).
-    ``private-prior`` measures the posterior against
+    A stacked matmul makes one BLAS dot per row, so each result is the bit
+    pattern of the 1-D ``@``; a 2-D product or a summed product may not be.
+    """
+    return np.matmul(a[:, None, :], np.broadcast_to(b, a.shape)[:, :, None])[:, 0, 0]
+
+
+def _type_risks(problem: FiniteProblem, counts: np.ndarray) -> np.ndarray:
+    """The empirical risks of each row of sample counts, each as ``losses @ counts / n`` gives it."""
+    return np.matmul(problem.losses[None], counts[:, :, None].astype(float))[:, :, 0] / problem.n
+
+
+def _block_evaluator(config: TrialConfig, kind: str, params: tuple):
+    """The per-type body of a certification trial, as a function of a block of training types.
+
+    The function takes an (m, k) array of training counts and returns their
+    empirical risks and posteriors, (m, h) arrays, and their bound values and
+    truths, arrays of m.  ``private-prior`` measures the posterior against
     :func:`dp_prior_mechanism` at ``params`` (epsilon), the others against the
-    configured prior.  The learning rules are exchangeable, so the sample they
-    see is the type's sorted sample.  The truth is None for the gap to a ghost
-    sample, which the type leaves open.
+    configured prior; a Gibbs learner's base is the private prior there and
+    uniform otherwise.  Every row is computed as the one-sample primitives
+    compute it, to the bit, and checked as a :class:`DiscreteDist` is.  The
+    bound is one scalar call per type.  The truths are None for the gap to a
+    ghost sample, which the type leaves open.
     """
     entry = _registered(config, kind)
     problem = config.problem
-    n = problem.n
+    n, h = problem.n, problem.num_hypotheses
     model = _bound_model(problem)
-    if config.prior is not None:
-        fixed_prior = config.prior
-    else:
-        fixed_prior = DiscreteDist.uniform(problem.num_hypotheses)
-    outcomes = np.arange(problem.num_outcomes)
+    beta = config.bound.params.get("beta")
+    uniform = DiscreteDist.uniform(h).probs
+    fixed_prior = config.prior.probs if config.prior is not None else uniform
+    if kind == "private-prior":
+        _check_dp_prior(problem, *params)
     truth_risks = None  # after the first bound, so a missing beta raises the bound's error
 
-    def evaluate(counts: np.ndarray) -> tuple:
+    def evaluate(types: np.ndarray) -> tuple:
         nonlocal truth_risks
-        sample = np.repeat(outcomes, counts)
-        risks = problem.losses @ counts / n
+        risks = _type_risks(problem, types)
         if kind == "private-prior":
-            prior = dp_prior_mechanism(problem, sample, *params)
+            priors = _dp_prior_rows(problem, risks, *params)
+            _check_rows(priors)
+            base = priors
         else:
-            prior = fixed_prior
-        if kind == "private-prior" and isinstance(config.algorithm, GibbsAlgorithm):
-            # The learner runs relative to the private prior so the divergence
-            # term states how far the data pulled it from there.
-            posterior = gibbs_posterior(prior, risks, n * config.algorithm.beta_alg)
-        else:
-            posterior = config.algorithm.posterior(problem, sample)
-        request = BoundRequest(
-            n=n,
-            delta=config.delta,
-            empirical_risk=float(posterior.probs @ risks),
-            kl=kl_discrete(posterior, prior),
-            beta=config.bound.params.get("beta"),
-            model=model,
-        )
-        bound = entry.request(request, *params).value + config.bound_offset
+            priors, base = fixed_prior, uniform
+        posteriors = config.algorithm._posterior_rows(risks, base, n)
+        _check_rows(posteriors)
+        fitted = _row_dots(posteriors, risks).tolist()
+        kls = _kl_rows(posteriors, priors).tolist()
+        bounds = np.array([
+            entry.request(
+                BoundRequest(n=n, delta=config.delta, empirical_risk=risk, kl=kl, beta=beta, model=model),
+                *params,
+            ).value
+            + config.bound_offset
+            for risk, kl in zip(fitted, kls)
+        ])
         if entry.truth == "gap":
-            return risks, posterior, bound, None
+            return risks, posteriors, bounds, None
         if truth_risks is None:
-            annealed = entry.truth == "annealed"
-            truth_risks = annealed_risks(problem, request.beta) if annealed else true_risks(problem)
-        return risks, posterior, bound, float(posterior.probs @ truth_risks)
+            truth_risks = annealed_risks(problem, beta) if entry.truth == "annealed" else true_risks(problem)
+        return risks, posteriors, bounds, _row_dots(posteriors, truth_risks)
 
     return evaluate
 
 
-def _trials(config: TrialConfig, kind: str, trials: np.ndarray, *params) -> list[tuple[float, float]]:
+def _trials(config: TrialConfig, kind: str, trials: np.ndarray, *params) -> np.ndarray:
     """Certification trials; returns each one's (bound value, exact quantity it must dominate).
 
     ``kind`` is the bound table's trial: ``plain`` and ``private-prior`` draw
     a sample, ``supersample`` draws a supersample and trains on its selected
     column.  ``trials`` holds the trial indices, each below 2^64.  Each trial
     is deterministic in (config.seed, trial) alone: the trials are drawn a
-    block at a time by :func:`_trial_counts`, and everything but the ghost
-    risks of a supersample is evaluated once per training type, in the order
-    the types first appear, by the :func:`_type_evaluator` body.
+    block at a time by :func:`_trial_counts`, and the training types a block
+    sees first are evaluated together, in the order they first appear, by the
+    :func:`_block_evaluator` body.  The ghost gap of a supersample is taken
+    per block from the stored posterior and risks of each trial's type.  The
+    result is a (trials, 2) array.
     """
-    evaluate = _type_evaluator(config, kind, params)
+    evaluate = _block_evaluator(config, kind, params)
     problem = config.problem
-    pairs = []
-    by_type: dict[bytes, tuple] = {}
+    gap = BOUNDS[config.bound.name].truth == "gap"
+    # Per type seen so far: (bound, truth), or (bound, risks, posterior) for the gap.
+    seen: dict[bytes, tuple] = {}
+    blocks = []
     for counts in _trial_counts(problem, config.seed, trials, kind == "supersample"):
         types, first, inverse = np.unique(counts[:, 0], axis=0, return_index=True, return_inverse=True)
-        evaluated = [None] * len(types)
-        for row in np.argsort(first):
-            key = types[row].tobytes()
-            if key not in by_type:
-                by_type[key] = evaluate(types[row])
-            evaluated[row] = by_type[key]
-        ghosts = counts[:, 1] if counts.shape[1] == 2 else itertools.repeat(None)
-        for row, ghost in zip(inverse.reshape(-1).tolist(), ghosts):
-            risks, posterior, bound, truth = evaluated[row]
-            if truth is None:  # the gap to the ghost sample, which the type leaves open
-                truth = float(posterior.probs @ (problem.losses @ ghost / problem.n - risks))
-            pairs.append((bound, truth))
-    return pairs
+        keys = [row.tobytes() for row in types]
+        new = [row for row in np.argsort(first).tolist() if keys[row] not in seen]
+        if new:
+            risks, posteriors, bounds, truths = evaluate(types[new])
+            values = zip(bounds.tolist(), risks, posteriors) if gap else zip(bounds.tolist(), truths.tolist())
+            seen.update(zip([keys[row] for row in new], values))
+        evaluated = [seen[key] for key in keys]
+        inverse = inverse.reshape(-1)
+        bounds = np.array([value[0] for value in evaluated])[inverse]
+        if gap:  # the gap to the ghost sample, which the type leaves open
+            risks = np.array([value[1] for value in evaluated])[inverse]
+            posteriors = np.array([value[2] for value in evaluated])[inverse]
+            truths = _row_dots(posteriors, _type_risks(problem, counts[:, 1]) - risks)
+        else:
+            truths = np.array([value[1] for value in evaluated])[inverse]
+        blocks.append(np.stack([bounds, truths], axis=1))
+    return np.concatenate(blocks)
 
 
-def _trial_index(trial) -> np.ndarray:
-    """One trial index as the array :func:`_trials` reads; an integer in [0, 2^64)."""
+def _one_trial(config: TrialConfig, kind: str, trial, *params) -> tuple[float, float]:
+    """(bound, truth) of one trial, through :func:`_trials`; ``trial`` is an integer in [0, 2^64)."""
     if isinstance(trial, bool) or not isinstance(trial, numbers.Integral) or not 0 <= trial <= _M64:
         raise ConfigurationError(f"trial must be an integer in [0, 2^64); got {trial!r}")
-    return np.array([trial], dtype=np.uint64)
+    bound, truth = _trials(config, kind, np.array([trial], dtype=np.uint64), *params)[0].tolist()
+    return bound, truth
 
 
 def violation_trial(config: TrialConfig, trial: int) -> tuple[float, float]:
     """One trial of the plain certification; returns (bound value, exact true quantity)."""
-    return _trials(config, "plain", _trial_index(trial))[0]
+    return _one_trial(config, "plain", trial)
 
 
-def _summarize(pairs: list[tuple[float, float]]) -> ViolationReport:
-    bounds = np.array([p[0] for p in pairs])
-    truths = np.array([p[1] for p in pairs])
+def _summarize(pairs) -> ViolationReport:
+    """The report of (bound, truth) pairs; a NaN in either refuses, as no comparison with it can fail."""
+    bounds, truths = np.ascontiguousarray(np.asarray(pairs, dtype=float).reshape(-1, 2).T)
+    if np.isnan(bounds).any() or np.isnan(truths).any():
+        raise DomainError("a trial gave a NaN bound or truth, which no comparison counts as a violation")
     violations = int(np.sum(truths > bounds))
-    trials = len(pairs)
+    trials = len(bounds)
     return ViolationReport(
         trials=trials,
         violations=violations,
@@ -668,7 +707,7 @@ def draw_supersample(problem: FiniteProblem, rng: np.random.Generator) -> Supers
 
 def cmi_trial(config: TrialConfig, trial: int) -> tuple[float, float]:
     """One supersample trial; returns (bound value, exact posterior-mean gap)."""
-    return _trials(config, "supersample", _trial_index(trial))[0]
+    return _one_trial(config, "supersample", trial)
 
 
 def run_cmi_experiment(config: TrialConfig) -> ViolationReport:
@@ -719,12 +758,21 @@ def dp_prior_mechanism(problem: FiniteProblem, sample, epsilon: float) -> Discre
     weight exp(-(n epsilon / 2) empirical_risk) is epsilon-differentially
     private.
     """
+    _check_dp_prior(problem, epsilon)
+    return DiscreteDist(_dp_prior_rows(problem, empirical_risks(problem, sample), epsilon))
+
+
+def _check_dp_prior(problem: FiniteProblem, epsilon: float) -> None:
     if not problem.has_unit_losses:
         raise ConfigurationError("the sensitivity argument requires losses in [0, 1]")
     if not epsilon > 0:
         raise DomainError("epsilon must be positive")
-    base = DiscreteDist.uniform(problem.num_hypotheses)
-    return gibbs_posterior(base, empirical_risks(problem, sample), problem.n * epsilon / 2.0)
+
+
+def _dp_prior_rows(problem: FiniteProblem, risks: np.ndarray, epsilon: float) -> np.ndarray:
+    """The mechanism's prior for each row of empirical risks; unchecked, see :func:`_check_dp_prior`."""
+    uniform = DiscreteDist.uniform(problem.num_hypotheses).probs
+    return _gibbs_rows(uniform, risks, problem.n * epsilon / 2.0)
 
 
 def dp_mechanism_max_log_ratio(
@@ -751,7 +799,7 @@ def dp_mechanism_max_log_ratio(
 
 def dp_prior_trial(config: TrialConfig, trial: int, epsilon: float) -> tuple[float, float]:
     """One trial of the private-prior certification; returns (bound, annealed risk)."""
-    return _trials(config, "private-prior", _trial_index(trial), epsilon)[0]
+    return _one_trial(config, "private-prior", trial, epsilon)
 
 
 def run_dp_prior_experiment(config: TrialConfig, epsilon: float) -> ViolationReport:

@@ -54,7 +54,7 @@ def _as_values(q: DiscreteDist, f_values) -> np.ndarray:
     f = np.asarray(f_values, dtype=float)
     if f.ndim != 1 or f.size != len(q):
         raise ShapeError("f_values must be a 1-D vector matching the distribution")
-    if not f.min() > -np.inf:
+    if not np.minimum.reduce(f, axis=None) > -np.inf:
         raise DomainError("f_values must be > -inf and not NaN (+inf allowed)")
     return f
 
@@ -66,19 +66,34 @@ def _expectation(p: DiscreteDist, f: np.ndarray) -> float:
 
 def gibbs_posterior(q: DiscreteDist, f_values, beta: float) -> DiscreteDist:
     """The Gibbs measure proportional to q(w) e^{-beta f(w)}, max-shifted for stability."""
-    f = _as_values(q, f_values)
+    return DiscreteDist(_gibbs_rows(q.probs, _as_values(q, f_values), beta))
+
+
+def _gibbs_rows(q: np.ndarray, f: np.ndarray, beta: float) -> np.ndarray:
+    """The Gibbs weights of each row of ``f`` against ``q``, one row or one row per row of ``f``.
+
+    Each row is computed as a single vector would be, so a row equals
+    :func:`gibbs_posterior` of it to the bit.  The rows are not checked as
+    probability vectors; the caller does that.
+    """
     if beta < 0:
         raise DomainError("beta must be nonnegative")
     if beta == 0:
-        return DiscreteDist(q.probs.copy())
-    log_q = np.log(np.maximum(q.probs, 1e-300))
-    log_q[q.probs == 0] = -np.inf
+        return np.array(np.broadcast_to(q, np.broadcast_shapes(q.shape, f.shape)))
+    log_q = np.log(np.maximum(q, 1e-300))
+    log_q[q == 0] = -np.inf
     logits = log_q - beta * f
-    peak = logits.max()
-    if peak == -np.inf:
+    # On short rows numpy's call overhead outweighs the work, so: the ufuncs'
+    # own reductions, in-place steps, and for a single row a scalar peak and
+    # total, as broadcasting a 1-element array costs more than a scalar.
+    rows = logits.ndim > 1
+    peak = np.maximum.reduce(logits, axis=-1, keepdims=rows)
+    if -np.inf in (peak.ravel().tolist() if rows else (peak,)):
         raise DegenerateError("all prior mass sits on infinite f values")
-    weights = np.exp(logits - peak)
-    return DiscreteDist(weights / weights.sum())
+    logits -= peak
+    weights = np.exp(logits, out=logits)
+    weights /= np.add.reduce(weights, axis=-1, keepdims=rows)
+    return weights
 
 
 def stochastic_complexity(q: DiscreteDist, f_values, beta: float) -> float:

@@ -242,6 +242,13 @@ class TestExperimentCommands:
         _, rows = read_records(str(out_path))
         assert rows[0]["rate"] > 0.95
 
+    @pytest.mark.parametrize("offset", [math.nan, math.inf])
+    def test_a_bound_offset_that_is_not_finite_exits_2(self, tmp_path, capsys, offset):
+        # No truth exceeds a NaN bound: such a run used to pass with rate 0 and exit 0.
+        cfg = experiment_config(tmp_path, filename="nan.yaml", bound="zhang", trials=200, bound_offset=offset)
+        assert main(["experiment", "run", "--config", cfg]) == 2
+        assert "bound_offset must be a finite number" in capsys.readouterr().err
+
     def test_cmi_experiment(self, tmp_path):
         cfg = experiment_config(tmp_path, filename="cmi.yaml", bound="cmi", beta=0.3, trials=300)
         assert main(["experiment", "cmi", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 0

@@ -13,6 +13,7 @@ from genbounds import (
     BudgetError,
     ConfigurationError,
     DiscreteDist,
+    DomainError,
     ErmAlgorithm,
     ExpectationBoundReport,
     FiniteProblem,
@@ -36,6 +37,7 @@ from genbounds import (
     draw_supersample,
     empirical_risks,
     enumerate_joint,
+    gibbs_posterior,
     golden_formula_residual,
     iter_samples,
     kl_discrete,
@@ -53,8 +55,18 @@ from genbounds import (
     zhang_gen_expectation,
 )
 import genbounds.harness
-from genbounds.harness import _draw, _draw_supersample, _summarize, _trial_counts, _trial_rng
+from genbounds.harness import (
+    _block_evaluator,
+    _bound_model,
+    _draw,
+    _draw_supersample,
+    _summarize,
+    _trial_counts,
+    _trial_rng,
+    _trials,
+)
 from genbounds.problems import tabulate, tabulate_types
+from genbounds.registry import BOUNDS
 from conftest import random_problem
 
 
@@ -655,6 +667,16 @@ class TestTrialConfig:
             make_config(standard_problem(), "zhang", trials=20)
         )
 
+    @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf, "0.1"])
+    def test_bound_offset_must_be_a_finite_number(self, offset):
+        with pytest.raises(ConfigurationError, match="bound_offset must be a finite number"):
+            make_config(standard_problem(), "zhang", bound_offset=offset)
+
+    @pytest.mark.parametrize("pair", [(math.nan, 0.5), (0.5, math.nan)], ids=["bound", "truth"])
+    def test_a_nan_bound_or_truth_refuses_the_summary(self, pair):
+        with pytest.raises(DomainError, match="NaN"):
+            _summarize([(0.6, 0.5), pair])
+
     def test_seed_must_be_a_non_negative_integer(self):
         for seed in (-1, True, 1.5):
             with pytest.raises(ConfigurationError):
@@ -716,6 +738,128 @@ class TestTypeLoop:
                 run_dp_prior_experiment(config, 0.2)
 
 
+def wide_problem(n=200):
+    """A seed-drawn 16 x 8 problem with {0, 1} losses, where nearly every trial has its own type."""
+    return random_problem(np.random.default_rng(5), 16, 8, n=n, binary=True)
+
+
+#: (bound, trial kind, bound parameters) of the certification trials.
+TRIAL_KINDS = (
+    ("zhang", "plain", ()),
+    ("catoni", "plain", ()),
+    ("cmi", "supersample", ()),
+    ("dp-prior", "private-prior", (0.3,)),
+)
+
+
+def per_type(config, kind, params, counts):
+    """(risks, posterior, bound, truth) of one training type from the public primitives.
+
+    The truth is None for the gap to a ghost sample.
+    """
+    problem = config.problem
+    n, h = problem.n, problem.num_hypotheses
+    sample = np.repeat(np.arange(problem.num_outcomes), counts)
+    risks = empirical_risks(problem, sample)
+    uniform = DiscreteDist.uniform(h)
+    prior = config.prior if config.prior is not None else uniform
+    base = uniform
+    if kind == "private-prior":
+        prior = base = dp_prior_mechanism(problem, sample, *params)
+    if isinstance(config.algorithm, GibbsAlgorithm):
+        posterior = gibbs_posterior(base, risks, n * config.algorithm.beta_alg)
+    else:
+        posterior = config.algorithm.posterior(problem, sample)
+    model = LossModel.bernoulli() if problem.has_binary_losses else LossModel.bounded_unit()
+    beta = config.bound.params["beta"]
+    request = BoundRequest(
+        n=n,
+        delta=config.delta,
+        empirical_risk=float(posterior.probs @ risks),
+        kl=kl_discrete(posterior, prior),
+        beta=beta,
+        model=model,
+    )
+    entry = BOUNDS[config.bound.name]
+    bound = entry.request(request, *params).value
+    if entry.truth == "gap":
+        return risks, posterior.probs, bound, None
+    truth_risks = annealed_risks(problem, beta) if entry.truth == "annealed" else true_risks(problem)
+    return risks, posterior.probs, bound, float(posterior.probs @ truth_risks)
+
+
+def per_trial(config, kind, params, trial):
+    """(bound, truth) of one trial from the per-trial draw and the public primitives."""
+    problem = config.problem
+    k, n = problem.num_outcomes, problem.n
+    rng = _trial_rng(config.seed, trial)
+    if kind == "supersample":
+        z_tilde, u = _draw_supersample(problem, rng)
+        train, ghost = z_tilde[np.arange(n), u], z_tilde[np.arange(n), 1 - u]
+    else:
+        train, ghost = _draw(rng, problem.mu.probs, n), None
+    risks, posterior, bound, truth = per_type(config, kind, params, np.bincount(train, minlength=k))
+    if truth is None:
+        truth = float(posterior @ (empirical_risks(problem, ghost) - risks))
+    return bound, truth
+
+
+class TestBlockEvaluator:
+    """A block of types is evaluated as the one-sample primitives evaluate each type, to the bit."""
+
+    @pytest.mark.parametrize("fixed_prior", [False, True], ids=["uniform", "fixed"])
+    @pytest.mark.parametrize(
+        "algorithm",
+        [GibbsAlgorithm(beta_alg=5.0), ErmAlgorithm(), ErmAlgorithm(tie_break="uniform")],
+        ids=["gibbs", "erm-lowest", "erm-uniform"],
+    )
+    @pytest.mark.parametrize(
+        "problem, bound, kind, params",
+        [(problem, *trial) for problem in (wide_problem(), soft_problem()) for trial in TRIAL_KINDS
+         if problem.has_binary_losses or trial[0] != "catoni"],
+        ids=[f"{name}-{trial[0]}" for name in ("wide", "soft") for trial in TRIAL_KINDS
+             if name == "wide" or trial[0] != "catoni"],
+    )
+    def test_rows_equal_the_per_type_primitives(self, problem, bound, kind, params, fixed_prior, algorithm):
+        h = problem.num_hypotheses
+        prior = DiscreteDist.from_weights(np.arange(1.0, h + 1)) if fixed_prior else None
+        config = make_config(problem, bound, trials=1, algorithm=algorithm, prior=prior)
+        types = np.random.default_rng(3).multinomial(problem.n, problem.mu.probs, size=40)
+        types[5] = types[2]  # a repeated type is evaluated again, the same way
+        risks, posteriors, bounds, truths = _block_evaluator(config, kind, params)(types)
+        for i, counts in enumerate(types):
+            want_risks, want_posterior, want_bound, want_truth = per_type(config, kind, params, counts)
+            assert np.array_equal(risks[i], want_risks)
+            assert np.array_equal(posteriors[i], want_posterior)
+            assert bounds[i] == want_bound
+            assert (truths is None) if want_truth is None else truths[i] == want_truth
+
+    @pytest.mark.parametrize("problem", [wide_problem(), soft_problem()], ids=["wide", "soft"])
+    @pytest.mark.parametrize(
+        "algorithm",
+        [GibbsAlgorithm(beta_alg=5.0), ErmAlgorithm(), ErmAlgorithm(tie_break="uniform")],
+        ids=["gibbs", "erm-lowest", "erm-uniform"],
+    )
+    def test_trials_over_several_blocks_equal_the_per_trial_primitives(self, monkeypatch, problem, algorithm):
+        # 1000 stream words: blocks of 5 (wide) or 83 (soft) trials, or 2 and 33 for a supersample.
+        monkeypatch.setattr(genbounds.harness, "_BLOCK_WORDS", 1000)
+        prior = DiscreteDist.from_weights(np.arange(1.0, problem.num_hypotheses + 1))
+        for bound, kind, params in TRIAL_KINDS:
+            if bound == "catoni" and not problem.has_binary_losses:
+                continue
+            config = make_config(problem, bound, trials=90, algorithm=algorithm, prior=prior)
+            got = _trials(config, kind, np.arange(config.trials, dtype=np.uint64), *params)
+            want = [per_trial(config, kind, params, t) for t in range(config.trials)]
+            assert [tuple(pair) for pair in got.tolist()] == want, bound
+
+    def test_a_row_that_is_not_a_distribution_is_refused(self, monkeypatch):
+        # A learner whose rows are off by more than the mass tolerance is refused as a DiscreteDist would be.
+        monkeypatch.setattr(GibbsAlgorithm, "_posterior_rows", lambda self, risks, base, n: 1.5 * base + 0 * risks)
+        config = make_config(standard_problem(), "zhang", trials=20)
+        with pytest.raises(DomainError, match="probabilities sum to 1.5, not 1"):
+            run_violation_experiment(config)
+
+
 def mc_deviation(m, delta_prime):
     """The Monte Carlo deviation allowance priced into the retraining objective."""
     params = PacBayesSgdParams(
@@ -723,6 +867,16 @@ def mc_deviation(m, delta_prime):
         delta_prime=delta_prime, mc_empirical_risk=0.1, kl=1.0,
     )
     return pacbayes_sgd_objective(params).components["mc_deviation"]
+
+
+class TestBoundModel:
+    def test_losses_outside_the_unit_range_are_sub_gaussian_at_half_their_range(self):
+        problem = FiniteProblem(losses=[[0.0, 4.0], [1.0, 2.0]], mu=DiscreteDist([0.5, 0.5]), n=10)
+        assert _bound_model(problem) == LossModel.sub_gaussian(2.0)
+
+    def test_a_narrow_range_keeps_scale_1(self):
+        problem = FiniteProblem(losses=[[0.5, 1.5], [1.0, 0.75]], mu=DiscreteDist([0.5, 0.5]), n=10)
+        assert _bound_model(problem) == LossModel.sub_gaussian(1.0)
 
 
 class TestMcCorrection:

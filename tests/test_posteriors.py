@@ -35,6 +35,7 @@ from genbounds import (
     zhang_high_prob,
 )
 from genbounds.bounds import BoundRequest
+from genbounds.posteriors import _gibbs_rows
 from conftest import random_dist, random_problem
 
 
@@ -65,6 +66,26 @@ class TestGibbsPosterior:
     def test_degenerate_error(self):
         with pytest.raises(DegenerateError):
             gibbs_posterior(DiscreteDist([1.0, 0.0]), [math.inf, 0.0], 1.0)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.7, 40.0])
+    def test_each_row_of_the_row_kernel_is_the_vector_posterior(self, beta):
+        q = np.array([0.5, 0.0, 0.2, 0.3, 0.0])
+        f = np.array([
+            [0.1, 0.2, math.inf, 0.4, 0.0],
+            [math.inf, math.inf, 0.3, math.inf, 1.0],
+            [0.25, 0.5, 0.75, 1.0, math.inf],
+            [3.0, 1.0, 2.0, 0.0, 5.0],
+        ])
+        for base in (q, np.tile(q, (len(f), 1))):
+            rows = _gibbs_rows(base, f, beta)
+            assert rows.shape == f.shape
+            for i, row in enumerate(f):
+                assert np.array_equal(gibbs_posterior(DiscreteDist(q), row, beta).probs, rows[i])
+
+    def test_a_degenerate_row_refuses_the_block(self):
+        f = np.array([[0.0, 1.0], [math.inf, 0.0]])
+        with pytest.raises(DegenerateError):
+            _gibbs_rows(np.array([1.0, 0.0]), f, 1.0)
 
 
 class TestStochasticComplexity:
