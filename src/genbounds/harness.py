@@ -12,9 +12,13 @@ t])``, so results do not depend on execution order and parallel or serial
 runs agree bit-exactly.  No generator is created per trial: SeedSequence and
 PCG64 are fixed algorithms, so the harness computes the streams of a block
 of trials at once in array arithmetic, bit for bit, and the test suite pins
-this to the installed numpy.  The learning rules see a sample only through
-its type (its count vector), so within one run the trials that draw the
-same type share one evaluation of the posterior, the bound and the truth.
+this to the installed numpy.  A draw's outcome is the number of integer
+thresholds ceil(cdf_j 2^53) the top 53 bits of its stream word reach, which
+is the inverse-CDF search on the double those bits make.  The learning rules
+see a sample only through its type (its count vector), so within one run the
+trials that draw the same type share one evaluation of the posterior, the
+bound and the truth: one dict over the run numbers the types in the order
+they first appear, and arrays indexed by that number hold their values.
 The types a block of trials sees first are evaluated together: risks,
 priors, posteriors, KLs and truths as arrays of rows, each row bit for bit
 what the one-sample functions give, and the bound as one scalar call per
@@ -68,6 +72,7 @@ from .problems import (
     ENUMERATION_BUDGET,
     FiniteProblem,
     _check_budget,
+    _is_integral,
     _type_neighbors,
     annealed_risks,
     empirical_risks,
@@ -210,8 +215,10 @@ class SupersampleDraw:
     u: np.ndarray
 
     def __post_init__(self) -> None:
-        z = np.asarray(self.z_tilde, dtype=int)
-        u = np.asarray(self.u, dtype=int)
+        z, u = np.asarray(self.z_tilde), np.asarray(self.u)
+        if not _is_integral(z) or not (_is_integral(u) or u.dtype.kind == "b"):
+            raise DomainError("z_tilde and u must hold integers")
+        z, u = z.astype(int), u.astype(int)
         if z.ndim != 2 or z.shape[1] != 2:
             raise DomainError("z_tilde must be an n x 2 index array")
         if u.shape != (z.shape[0],) or np.any((u != 0) & (u != 1)):
@@ -230,8 +237,16 @@ class SupersampleDraw:
 
 def clopper_pearson_upper(violations: int, trials: int, confidence: float = 0.95) -> float:
     """One-sided Clopper-Pearson upper confidence bound on a binomial rate."""
-    if trials < 1 or not 0 <= violations <= trials:
-        raise DomainError("need 0 <= violations <= trials with trials >= 1")
+    if not _is_positive_integer(trials):
+        raise DomainError("trials must be a positive integer")
+    if (
+        isinstance(violations, bool)
+        or not isinstance(violations, numbers.Integral)
+        or not 0 <= violations <= trials
+    ):
+        raise DomainError("violations must be an integer in [0, trials]")
+    if not 0 < confidence < 1:
+        raise DomainError("confidence must lie in (0, 1)")
     if violations == trials:
         return 1.0
     # Imported here: scipy.special would double the start-up of every command that never certifies.
@@ -403,6 +418,17 @@ def _stream_words(origins: np.ndarray, m: int) -> np.ndarray:
     return (hi >> rotation) | (hi << ((64 - rotation) & 63))
 
 
+def _thresholds(mu: np.ndarray) -> np.ndarray:
+    """t_j = ceil(cdf_j 2^53) as uint64, j < k - 1, with ``cdf`` from :func:`_inverse_cdf`.
+
+    A double m 2^-53 reaches cdf_j exactly when the integer m reaches t_j, so
+    the number of thresholds m reaches is ``cdf.searchsorted(m 2^-53,
+    side="right")``.  The last entry, 1, is never reached; nor is a t_j of
+    2^53, which a zero tail mass gives.
+    """
+    return np.minimum(np.ceil(_inverse_cdf(mu)[:-1] * 2.0**53), 2.0**53).astype(np.uint64)
+
+
 def _trial_counts(problem: FiniteProblem, seed: int, trials: np.ndarray, supersample: bool):
     """Yield the draws of consecutive blocks of ``trials`` as count vectors.
 
@@ -411,10 +437,15 @@ def _trial_counts(problem: FiniteProblem, seed: int, trials: np.ndarray, supersa
     are those of :func:`_draw` and :func:`_draw_supersample` from
     :func:`_trial_rng`: a double is the top 53 bits of an output, and the
     selector bit ``integers(0, 2)`` takes from a 32-bit half-word (low half
-    first) is its top bit.
+    first) is its top bit.  A draw's outcome is the number of
+    :func:`_thresholds` its top 53 bits reach, compared as integers, which is
+    the inverse-CDF search of :func:`_draw`.  A supersample's selector bits
+    pick each row's training and ghost words before the comparison.  The
+    outcomes of a block are counted by one ``bincount``, each trial's
+    training (and ghost) outcomes offset by k times their row.
     """
     k, n = problem.num_outcomes, problem.n
-    cdf = _inverse_cdf(problem.mu.probs)
+    thresholds = _thresholds(problem.mu.probs).tolist()
     doubles = 2 * n if supersample else n
     width = doubles + (n + 1) // 2 if supersample else n
     step = max(1, _BLOCK_WORDS // width)
@@ -424,17 +455,17 @@ def _trial_counts(problem: FiniteProblem, seed: int, trials: np.ndarray, supersa
         for first in range(0, origins.shape[1], step):
             words = _stream_words(origins[:, first : first + step], width)
             size = len(words)
-            draws = cdf.searchsorted((words[:, :doubles] >> 11) * 2.0**-53, side="right")
-            block = np.arange(size)[:, None, None]
+            top = words[:, :doubles] >> 11
             if supersample:
                 halves = words[:, doubles:]
-                u = np.stack([halves >> 31 & 1, halves >> 63], axis=2).reshape(size, -1)[:, :n]
-                group = 2 * block + (np.arange(2) != u[:, :, None])
-                draws = draws.reshape(size, n, 2)
-            else:
-                group = block[:, :, 0]
-            counts = np.bincount((draws + k * group).ravel(), minlength=size * parts * k)
-            yield counts.reshape(size, parts, k)
+                u = np.stack([halves >> 31 & 1, halves >> 63], axis=2).reshape(size, -1)[:, :n] != 0
+                left, right = top[:, 0::2], top[:, 1::2]
+                top = np.stack([np.where(u, right, left), np.where(u, left, right)], axis=1)
+            top = top.reshape(size, parts, n)
+            draws = np.repeat(np.arange(0, size * parts * k, k), n).reshape(top.shape)
+            for threshold in thresholds:
+                draws += top >= threshold
+            yield np.bincount(draws.ravel(), minlength=size * parts * k).reshape(size, parts, k)
 
 
 # ---------------------------------------------------------------------------
@@ -616,37 +647,56 @@ def _trials(config: TrialConfig, kind: str, trials: np.ndarray, *params) -> np.n
     a sample, ``supersample`` draws a supersample and trains on its selected
     column.  ``trials`` holds the trial indices, each below 2^64.  Each trial
     is deterministic in (config.seed, trial) alone: the trials are drawn a
-    block at a time by :func:`_trial_counts`, and the training types a block
-    sees first are evaluated together, in the order they first appear, by the
-    :func:`_block_evaluator` body.  The ghost gap of a supersample is taken
-    per block from the stored posterior and risks of each trial's type.  The
-    result is a (trials, 2) array.
+    block at a time by :func:`_trial_counts`, and one dict over the run maps
+    each training type's count bytes to its id, numbered in the order the
+    types first appear.  The types a block sees first are evaluated together,
+    in that order, by the :func:`_block_evaluator` body, into run-level
+    arrays indexed by id; each block gathers its trials' values from them.
+    The ghost gap of a supersample is taken per block from the stored
+    posterior and risks of each trial's type.  The result is a (trials, 2)
+    array.
     """
     evaluate = _block_evaluator(config, kind, params)
     problem = config.problem
     gap = BOUNDS[config.bound.name].truth == "gap"
-    # Per type seen so far: (bound, truth), or (bound, risks, posterior) for the gap.
-    seen: dict[bytes, tuple] = {}
-    blocks = []
+    ids: dict[bytes, int] = {}
+    # Per type id: its bound and truth, or its bound, risks and posterior for the gap.
+    table: tuple[np.ndarray, ...] = ()
+    result = np.empty((len(trials), 2))
+    start = 0
     for counts in _trial_counts(problem, config.seed, trials, kind == "supersample"):
-        types, first, inverse = np.unique(counts[:, 0], axis=0, return_index=True, return_inverse=True)
-        keys = [row.tobytes() for row in types]
-        new = [row for row in np.argsort(first).tolist() if keys[row] not in seen]
-        if new:
-            risks, posteriors, bounds, truths = evaluate(types[new])
-            values = zip(bounds.tolist(), risks, posteriors) if gap else zip(bounds.tolist(), truths.tolist())
-            seen.update(zip([keys[row] for row in new], values))
-        evaluated = [seen[key] for key in keys]
-        inverse = inverse.reshape(-1)
-        bounds = np.array([value[0] for value in evaluated])[inverse]
+        types = np.ascontiguousarray(counts[:, 0])
+        raw, width = types.tobytes(), types.strides[0]
+        seen = len(ids)
+        block = np.array([ids.setdefault(raw[i : i + width], len(ids)) for i in range(0, len(raw), width)])
+        if len(ids) > seen:
+            # Ids count up in first-seen order: the running maximum reaches a new id where it first appears.
+            fresh = np.maximum.accumulate(block).searchsorted(np.arange(seen, len(ids)))
+            risks, posteriors, bounds, truths = evaluate(types[fresh])
+            table = _store(table, seen, (bounds, risks, posteriors) if gap else (bounds, truths))
+        rows = result[start : start + len(block)]
+        rows[:, 0] = table[0][block]
         if gap:  # the gap to the ghost sample, which the type leaves open
-            risks = np.array([value[1] for value in evaluated])[inverse]
-            posteriors = np.array([value[2] for value in evaluated])[inverse]
-            truths = _row_dots(posteriors, _type_risks(problem, counts[:, 1]) - risks)
+            risks, posteriors = table[1][block], table[2][block]
+            rows[:, 1] = _row_dots(posteriors, _type_risks(problem, counts[:, 1]) - risks)
         else:
-            truths = np.array([value[1] for value in evaluated])[inverse]
-        blocks.append(np.stack([bounds, truths], axis=1))
-    return np.concatenate(blocks)
+            rows[:, 1] = table[1][block]
+        start += len(block)
+    return result
+
+
+def _store(table: tuple[np.ndarray, ...], at: int, values: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """Write ``values`` at row ``at`` of each array of ``table``, doubling an array that is too short."""
+    stored = []
+    for array, value in zip(table or [value[:0] for value in values], values):
+        end = at + len(value)
+        if end > len(array):
+            grown = np.empty((max(end, 2 * len(array)), *array.shape[1:]))
+            grown[:at] = array[:at]
+            array = grown
+        array[at:end] = value
+        stored.append(array)
+    return tuple(stored)
 
 
 def _one_trial(config: TrialConfig, kind: str, trial, *params) -> tuple[float, float]:
@@ -820,8 +870,10 @@ def union_beta_grid(n: int, alpha: float, v: float, sigma: float) -> np.ndarray:
     Starts at u = min(sqrt(2 alpha / sigma^2), v) / sqrt(n) and multiplies by
     alpha until v is covered.
     """
-    if not alpha > 1 or not v > 0 or not sigma > 0 or n < 1:
-        raise DomainError("need alpha > 1, v > 0, sigma > 0, n >= 1")
+    if not _is_positive_integer(n):
+        raise DomainError("n must be a positive integer")
+    if not alpha > 1 or not v > 0 or not sigma > 0:
+        raise DomainError("need alpha > 1, v > 0, sigma > 0")
     u = min(math.sqrt(2.0 * alpha / sigma**2), v) / math.sqrt(n)
     count = max(math.ceil(math.log(v / u) / math.log(alpha)), 1)
     return u * alpha ** np.arange(count)

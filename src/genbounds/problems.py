@@ -61,19 +61,23 @@ class FiniteProblem:
         return bool(np.all((self.losses >= 0.0) & (self.losses <= 1.0)))
 
 
+def _is_integral(values: np.ndarray) -> bool:
+    """True for an integer array, or a float array of finite integral entries such as 1.0.
+
+    A cast to int would truncate 0.7 to 0, so callers refuse what fails this.
+    """
+    return values.dtype.kind in "iu" or (
+        values.dtype.kind == "f" and bool(np.all(np.isfinite(values) & (values == np.round(values))))
+    )
+
+
 def _check_sample(problem: FiniteProblem, sample) -> np.ndarray:
     s = np.asarray(sample)
     if s.ndim != 1 or s.size == 0:
         raise DomainError("a sample must be a nonempty 1-D list of outcome indices")
     # NumPy turns a list mixing bools and ints into ints, so look at its entries.
-    has_bool = s.dtype.kind == "b" or (
-        not isinstance(sample, np.ndarray) and any(isinstance(x, (bool, np.bool_)) for x in sample)
-    )
-    # A cast would truncate 0.7 to 0; integral floats such as 1.0 pass.
-    integral = s.dtype.kind in "iu" or (
-        s.dtype.kind == "f" and bool(np.all(np.isfinite(s) & (s == np.round(s))))
-    )
-    if has_bool or not integral:
+    has_bool = not isinstance(sample, np.ndarray) and any(isinstance(x, (bool, np.bool_)) for x in sample)
+    if has_bool or not _is_integral(s):
         raise DomainError("sample entries must be integer outcome indices")
     if s.min() < 0 or s.max() >= problem.num_outcomes:
         raise DomainError("sample contains out-of-range outcome indices")

@@ -60,7 +60,9 @@ from genbounds.harness import (
     _bound_model,
     _draw,
     _draw_supersample,
+    _inverse_cdf,
     _summarize,
+    _thresholds,
     _trial_counts,
     _trial_rng,
     _trials,
@@ -123,6 +125,11 @@ class TestClopperPearson:
 
     def test_acceptance_value(self):
         assert clopper_pearson_upper(65, 10_000) == 0.00798471527353767
+
+    @pytest.mark.parametrize("confidence", [1.5, 1.0, 0.0, -0.1, math.nan])
+    def test_a_confidence_outside_0_1_is_refused(self, confidence):
+        with pytest.raises(DomainError, match="confidence"):
+            clopper_pearson_upper(3, 10, confidence)
 
 
 class TestSampleTable:
@@ -431,6 +438,15 @@ def count_problem(k, n):
     return FiniteProblem(losses=np.zeros((1, k)), mu=DiscreteDist.from_weights(weights), n=n)
 
 
+#: Data laws at the edges of the inverse-CDF search: zero masses, a dyadic CDF, a mass far below 2^-53.
+EDGE_MUS = {
+    "zero first": [0.0, 0.3, 0.7],
+    "zero middle": [0.3, 0.0, 0.7],
+    "zero last": [0.3, 0.7, 0.0],
+    "dyadic": [0.25, 0.75],
+    "1e-300 mass": [1e-300, 0.4, 0.6],
+}
+
 #: Unsorted, with a duplicate, and on both sides of the two-word trial index 2^32.
 BLOCK_TRIALS = np.array([2**32, *range(299, -1, -1), 2**32 - 1, 17], dtype=np.uint64)
 
@@ -454,6 +470,52 @@ class TestBlockDraw:
         assert len(list(_trial_counts(problem, 3, BLOCK_TRIALS, supersample))) > 1
         expected = [per_trial_counts(problem, 3, t, supersample) for t in BLOCK_TRIALS.tolist()]
         assert np.array_equal(block_counts(problem, 3, BLOCK_TRIALS, supersample), expected)
+
+    @pytest.mark.parametrize("weights", EDGE_MUS.values(), ids=EDGE_MUS.keys())
+    @pytest.mark.parametrize("supersample", [False, True], ids=["sample", "supersample"])
+    def test_counts_equal_the_per_trial_draws_at_edge_masses(self, weights, supersample):
+        problem = FiniteProblem(losses=np.zeros((1, len(weights))), mu=DiscreteDist.from_weights(weights), n=7)
+        expected = [per_trial_counts(problem, 20240817, t, supersample) for t in BLOCK_TRIALS.tolist()]
+        assert np.array_equal(block_counts(problem, 20240817, BLOCK_TRIALS, supersample), expected)
+
+    @pytest.mark.parametrize(
+        "weights", [*EDGE_MUS.values(), np.random.default_rng(5).random(8) + 0.2], ids=[*EDGE_MUS, "8-outcome"]
+    )
+    def test_a_threshold_count_is_the_inverse_cdf_search(self, weights):
+        mu = DiscreteDist.from_weights(weights).probs
+        thresholds = _thresholds(mu)
+        assert thresholds.dtype == np.uint64 and len(thresholds) == len(mu) - 1
+        tops = (thresholds.astype(np.int64)[:, None] + [-1, 0, 1]).ravel()
+        tops = tops[(tops >= 0) & (tops < 2**53)].astype(np.uint64)
+        counts = (tops[:, None] >= thresholds).sum(axis=1)
+        assert np.array_equal(counts, _inverse_cdf(mu).searchsorted(tops * 2.0**-53, side="right"))
+
+    def test_types_are_evaluated_once_in_first_seen_order_across_blocks(self, monkeypatch):
+        # 100 words: 14 trials a block, 5 for a supersample, and types new in most blocks.
+        problem = count_problem(8, 7)
+        evaluated = []
+        original = genbounds.harness._block_evaluator
+
+        def recording(*args):
+            evaluate = original(*args)
+
+            def record(types):
+                evaluated.extend(map(tuple, types.tolist()))
+                return evaluate(types)
+
+            return record
+
+        for bound, kind, supersample in (("zhang", "plain", False), ("cmi", "supersample", True)):
+            config = make_config(problem, bound, trials=300)
+            trials = np.arange(config.trials, dtype=np.uint64)
+            whole = _trials(config, kind, trials)
+            monkeypatch.setattr(genbounds.harness, "_BLOCK_WORDS", 100)
+            monkeypatch.setattr(genbounds.harness, "_block_evaluator", recording)
+            evaluated.clear()
+            assert np.array_equal(_trials(config, kind, trials), whole)
+            drawn = [tuple(per_trial_counts(problem, config.seed, t, supersample)[0].tolist()) for t in range(300)]
+            assert evaluated == list(dict.fromkeys(drawn)) and 100 < len(evaluated) < 300
+            monkeypatch.undo()
 
     def test_block_boundaries_of_the_seeding_and_the_draws(self, monkeypatch):
         # 100 words: the trials are seeded 100 at a time and drawn 14 or 5 at a time.
@@ -486,6 +548,20 @@ class TestCmiExperiment:
         draw = draw_supersample(problem, np.random.default_rng(3))
         both = np.sort(np.stack([draw.training_sample, draw.ghost_sample], axis=1), axis=1)
         assert np.array_equal(both, np.sort(draw.z_tilde, axis=1))
+
+    @pytest.mark.parametrize(
+        "z_tilde, u",
+        [([[0, 1.9]], [0]), ([[0, 1]], [0.7]), ([[0, math.nan]], [0]), ([[True, False]], [0])],
+        ids=["fractional index", "fractional bit", "nan index", "bool index"],
+    )
+    def test_supersample_entries_must_be_integers(self, z_tilde, u):
+        with pytest.raises(DomainError, match="must hold integers"):
+            SupersampleDraw(z_tilde=z_tilde, u=u)
+
+    def test_integral_floats_and_bool_bits_pass(self):
+        draw = SupersampleDraw(z_tilde=[[0, 1.0]], u=[True])
+        assert draw.z_tilde.dtype.kind == draw.u.dtype.kind == "i"
+        assert draw.training_sample.tolist() == [1] and draw.ghost_sample.tolist() == [0]
 
     def test_trials_follow_the_validated_draw(self):
         problem = soft_problem(n=9)

@@ -25,6 +25,7 @@ from genbounds.bounds import (
 )
 from genbounds.divergences import JointTable, conditional_mutual_info, max_info_dp_bound
 from genbounds.errors import DegenerateError, DomainError, ParameterError
+from genbounds.harness import clopper_pearson_upper, union_beta_grid
 from genbounds.posteriors import PacBayesSgdParams, QuadraticModel, gibbs_posterior
 from genbounds.problems import empirical_risks
 
@@ -204,6 +205,11 @@ INTEGER_SITES = [
          f"{key} must be a positive integer")
         for key in ("n", "b", "m")
     ],
+    ("union_beta_grid", lambda k: union_beta_grid(k, 2.0, 4.0, 0.5), DomainError, "n must be a positive integer"),
+    ("clopper_pearson_upper.trials", lambda k: clopper_pearson_upper(0, k), DomainError,
+     "trials must be a positive integer"),
+    ("clopper_pearson_upper.violations", lambda k: clopper_pearson_upper(k, 10), DomainError,
+     "violations must be an integer in [0, trials]"),
 ]
 
 
