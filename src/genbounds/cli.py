@@ -50,6 +50,9 @@ _LN2 = math.log(2.0)
 # ---------------------------------------------------------------------------
 
 _NUM = (int, float)
+#: List-valued fields, named by what they must hold.
+_VECTOR = "a list of numbers"
+_MATRIX = "a list of equally long lists of numbers"
 
 _MODEL_SCHEMA = {"family": str, "sigma": _NUM, "c": _NUM}
 
@@ -72,9 +75,9 @@ _BOUND_SCHEMA = {
     "c": _NUM,
     "variant": str,
     "moment_bound": _NUM,
-    "hessian_eigenvalues": list,
-    "w_p": list,
-    "w_q": list,
+    "hessian_eigenvalues": _VECTOR,
+    "w_p": _VECTOR,
+    "w_q": _VECTOR,
     "lam": _NUM,
     "b": int,
     "m": int,
@@ -84,7 +87,7 @@ _BOUND_SCHEMA = {
 
 _SWEEP_SCHEMA = {
     "parameter": str,
-    "grid": list,
+    "grid": _VECTOR,
     "start": _NUM,
     "stop": _NUM,
     "points": int,
@@ -93,7 +96,7 @@ _SWEEP_SCHEMA = {
 
 _ALGORITHM_SCHEMA = {"kind": str, "beta_alg": _NUM, "tie_break": str}
 
-_PROBLEM_SCHEMA = {"losses": list, "mu": list, "n": int}
+_PROBLEM_SCHEMA = {"losses": _MATRIX, "mu": _VECTOR, "n": int}
 
 _EXPERIMENT_SCHEMA = {
     "bound": str,
@@ -105,7 +108,7 @@ _EXPERIMENT_SCHEMA = {
     "epsilon": _NUM,
     "bound_offset": _NUM,
     "algorithm": _ALGORITHM_SCHEMA,
-    "prior": list,
+    "prior": _VECTOR,
 }
 
 _OUTPUT_SCHEMA = {"unit": str, "path": str, "format": str}
@@ -121,6 +124,10 @@ _TOP_SCHEMAS = {
 }
 
 
+def _is_number(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, _NUM)
+
+
 def _validate(data, schema, path: str) -> None:
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path or 'config'} must be a mapping")
@@ -132,8 +139,13 @@ def _validate(data, schema, path: str) -> None:
         if isinstance(expected, dict):
             _validate(value, expected, where)
         elif expected is _NUM or expected == _NUM:
-            if isinstance(value, bool) or not isinstance(value, _NUM):
+            if not _is_number(value):
                 raise ConfigurationError(f"{where} must be a number")
+        elif expected is _VECTOR or expected is _MATRIX:
+            rows = value if expected is _MATRIX and isinstance(value, list) else [value]
+            numeric = all(isinstance(row, list) and all(map(_is_number, row)) for row in rows)
+            if not numeric or len({len(row) for row in rows}) > 1:
+                raise ConfigurationError(f"{where} must be {expected}")
         elif not isinstance(value, expected) or isinstance(value, bool) and expected is int:
             raise ConfigurationError(f"{where} must be of type {getattr(expected, '__name__', expected)}")
 
@@ -358,7 +370,11 @@ def _sweep_grid(sweep: dict) -> list[float]:
     for key in ("start", "stop", "points"):
         if key not in sweep:
             raise ConfigurationError("sweep needs either a grid or start/stop/points")
+    if sweep["points"] < 0:
+        raise ConfigurationError("sweep.points must be nonnegative")
     spacing = sweep.get("spacing", "linear")
+    if spacing == "log" and not (sweep["start"] > 0 and sweep["stop"] > 0):
+        raise ConfigurationError("sweep.start and sweep.stop must be positive for log spacing")
     if spacing == "linear":
         return list(np.linspace(sweep["start"], sweep["stop"], sweep["points"]))
     if spacing == "log":

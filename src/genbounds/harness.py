@@ -26,7 +26,7 @@ type.  A report still depends only on (seed, trial index), and replaying one
 trial runs the same code on that trial alone.  A NaN bound or truth refuses
 the report, since no comparison with NaN can count as a violation.
 
-The exact checks read a sample table: one row per type from
+The exact checks read a sample table: one count row per type from
 :func:`~genbounds.problems.tabulate_types`, or one row per sequence from
 :func:`~genbounds.problems.tabulate`.  The expectation-bound check runs on
 types when the rule is an :class:`ErmAlgorithm` or a
@@ -34,8 +34,10 @@ types when the rule is an :class:`ErmAlgorithm` or a
 I(S;W), the averaged KL and the expected gap do not change; any other rule
 runs on sequences.  The privacy audit always runs on types (the mechanism
 sees the sample through its empirical risks), where a neighbour moves one
-count from outcome a to outcome b.  :func:`enumerate_joint` and the
-supersample check run on sequences: a supersample is a pair of rows.
+count from outcome a to outcome b.  On types, the posteriors and priors come
+from the row kernels the certification applies to a block of drawn types,
+not from one rule call per row.  :func:`enumerate_joint` and the supersample
+check run on sequences: a supersample is a pair of rows.
 
 All bound parameters (beta, delta, the prior) are fixed in the trial
 configuration before any sample is drawn.
@@ -72,6 +74,7 @@ from .problems import (
     ENUMERATION_BUDGET,
     FiniteProblem,
     _check_budget,
+    _count_risks,
     _is_integral,
     _type_neighbors,
     annealed_risks,
@@ -473,21 +476,14 @@ def _trial_counts(problem: FiniteProblem, seed: int, trials: np.ndarray, supersa
 # ---------------------------------------------------------------------------
 
 
-def _joint_and_risks(
-    problem: FiniteProblem, algorithm, budget: int, table=tabulate
-) -> tuple[JointTable, np.ndarray]:
-    """The exact joint over (table row, hypothesis) and each row's empirical risks."""
-    _, weights, risks, probs = table(problem, lambda s: algorithm.posterior(problem, s), budget)
-    return JointTable.from_weights(weights[:, None] * probs), risks
-
-
 def enumerate_joint(
     problem: FiniteProblem,
     algorithm,
     budget: int = ENUMERATION_BUDGET,
 ) -> JointTable:
     """Exact joint p(s, w) = mu^n(s) P(w | s) over all samples and hypotheses."""
-    return _joint_and_risks(problem, algorithm, budget)[0]
+    _, weights, _, probs = tabulate(problem, lambda s: algorithm.posterior(problem, s), budget)
+    return JointTable.from_weights(weights[:, None] * probs)
 
 
 @dataclass(frozen=True)
@@ -520,8 +516,9 @@ def verify_expectation_bounds(
     mutual information route (sub-Gaussian scale 1/2 for [0, 1] losses), and
     the averaged-KL route for an arbitrary fixed prior.  The golden-formula
     residual ties the two complexity measures together.  The joint is over
-    sample types for an :class:`ErmAlgorithm` or a :class:`GibbsAlgorithm`
-    and over sequences for any other rule.
+    sample types for an :class:`ErmAlgorithm` or a :class:`GibbsAlgorithm`,
+    whose posteriors come from its row kernel against the uniform base, and
+    over sequences for any other rule.
     """
     if model is None:
         model = LossModel.bounded_unit()
@@ -529,8 +526,14 @@ def verify_expectation_bounds(
         raise ConfigurationError("a [0, 1] loss model requires losses in [0, 1]")
     q = prior if prior is not None else DiscreteDist.uniform(problem.num_hypotheses)
 
-    table = tabulate_types if _is_exchangeable(algorithm) else tabulate
-    joint, risks = _joint_and_risks(problem, algorithm, budget, table)
+    if _is_exchangeable(algorithm):
+        _, weights, risks = tabulate_types(problem, budget)
+        uniform = DiscreteDist.uniform(problem.num_hypotheses).probs
+        probs = algorithm._posterior_rows(risks, uniform, problem.n)
+        _check_rows(probs)
+    else:
+        _, weights, risks, probs = tabulate(problem, lambda s: algorithm.posterior(problem, s), budget)
+    joint = JointTable.from_weights(weights[:, None] * probs)
     info = mutual_info(joint)
     avg_kl = conditional_kl(joint, q)
     return ExpectationBoundReport(
@@ -581,11 +584,6 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], np.broadcast_to(b, a.shape)[:, :, None])[:, 0, 0]
 
 
-def _type_risks(problem: FiniteProblem, counts: np.ndarray) -> np.ndarray:
-    """The empirical risks of each row of sample counts, each as ``losses @ counts / n`` gives it."""
-    return np.matmul(problem.losses[None], counts[:, :, None].astype(float))[:, :, 0] / problem.n
-
-
 def _block_evaluator(config: TrialConfig, kind: str, params: tuple):
     """The per-type body of a certification trial, as a function of a block of training types.
 
@@ -612,7 +610,7 @@ def _block_evaluator(config: TrialConfig, kind: str, params: tuple):
 
     def evaluate(types: np.ndarray) -> tuple:
         nonlocal truth_risks
-        risks = _type_risks(problem, types)
+        risks = _count_risks(problem, types)
         if kind == "private-prior":
             priors = _dp_prior_rows(problem, risks, *params)
             _check_rows(priors)
@@ -678,7 +676,7 @@ def _trials(config: TrialConfig, kind: str, trials: np.ndarray, *params) -> np.n
         rows[:, 0] = table[0][block]
         if gap:  # the gap to the ghost sample, which the type leaves open
             risks, posteriors = table[1][block], table[2][block]
-            rows[:, 1] = _row_dots(posteriors, _type_risks(problem, counts[:, 1]) - risks)
+            rows[:, 1] = _row_dots(posteriors, _count_risks(problem, counts[:, 1]) - risks)
         else:
             rows[:, 1] = table[1][block]
         start += len(block)
@@ -835,12 +833,14 @@ def dp_mechanism_max_log_ratio(
     is correctly calibrated.  A hypothesis that only one of the two priors
     gives probability 0 has an infinite ratio, one that both give 0 has
     ratio 0.  The mechanism sees a sample through its type, so the audit
-    runs over the type table and its neighbouring rows.
+    runs over the type table and its neighbouring rows, each row's prior as
+    :func:`dp_prior_mechanism` computes it.
     """
-    samples, _, _, priors = tabulate_types(
-        problem, lambda s: dp_prior_mechanism(problem, s, epsilon), budget
-    )
-    rows, neighbors = _type_neighbors(problem, samples)
+    counts, _, risks = tabulate_types(problem, budget)
+    _check_dp_prior(problem, epsilon)
+    priors = _dp_prior_rows(problem, risks, epsilon)
+    _check_rows(priors)
+    rows, neighbors = _type_neighbors(problem, counts)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_priors = np.log(priors)
         ratios = np.abs(log_priors[rows] - log_priors[neighbors])

@@ -89,7 +89,7 @@ class LossModel:
 
 def psi_of(model: LossModel, beta: float) -> float:
     """Evaluate the CGF upper bound psi of the model at inverse temperature beta."""
-    if beta < 0:
+    if not beta >= 0:
         raise DomainError("beta must be nonnegative")
     if beta >= model.beta_sup:
         raise DomainError(
@@ -106,7 +106,7 @@ def psi_of(model: LossModel, beta: float) -> float:
 
 def psi_star_inverse(model: LossModel, y: float) -> float:
     """Closed form of the generalized inverse of the Legendre dual of psi."""
-    if y < 0:
+    if not y >= 0:
         raise DomainError("y must be nonnegative")
     base = math.sqrt(2.0 * model.sigma**2 * y)
     if model.family == SUB_GAMMA:
@@ -166,7 +166,7 @@ def psi_star_inverse_numeric(psi: PsiFunction, y: float) -> float:
     logarithmic grid scan brackets the minimizer and golden-section search
     refines it.  Agrees with the closed forms to relative 1e-6.
     """
-    if y < 0:
+    if not y >= 0:
         raise DomainError("y must be nonnegative")
     if y == 0:
         # The infimum is approached as beta -> 0 where psi(beta)/beta -> 0.
@@ -210,7 +210,7 @@ def phi_beta(beta: float, x: float) -> float:
 
     Uses log1p/expm1 so small beta does not lose precision.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise DomainError("beta must be positive")
     if not 0.0 <= x <= 1.0:
         raise DomainError("x must lie in [0, 1]")
@@ -223,6 +223,6 @@ def phi_beta_inverse(beta: float, x: float) -> float:
     Maps [0, 1] onto [0, 1]; arguments above 1 return the raw value above 1,
     which callers treat as a vacuous risk bound.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise DomainError("beta must be positive")
     return math.expm1(-beta * x) / math.expm1(-beta)

@@ -76,7 +76,7 @@ def _gibbs_rows(q: np.ndarray, f: np.ndarray, beta: float) -> np.ndarray:
     :func:`gibbs_posterior` of it to the bit.  The rows are not checked as
     probability vectors; the caller does that.
     """
-    if beta < 0:
+    if not beta >= 0:
         raise DomainError("beta must be nonnegative")
     if beta == 0:
         return np.array(np.broadcast_to(q, np.broadcast_shapes(q.shape, f.shape)))
@@ -99,7 +99,7 @@ def _gibbs_rows(q: np.ndarray, f: np.ndarray, beta: float) -> np.ndarray:
 def stochastic_complexity(q: DiscreteDist, f_values, beta: float) -> float:
     """-log E_q[e^{-beta f}] / beta via log-sum-exp."""
     f = _as_values(q, f_values)
-    if beta <= 0:
+    if not beta > 0:
         raise DomainError("beta must be positive")
     return float(-_logsumexp(-beta * f, q.probs) / beta)
 
@@ -107,7 +107,7 @@ def stochastic_complexity(q: DiscreteDist, f_values, beta: float) -> float:
 def information_complexity(p: DiscreteDist, q: DiscreteDist, f_values, beta: float) -> float:
     """E_p[f] + D(p || q) / beta, the regularized objective minimized by the Gibbs measure."""
     f = _as_values(q, f_values)
-    if beta <= 0:
+    if not beta > 0:
         raise DomainError("beta must be positive")
     divergence = kl_discrete(p, q)
     return _expectation(p, f) + divergence / beta
@@ -126,7 +126,7 @@ def oic(
     sample = np.asarray(sample, dtype=int)
     if sample.size != problem.n:
         raise DomainError("sample length must equal the problem's n")
-    if beta <= 0:
+    if not beta > 0:
         raise DomainError("beta must be positive")
     risks = empirical_risks(problem, sample)
     temperature = problem.n * beta
@@ -143,7 +143,7 @@ def dv_identity_residual(p: DiscreteDist, q: DiscreteDist, f_values, beta: float
     with every term evaluated independently.
     """
     f = _as_values(q, f_values)
-    if beta <= 0:
+    if not beta > 0:
         raise DomainError("beta must be positive")
     p_star = gibbs_posterior(q, f, beta)
     lhs = kl_discrete(p, p_star) / beta
@@ -189,7 +189,7 @@ def iei_exact(
     for any sample-dependent posterior rule and any fixed prior q.  The rule
     may read the order of the sample, so it runs once per sequence.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise DomainError("beta must be positive")
     annealed = annealed_risks(problem, beta)
     _, weights, risks, probs = tabulate(problem, posterior_rule)
@@ -211,10 +211,10 @@ def iei_empirical_check(
     Deterministic given the seed.  The estimate should not exceed 1 by more
     than a few standard errors.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise DomainError("beta must be positive")
-    if trials < 1:
-        raise DomainError("trials must be positive")
+    if not _is_positive_integer(trials):
+        raise DomainError("trials must be a positive integer")
     rng = np.random.default_rng(seed)
     annealed = annealed_risks(problem, beta)
     samples = rng.choice(problem.num_outcomes, size=(trials, problem.n), p=problem.mu.probs)
@@ -290,7 +290,7 @@ def expected_quadratic_loss(model: QuadraticModel, cov_eigenvalues) -> float:
     s = np.asarray(cov_eigenvalues, dtype=float)
     if s.shape != model.hessian_eigenvalues.shape:
         raise ShapeError("covariance spectrum must match the Hessian spectrum")
-    if np.any(s < 0):
+    if not np.all(s >= 0):
         raise DomainError("covariance eigenvalues must be nonnegative")
     return 0.5 * float(model.hessian_eigenvalues @ s)
 
@@ -441,7 +441,7 @@ def local_entropy(model: QuadraticModel, gamma: float, w=None) -> float:
     -sum(log(2 pi / (beta (h_i + gamma)))) / (2 beta); lower values mean a
     flatter surface (more smoothed low-loss volume around w).
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise DomainError("gamma must be positive")
     h = model.hessian_eigenvalues
     beta = model.beta
@@ -463,10 +463,10 @@ def local_entropy_mc(
     Samples from the Gaussian factor N(w, I / (beta gamma)) and averages
     e^{-beta loss}; deterministic given the seed.  Intended for small k.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise DomainError("gamma must be positive")
-    if draws < 2:
-        raise DomainError("need at least two draws for a standard error")
+    if not _is_positive_integer(draws) or draws < 2:
+        raise DomainError("draws must be an integer of at least 2 for a standard error")
     center = model.w_p if w is None else np.asarray(w, dtype=float)
     if center.shape != model.w_p.shape:
         raise ShapeError("w must match the model dimension")

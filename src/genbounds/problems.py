@@ -1,17 +1,20 @@
 """Finite learning problems on which every risk quantity is exactly computable.
 
 The exact checks enumerate samples in one of two tables.  The sequence table
-(:func:`tabulate`, rows from :func:`iter_samples`) has one row per sample,
-k^n in all.  The type table (:func:`tabulate_types`, rows from
-:func:`iter_types`) has one row per count vector, C(n + k - 1, k - 1) in all,
-weighted by the multinomial probability of the type; it represents any rule
-that sees a sample only through its type, as the empirical risks do.
+(:func:`tabulate`) has one row per sample, k^n in all, in the order of
+:func:`iter_samples`.  The type table (:func:`tabulate_types`) has one count
+row per type, C(n + k - 1, k - 1) in all, weighted by the multinomial
+probability of the type; it represents any rule that sees a sample only
+through its type, as the empirical risks do, and is read by the same row
+kernels as the certification's blocks of drawn types.  Both tables take
+their risks from one count-row kernel, :func:`_count_risks`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -105,8 +108,10 @@ def annealed_risks(problem: FiniteProblem, beta: float) -> np.ndarray:
     A soft-min surrogate for the true risk, computed by log-sum-exp: it never
     exceeds it and is nonincreasing in beta.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise DomainError("beta must be positive")
+    if beta == math.inf:  # -inf * a zero loss is NaN
+        raise DomainError("beta must be finite")
     return -_logsumexp(-beta * problem.losses, problem.mu.probs[None, :], axis=1) / beta
 
 
@@ -148,75 +153,94 @@ def iter_samples(
 def iter_types(
     problem: FiniteProblem, budget: int = ENUMERATION_BUDGET
 ) -> Iterator[tuple[np.ndarray, float]]:
-    """Yield one sorted sample per type (count vector c) with the type's probability.
+    """Yield one sorted sample per type with the type's probability, the mass of its samples.
 
-    The weight n! / prod_j c_j! * prod_j mu_j^c_j is the mass of all samples
-    of that type.  Types come in lexicographic order of their sorted samples.
+    Types come in the row order of :func:`tabulate_types`.  Raises
+    :class:`BudgetError` when the C(n + k - 1, k - 1) types are too many to
+    enumerate exhaustively.
+    """
+    counts, weights, _ = tabulate_types(problem, budget)
+    outcomes = np.arange(problem.num_outcomes)
+    for row, weight in zip(counts, weights.tolist()):
+        yield np.repeat(outcomes, row), weight
+
+
+def _count_risks(problem: FiniteProblem, counts: np.ndarray) -> np.ndarray:
+    """The empirical risks of each row of sample counts, each as :func:`empirical_risks` gives it."""
+    return np.matmul(problem.losses[None], counts[:, :, None].astype(float))[:, :, 0] / problem.n
+
+
+def _type_neighbors(problem: FiniteProblem, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row pairs of the type table ``counts`` whose types are neighbours.
+
+    Changing one coordinate of a sample from a to b moves one count from a
+    to b, so every (row, a, b) with a != b and c_a >= 1 gives one pair.  A
+    row's code sum_j c_j (n + 1)^(k-1-j) descends strictly down the table,
+    so a binary search finds the neighbour's row; the codes are Python
+    integers where int64 could overflow.
+    """
+    k, n = problem.num_outcomes, problem.n
+    dtype = np.int64 if (n + 1) ** k <= np.iinfo(np.int64).max else object
+    radix = np.array([(n + 1) ** (k - 1 - j) for j in range(k)], dtype=dtype)
+    codes = counts @ radix
+    rows, a, b = np.nonzero((counts > 0)[:, :, None] & ~np.eye(k, dtype=bool))
+    return rows, len(codes) - 1 - np.searchsorted(codes[::-1], codes[rows] - radix[a] + radix[b])
+
+
+def tabulate_types(
+    problem: FiniteProblem, budget: int = ENUMERATION_BUDGET
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every sample type as one count row: (counts, weights, risks).
+
+    Row r holds a count vector c, the probability n! / prod_j c_j! * prod_j
+    mu_j^c_j of all samples of that type and the per-hypothesis empirical
+    risks of :func:`_count_risks`.  The rows run in lexicographic order of
+    their sorted samples: c_0 descending, then c_1, and so on.  They are
+    built by splitting the last count of every row k - 1 times; splitting r
+    into (r - m, m) multiplies the row's exact multinomial by C(r, m).
     Raises :class:`BudgetError` when the C(n + k - 1, k - 1) types are too
     many to enumerate exhaustively.
     """
     k, n = problem.num_outcomes, problem.n
     _check_budget("enumerating {} types", lambda m: math.comb(m + k - 1, k - 1), n, budget)
-    mu = problem.mu.probs
-    for tup in itertools.combinations_with_replacement(range(k), n):
-        sample = np.array(tup, dtype=int)
-        counts = np.bincount(sample, minlength=k)
-        multinomial, left = 1, n
-        for c in counts.tolist():
-            multinomial *= math.comb(left, c)
-            left -= c
-        yield sample, multinomial * float(np.prod(mu**counts))
+    counts, multinomials = np.full((1, 1), n), [1]
+    for _ in range(k - 1):
+        last = counts[:, -1]
+        sizes = last + 1
+        counts = np.repeat(counts, sizes, axis=0)
+        moved = np.arange(len(counts)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        counts = np.column_stack([counts[:, :-1], counts[:, -1] - moved, moved])
+        multinomials = [m * c for m, r in zip(multinomials, last.tolist()) for c in _binomials(r)]
+    return counts, _type_weights(counts, multinomials, problem.mu.probs), _count_risks(problem, counts)
 
 
-def _type_radix(problem: FiniteProblem) -> np.ndarray:
-    """Place values of the base-(n + 1) code sum_j c_j (n + 1)^(k-1-j) of a count vector.
+def _binomials(r: int) -> Iterator[int]:
+    """C(r, 0), C(r, 1), ..., C(r, r)."""
+    c = 1
+    for i in range(r + 1):
+        yield c
+        c = c * (r - i) // (i + 1)
 
-    A sample's code is ``_type_radix(problem)[sample].sum()``.  Codes descend
-    strictly along :func:`iter_types`.  They are Python integers where int64
-    could overflow.
+
+def _type_weights(counts: np.ndarray, multinomials: list[int], mu: np.ndarray) -> np.ndarray:
+    """The probability of each count row: its exact multinomial times prod_j mu_j^c_j.
+
+    That product in floats where the multinomial fits in a float and
+    prod_j mu_j^c_j is a normal float; elsewhere, where the integer would
+    overflow or the float product lose its precision, the log of the exact
+    multinomial plus sum_j c_j log mu_j, exponentiated.
     """
-    k, n = problem.num_outcomes, problem.n
-    dtype = np.int64 if (n + 1) ** k <= np.iinfo(np.int64).max else object
-    return np.array([(n + 1) ** (k - 1 - j) for j in range(k)], dtype=dtype)
-
-
-def _type_rows(type_codes: np.ndarray, codes) -> np.ndarray:
-    """Rows of the type table, whose codes are ``type_codes``, holding each of ``codes``."""
-    return len(type_codes) - 1 - np.searchsorted(type_codes[::-1], codes)
-
-
-def _type_neighbors(problem: FiniteProblem, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row pairs of the type table ``samples`` whose types are neighbours.
-
-    Changing one coordinate of a sample from a to b moves one count from a
-    to b, so every (row, a, b) with a != b and c_a >= 1 gives one pair.
-    """
-    k = problem.num_outcomes
-    radix = _type_radix(problem)
-    codes = radix[samples].sum(axis=1)
-    present = (samples[:, :, None] == np.arange(k)).any(axis=1)
-    rows, a, b = np.nonzero(present[:, :, None] & ~np.eye(k, dtype=bool))
-    return rows, _type_rows(codes, codes[rows] - radix[a] + radix[b])
-
-
-def _type_table(problem: FiniteProblem, budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    samples, weights = zip(*iter_types(problem, budget=budget))
-    risks = [empirical_risks(problem, sample) for sample in samples]
-    return np.array(samples), np.array(weights), np.array(risks)
-
-
-def tabulate_types(
-    problem: FiniteProblem, rule, budget: int = ENUMERATION_BUDGET
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every sample type as one table row: (samples, weights, risks, probs).
-
-    Row r holds the r-th sample of :func:`iter_types`, the probability of
-    its type, its per-hypothesis empirical risks and ``rule(sample).probs``.
-    Only a rule that sees the sample through its type is faithfully
-    represented.
-    """
-    samples, weights, risks = _type_table(problem, budget)
-    return samples, weights, risks, np.array([rule(sample).probs for sample in samples])
+    products = np.prod(mu**counts, axis=1)
+    fits = np.array([m <= sys.float_info.max for m in multinomials]) & (products >= sys.float_info.min)
+    weights = np.empty(len(counts))
+    weights[fits] = [m * p for m, p, f in zip(multinomials, products.tolist(), fits) if f]
+    if not fits.all():
+        rows = ~fits
+        with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf, and 0 * -inf is dropped
+            logs = np.where(counts[rows] > 0, counts[rows] * np.log(mu), 0.0).sum(axis=1)
+        logs += [math.log(m) for m, f in zip(multinomials, fits) if not f]
+        weights[rows] = np.exp(logs)
+    return weights
 
 
 def tabulate(
@@ -227,14 +251,14 @@ def tabulate(
     Row r holds the r-th sample of :func:`iter_samples`, its product-measure
     weight, its per-hypothesis empirical risks and ``rule(sample).probs``.
     Sample s sits at row sum_i s_i k^(n-1-i), so changing coordinate i to z
-    moves it by (z - s_i) k^(n-1-i) rows.  The risks are those of the
-    sample's type, which :func:`empirical_risks` gives every ordering.
+    moves it by (z - s_i) k^(n-1-i) rows.  The risks are :func:`_count_risks`
+    of the samples' count vectors, so every ordering of a type has its risks.
     """
     k, n = problem.num_outcomes, problem.n
     _check_budget("enumerating {} sequences", lambda m: k**m, n, budget)
-    samples = np.arange(k**n)[:, None] // k ** np.arange(n - 1, -1, -1) % k
+    rows = k**n
+    samples = np.arange(rows)[:, None] // k ** np.arange(n - 1, -1, -1) % k
     weights = np.prod(problem.mu.probs[samples], axis=1)
-    types, _, type_risks = _type_table(problem, budget)
-    radix = _type_radix(problem)
-    risks = type_risks[_type_rows(radix[types].sum(axis=1), radix[samples].sum(axis=1))]
+    counts = np.bincount((samples + k * np.arange(rows)[:, None]).ravel(), minlength=rows * k)
+    risks = _count_risks(problem, counts.reshape(rows, k))
     return samples, weights, risks, np.array([rule(sample).probs for sample in samples])

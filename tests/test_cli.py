@@ -209,6 +209,62 @@ class TestBoundSweep:
         assert main(["bound", "sweep", "--config", cfg]) == 2
 
 
+OCCAM = {"name": "occam", "n": 50, "beta": 1.0, "delta": 0.1, "empirical_risk": 0.1,
+         "hessian_eigenvalues": [1.0, 2.0], "w_p": [0.0, 0.0], "w_q": [0.1, 0.1], "lam": 1.0}
+GRID_SWEEP = {"bound": {"name": "catoni", "n": 50, "delta": 0.1, "kl": 1.0, "empirical_risk": 0.2},
+              "sweep": {"parameter": "beta", "grid": [0.5, 1.0]}}
+EXPERIMENT = {"experiment": {"bound": "catoni", "beta": 1.0, "delta": 0.05, "trials": 100,
+                             "algorithm": {"kind": "gibbs", "beta_alg": 5.0}, "prior": [0.25] * 4},
+              "problem": STANDARD_PROBLEM}
+
+
+def _with(config, section, field, value):
+    """``config`` with ``section.field`` set to ``value``."""
+    return {**config, section: {**config[section], field: value}}
+
+
+class TestMalformedListFields:
+    """A list-valued field with a non-numeric or ragged entry exits 2 naming the field, not 1 with a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, config, section, field, value, message",
+        [
+            ("experiment", EXPERIMENT, "problem", "losses", [[0, 1], [1, 0], [0, 1], [1]],
+             "a list of equally long lists of numbers"),
+            ("experiment", EXPERIMENT, "problem", "mu", [0.5, "half"], "a list of numbers"),
+            ("experiment", EXPERIMENT, "experiment", "prior", [0.25, 0.25, [0.25], 0.25], "a list of numbers"),
+            ("sweep", GRID_SWEEP, "sweep", "grid", [0.5, "one"], "a list of numbers"),
+            ("compute", {"bound": OCCAM}, "bound", "hessian_eigenvalues", [1.0, "two"], "a list of numbers"),
+            ("compute", {"bound": OCCAM}, "bound", "w_p", [0.0, None], "a list of numbers"),
+            ("compute", {"bound": OCCAM}, "bound", "w_q", [[0.1, 0.1], [0.1]], "a list of numbers"),
+        ],
+        ids=["losses", "mu", "prior", "grid", "hessian_eigenvalues", "w_p", "w_q"],
+    )
+    def test_a_malformed_list_exits_2_naming_the_field(
+        self, tmp_path, capsys, command, config, section, field, value, message
+    ):
+        argv = {"experiment": ["experiment", "run"], "sweep": ["bound", "sweep"], "compute": ["bound", "compute"]}
+        good = write_yaml(tmp_path / "good.yaml", config)
+        assert main([*argv[command], "--config", good, "--out", str(tmp_path / "out.csv")]) == 0
+        bad = write_yaml(tmp_path / "bad.yaml", _with(config, section, field, value))
+        assert main([*argv[command], "--config", bad]) == 2
+        assert f"error: {section}.{field} must be {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sweep, message",
+        [
+            ({"parameter": "beta", "start": 0.5, "stop": 1.0, "points": -1}, "sweep.points must be nonnegative"),
+            ({"parameter": "beta", "start": 0, "stop": 1.0, "points": 3, "spacing": "log"},
+             "sweep.start and sweep.stop must be positive for log spacing"),
+        ],
+        ids=["negative-points", "log-from-zero"],
+    )
+    def test_a_sweep_numpy_cannot_space_exits_2(self, tmp_path, capsys, sweep, message):
+        cfg = write_yaml(tmp_path / "bad.yaml", {"bound": GRID_SWEEP["bound"], "sweep": sweep})
+        assert main(["bound", "sweep", "--config", cfg]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+
 class TestExperimentCommands:
     def test_catoni_certification_passes(self, tmp_path):
         cfg = experiment_config(tmp_path)

@@ -248,6 +248,35 @@ def table_report(table, problem, algorithm, prior=None):
     )
 
 
+def type_table(problem, rule):
+    """The type table with each row recomputed from its sorted sample: (samples, weights, risks, probs)."""
+    counts, weights, _ = tabulate_types(problem)
+    samples = [np.repeat(np.arange(problem.num_outcomes), row) for row in counts]
+    risks = np.array([empirical_risks(problem, sample) for sample in samples])
+    return samples, weights, risks, np.array([rule(sample).probs for sample in samples])
+
+
+def reference_type_audit(problem, epsilon):
+    """The privacy audit by recomputing the mechanism on every type and each neighbouring type."""
+    k = problem.num_outcomes
+    counts, _, _ = tabulate_types(problem)
+    priors = {
+        tuple(row): dp_prior_mechanism(problem, np.repeat(np.arange(k), row), epsilon).probs
+        for row in counts.tolist()
+    }
+    worst = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for row, prior in priors.items():
+            for a, b in itertools.permutations(range(k), 2):
+                if row[a]:
+                    neighbor = list(row)
+                    neighbor[a] -= 1
+                    neighbor[b] += 1
+                    ratios = np.abs(np.log(prior) - np.log(priors[tuple(neighbor)]))
+                    worst = max(worst, float(np.nanmax(ratios)))
+    return worst
+
+
 class FirstOutcome:
     """A rule that reads the order of the sample: it trusts the first outcome most."""
 
@@ -265,13 +294,26 @@ class TestTypeTable:
     def test_rows_are_the_types(self, n, k):
         problem = random_problem(np.random.default_rng([n, k, 1]), 3, k, n=n)
         algorithm = GibbsAlgorithm(beta_alg=2.0)
-        samples, weights, risks, probs = tabulate_types(problem, lambda s: algorithm.posterior(problem, s))
-        assert len(samples) == len(weights) == len(risks) == len(probs) == math.comb(n + k - 1, k - 1)
+        counts, weights, risks = tabulate_types(problem)
+        probs = algorithm._posterior_rows(risks, DiscreteDist.uniform(3).probs, n)
+        assert len(counts) == len(weights) == len(risks) == math.comb(n + k - 1, k - 1)
+        assert counts.shape[1] == k and np.all(counts >= 0) and np.all(counts.sum(axis=1) == n)
         assert abs(math.fsum(weights) - 1.0) <= 1e-12
-        for row, sample in enumerate(samples):
-            assert np.all(np.diff(sample) >= 0)
+        for row, count in enumerate(counts):
+            sample = np.repeat(np.arange(k), count)
             assert np.array_equal(risks[row], empirical_risks(problem, sample))
             assert np.array_equal(probs[row], algorithm.posterior(problem, sample).probs)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_count_rows_follow_the_order_of_sorted_samples(self, k):
+        for n in range(1, 8):
+            problem = FiniteProblem(losses=np.zeros((1, k)), mu=DiscreteDist.uniform(k), n=n)
+            counts, _, _ = tabulate_types(problem)
+            expected = [
+                np.bincount(sample, minlength=k)
+                for sample in itertools.combinations_with_replacement(range(k), n)
+            ]
+            assert counts.dtype.kind == "i" and np.array_equal(counts, expected)
 
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -299,7 +341,31 @@ class TestTypeTable:
         report = verify_expectation_bounds(problem, FirstOutcome())
         assert report == table_report(tabulate, problem, FirstOutcome())
         # On types the rule would see only sorted samples, which changes the result.
-        assert report != table_report(tabulate_types, problem, FirstOutcome())
+        assert report != table_report(type_table, problem, FirstOutcome())
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [GibbsAlgorithm(beta_alg=2.0), ErmAlgorithm(), ErmAlgorithm(tie_break="uniform")],
+        ids=["gibbs", "erm-lowest", "erm-uniform"],
+    )
+    @pytest.mark.parametrize("prior", ["uniform", "fixed", "zero-mass"])
+    @pytest.mark.parametrize("mu", [[0.3, 0.2, 0.5], [0.6, 0.0, 0.4]], ids=["interior", "zero-mass"])
+    def test_verify_equals_the_rule_on_each_type(self, algorithm, prior, mu):
+        rng = np.random.default_rng(11)
+        problem = FiniteProblem(losses=rng.integers(0, 2, (4, 3)).astype(float), mu=DiscreteDist(mu), n=5)
+        q = {
+            "uniform": None,
+            "fixed": DiscreteDist.from_weights(rng.random(4) + 0.05),
+            "zero-mass": DiscreteDist([0.5, 0.0, 0.25, 0.25]),
+        }[prior]
+        report = verify_expectation_bounds(problem, algorithm, prior=q)
+        assert report == table_report(type_table, problem, algorithm, q)
+
+    @pytest.mark.parametrize("epsilon", [0.1, 0.7, 3.0])
+    @pytest.mark.parametrize("mu", [[0.3, 0.2, 0.5], [0.6, 0.0, 0.4]], ids=["interior", "zero-mass"])
+    def test_audit_equals_the_mechanism_on_each_type(self, epsilon, mu):
+        problem = FiniteProblem(losses=np.random.default_rng(3).random((4, 3)), mu=DiscreteDist(mu), n=5)
+        assert dp_mechanism_max_log_ratio(problem, epsilon) == reference_type_audit(problem, epsilon)
 
     def test_verify_runs_where_the_sequences_exceed_the_budget(self, rng):
         problem = random_problem(rng, 3, 2, n=25)
@@ -310,6 +376,12 @@ class TestTypeTable:
             enumerate_joint(problem, GibbsAlgorithm(beta_alg=1.0))
         with pytest.raises(BudgetError, match="33554432 sequences"):
             verify_expectation_bounds(problem, FirstOutcome())
+
+    def test_verify_runs_where_the_multinomials_exceed_a_float(self, rng):
+        problem = random_problem(rng, 3, 2, n=5000)
+        report = verify_expectation_bounds(problem, GibbsAlgorithm(beta_alg=1.0))
+        assert report.mi_bound_holds and report.prior_bound_holds
+        assert abs(report.golden_residual) <= 1e-10
 
     def test_budget_error_names_the_type_count(self, rng):
         problem = random_problem(rng, 3, 3, n=4)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genbounds import DiscreteDist, FiniteProblem, LossModel
+from genbounds import DiscreteDist, FiniteProblem, LossModel, PsiFunction
 from genbounds.bounds import (
     BoundRequest,
     cmi_expectation,
@@ -26,8 +26,20 @@ from genbounds.bounds import (
 from genbounds.divergences import JointTable, conditional_mutual_info, max_info_dp_bound
 from genbounds.errors import DegenerateError, DomainError, ParameterError
 from genbounds.harness import clopper_pearson_upper, union_beta_grid
-from genbounds.posteriors import PacBayesSgdParams, QuadraticModel, gibbs_posterior
-from genbounds.problems import empirical_risks
+from genbounds.losses import phi_beta, phi_beta_inverse, psi_of, psi_star_inverse, psi_star_inverse_numeric
+from genbounds.posteriors import (
+    PacBayesSgdParams,
+    QuadraticModel,
+    expected_quadratic_loss,
+    gibbs_posterior,
+    iei_empirical_check,
+    iei_exact,
+    information_complexity,
+    local_entropy,
+    local_entropy_mc,
+    stochastic_complexity,
+)
+from genbounds.problems import annealed_risks, empirical_risks
 
 NAN, INF = float("nan"), float("inf")
 NOT_PROBABILITIES = "probabilities must be finite and nonnegative"
@@ -186,6 +198,14 @@ def test_gibbs_posterior_matches_the_reference_formula_bit_for_bit(data, size, b
 _SGD = dict(n=50, beta=2.0, lam=0.1, alpha=2.0, b=10, c=0.5, m=200, delta=0.05, delta_prime=0.05,
             mc_empirical_risk=0.1, kl=2.0)
 _ONE = [1.0]
+_POINT = DiscreteDist([1.0])
+_MODEL = QuadraticModel(_ONE, _ONE, _ONE, lam=1.0, n=3, beta=1.0)
+UNIFORM_2 = DiscreteDist.uniform(2)
+
+
+def _coin_rule(sample):
+    return UNIFORM_2
+
 
 #: (site, a call taking the integer under test, the error class, its message)
 INTEGER_SITES = [
@@ -210,6 +230,10 @@ INTEGER_SITES = [
      "trials must be a positive integer"),
     ("clopper_pearson_upper.violations", lambda k: clopper_pearson_upper(k, 10), DomainError,
      "violations must be an integer in [0, trials]"),
+    ("iei_empirical_check", lambda k: iei_empirical_check(COIN, _coin_rule, UNIFORM_2, 1.0, k, seed=0),
+     DomainError, "trials must be a positive integer"),
+    ("local_entropy_mc", lambda k: local_entropy_mc(_MODEL, 1.0, k, seed=0), DomainError,
+     "draws must be an integer of at least 2 for a standard error"),
 ]
 
 
@@ -219,3 +243,35 @@ INTEGER_SITES = [
 def test_every_integer_count_refuses_a_non_integer_with_its_own_error(call, cls, message, value):
     _raises_exactly(cls, message, call, value)
     call(np.int64(3))
+
+
+#: (site, a call taking the scalar under test, its message): each refuses NaN with a DomainError.
+NAN_SITES = [
+    ("annealed_risks", lambda x: annealed_risks(COIN, x), "beta must be positive"),
+    ("stochastic_complexity", lambda x: stochastic_complexity(_POINT, [0.5], x), "beta must be positive"),
+    ("information_complexity", lambda x: information_complexity(_POINT, _POINT, [0.5], x), "beta must be positive"),
+    ("iei_exact", lambda x: iei_exact(COIN, _coin_rule, UNIFORM_2, x), "beta must be positive"),
+    ("iei_empirical_check", lambda x: iei_empirical_check(COIN, _coin_rule, UNIFORM_2, x, 10, seed=0),
+     "beta must be positive"),
+    ("phi_beta", lambda x: phi_beta(x, 0.5), "beta must be positive"),
+    ("phi_beta_inverse", lambda x: phi_beta_inverse(x, 0.5), "beta must be positive"),
+    ("psi_of", lambda x: psi_of(LossModel.bounded_unit(), x), "beta must be nonnegative"),
+    ("psi_star_inverse", lambda x: psi_star_inverse(LossModel.bounded_unit(), x), "y must be nonnegative"),
+    ("psi_star_inverse_numeric",
+     lambda x: psi_star_inverse_numeric(PsiFunction.from_loss_model(LossModel.bounded_unit()), x),
+     "y must be nonnegative"),
+    ("local_entropy", lambda x: local_entropy(_MODEL, x), "gamma must be positive"),
+    ("local_entropy_mc", lambda x: local_entropy_mc(_MODEL, x, 10, seed=0), "gamma must be positive"),
+    ("expected_quadratic_loss", lambda x: expected_quadratic_loss(_MODEL, [x]),
+     "covariance eigenvalues must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("call, message", [case[1:] for case in NAN_SITES], ids=[case[0] for case in NAN_SITES])
+def test_every_nan_parameter_is_refused(call, message):
+    _raises_exactly(DomainError, message, call, NAN)
+    call(0.5)
+
+
+def test_annealed_risks_refuse_an_infinite_beta():
+    _raises_exactly(DomainError, "beta must be finite", annealed_risks, COIN, INF)

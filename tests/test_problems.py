@@ -1,6 +1,7 @@
 """Tests for finite problems: risks, annealed risks, enumeration."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -204,6 +205,23 @@ class TestIterTypes:
         problem = random_problem(rng, 2, 3, n=4)
         with pytest.raises(BudgetError, match="enumerating 15 types exceeds the budget of 10"):
             list(iter_types(problem, budget=10))
+
+    @pytest.mark.parametrize("mu", [[0.5, 0.5], [0.3, 0.7]])
+    def test_weights_beyond_the_float_range_of_the_multinomial(self, mu):
+        # C(2000, 1000) is about 2^1995 and 0.5^2000 is below every float.
+        problem = FiniteProblem(losses=[[0.0, 1.0]], mu=DiscreteDist(mu), n=2000)
+        types = list(iter_types(problem))
+        assert len(types) == 2001
+        assert math.fsum(w for _, w in types) == pytest.approx(1.0, abs=1e-9)
+        p, q = (Fraction(float(m)) for m in problem.mu.probs)
+        checked = 0
+        for sample, weight in types[::40]:
+            c = int(np.sum(sample == 0))
+            exact = math.comb(2000, c) * p**c * q ** (2000 - c)
+            if exact > 1e-290:
+                assert abs(Fraction(weight) - exact) <= 1e-9 * exact
+                checked += 1
+        assert checked >= 10
 
     @pytest.mark.parametrize("k, n, budget, fits", [(3, 4, 10, "n ≤ 3 fits"), (2, 200, 100, "n ≤ 99 fits"),
                                                     (5, 10**6, 10**6, "n ≤ 67 fits")], ids=["k3", "k2", "k5"])
