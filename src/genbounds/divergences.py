@@ -141,10 +141,13 @@ class GaussianKLInputs:
 
 
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """KL of each row of ``p`` to ``q``, which is one row or one row per row of ``p``."""
+    """KL of each row of ``p`` to ``q``, which is one row or one row per row of ``p``.
+
+    A row near ``q`` can sum its terms to a few ulps below 0; KL is nonnegative, so that reads 0.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0)
-    return terms.sum(axis=-1)
+    return np.maximum(terms.sum(axis=-1), 0.0)
 
 
 def _logsumexp(a: np.ndarray, b: np.ndarray, axis=None) -> np.ndarray:
@@ -262,7 +265,7 @@ def kl_gaussian_diag(p_mean, p_var, q_mean, q_var) -> float:
 def mutual_info(joint: JointTable) -> float:
     """Exact mutual information I(S;W) = D(P_{W|S} || P_W | P_S) of a joint table, in nats."""
     p = joint.probs
-    return max(_mixture_kl(p, p.sum(axis=0)), 0.0)
+    return _mixture_kl(p, p.sum(axis=0))
 
 
 def conditional_kl(joint: JointTable, q: DiscreteDist) -> float:
@@ -295,7 +298,7 @@ def conditional_mutual_info(joint3) -> float:
     with np.errstate(invalid="ignore"):  # a zero-mass z has only zero-mass rows
         given_z = sheets / sheets.sum(axis=1, keepdims=True)
     rows = np.repeat(given_z, table.shape[1], axis=0)
-    return max(_mixture_kl(table.reshape(-1, table.shape[2]), rows), 0.0)
+    return _mixture_kl(table.reshape(-1, table.shape[2]), rows)
 
 
 def max_info_exact(joint: JointTable, alpha: float = 0.0) -> float:

@@ -16,15 +16,18 @@ this to the installed numpy.  A draw's outcome is the number of integer
 thresholds ceil(cdf_j 2^53) the top 53 bits of its stream word reach, which
 is the inverse-CDF search on the double those bits make.  The learning rules
 see a sample only through its type (its count vector), so within one run the
-trials that draw the same type share one evaluation of the posterior, the
-bound and the truth: one dict over the run numbers the types in the order
-they first appear, and arrays indexed by that number hold their values.
+trials that draw the same type share one evaluation of the posterior and the
+bound: one dict over the run numbers the types in the order they first
+appear, and arrays indexed by that number hold their bounds and posteriors.
 The types a block of trials sees first are evaluated together: risks,
-priors, posteriors, KLs and truths as arrays of rows, each row bit for bit
-what the one-sample functions give, and the bound as one scalar call per
-type.  A report still depends only on (seed, trial index), and replaying one
-trial runs the same code on that trial alone.  A NaN bound or truth refuses
-the report, since no comparison with NaN can count as a violation.
+priors, posteriors and KLs as arrays of rows, each row bit for bit what the
+one-sample functions give, and the bound as one scalar call per type.  Every
+truth is E_P[reference] for the trial's posterior P, taken per trial as the
+posterior dotted with a reference row: the annealed or the true risks, or
+the ghost minus the training risks of a supersample.  A report still depends
+only on (seed, trial index), and replaying one trial runs the same code on
+that trial alone.  A NaN bound or truth refuses the report, since no
+comparison with NaN can count as a violation.
 
 The exact checks read a sample table: one count row per type from
 :func:`~genbounds.problems.tabulate_types`, or one row per sequence from
@@ -62,6 +65,7 @@ from .divergences import (
     JointTable,
     _check_rows,
     _kl_rows,
+    _logsumexp,
     conditional_kl,
     conditional_mutual_info,
     golden_formula_residual,
@@ -588,14 +592,13 @@ def _block_evaluator(config: TrialConfig, kind: str, params: tuple):
     """The per-type body of a certification trial, as a function of a block of training types.
 
     The function takes an (m, k) array of training counts and returns their
-    empirical risks and posteriors, (m, h) arrays, and their bound values and
-    truths, arrays of m.  ``private-prior`` measures the posterior against
+    posteriors, an (m, h) array, and their bound values, an array of m.
+    ``private-prior`` measures the posterior against
     :func:`dp_prior_mechanism` at ``params`` (epsilon), the others against the
     configured prior; a Gibbs learner's base is the private prior there and
     uniform otherwise.  Every row is computed as the one-sample primitives
     compute it, to the bit, and checked as a :class:`DiscreteDist` is.  The
-    bound is one scalar call per type.  The truths are None for the gap to a
-    ghost sample, which the type leaves open.
+    bound is one scalar call per type.
     """
     entry = _registered(config, kind)
     problem = config.problem
@@ -606,10 +609,8 @@ def _block_evaluator(config: TrialConfig, kind: str, params: tuple):
     fixed_prior = config.prior.probs if config.prior is not None else uniform
     if kind == "private-prior":
         _check_dp_prior(problem, *params)
-    truth_risks = None  # after the first bound, so a missing beta raises the bound's error
 
-    def evaluate(types: np.ndarray) -> tuple:
-        nonlocal truth_risks
+    def evaluate(types: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         risks = _count_risks(problem, types)
         if kind == "private-prior":
             priors = _dp_prior_rows(problem, risks, *params)
@@ -629,11 +630,7 @@ def _block_evaluator(config: TrialConfig, kind: str, params: tuple):
             + config.bound_offset
             for risk, kl in zip(fitted, kls)
         ])
-        if entry.truth == "gap":
-            return risks, posteriors, bounds, None
-        if truth_risks is None:
-            truth_risks = annealed_risks(problem, beta) if entry.truth == "annealed" else true_risks(problem)
-        return risks, posteriors, bounds, _row_dots(posteriors, truth_risks)
+        return posteriors, bounds
 
     return evaluate
 
@@ -649,17 +646,20 @@ def _trials(config: TrialConfig, kind: str, trials: np.ndarray, *params) -> np.n
     each training type's count bytes to its id, numbered in the order the
     types first appear.  The types a block sees first are evaluated together,
     in that order, by the :func:`_block_evaluator` body, into run-level
-    arrays indexed by id; each block gathers its trials' values from them.
-    The ghost gap of a supersample is taken per block from the stored
-    posterior and risks of each trial's type.  The result is a (trials, 2)
-    array.
+    arrays of bounds and posteriors indexed by id, which hold at most one row
+    per trial or per sample type.  Each trial's truth is its type's posterior
+    dotted with a reference row: the annealed or the true risks, or for a
+    supersample its ghost risks minus its training risks.  The result is a
+    (trials, 2) array.
     """
     evaluate = _block_evaluator(config, kind, params)
     problem = config.problem
-    gap = BOUNDS[config.bound.name].truth == "gap"
+    k, n = problem.num_outcomes, problem.n
+    truth = BOUNDS[config.bound.name].truth
+    size = min(len(trials), math.comb(n + k - 1, k - 1))
+    bounds, posteriors = np.empty(size), np.empty((size, problem.num_hypotheses))
     ids: dict[bytes, int] = {}
-    # Per type id: its bound and truth, or its bound, risks and posterior for the gap.
-    table: tuple[np.ndarray, ...] = ()
+    reference = None
     result = np.empty((len(trials), 2))
     start = 0
     for counts in _trial_counts(problem, config.seed, trials, kind == "supersample"):
@@ -670,31 +670,17 @@ def _trials(config: TrialConfig, kind: str, trials: np.ndarray, *params) -> np.n
         if len(ids) > seen:
             # Ids count up in first-seen order: the running maximum reaches a new id where it first appears.
             fresh = np.maximum.accumulate(block).searchsorted(np.arange(seen, len(ids)))
-            risks, posteriors, bounds, truths = evaluate(types[fresh])
-            table = _store(table, seen, (bounds, risks, posteriors) if gap else (bounds, truths))
+            posteriors[seen : len(ids)], bounds[seen : len(ids)] = evaluate(types[fresh])
+        if truth == "gap":
+            reference = _count_risks(problem, counts[:, 1]) - _count_risks(problem, types)
+        elif reference is None:  # after the first bounds, so a missing beta raises the bound's error
+            beta = config.bound.params.get("beta")
+            reference = annealed_risks(problem, beta) if truth == "annealed" else true_risks(problem)
         rows = result[start : start + len(block)]
-        rows[:, 0] = table[0][block]
-        if gap:  # the gap to the ghost sample, which the type leaves open
-            risks, posteriors = table[1][block], table[2][block]
-            rows[:, 1] = _row_dots(posteriors, _count_risks(problem, counts[:, 1]) - risks)
-        else:
-            rows[:, 1] = table[1][block]
+        rows[:, 0] = bounds[block]
+        rows[:, 1] = _row_dots(posteriors[block], reference)
         start += len(block)
     return result
-
-
-def _store(table: tuple[np.ndarray, ...], at: int, values: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    """Write ``values`` at row ``at`` of each array of ``table``, doubling an array that is too short."""
-    stored = []
-    for array, value in zip(table or [value[:0] for value in values], values):
-        end = at + len(value)
-        if end > len(array):
-            grown = np.empty((max(end, 2 * len(array)), *array.shape[1:]))
-            grown[:at] = array[:at]
-            array = grown
-        array[at:end] = value
-        stored.append(array)
-    return tuple(stored)
 
 
 def _one_trial(config: TrialConfig, kind: str, trial, *params) -> tuple[float, float]:
@@ -830,21 +816,25 @@ def dp_mechanism_max_log_ratio(
 
     Returns the largest absolute log-probability ratio between priors on
     samples differing in one coordinate; at most epsilon when the mechanism
-    is correctly calibrated.  A hypothesis that only one of the two priors
-    gives probability 0 has an infinite ratio, one that both give 0 has
-    ratio 0.  The mechanism sees a sample through its type, so the audit
-    runs over the type table and its neighbouring rows, each row's prior as
-    :func:`dp_prior_mechanism` computes it.
+    is correctly calibrated.  The mechanism sees a sample through its type,
+    so the audit runs over the type table and its neighbouring rows, each
+    row's prior as :func:`dp_prior_mechanism` computes it.  The mechanism
+    gives every hypothesis positive mass, so a prior entry that rounds to 0,
+    or to a subnormal whose log has lost precision, takes its log from the
+    logits instead: log q - (n epsilon / 2) f less the row's log-sum-exp.
     """
     counts, _, risks = tabulate_types(problem, budget)
     _check_dp_prior(problem, epsilon)
     priors = _dp_prior_rows(problem, risks, epsilon)
     _check_rows(priors)
     rows, neighbors = _type_neighbors(problem, counts)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore"):
         log_priors = np.log(priors)
-        ratios = np.abs(log_priors[rows] - log_priors[neighbors])
-    return float(np.nanmax(ratios, initial=0.0))
+    underflow = priors < np.finfo(float).tiny
+    if underflow.any():
+        logits = np.log(DiscreteDist.uniform(problem.num_hypotheses).probs) - problem.n * epsilon / 2.0 * risks
+        log_priors[underflow] = (logits - _logsumexp(logits, 1.0, axis=1)[:, None])[underflow]
+    return float(np.max(np.abs(log_priors[rows] - log_priors[neighbors]), initial=0.0))
 
 
 def dp_prior_trial(config: TrialConfig, trial: int, epsilon: float) -> tuple[float, float]:

@@ -220,9 +220,11 @@ def phi_beta(beta: float, x: float) -> float:
 def phi_beta_inverse(beta: float, x: float) -> float:
     """Inverse of :func:`phi_beta`: (1 - e^{-beta x}) / (1 - e^{-beta}).
 
-    Maps [0, 1] onto [0, 1]; arguments above 1 return the raw value above 1,
-    which callers treat as a vacuous risk bound.
+    Maps [0, 1] onto [0, 1]; arguments above 1, +inf included, return the raw
+    value above 1, which callers treat as a vacuous risk bound.
     """
     if not beta > 0:
         raise DomainError("beta must be positive")
+    if not x >= 0:
+        raise DomainError("x must be nonnegative")
     return math.expm1(-beta * x) / math.expm1(-beta)

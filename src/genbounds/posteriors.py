@@ -448,9 +448,12 @@ def local_entropy(model: QuadraticModel, gamma: float, w=None) -> float:
     base = -0.5 / beta * float(np.sum(np.log(2.0 * math.pi / (beta * (h + gamma)))))
     if w is None:
         return base
-    d = np.asarray(w, dtype=float) - model.w_p
-    if d.shape != h.shape:
+    w = np.asarray(w, dtype=float)
+    if w.shape != h.shape:
         raise ShapeError("w must match the model dimension")
+    if not np.isfinite(w).all():
+        raise DomainError("w must be finite")
+    d = w - model.w_p
     quad = 0.5 * float(np.sum(gamma * h / (h + gamma) * d * d))
     return base + quad
 
@@ -470,6 +473,8 @@ def local_entropy_mc(
     center = model.w_p if w is None else np.asarray(w, dtype=float)
     if center.shape != model.w_p.shape:
         raise ShapeError("w must match the model dimension")
+    if not np.isfinite(center).all():
+        raise DomainError("w must be finite")
     beta = model.beta
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(beta * gamma)

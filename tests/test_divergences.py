@@ -16,6 +16,7 @@ from genbounds import (
     ShapeError,
     conditional_kl,
     conditional_mutual_info,
+    gibbs_posterior,
     golden_formula_residual,
     kl_binary,
     kl_binary_inverse_upper,
@@ -26,7 +27,7 @@ from genbounds import (
     max_info_exact,
     mutual_info,
 )
-from genbounds.divergences import _logsumexp
+from genbounds.divergences import _kl_rows, _logsumexp
 from conftest import random_dist
 
 
@@ -338,6 +339,17 @@ class TestRowKernelAgainstReferences:
             assert reference_conditional_kl(p, q) == math.inf
             assert conditional_kl(JointTable(p), DiscreteDist(q)) == math.inf
             assert kl_discrete(DiscreteDist(p.sum(axis=0)), DiscreteDist(q)) == math.inf
+
+    @pytest.mark.parametrize("h", [2, 3, 4, 8, 16])
+    def test_a_posterior_within_rounding_of_its_prior_has_kl_0_not_below(self, h):
+        rng = np.random.default_rng(h)
+        q = random_dist(rng, h).probs
+        rows = np.stack([gibbs_posterior(DiscreteDist(q), rng.random(h), 10 ** rng.uniform(-12, -6)).probs
+                         for _ in range(500)])
+        raw = np.where(rows > 0, rows * (np.log(rows) - np.log(q)), 0.0).sum(axis=1)
+        assert (raw < 0).any()  # the summed terms do round below 0 here
+        assert (_kl_rows(rows, q) >= 0).all()
+        assert all(kl_discrete(DiscreteDist(row), DiscreteDist(q)) >= 0 for row in rows)
 
     def test_conditional_mutual_info_matches_the_sheet_loop(self, rng):
         for _ in range(300):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 import genbounds.bounds
 from genbounds import (
@@ -206,6 +207,16 @@ class TestVerifyExpectationBounds:
         for _ in range(25):
             q = DiscreteDist(rng.dirichlet(np.ones(3)))
             assert conditional_kl(joint, q) >= base - 1e-12
+
+    def test_gibbs_posteriors_within_rounding_of_the_prior(self):
+        # At beta_alg <= 1e-8 the rows' KLs sum a few ulps below 0, and I(S;W) sits below float resolution,
+        # so only the averaged-KL route is checked.
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            problem = random_problem(rng, 4, 3, n=4)
+            report = verify_expectation_bounds(problem, GibbsAlgorithm(beta_alg=10 ** rng.uniform(-12, -8)))
+            assert report.prior_bound_holds
+            assert abs(report.golden_residual) <= 1e-10
 
     def test_unit_model_requires_unit_losses(self, rng):
         problem = FiniteProblem(losses=[[0.0, 3.0]], mu=DiscreteDist([0.5, 0.5]), n=2)
@@ -720,21 +731,30 @@ class TestCmiExperiment:
         assert abs(values.mean() - cmi) <= 3 * se
 
 
+def reference_log_prior(problem, sample, epsilon):
+    """The log of the mechanism's prior; an entry below the normal floats is taken from the logits."""
+    prior = dp_prior_mechanism(problem, sample, epsilon).probs
+    logits = (
+        np.log(DiscreteDist.uniform(problem.num_hypotheses).probs)
+        - problem.n * epsilon / 2.0 * empirical_risks(problem, sample)
+    )
+    with np.errstate(divide="ignore"):
+        return np.where(prior < np.finfo(float).tiny, logits - scipy.special.logsumexp(logits), np.log(prior))
+
+
 def reference_audit(problem, epsilon):
     """The privacy audit by recomputing the mechanism on every neighbour."""
     worst = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for sample, _ in iter_samples(problem):
-            prior = dp_prior_mechanism(problem, sample, epsilon).probs
-            for i in range(problem.n):
-                for z in range(problem.num_outcomes):
-                    if z == sample[i]:
-                        continue
-                    neighbor = sample.copy()
-                    neighbor[i] = z
-                    other = dp_prior_mechanism(problem, neighbor, epsilon).probs
-                    ratios = np.abs(np.log(prior) - np.log(other))
-                    worst = max(worst, float(np.nanmax(ratios)))
+    for sample, _ in iter_samples(problem):
+        prior = reference_log_prior(problem, sample, epsilon)
+        for i in range(problem.n):
+            for z in range(problem.num_outcomes):
+                if z == sample[i]:
+                    continue
+                neighbor = sample.copy()
+                neighbor[i] = z
+                other = reference_log_prior(problem, neighbor, epsilon)
+                worst = max(worst, float(np.max(np.abs(prior - other))))
     return worst
 
 
@@ -761,13 +781,29 @@ class TestDpPriorExperiment:
             assert dp_mechanism_max_log_ratio(problem, epsilon) == reference_audit(problem, epsilon)
 
     def test_audit_sees_a_ratio_beside_a_hypothesis_both_priors_exclude(self):
-        # Priors (1, 0, 0) on [0, 0] and (.5, .5, 0) on [0, 1]: hypothesis 1
-        # has an infinite ratio, hypothesis 2 probability 0 under both.
+        # Priors (1, 0, 0) on [0, 0] and (.5, .5, 0) on [0, 1] in floats: in
+        # log space hypothesis 1 has log ratio 3000 - log 2, hypothesis 2 has
+        # 1500 - log 2, and neither is infinite.
         problem = FiniteProblem(
             losses=[[0, 1], [1, 0], [1, 1]], mu=DiscreteDist([0.5, 0.5]), n=2
         )
-        assert dp_mechanism_max_log_ratio(problem, 3000.0) == math.inf
-        assert reference_audit(problem, 3000.0) == math.inf
+        assert dp_mechanism_max_log_ratio(problem, 3000.0) == 2999.30685281944
+        assert reference_audit(problem, 3000.0) == 2999.30685281944
+
+    def test_audit_sees_the_ratio_of_a_hypothesis_both_priors_round_to_0(self):
+        # Hypothesis 1 trails by 0.5 to 0.6 in risk, so at n epsilon / 2 = 3000 every prior is (1, 0)
+        # in floats; one changed coordinate moves its log prior by 3000 * 0.1 / 2.
+        problem = FiniteProblem(losses=[[0, 0.5], [0.6, 1]], mu=DiscreteDist([0.5, 0.5]), n=2)
+        worst = dp_mechanism_max_log_ratio(problem, 3000.0)
+        assert worst == reference_audit(problem, 3000.0)
+        assert abs(worst - 150.0) <= 1e-9
+
+    @pytest.mark.parametrize("n", [4600, 4800, 5000])
+    def test_audit_of_priors_that_underflow_stays_within_epsilon(self, n):
+        # n epsilon / 2 is 690, 720 and 750: the worse expert's prior entry on an all-one-outcome
+        # sample is e^-690, a normal float, then a subnormal, then 0.
+        problem = FiniteProblem(losses=[[0, 1], [1, 0]], mu=DiscreteDist([0.5, 0.5]), n=n)
+        assert dp_mechanism_max_log_ratio(problem, 0.3) == 0.3000000000001819
 
     def test_small_epsilon_prior_is_nearly_uniform(self, rng):
         problem = random_problem(rng, 4, 2, n=6)
@@ -974,13 +1010,11 @@ class TestBlockEvaluator:
         config = make_config(problem, bound, trials=1, algorithm=algorithm, prior=prior)
         types = np.random.default_rng(3).multinomial(problem.n, problem.mu.probs, size=40)
         types[5] = types[2]  # a repeated type is evaluated again, the same way
-        risks, posteriors, bounds, truths = _block_evaluator(config, kind, params)(types)
+        posteriors, bounds = _block_evaluator(config, kind, params)(types)
         for i, counts in enumerate(types):
-            want_risks, want_posterior, want_bound, want_truth = per_type(config, kind, params, counts)
-            assert np.array_equal(risks[i], want_risks)
+            _, want_posterior, want_bound, _ = per_type(config, kind, params, counts)
             assert np.array_equal(posteriors[i], want_posterior)
             assert bounds[i] == want_bound
-            assert (truths is None) if want_truth is None else truths[i] == want_truth
 
     @pytest.mark.parametrize("problem", [wide_problem(), soft_problem()], ids=["wide", "soft"])
     @pytest.mark.parametrize(
@@ -991,14 +1025,39 @@ class TestBlockEvaluator:
     def test_trials_over_several_blocks_equal_the_per_trial_primitives(self, monkeypatch, problem, algorithm):
         # 1000 stream words: blocks of 5 (wide) or 83 (soft) trials, or 2 and 33 for a supersample.
         monkeypatch.setattr(genbounds.harness, "_BLOCK_WORDS", 1000)
-        prior = DiscreteDist.from_weights(np.arange(1.0, problem.num_hypotheses + 1))
-        for bound, kind, params in TRIAL_KINDS:
+        fixed = DiscreteDist.from_weights(np.arange(1.0, problem.num_hypotheses + 1))
+        for (bound, kind, params), prior in itertools.product(TRIAL_KINDS, (None, fixed)):
             if bound == "catoni" and not problem.has_binary_losses:
                 continue
             config = make_config(problem, bound, trials=90, algorithm=algorithm, prior=prior)
             got = _trials(config, kind, np.arange(config.trials, dtype=np.uint64), *params)
             want = [per_trial(config, kind, params, t) for t in range(config.trials)]
+            assert [tuple(pair) for pair in got.tolist()] == want, (bound, prior)
+
+    @pytest.mark.parametrize(
+        "problem, trials",
+        [(standard_problem(n=5), 300), (wide_problem(), 40)],
+        ids=["more-trials-than-types", "more-types-than-trials"],
+    )
+    def test_a_full_type_table_equals_the_per_trial_primitives(self, problem, trials):
+        # Every row of the type table is filled: the coin at n = 5 draws all its 6 types in 300
+        # trials, and the wide problem's 40 trials draw 40 of its C(207, 7) types.
+        size = math.comb(problem.n + problem.num_outcomes - 1, problem.num_outcomes - 1)
+        for bound, kind, params in TRIAL_KINDS:
+            config = make_config(problem, bound, trials=trials)
+            counts = _trial_counts(problem, config.seed, np.arange(trials, dtype=np.uint64), kind == "supersample")
+            assert len({row for block in counts for row in map(tuple, block[:, 0].tolist())}) == min(trials, size)
+            got = _trials(config, kind, np.arange(config.trials, dtype=np.uint64), *params)
+            want = [per_trial(config, kind, params, t) for t in range(config.trials)]
             assert [tuple(pair) for pair in got.tolist()] == want, bound
+
+    @pytest.mark.parametrize("problem", [standard_problem(), wide_problem()], ids=["coin", "wide"])
+    def test_posteriors_within_rounding_of_the_prior_are_certified(self, problem):
+        # At beta_alg = 1e-9 the posteriors' KLs to the uniform prior sum a few ulps below 0.
+        for bound, kind, params in TRIAL_KINDS:
+            config = make_config(problem, bound, trials=2000, algorithm=GibbsAlgorithm(beta_alg=1e-9))
+            report = _summarize(_trials(config, kind, np.arange(config.trials, dtype=np.uint64), *params))
+            assert report.trials == 2000 and report.certified(config.delta), bound
 
     def test_a_row_that_is_not_a_distribution_is_refused(self, monkeypatch):
         # A learner whose rows are off by more than the mass tolerance is refused as a DiscreteDist would be.

@@ -255,6 +255,7 @@ NAN_SITES = [
      "beta must be positive"),
     ("phi_beta", lambda x: phi_beta(x, 0.5), "beta must be positive"),
     ("phi_beta_inverse", lambda x: phi_beta_inverse(x, 0.5), "beta must be positive"),
+    ("phi_beta_inverse.x", lambda x: phi_beta_inverse(1.0, x), "x must be nonnegative"),
     ("psi_of", lambda x: psi_of(LossModel.bounded_unit(), x), "beta must be nonnegative"),
     ("psi_star_inverse", lambda x: psi_star_inverse(LossModel.bounded_unit(), x), "y must be nonnegative"),
     ("psi_star_inverse_numeric",
@@ -262,6 +263,8 @@ NAN_SITES = [
      "y must be nonnegative"),
     ("local_entropy", lambda x: local_entropy(_MODEL, x), "gamma must be positive"),
     ("local_entropy_mc", lambda x: local_entropy_mc(_MODEL, x, 10, seed=0), "gamma must be positive"),
+    ("local_entropy.w", lambda x: local_entropy(_MODEL, 1.0, [x]), "w must be finite"),
+    ("local_entropy_mc.w", lambda x: local_entropy_mc(_MODEL, 1.0, 10, seed=0, w=[x]), "w must be finite"),
     ("expected_quadratic_loss", lambda x: expected_quadratic_loss(_MODEL, [x]),
      "covariance eigenvalues must be nonnegative"),
 ]
@@ -271,6 +274,27 @@ NAN_SITES = [
 def test_every_nan_parameter_is_refused(call, message):
     _raises_exactly(DomainError, message, call, NAN)
     call(0.5)
+
+
+@pytest.mark.parametrize(
+    "call, value, message",
+    [
+        (lambda x: phi_beta_inverse(1.0, x), -5.0, "x must be nonnegative"),
+        (lambda x: phi_beta_inverse(1.0, x), -INF, "x must be nonnegative"),
+        (lambda x: local_entropy(_MODEL, 1.0, [x]), INF, "w must be finite"),
+        (lambda x: local_entropy(_MODEL, 1.0, [x]), -INF, "w must be finite"),
+        (lambda x: local_entropy_mc(_MODEL, 1.0, 10, seed=0, w=[x]), INF, "w must be finite"),
+    ],
+    ids=["phi_beta_inverse-negative", "phi_beta_inverse--inf", "local_entropy-+inf", "local_entropy--inf",
+         "local_entropy_mc-+inf"],
+)
+def test_out_of_range_values_are_refused(call, value, message):
+    _raises_exactly(DomainError, message, call, value)
+
+
+def test_phi_beta_inverse_takes_the_infinite_sum_of_an_infinite_kl():
+    assert phi_beta_inverse(1.0, INF) == -1.0 / math.expm1(-1.0) > 1.0
+    assert phi_beta_inverse(1.0, 0.0) == 0.0
 
 
 def test_annealed_risks_refuse_an_infinite_beta():
