@@ -1,10 +1,19 @@
-"""Closed-form generalization bounds as pure scalar computations.
+"""Closed-form generalization bounds, each written once over rows of (empirical risk, KL).
+
+Every bound that takes a :class:`BoundRequest` is a closed form in the
+posterior-averaged empirical risk and the KL at a fixed n, delta, beta and
+loss model.  A request carries one value of each or rows of them, so a
+caller with many (risk, KL) pairs makes one call.  The same numpy code
+computes both: a float request is the one-row case, its result holds Python
+floats, and each row of a row result equals to the bit what a one-row call
+gives.  Arithmetic that overflows gives inf without a warning, as Python
+float arithmetic does.
 
 Every bound returns a :class:`BoundResult` carrying the value, a breakdown
 into named components, and a vacuity flag.  Components compose into the raw
-value either by plain summation or through a recorded monotone transform
-(``phi_beta_inverse`` or a binary-KL inversion), so each result can be
-re-audited from its parts.
+value either by summation in their stated order or through a recorded
+monotone transform (``phi_beta_inverse`` or a binary-KL inversion), so each
+result can be re-audited from its parts.
 
 Vacuity policy, applied once by :func:`_result`: a raw value is *over* above
 1, or for a distance inversion (which saturates at 1) at 1.  A result is
@@ -22,8 +31,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .divergences import kl_binary_inverse_upper
-from .errors import DomainError, ParameterError, _is_positive_integer
+from .errors import DomainError, ParameterError, ShapeError, _is_positive_integer
 from .losses import LossModel, phi_beta_inverse, psi_of, psi_star_inverse
 
 #: Tolerance within which components must recombine into the raw value.
@@ -34,22 +45,30 @@ _PHI_INVERSE = "phi_beta_inverse"
 _KL_INVERSE = "kl_inverse"
 _DELTA_INVERSE = "delta_inverse"
 
+#: Row arithmetic runs as float arithmetic does, without numpy warnings: an overflow gives inf,
+#: and a branch that a row does not take may divide by zero or give NaN.
+_on_rows = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
 
 @dataclass(frozen=True)
 class BoundRequest:
-    """Scalar inputs shared by the bound computations.
+    """The inputs shared by the bound computations: one (risk, KL) pair or rows of them.
 
     ``empirical_risk`` is the posterior-averaged empirical risk, ``kl`` the
-    posterior-to-prior divergence (the +inf sentinel is allowed).  ``n`` must
-    be an integer (numpy integers included, bool not) and is stored as an
-    int.  ``delta`` above 1 is tolerated as a degenerate confidence request;
-    operations clamp it to 1 and flag the result.
+    posterior-to-prior divergence (the +inf sentinel is allowed).  Each is a
+    float, or 1-D rows; a float is broadcast against rows, and both are
+    stored as float64 arrays of one length when either is rows, as Python
+    floats otherwise.  n, delta, beta and the model are checked once, the
+    rows by array checks.  ``n`` must be an integer (numpy integers included,
+    bool not) and is stored as an int.  ``delta`` above 1 is tolerated as a
+    degenerate confidence request; operations clamp it to 1 and flag the
+    result.  ``beta``, when given, must be positive and finite.
     """
 
     n: int
     delta: float
-    empirical_risk: float = 0.0
-    kl: float = 0.0
+    empirical_risk: float | np.ndarray = 0.0
+    kl: float | np.ndarray = 0.0
     beta: float | None = None
     model: LossModel = field(default_factory=LossModel.bounded_unit)
 
@@ -60,12 +79,22 @@ class BoundRequest:
         object.__setattr__(self, "n", int(self.n))
         if not self.delta > 0:
             raise ParameterError("delta must be positive")
-        if math.isnan(self.empirical_risk):
-            raise ParameterError("empirical_risk must not be NaN")
-        if not self.kl >= 0:
-            raise ParameterError("kl must be nonnegative (inf allowed)")
         if self.beta is not None and not self.beta > 0:
             raise ParameterError("beta must be positive when given")
+        if self.beta == math.inf:
+            raise ParameterError("beta must be finite when given")
+        risk, kl = np.asarray(self.empirical_risk, dtype=float), np.asarray(self.kl, dtype=float)
+        if risk.shape != kl.shape and not (risk.ndim and kl.ndim):
+            risk, kl = (np.full(kl.shape, risk), kl) if kl.ndim else (risk, np.full(risk.shape, kl))
+        if risk.shape != kl.shape or risk.ndim > 1:
+            raise ShapeError("empirical_risk and kl must be floats or 1-D rows of one length")
+        # The ufuncs' own reductions: the array methods' wrappers cost more than short rows' checks.
+        if np.logical_or.reduce(np.isnan(risk), axis=None):
+            raise ParameterError("empirical_risk must not be NaN")
+        if not np.logical_and.reduce(kl >= 0, axis=None):
+            raise ParameterError("kl must be nonnegative (inf allowed)")
+        object.__setattr__(self, "empirical_risk", risk if risk.ndim else float(risk))
+        object.__setattr__(self, "kl", kl if kl.ndim else float(kl))
 
 
 @dataclass(frozen=True)
@@ -73,73 +102,119 @@ class BoundResult:
     """A computed upper bound with its component breakdown.
 
     ``raw_value`` composes exactly from ``components`` via ``transform``;
-    ``value`` equals ``raw_value`` unless the bound clamped it to 1.
+    ``value`` equals ``raw_value`` unless the bound clamped it to 1.  For a
+    row request ``value``, ``raw_value``, ``vacuous`` and every component are
+    arrays with one entry per row, and so is ``beta_used`` where the bound
+    picks beta per row; otherwise they are Python scalars.
     """
 
-    value: float
-    components: dict[str, float]
-    vacuous: bool = False
-    beta_used: float | None = None
-    raw_value: float = math.nan
+    value: float | np.ndarray
+    components: dict[str, float | np.ndarray]
+    vacuous: bool | np.ndarray = False
+    beta_used: float | np.ndarray | None = None
+    raw_value: float | np.ndarray = math.nan
     transform: str = _SUM
     extras: dict[str, float] = field(default_factory=dict)
     flags: tuple[str, ...] = ()
 
-    def recompose(self) -> float:
+    @_on_rows
+    def recompose(self) -> float | np.ndarray:
         """Recombine the components through the recorded transform."""
-        return _compose(self.transform, self.components, self.beta_used)
+        raw = _compose(self.transform, self.components, self.beta_used)
+        return raw if getattr(raw, "ndim", 0) else float(raw)
+
+    def rows(self) -> list[BoundResult]:
+        """The rows of a row result, each the result its one-row request gives."""
+        size = len(self.value)
+        fields = [
+            values.tolist() if isinstance(values, np.ndarray) else [values] * size
+            for values in (self.value, self.vacuous, self.beta_used, self.raw_value)
+        ]
+        columns = {name: values.tolist() for name, values in self.components.items()}
+        return [
+            BoundResult(value, {name: column[i] for name, column in columns.items()}, vacuous, beta,
+                        raw, self.transform, dict(self.extras), self.flags)
+            for i, (value, vacuous, beta, raw) in enumerate(zip(*fields))
+        ]
 
 
-def _compose(transform: str, components: dict[str, float], beta: float | None) -> float:
-    """The raw value: the components' sum, phi_beta^-1 of it, or an inversion.
+def _compose(transform: str, components: dict, beta) -> float | np.ndarray:
+    """The raw value: the components' sum in their stated order, phi_beta^-1 of it, or an inversion.
 
     An inversion is the largest x with Delta(empirical_risk, x) <= radius.
+    Rows are composed under :data:`_on_rows`, which the callers enter.
     """
-    if transform == _SUM:
-        return math.fsum(components.values())
-    if transform == _PHI_INVERSE:
-        assert beta is not None
-        return phi_beta_inverse(beta, math.fsum(components.values()))
+    if transform in (_SUM, _PHI_INVERSE):
+        terms = iter(components.values())
+        total = next(terms)
+        for term in terms:
+            total = total + term
+        return total if transform == _SUM else phi_beta_inverse(beta, total)
     if transform != _KL_INVERSE and not transform.startswith(_DELTA_INVERSE):
         raise ParameterError(f"no recomposition rule for transform {transform!r}")
     variant = transform.partition(":")[2]
-    risk, radius = components["empirical_risk"], components["radius"]
+    risk = np.asarray(components["empirical_risk"], dtype=float)
+    radius = np.asarray(components["radius"], dtype=float)
     if variant == "quadratic":
-        return risk + math.sqrt(radius / 2.0)
+        return risk + np.sqrt(radius / 2.0)
     if variant == "normalized":
-        try:
-            root = math.sqrt(radius**2 + 2.0 * radius * risk)
-        except OverflowError:  # radius**2 exceeds a float; the factored root does not
-            root = radius * math.sqrt(1.0 + 2.0 * risk / radius)
+        square = radius * radius
+        # Where the square overflows, an infinite radius included, the factored root does not.
+        root = np.where(
+            square < math.inf,
+            np.sqrt(square + 2.0 * radius * risk),
+            radius * np.sqrt(1.0 + 2.0 * risk / radius),
+        )
         return risk + radius + root
     return kl_binary_inverse_upper(risk, radius)
 
 
 def _result(
-    components: dict[str, float],
+    components: dict,
     transform: str = _SUM,
     *,
-    beta_used: float | None = None,
+    beta_used=None,
     clamp: bool = False,
     unit_range: bool = False,
     flags: tuple[str, ...] = (),
     extras: dict[str, float] | None = None,
 ) -> BoundResult:
-    """The result composed from ``components`` under the module's vacuity policy."""
+    """The result composed from ``components`` under the module's vacuity policy.
+
+    Rows in any component make a row result, every component broadcast to
+    the rows; otherwise the result holds Python scalars.
+    """
     raw = _compose(transform, components, beta_used)
     inversion = transform not in (_SUM, _PHI_INVERSE)
     clamp = clamp or transform != _SUM
     over = raw >= 1.0 if inversion else raw > 1.0
+    vacuous = (abs(raw) == math.inf) | ((clamp or unit_range) & over)
+    # The minimum with 1 is 1 exactly where the raw value is over.
+    value = np.minimum(raw, 1.0) if clamp else raw
+    if getattr(raw, "ndim", 0):
+        components = {
+            name: c if getattr(c, "ndim", 0) else np.full(raw.shape, c)
+            for name, c in components.items()
+        }
+    else:
+        raw, value, vacuous = float(raw), float(value), bool(vacuous)
+        components = {name: _scalar(c) for name, c in components.items()}
+        beta_used = _scalar(beta_used)
     return BoundResult(
-        value=1.0 if clamp and over else raw,
+        value=value,
         components=components,
-        vacuous=math.isinf(raw) or ((clamp or unit_range) and over),
+        vacuous=vacuous,
         beta_used=beta_used,
         raw_value=raw,
         transform=transform,
         extras=extras or {},
         flags=flags,
     )
+
+
+def _scalar(value):
+    """A numpy scalar as the Python scalar it holds; anything else as it is."""
+    return value.item() if isinstance(value, (np.generic, np.ndarray)) else value
 
 
 def _effective_delta(req: BoundRequest) -> tuple[float, tuple[str, ...]]:
@@ -165,7 +240,8 @@ def _require_beta(req: BoundRequest) -> float:
 def _require_unit_model(req: BoundRequest) -> None:
     if not req.model.is_unit_range:
         raise ParameterError("this bound applies only to [0, 1]-valued losses")
-    if not 0.0 <= req.empirical_risk <= 1.0:
+    risk = req.empirical_risk
+    if not np.logical_and.reduce((0.0 <= risk) & (risk <= 1.0), axis=None):
         raise DomainError("empirical_risk must lie in [0, 1] for a [0, 1]-valued loss")
 
 
@@ -180,6 +256,7 @@ def _iei_terms(req: BoundRequest, beta: float) -> tuple[float, float, tuple[str,
 # ---------------------------------------------------------------------------
 
 
+@_on_rows
 def zhang_high_prob(req: BoundRequest) -> BoundResult:
     """High-probability bound on the posterior-averaged annealed risk.
 
@@ -195,6 +272,7 @@ def zhang_high_prob(req: BoundRequest) -> BoundResult:
     return _result(components, beta_used=beta, unit_range=req.model.is_unit_range, flags=flags)
 
 
+@_on_rows
 def zhang_gen_high_prob(req: BoundRequest) -> BoundResult:
     """High-probability bound on the posterior-averaged generalization gap.
 
@@ -233,6 +311,7 @@ def subgamma_mi(mi: float, n: int, sigma: float, c: float) -> float:
     return xu_raginsky(mi, n, sigma) + c * mi / n
 
 
+@_on_rows
 def subgamma_pacbayes(req: BoundRequest) -> BoundResult:
     """High-probability gap bound for sub-gamma losses with c < 1 at beta = 1.
 
@@ -259,6 +338,7 @@ def _sub_gaussian_scale(model: LossModel) -> float:
     raise ParameterError("requires a sub-Gaussian (or [0, 1]-valued) loss model")
 
 
+@_on_rows
 def union_bound_beta(req: BoundRequest, alpha: float, v: float) -> BoundResult:
     """Gap bound optimized over beta in (0, v] at a union-bound price.
 
@@ -277,10 +357,7 @@ def union_bound_beta(req: BoundRequest, alpha: float, v: float) -> BoundResult:
     k_const = max(math.log(v * sigma / math.sqrt(2.0 * alpha)) / log_alpha, 0.0) + math.e
     grid_count = math.log(math.sqrt(req.n)) / log_alpha + k_const
     penalty = req.kl + math.log(grid_count / delta)
-    if math.isinf(penalty):
-        beta = v
-    else:
-        beta = min(math.sqrt(2.0 * alpha * penalty / (req.n * sigma**2)), v)
+    beta = np.minimum(np.sqrt(2.0 * alpha * penalty / (req.n * sigma**2)), v)
     components = {
         "complexity": alpha * penalty / (req.n * beta),
         "cgf_slack": beta * sigma**2 / 2.0,
@@ -299,6 +376,7 @@ def union_bound_beta(req: BoundRequest, alpha: float, v: float) -> BoundResult:
 # ---------------------------------------------------------------------------
 
 
+@_on_rows
 def catoni_bound(req: BoundRequest) -> BoundResult:
     """Risk bound phi_beta^-1(empirical_risk + (kl + log(1/delta)) / (n beta))."""
     beta = _require_beta(req)
@@ -326,12 +404,14 @@ def _linearized(req: BoundRequest, beta: float, prefactor: float) -> BoundResult
     )
 
 
+@_on_rows
 def catoni_linear(req: BoundRequest) -> BoundResult:
     """Linearized risk bound with prefactor beta / (1 - e^-beta)."""
     beta = _require_beta(req)
     return _linearized(req, beta, beta / -math.expm1(-beta))
 
 
+@_on_rows
 def mcallester_linear(req: BoundRequest) -> BoundResult:
     """Linearized risk bound with prefactor 1 / (1 - beta/2); needs beta < 2."""
     beta = _require_beta(req)
@@ -340,6 +420,7 @@ def mcallester_linear(req: BoundRequest) -> BoundResult:
     return _linearized(req, beta, 1.0 / (1.0 - beta / 2.0))
 
 
+@_on_rows
 def pac_bayes_kl(req: BoundRequest) -> BoundResult:
     """Risk bound from inverting kl(empirical_risk || x) <= (kl + log(2 sqrt(n)/delta)) / n.
 
@@ -357,6 +438,7 @@ def pac_bayes_kl(req: BoundRequest) -> BoundResult:
 _DELTA_VARIANTS = ("kl", "quadratic", "normalized")
 
 
+@_on_rows
 def delta_bound(req: BoundRequest, delta_fn: str, moment_bound: float) -> BoundResult:
     """Risk bound from inverting a convex distance Delta(empirical_risk, x) <= radius.
 
@@ -371,8 +453,9 @@ def delta_bound(req: BoundRequest, delta_fn: str, moment_bound: float) -> BoundR
     _require_unit_model(req)
     delta, flags = _effective_delta(req)
     radius = (req.kl + math.log(1.0 / delta) + moment_bound) / req.n
-    if not radius >= 0.0:
-        raise ParameterError(f"moment_bound {moment_bound} gives the negative radius {radius}")
+    if not np.logical_and.reduce(radius >= 0.0, axis=None):
+        smallest = np.min(radius)
+        raise ParameterError(f"moment_bound {moment_bound} gives the negative radius {smallest}")
     components = {"empirical_risk": req.empirical_risk, "radius": radius}
     return _result(components, f"{_DELTA_INVERSE}:{delta_fn}", flags=flags)
 
@@ -382,6 +465,7 @@ def delta_bound(req: BoundRequest, delta_fn: str, moment_bound: float) -> BoundR
 # ---------------------------------------------------------------------------
 
 
+@_on_rows
 def cmi_pac_high_prob(req: BoundRequest) -> BoundResult:
     """High-probability supersample gap bound (kl + log(1/delta)) / (n beta) + beta / 2."""
     beta = _require_beta(req)
@@ -428,6 +512,7 @@ def dp_prior_penalty(n: int, delta: float, epsilon: float) -> float:
     )
 
 
+@_on_rows
 def dp_prior_high_prob(req: BoundRequest, epsilon: float) -> BoundResult:
     """Annealed-risk bound against an epsilon-differentially-private prior.
 
@@ -445,6 +530,7 @@ def dp_prior_high_prob(req: BoundRequest, epsilon: float) -> BoundResult:
     return _result(components, beta_used=beta, unit_range=req.model.is_unit_range, flags=flags)
 
 
+@_on_rows
 def dp_prior_gen_bound(req: BoundRequest, epsilon: float) -> BoundResult:
     """Gap bound against a private prior: adds psi(beta)/beta to the penalty terms."""
     beta = _require_beta(req)

@@ -383,6 +383,12 @@ def _sweep_grid(sweep: dict) -> list[float]:
 
 
 def cmd_bound_sweep(args) -> int:
+    """Evaluate one bound at every point of a grid over one parameter, a record per point.
+
+    A bound that takes a request sweeps kl in one call on the grid as rows of
+    kl, each row the value a one-point call gives; any other sweep calls the
+    bound once per point.
+    """
     config = load_config(args.config, "sweep")
     cfg = dict(_require(config, "bound", "config"))
     sweep = _require(config, "sweep", "config")
@@ -392,13 +398,21 @@ def cmd_bound_sweep(args) -> int:
     grid = _sweep_grid(sweep)
     if not grid:
         raise ConfigurationError("sweep grid is empty")
-    records = []
-    for point in grid:
-        if parameter == "n" and not float(point).is_integer():
-            raise ConfigurationError(f"sweep points for n must be integers; got {float(point)}")
-        cfg[parameter] = int(point) if parameter == "n" else float(point)
-        result = compute_named_bound(cfg)
-        records.append(_make_record(cfg, result, seed=args.seed, **{parameter: cfg[parameter]}))
+    entry = BOUNDS.get(cfg.get("name"))
+    if parameter == "kl" and entry is not None and entry.request is not None:
+        kls = [float(point) for point in grid]
+        result = compute_named_bound({**cfg, "kl": np.array(kls)})
+        records = [
+            _make_record({**cfg, "kl": kl}, row, seed=args.seed, kl=kl) for kl, row in zip(kls, result.rows())
+        ]
+    else:
+        records = []
+        for point in grid:
+            if parameter == "n" and not float(point).is_integer():
+                raise ConfigurationError(f"sweep points for n must be integers; got {float(point)}")
+            cfg[parameter] = int(point) if parameter == "n" else float(point)
+            result = compute_named_bound(cfg)
+            records.append(_make_record(cfg, result, seed=args.seed, **{parameter: cfg[parameter]}))
     path, unit, fmt = _output_options(config, args)
     write_records(records, {"command": "bound sweep", "config": config, "seed": args.seed}, path, fmt, unit)
     return 0

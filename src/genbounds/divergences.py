@@ -189,49 +189,76 @@ def kl_discrete(p: DiscreteDist, q: DiscreteDist) -> float:
     return float(_kl_rows(p.probs, q.probs))
 
 
-def kl_binary(y: float, x: float) -> float:
-    """Binary KL divergence kl(y || x) with the limit conventions at the endpoints.
+def kl_binary(y, x):
+    """Binary KL divergence kl(y || x), for floats or rows, with the endpoint limit conventions.
 
     kl(0 || x) = -log(1 - x) and kl(1 || x) = -log(x); an endpoint x with
-    mismatched y gives the +inf sentinel.
+    mismatched y gives the +inf sentinel.  Floats give a float, computed as
+    one-row arrays are.
     """
-    if not 0.0 <= y <= 1.0:
+    y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
+    if not np.logical_and.reduce((0.0 <= y) & (y <= 1.0), axis=None):
         raise DomainError("y must lie in [0, 1]")
-    if not 0.0 <= x <= 1.0:
+    if not np.logical_and.reduce((0.0 <= x) & (x <= 1.0), axis=None):
         raise DomainError("x must lie in [0, 1]")
-    if x == 0.0:
-        return 0.0 if y == 0.0 else math.inf
-    if x == 1.0:
-        return 0.0 if y == 1.0 else math.inf
-    if y == 0.0:
-        return -math.log1p(-x)
-    if y == 1.0:
-        return -math.log(x)
-    return y * math.log(y / x) + (1.0 - y) * math.log((1.0 - y) / (1.0 - x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kl = np.where(y == 1.0, -np.log(x), _kl_binary_from(y)(x))
+    kl = np.where((x == 0.0) | (x == 1.0), np.where(y == x, 0.0, math.inf), kl)
+    return kl if kl.ndim else float(kl)
 
 
-def kl_binary_inverse_upper(y: float, c: float) -> float:
-    """Largest x in [y, 1] with kl(y || x) <= c, by bisection.
+def _kl_binary_from(y: np.ndarray):
+    """x -> kl(y || x) elementwise for y in [0, 1) and x in (0, 1), the terms in y computed once.
 
+    kl(0 || x) is -log(1 - x).  Where y has zeros both branches are
+    evaluated, so the caller silences the divide and invalid warnings of the
+    one a row does not take.
+    """
+    complement, positive = 1.0 - y, y > 0.0
+    mixed = not np.logical_and.reduce(positive, axis=None)
+
+    def kl(x: np.ndarray) -> np.ndarray:
+        interior = y * np.log(y / x) + complement * np.log(complement / (1.0 - x))
+        return np.where(positive, interior, -np.log1p(-x)) if mixed else interior
+
+    return kl
+
+
+def kl_binary_inverse_upper(y, c):
+    """Largest x in [y, 1] with kl(y || x) <= c, by bisection, for floats or rows of (y, c).
+
+    Each row bisects [y, 1] until its midpoint no longer falls strictly
+    between the bracket's ends, or for at most 200 steps, and keeps the
+    lower end it had then, so every row gets the value a one-row call gives.
     The returned x satisfies kl(y || x) = c to within 1e-9 unless it
     saturates at 1 (which requires y = 1 or an astronomically large c).
     """
-    if not 0.0 <= y <= 1.0:
+    y, c = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(c, dtype=float))
+    if not np.logical_and.reduce((0.0 <= y) & (y <= 1.0), axis=None):
         raise DomainError("y must lie in [0, 1]")
-    if not c >= 0:
+    if not np.logical_and.reduce(c >= 0, axis=None):
         raise DomainError("c must be nonnegative")
-    if c == 0.0 or y >= 1.0:
-        return float(y) if y < 1.0 else 1.0
-    lo, hi = float(y), 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if kl_binary(y, mid) <= c:
-            lo = mid
-        else:
-            hi = mid
-    return 1.0 if 1.0 - lo <= 1e-12 else lo
+    shape = y.shape
+    y, c = y.ravel(), c.ravel()
+    bisected = (c > 0.0) & (y < 1.0)
+    # A row that does not bisect starts with lo = hi, so no midpoint falls inside its bracket.
+    lo, hi = y.copy(), np.where(bisected, 1.0, y)
+    kl = _kl_binary_from(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(200):
+            mid = 0.5 * (lo + hi)
+            # Where the scalar loop breaks, at the first midpoint not strictly inside the
+            # bracket, these updates leave lo as it is: a midpoint at lo can only pull hi down
+            # to lo, and one at hi has kl > c, as it had when hi was set (hi = 1 with c = inf
+            # is the exception, and its lo snaps to 1 below either way).  So checking for the
+            # break only every 8th step just repeats updates that change no lower end.
+            if step % 8 == 0 and not np.logical_or.reduce((lo < mid) & (mid < hi)):
+                break
+            divergence = kl(mid)
+            np.copyto(lo, mid, where=divergence <= c)
+            np.copyto(hi, mid, where=divergence > c)
+    x = np.where(bisected & (1.0 - lo <= 1e-12), 1.0, lo).reshape(shape)
+    return x if x.ndim else float(x)
 
 
 def kl_gaussian_spectral(inputs: GaussianKLInputs) -> float:

@@ -21,7 +21,8 @@ bound: one dict over the run numbers the types in the order they first
 appear, and arrays indexed by that number hold their bounds and posteriors.
 The types a block of trials sees first are evaluated together: risks,
 priors, posteriors and KLs as arrays of rows, each row bit for bit what the
-one-sample functions give, and the bound as one scalar call per type.  Every
+one-sample functions give, and the bound as one call over the block's rows
+of fitted risk and KL, each row what a one-type call gives.  Every
 truth is E_P[reference] for the trial's posterior P, taken per trial as the
 posterior dotted with a reference row: the annealed or the true risks, or
 the ghost minus the training risks of a supersample.  A report still depends
@@ -597,8 +598,10 @@ def _block_evaluator(config: TrialConfig, kind: str, params: tuple):
     :func:`dp_prior_mechanism` at ``params`` (epsilon), the others against the
     configured prior; a Gibbs learner's base is the private prior there and
     uniform otherwise.  Every row is computed as the one-sample primitives
-    compute it, to the bit, and checked as a :class:`DiscreteDist` is.  The
-    bound is one scalar call per type.
+    compute it, to the bit, and checked as a :class:`DiscreteDist` is, except
+    that the fitted risk is clipped to the range of the losses.  The bound is
+    one call on a request holding the rows of fitted risk and KL, whose
+    values equal the one-type calls' to the bit.
     """
     entry = _registered(config, kind)
     problem = config.problem
@@ -607,6 +610,7 @@ def _block_evaluator(config: TrialConfig, kind: str, params: tuple):
     beta = config.bound.params.get("beta")
     uniform = DiscreteDist.uniform(h).probs
     fixed_prior = config.prior.probs if config.prior is not None else uniform
+    lowest, highest = problem.losses.min(), problem.losses.max()
     if kind == "private-prior":
         _check_dp_prior(problem, *params)
 
@@ -620,17 +624,11 @@ def _block_evaluator(config: TrialConfig, kind: str, params: tuple):
             priors, base = fixed_prior, uniform
         posteriors = config.algorithm._posterior_rows(risks, base, n)
         _check_rows(posteriors)
-        fitted = _row_dots(posteriors, risks).tolist()
-        kls = _kl_rows(posteriors, priors).tolist()
-        bounds = np.array([
-            entry.request(
-                BoundRequest(n=n, delta=config.delta, empirical_risk=risk, kl=kl, beta=beta, model=model),
-                *params,
-            ).value
-            + config.bound_offset
-            for risk, kl in zip(fitted, kls)
-        ])
-        return posteriors, bounds
+        # A convex combination of the risks lies in the loss range; the dot product can round past it.
+        fitted = np.minimum(np.maximum(_row_dots(posteriors, risks), lowest), highest)
+        kls = _kl_rows(posteriors, priors)
+        request = BoundRequest(n=n, delta=config.delta, empirical_risk=fitted, kl=kls, beta=beta, model=model)
+        return posteriors, entry.request(request, *params).value + config.bound_offset
 
     return evaluate
 

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError
+from .errors import DomainError, EvaluationError, ParameterError
 
 BERNOULLI01 = "bernoulli01"
 BOUNDED_UNIT = "bounded_unit"
@@ -217,14 +217,19 @@ def phi_beta(beta: float, x: float) -> float:
     return -math.log1p(math.expm1(-beta) * x) / beta
 
 
-def phi_beta_inverse(beta: float, x: float) -> float:
-    """Inverse of :func:`phi_beta`: (1 - e^{-beta x}) / (1 - e^{-beta}).
+@np.errstate(over="ignore")
+def phi_beta_inverse(beta: float, x):
+    """Inverse of :func:`phi_beta`: (1 - e^{-beta x}) / (1 - e^{-beta}), for a float or rows of x.
 
     Maps [0, 1] onto [0, 1]; arguments above 1, +inf included, return the raw
-    value above 1, which callers treat as a vacuous risk bound.
+    value above 1, which callers treat as a vacuous risk bound.  A float x
+    gives a float, computed as a one-row x is.
     """
     if not beta > 0:
         raise DomainError("beta must be positive")
-    if not x >= 0:
+    if beta == math.inf:
+        raise ParameterError("beta must be finite")
+    if not np.logical_and.reduce(x >= 0, axis=None):
         raise DomainError("x must be nonnegative")
-    return math.expm1(-beta * x) / math.expm1(-beta)
+    value = np.expm1(-beta * x) / math.expm1(-beta)
+    return value if value.ndim else float(value)

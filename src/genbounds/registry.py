@@ -81,7 +81,8 @@ class BoundEntry:
 
     ``evaluate(cfg)`` computes it from a flat config mapping.  When the bound
     takes a request, ``request(req, *values)`` computes it from one and the
-    values of its extra config fields (``epsilon``, say).  ``trial`` is the
+    values of its extra config fields (``epsilon``, say); a request of rows
+    gives one value per row.  ``trial`` is the
     certification trial that checks it (``plain``, ``supersample`` or
     ``private-prior``), ``truth`` the exact quantity it must dominate there
     (``annealed``, ``true`` or ``gap``), and ``losses`` the loss values that

@@ -66,6 +66,11 @@ class TestBoundRequest:
             BoundRequest(n=True, delta=0.5)
         assert BoundRequest(n=np.int64(50), delta=0.5).n == 50
 
+    def test_an_infinite_beta_is_refused(self):
+        # At risk 0 and kl 0, catoni_bound and catoni_linear gave NaN (inf * 0), neither vacuous nor refused.
+        with pytest.raises(ParameterError, match="^beta must be finite when given$"):
+            BoundRequest(n=10, delta=0.1, beta=math.inf, model=COIN)
+
     def test_degenerate_delta_is_tolerated(self):
         BoundRequest(n=5, delta=2.0)
 
@@ -317,6 +322,13 @@ class TestDeltaBound:
         result = delta_bound(req, "normalized", 1.0)
         assert (result.value, result.vacuous) == (1.0, True)
         assert result.raw_value == pytest.approx(2e300) and result.recompose() == result.raw_value
+
+    def test_an_infinite_kl_at_zero_risk_is_vacuous(self):
+        # 2 radius risk was inf * 0: the normalized root gave NaN, not vacuous.
+        req = BoundRequest(n=10, delta=0.1, empirical_risk=0.0, kl=math.inf, model=COIN)
+        for variant, raw in (("kl", 1.0), ("quadratic", math.inf), ("normalized", math.inf)):
+            result = delta_bound(req, variant, 1.0)
+            assert (result.value, result.vacuous, result.raw_value) == (1.0, True, raw)
 
     def test_unknown_variant(self):
         req = BoundRequest(n=10, delta=0.5, empirical_risk=0.1, model=COIN)

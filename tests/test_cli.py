@@ -81,6 +81,13 @@ class TestBoundCompute:
         cfg = compute_config(tmp_path, name="dp-prior", epsilon=float("nan"))
         assert main(["bound", "compute", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("name", ["catoni", "catoni-linear"])
+    def test_an_infinite_beta_exits_2(self, tmp_path, capsys, name):
+        cfg = compute_config(tmp_path, name=name, beta=float("inf"))
+        assert ".inf" in (tmp_path / "compute.yaml").read_text()
+        assert main(["bound", "compute", "--config", cfg]) == 2
+        assert "beta must be finite" in capsys.readouterr().err
+
     def test_negative_delta_radius_exits_2(self, tmp_path):
         cfg = compute_config(
             tmp_path, name="delta", delta=0.5, variant="quadratic", moment_bound=-5.0
@@ -185,6 +192,23 @@ class TestBoundSweep:
         _, rows = read_records(str(out_path))
         values = [r["value"] for r in rows]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("name", ["pac-bayes-kl", "union-beta", "catoni"])
+    def test_a_kl_sweep_emits_what_each_point_computes(self, tmp_path, name):
+        # The kl grid goes to the bound as rows in one call; each record must be the one-point record.
+        extras = {"catoni": {"beta": 0.8}, "union-beta": {"alpha": 2.0, "v": 5.0}}.get(name, {})
+        bound = {"name": name, "n": 50, "delta": 0.1, "empirical_risk": 0.2, **extras}
+        grid = [0.0, 0.7, 3.0, 1e300, math.inf]
+        cfg = write_yaml(tmp_path / "sweep.yaml", {"bound": bound, "sweep": {"parameter": "kl", "grid": grid}})
+        swept = tmp_path / "sweep.csv"
+        assert main(["bound", "sweep", "--config", cfg, "--out", str(swept)]) == 0
+        lines = swept.read_text().splitlines()
+        assert "np." not in swept.read_text()
+        for i, kl in enumerate(grid):
+            point = write_yaml(tmp_path / "point.yaml", {"bound": {**bound, "kl": kl}})
+            computed = tmp_path / "point.csv"
+            assert main(["bound", "compute", "--config", point, "--out", str(computed)]) == 0
+            assert lines[-len(grid) + i] == computed.read_text().splitlines()[-1]
 
     def test_non_integral_n_point_exits_2(self, tmp_path):
         bound = {"name": "catoni", "beta": 1.0, "delta": 0.1, "kl": 1.0, "empirical_risk": 0.2}

@@ -100,6 +100,15 @@ class TestKlBinary:
             kl_binary(-0.1, 0.5)
         with pytest.raises(DomainError):
             kl_binary(0.5, 1.1)
+        with pytest.raises(DomainError):
+            kl_binary([0.5, math.nan], 0.5)
+
+    def test_rows_equal_one_call_per_row(self, rng):
+        y = np.concatenate([[0.0, 0.0, 1.0, 1.0, 0.5, 0.5, 0.0, 1.0], rng.random(20)])
+        x = np.concatenate([[0.0, 0.5, 1.0, 0.5, 0.0, 1.0, 1.0, 0.0], rng.random(20)])
+        rows = kl_binary(y, x)
+        assert [repr(v) for v in rows.tolist()] == [repr(kl_binary(a, b)) for a, b in zip(y.tolist(), x.tolist())]
+        assert type(kl_binary(0.5, 0.25)) is float
 
 
 class TestKlBinaryInverseUpper:
@@ -123,6 +132,18 @@ class TestKlBinaryInverseUpper:
     def test_nan_radius_is_rejected(self):
         with pytest.raises(DomainError):
             kl_binary_inverse_upper(0.1, math.nan)
+        with pytest.raises(DomainError):
+            kl_binary_inverse_upper([0.1, 0.2], [1.0, math.nan])
+
+    def test_rows_equal_one_call_per_row(self, rng):
+        # Rows that stop at once (c = 0, y = 1), bisect from y = 0, saturate, or stop just short of 1 unsnapped.
+        y = np.concatenate([[0.37, 1.0, 0.0, 0.1, 1.0 - 1e-13, 0.0, 0.999], rng.random(30)])
+        c = np.concatenate([[0.0, 5.0, 0.5, 1e300, 0.0, math.inf, 1e-300], rng.exponential(2.0, 30)])
+        rows = kl_binary_inverse_upper(y, c)
+        want = [repr(kl_binary_inverse_upper(a, b)) for a, b in zip(y.tolist(), c.tolist())]
+        assert [repr(v) for v in rows.tolist()] == want
+        assert rows[4] == 1.0 - 1e-13 and rows[3] == rows[5] == 1.0
+        assert type(kl_binary_inverse_upper(0.1, 1.0)) is float
 
     @given(y=st.floats(0.0, 0.9), u_extra=st.floats(0.01, 14.0))
     @settings(max_examples=150, deadline=None)

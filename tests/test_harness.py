@@ -910,7 +910,8 @@ class TestTypeLoop:
             int(np.random.default_rng([config.seed, t]).choice(2, size=50, p=[0.5, 0.5]).sum())
             for t in range(config.trials)
         }
-        assert len(calls) == len(types) < 51
+        # One call per block of new types, one row per type.
+        assert sum(len(request.kl) for request in calls) == len(types) < 51
 
     @pytest.mark.parametrize("bound", ["zhang", "dp-prior"])
     def test_annealed_truth_without_beta_raises_the_bounds_error(self, bound):
@@ -1058,6 +1059,20 @@ class TestBlockEvaluator:
             config = make_config(problem, bound, trials=2000, algorithm=GibbsAlgorithm(beta_alg=1e-9))
             report = _summarize(_trials(config, kind, np.arange(config.trials, dtype=np.uint64), *params))
             assert report.trials == 2000 and report.certified(config.delta), bound
+
+    @pytest.mark.parametrize("h", [9, 11, 20, 21, 25])
+    @pytest.mark.parametrize("bound", ["catoni", "catoni-linear"])
+    def test_a_fitted_risk_that_rounds_past_the_losses_is_clipped(self, bound, h):
+        # On a sample of outcome 0 alone every risk is 1, and the Gibbs posterior dotted with them
+        # rounds to 1 + 2^-52, which a [0, 1] bound refused, ending the certification.
+        problem = FiniteProblem(losses=[[1.0, i % 2] for i in range(h)], mu=DiscreteDist([0.7, 0.3]), n=3)
+        config = make_config(problem, bound, trials=200, seed=1)
+        posteriors, bounds = _block_evaluator(config, "plain", ())(np.array([[3, 0]]))
+        assert posteriors[0] @ np.ones(h) > 1.0
+        kl = kl_discrete(DiscreteDist(posteriors[0]), DiscreteDist.uniform(h))
+        one = BoundRequest(n=3, delta=0.05, empirical_risk=1.0, kl=kl, beta=1.0, model=LossModel.bernoulli())
+        assert bounds[0] == genbounds.registry.BOUNDS[bound].request(one).value
+        assert run_violation_experiment(config).trials == 200
 
     def test_a_row_that_is_not_a_distribution_is_refused(self, monkeypatch):
         # A learner whose rows are off by more than the mass tolerance is refused as a DiscreteDist would be.

@@ -292,6 +292,10 @@ def test_out_of_range_values_are_refused(call, value, message):
     _raises_exactly(DomainError, message, call, value)
 
 
+def test_phi_beta_inverse_refuses_an_infinite_beta():
+    _raises_exactly(ParameterError, "beta must be finite", phi_beta_inverse, INF, 0.5)
+
+
 def test_phi_beta_inverse_takes_the_infinite_sum_of_an_infinite_kl():
     assert phi_beta_inverse(1.0, INF) == -1.0 / math.expm1(-1.0) > 1.0
     assert phi_beta_inverse(1.0, 0.0) == 0.0
