@@ -12,22 +12,29 @@ t])``, so results do not depend on execution order and parallel or serial
 runs agree bit-exactly.  No generator is created per trial: SeedSequence and
 PCG64 are fixed algorithms, so the harness computes the streams of a block
 of trials at once in array arithmetic, bit for bit, and the test suite pins
-this to the installed numpy.  A draw's outcome is the number of integer
-thresholds ceil(cdf_j 2^53) the top 53 bits of its stream word reach, which
-is the inverse-CDF search on the double those bits make.  The learning rules
-see a sample only through its type (its count vector), so within one run the
-trials that draw the same type share one evaluation of the posterior and the
-bound: one dict over the run numbers the types in the order they first
-appear, and arrays indexed by that number hold their bounds and posteriors.
-The types a block of trials sees first are evaluated together: risks,
-priors, posteriors and KLs as arrays of rows, each row bit for bit what the
-one-sample functions give, and the bound as one call over the block's rows
-of fitted risk and KL, each row what a one-type call gives.  Every
-truth is E_P[reference] for the trial's posterior P, taken per trial as the
-posterior dotted with a reference row: the annealed or the true risks, or
-the ghost minus the training risks of a supersample.  A report still depends
-only on (seed, trial index), and replaying one trial runs the same code on
-that trial alone.  A NaN bound or truth refuses the report, since no
+this to the installed numpy.  Each stream word is one 128-bit product and
+one addition: with MULT - 1 = 4 u, u odd, the state the LCG reaches from a
+trial's x in t steps is B_t y + x mod 2^128, where y = 4 x + inc u^-1 is
+computed once per trial and B_t = (MULT^t - 1) / 4 comes from MULT^t mod
+2^130.  The words are computed a chunk of trials at a time, at most
+``_BLOCK_WORDS`` values, and a block joins consecutive chunks: as many
+trials as keep their count rows and posterior rows within ``_BLOCK_WORDS``
+values, or one chunk if that is more.  A draw's outcome is the number of
+integer thresholds ceil(cdf_j 2^53) the top 53 bits of its stream word
+reach, which is the inverse-CDF search on the double those bits make.  The
+learning rules see a sample only through its type (its count vector), so
+within one run the trials that draw the same type share one evaluation of
+the posterior and the bound: one dict over the run numbers the types in the
+order they first appear, and arrays indexed by that number hold their bounds
+and posteriors.  The types a block of trials sees first are evaluated
+together, in one call: risks, priors, posteriors and KLs as arrays of rows,
+each row bit for bit what the one-sample functions give, and the bound as
+one call over the block's rows of fitted risk and KL, each row what a
+one-type call gives.  Every truth is E_P[reference] for the trial's
+posterior P, taken per trial as the posterior dotted with a reference row:
+the annealed or the true risks, or the ghost minus the training risks of a
+supersample.  A report still depends only on (seed, trial index), and
+replaying one trial runs the same code on that trial alone.  A NaN bound or truth refuses the report, since no
 comparison with NaN can count as a violation.
 
 The exact checks read a sample table: one count row per type from
@@ -297,9 +304,12 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL_WORDS = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-#: Stream words of one block: each limb array holds about this many uint64s,
-#: whatever the trial count, n and k, so the memory of a certification does not
+_M32, _M64, _M130 = (1 << 32) - 1, (1 << 64) - 1, (1 << 130) - 1
+#: Limbs of u^-1 mod 2^128, where MULT - 1 = 4 u: a trial's y is 4 x + inc u^-1.
+_INC_FACTOR = tuple(np.uint64(pow(_PCG_MULT >> 2, -1, 1 << 128) >> shift & _M64) for shift in (64, 0))
+#: Stream words of one chunk: each limb array holds about this many uint64s,
+#: whatever the trial count, n and k, and a block of trials holds about this
+#: many count and posterior values, so the memory of a certification does not
 #: grow with them.
 _BLOCK_WORDS = 8192
 
@@ -347,13 +357,15 @@ def _seed_pool(entropy: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def _pcg64_origins(seed: int, trials: np.ndarray) -> np.ndarray:
-    """Each trial's x = initstate + inc and LCG increment: rows x_hi, x_lo, inc_hi, inc_lo.
+    """Each trial's x = initstate + inc and y = 4 x + inc u^-1 mod 2^128: rows x_hi, x_lo, y_hi, y_lo.
 
     ``generate_state(4, uint64)`` of the trial's pool gives PCG64 its
     initstate and initseq, and inc = 2 initseq + 1.  Seeding steps the LCG
     from 0, adds initstate and steps again, so the state the j-th output
-    reads is step^(j+1)(x).  A trial of 2^32 or more is two entropy words, so
-    the trials are seeded in groups of one word count.
+    reads is step^(j+1)(x).  With MULT - 1 = 4 u, u odd, t steps take x to
+    B_t y + x (see :func:`_jump_constants`), so y is all a trial's stream
+    needs beside x.  A trial of 2^32 or more is two entropy words, so the
+    trials are seeded in groups of one word count.
     """
     seed_words = _entropy_words(seed)
     widths = np.where(trials > _M32, 2, 1)
@@ -375,52 +387,66 @@ def _pcg64_origins(seed: int, trials: np.ndarray) -> np.ndarray:
         init_hi, init_lo, seq_hi, seq_lo = (halves[2 * i] | halves[2 * i + 1] << 32 for i in range(4))
         inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
         x_lo = init_lo + inc_lo
-        limbs[:, rows] = init_hi + inc_hi + (x_lo < inc_lo), x_lo, inc_hi, inc_lo
+        x_hi = init_hi + inc_hi + (x_lo < inc_lo)
+        y = _mul_add128((inc_hi, inc_lo), _INC_FACTOR, (x_hi << 2 | x_lo >> 62, x_lo << 2))
+        limbs[:, rows] = x_hi, x_lo, *y
     return limbs
 
 
 @functools.lru_cache(maxsize=8)
-def _jump_constants(m: int) -> tuple[np.ndarray, ...]:
-    """(a_hi, a_lo, c_hi, c_lo): limbs of MULT^t and of sum_{i<t} MULT^i mod 2^128, t = 2..m+1.
+def _jump_constants(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(b_hi, b_lo): limbs of B_t = (MULT^t - 1) / 4 mod 2^128, t = 2..m+1.
 
-    t steps of the LCG take a state s to MULT^t s + inc sum_{i<t} MULT^i.
-    Computed on first use of a width m; a certification reads one width.
+    t steps of the LCG take a state x to MULT^t x + inc C_t with C_t =
+    sum_{i<t} MULT^i.  Since C_t (MULT - 1) = MULT^t - 1 and MULT - 1 = 4 u
+    with u odd, C_t u = B_t, and MULT^t x = 4 B_t x + x, so the state is
+    B_t (4 x + inc u^-1) + x = B_t y + x.  The division by 4 loses the top
+    two bits of a residue mod 2^128, so MULT^t is taken mod 2^130.  Computed
+    on first use of a width m; a certification reads one width.
     """
-    power, total = _PCG_MULT, 1
-    mults, sums = [], []
+    power, values = _PCG_MULT, []
     for _ in range(m):
-        total = (total + power) & _M128
-        power = power * _PCG_MULT & _M128
-        mults.append(power)
-        sums.append(total)
-    return tuple(
-        np.array([v >> shift & _M64 for v in values], dtype=np.uint64)
-        for values in (mults, sums)
-        for shift in (64, 0)
-    )
+        power = power * _PCG_MULT & _M130
+        values.append((power - 1) >> 2)
+    return tuple(np.array([v >> shift & _M64 for v in values], dtype=np.uint64) for shift in (64, 0))
 
 
 def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The high 64 bits of the 128-bit products of uint64 arrays, from 32-bit halves."""
+    """The high 64 bits of the 128-bit products of uint64 arrays: Hacker's Delight's mulhu on 32-bit halves."""
     a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
-    low, mid_a, mid_b = a0 * b0, a0 * b1, a1 * b0
-    carry = (low >> 32) + (mid_a & _M32) + (mid_b & _M32)
-    return a1 * b1 + (mid_a >> 32) + (mid_b >> 32) + (carry >> 32)
+    high = a1 * b0
+    high += a0 * b0 >> 32
+    middle = high & _M32
+    middle += a0 * b1
+    high >>= 32
+    high += a1 * b1
+    high += middle >> 32
+    return high
+
+
+def _mul_add128(a: tuple, b: tuple, c: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """a b + c mod 2^128 as limbs (hi, lo), each of a, b, c a pair (hi, lo) of uint64 arrays or scalars."""
+    (a_hi, a_lo), (b_hi, b_lo), (c_hi, c_lo) = a, b, c
+    hi = _mulhi(a_lo, b_lo)
+    hi += a_lo * b_hi
+    hi += a_hi * b_lo
+    hi += c_hi
+    lo = a_lo * b_lo
+    lo += c_lo
+    hi += lo < c_lo
+    return hi, lo
 
 
 def _stream_words(origins: np.ndarray, m: int) -> np.ndarray:
     """The first ``m`` raw outputs of each trial's PCG64, one row per column of ``origins``.
 
-    ``origins`` is :func:`_pcg64_origins` of the trials.  Every state of the
-    block is one jump from its trial's x (see :func:`_jump_constants`), and
-    each output is PCG64's XSL-RR of its state.
+    ``origins`` is :func:`_pcg64_origins` of the trials.  The state the j-th
+    output reads is B_{j+1} y + x, one 128-bit product and one addition
+    from its trial's (x, y) (see :func:`_jump_constants`), and each output
+    is PCG64's XSL-RR of its state.
     """
-    x_hi, x_lo, inc_hi, inc_lo = origins[:, :, None]
-    a_hi, a_lo, c_hi, c_lo = _jump_constants(m)
-    lo_a, lo_c = a_lo * x_lo, c_lo * inc_lo
-    lo = lo_a + lo_c
-    hi = _mulhi(a_lo, x_lo) + _mulhi(c_lo, inc_lo) + (lo < lo_c)
-    hi += a_lo * x_hi + a_hi * x_lo + c_lo * inc_hi + c_hi * inc_lo
+    x_hi, x_lo, y_hi, y_lo = origins[:, :, None]
+    hi, lo = _mul_add128(_jump_constants(m), (y_hi, y_lo), (x_hi, x_lo))
     rotation = hi >> 58
     hi ^= lo
     return (hi >> rotation) | (hi << ((64 - rotation) & 63))
@@ -448,32 +474,48 @@ def _trial_counts(problem: FiniteProblem, seed: int, trials: np.ndarray, supersa
     first) is its top bit.  A draw's outcome is the number of
     :func:`_thresholds` its top 53 bits reach, compared as integers, which is
     the inverse-CDF search of :func:`_draw`.  A supersample's selector bits
-    pick each row's training and ghost words before the comparison.  The
-    outcomes of a block are counted by one ``bincount``, each trial's
-    training (and ghost) outcomes offset by k times their row.
+    pick each row's training and ghost words before the comparison.
+
+    The stream words are computed a chunk of trials at a time, as many as
+    keep the word array within ``_BLOCK_WORDS`` values, and the outcomes of
+    a chunk are counted by one ``bincount``, each trial's training (and
+    ghost) outcomes offset by k times their row.  A block joins the counts
+    of consecutive chunks: as many trials as keep its count rows and the h
+    posterior values of each within ``_BLOCK_WORDS``, or one chunk if that
+    is more, so each block is one evaluation downstream and memory does not
+    grow with the trial count.  The trials are seeded as many whole blocks
+    at a time as fit in ``_BLOCK_WORDS`` trials.
     """
-    k, n = problem.num_outcomes, problem.n
+    k, n, h = problem.num_outcomes, problem.n, problem.num_hypotheses
     thresholds = _thresholds(problem.mu.probs).tolist()
     doubles = 2 * n if supersample else n
     width = doubles + (n + 1) // 2 if supersample else n
-    step = max(1, _BLOCK_WORDS // width)
     parts = 2 if supersample else 1
-    for start in range(0, len(trials), _BLOCK_WORDS):
-        origins = _pcg64_origins(seed, trials[start : start + _BLOCK_WORDS])
-        for first in range(0, origins.shape[1], step):
-            words = _stream_words(origins[:, first : first + step], width)
-            size = len(words)
-            top = words[:, :doubles] >> 11
-            if supersample:
-                halves = words[:, doubles:]
-                u = np.stack([halves >> 31 & 1, halves >> 63], axis=2).reshape(size, -1)[:, :n] != 0
-                left, right = top[:, 0::2], top[:, 1::2]
-                top = np.stack([np.where(u, right, left), np.where(u, left, right)], axis=1)
-            top = top.reshape(size, parts, n)
-            draws = np.repeat(np.arange(0, size * parts * k, k), n).reshape(top.shape)
-            for threshold in thresholds:
-                draws += top >= threshold
-            yield np.bincount(draws.ravel(), minlength=size * parts * k).reshape(size, parts, k)
+    chunk = max(1, _BLOCK_WORDS // width)
+    block = max(chunk, _BLOCK_WORDS // (parts * k + h))
+
+    def count(words: np.ndarray) -> np.ndarray:
+        """The (chunk, parts, k) counts of a chunk's stream words."""
+        size = len(words)
+        top = words[:, :doubles] >> 11
+        if supersample:
+            halves = words[:, doubles:]
+            u = np.stack([halves >> 31 & 1, halves >> 63], axis=2).reshape(size, -1)[:, :n] != 0
+            left, right = top[:, 0::2], top[:, 1::2]
+            top = np.stack([np.where(u, right, left), np.where(u, left, right)], axis=1)
+        top = top.reshape(size, parts, n)
+        draws = np.repeat(np.arange(0, size * parts * k, k), n).reshape(top.shape)
+        for threshold in thresholds:
+            draws += top >= threshold
+        return np.bincount(draws.ravel(), minlength=size * parts * k).reshape(size, parts, k)
+
+    seeded = _BLOCK_WORDS // block * block
+    for start in range(0, len(trials), seeded):
+        origins = _pcg64_origins(seed, trials[start : start + seeded])
+        for first in range(0, origins.shape[1], block):
+            rows = origins[:, first : first + block]
+            counts = [count(_stream_words(rows[:, i : i + chunk], width)) for i in range(0, rows.shape[1], chunk)]
+            yield counts[0] if len(counts) == 1 else np.concatenate(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -640,10 +682,13 @@ def _trials(config: TrialConfig, kind: str, trials: np.ndarray, *params) -> np.n
     a sample, ``supersample`` draws a supersample and trains on its selected
     column.  ``trials`` holds the trial indices, each below 2^64.  Each trial
     is deterministic in (config.seed, trial) alone: the trials are drawn a
-    block at a time by :func:`_trial_counts`, and one dict over the run maps
-    each training type's count bytes to its id, numbered in the order the
-    types first appear.  The types a block sees first are evaluated together,
-    in that order, by the :func:`_block_evaluator` body, into run-level
+    block at a time by :func:`_trial_counts`, whose blocks hold as many
+    trials as keep their count rows and posterior rows within
+    ``_BLOCK_WORDS`` values (a 150-trial certification on 16 x 8, n = 200 is
+    one block), and one dict over the run maps each training type's count
+    bytes to its id, numbered in the order the types first appear.  The
+    types a block sees first are evaluated together, in that order, by one
+    call of the :func:`_block_evaluator` body, into run-level
     arrays of bounds and posteriors indexed by id, which hold at most one row
     per trial or per sample type.  Each trial's truth is its type's posterior
     dotted with a reference row: the annealed or the true risks, or for a

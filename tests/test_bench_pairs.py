@@ -95,3 +95,23 @@ def test_a_gain_follows_the_metric_direction():
     assert bench_pairs.summarize(pairs, END_TO_END)["verdict"]["trials_per_s"] == "gain"
     flipped = [{"seed": p["seed"], "parent": p["change"], "change": p["parent"]} for p in pairs]
     assert bench_pairs.summarize(flipped, END_TO_END)["verdict"]["trials_per_s"] == "within bound"
+
+
+ACCEPTANCE_LINE = (
+    '{"acceptance": {"seed": 20240817, "trials": 10000, "violations": {"zhang": 65, "catoni": 65, '
+    '"cmi": 3, "dp-prior": 1}, "expected": {"zhang": 65, "catoni": 65, "cmi": 3, "dp-prior": 1}, '
+    '"correct": true}}'
+)
+
+
+def test_an_acceptance_line_gives_its_counts_and_correct():
+    stdout = "provenance\n" + ACCEPTANCE_LINE + "\n"
+    assert bench_pairs.parse_acceptance(stdout) == {
+        "violations": {"zhang": 65, "catoni": 65, "cmi": 3, "dp-prior": 1},
+        "correct": True,
+    }
+    wrong = ACCEPTANCE_LINE.replace('"cmi": 3, "dp', '"cmi": 4, "dp', 1).replace("true", "false")
+    assert bench_pairs.parse_acceptance(wrong) == {
+        "violations": {"zhang": 65, "catoni": 65, "cmi": 4, "dp-prior": 1},
+        "correct": False,
+    }

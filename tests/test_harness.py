@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import genbounds.bounds
 from genbounds import (
@@ -57,11 +59,15 @@ from genbounds import (
 )
 import genbounds.harness
 from genbounds.harness import (
+    _INC_FACTOR,
     _block_evaluator,
     _bound_model,
     _draw,
     _draw_supersample,
     _inverse_cdf,
+    _jump_constants,
+    _mul_add128,
+    _mulhi,
     _summarize,
     _thresholds,
     _trial_counts,
@@ -534,6 +540,24 @@ EDGE_MUS = {
 BLOCK_TRIALS = np.array([2**32, *range(299, -1, -1), 2**32 - 1, 17], dtype=np.uint64)
 
 
+def record_evaluations(monkeypatch):
+    """Patch ``_block_evaluator`` to record each block of types ``_trials`` evaluates; returns the record."""
+    blocks = []
+    original = genbounds.harness._block_evaluator
+
+    def recording(*args):
+        evaluate = original(*args)
+
+        def record(types):
+            blocks.append(types.tolist())
+            return evaluate(types)
+
+        return record
+
+    monkeypatch.setattr(genbounds.harness, "_block_evaluator", recording)
+    return blocks
+
+
 class TestBlockDraw:
     """The block draw is ``default_rng([seed, trial])`` to the bit, on the installed numpy."""
 
@@ -548,7 +572,9 @@ class TestBlockDraw:
 
     @pytest.mark.parametrize("n", [50, 51])
     @pytest.mark.parametrize("supersample", [False, True], ids=["sample", "supersample"])
-    def test_a_run_longer_than_one_block(self, n, supersample):
+    def test_a_run_longer_than_one_block(self, monkeypatch, n, supersample):
+        # 100 words: a chunk of 1 or 2 trials, and blocks of 11 trials, or 5 for a supersample.
+        monkeypatch.setattr(genbounds.harness, "_BLOCK_WORDS", 100)
         problem = count_problem(8, n)
         assert len(list(_trial_counts(problem, 3, BLOCK_TRIALS, supersample))) > 1
         expected = [per_trial_counts(problem, 3, t, supersample) for t in BLOCK_TRIALS.tolist()]
@@ -576,32 +602,50 @@ class TestBlockDraw:
     def test_types_are_evaluated_once_in_first_seen_order_across_blocks(self, monkeypatch):
         # 100 words: 14 trials a block, 5 for a supersample, and types new in most blocks.
         problem = count_problem(8, 7)
-        evaluated = []
-        original = genbounds.harness._block_evaluator
-
-        def recording(*args):
-            evaluate = original(*args)
-
-            def record(types):
-                evaluated.extend(map(tuple, types.tolist()))
-                return evaluate(types)
-
-            return record
-
         for bound, kind, supersample in (("zhang", "plain", False), ("cmi", "supersample", True)):
             config = make_config(problem, bound, trials=300)
             trials = np.arange(config.trials, dtype=np.uint64)
             whole = _trials(config, kind, trials)
             monkeypatch.setattr(genbounds.harness, "_BLOCK_WORDS", 100)
-            monkeypatch.setattr(genbounds.harness, "_block_evaluator", recording)
-            evaluated.clear()
+            blocks = record_evaluations(monkeypatch)
             assert np.array_equal(_trials(config, kind, trials), whole)
+            evaluated = [tuple(row) for block in blocks for row in block]
             drawn = [tuple(per_trial_counts(problem, config.seed, t, supersample)[0].tolist()) for t in range(300)]
             assert evaluated == list(dict.fromkeys(drawn)) and 100 < len(evaluated) < 300
             monkeypatch.undo()
 
+    @pytest.mark.parametrize(
+        "h, k, n",
+        [(16, 8, 200), (4, 2, 50), (1, 8, 7), (4, 512, 50), (2, 3, 2000)],
+        ids=["wide", "coin", "one-hypothesis", "many-outcomes", "long-sample"],
+    )
+    @pytest.mark.parametrize("supersample", [False, True], ids=["sample", "supersample"])
+    def test_a_block_keeps_its_rows_within_the_block_words(self, h, k, n, supersample):
+        # A block holds as many trials as keep (parts k + h) values each within the block words,
+        # or one chunk of stream words where that is more; only the last block is short.
+        problem = FiniteProblem(losses=np.zeros((h, k)), mu=DiscreteDist.uniform(k), n=n)
+        words, parts = genbounds.harness._BLOCK_WORDS, 2 if supersample else 1
+        width = 2 * n + (n + 1) // 2 if supersample else n
+        chunk = max(1, words // width)
+        sizes = [len(block) for block in _trial_counts(problem, 5, np.arange(700, dtype=np.uint64), supersample)]
+        assert sum(sizes) == 700
+        assert all(size * (parts * k + h) <= words or size <= chunk for size in sizes)
+        assert sizes[:-1] == [max(chunk, words // (parts * k + h))] * (len(sizes) - 1)
+
+    def test_a_certify_wide_run_is_one_evaluation(self, monkeypatch):
+        # 16 x 8, n = 200, 150 trials: the stream words come 40 trials at a time, 16 for a
+        # supersample, and all 150 trials make one block.
+        problem = wide_problem()
+        for bound, kind in (("zhang", "plain"), ("cmi", "supersample")):
+            config = make_config(problem, bound, trials=150)
+            blocks = record_evaluations(monkeypatch)
+            _trials(config, kind, np.arange(config.trials, dtype=np.uint64))
+            assert len(blocks) == 1 and len(blocks[0]) > 100, bound
+            monkeypatch.undo()
+
     def test_block_boundaries_of_the_seeding_and_the_draws(self, monkeypatch):
-        # 100 words: the trials are seeded 100 at a time and drawn 14 or 5 at a time.
+        # 100 words: the trials are seeded 99 at a time, in blocks of 33 drawn 14 at a time, or for a
+        # supersample 100 at a time, in blocks of 20 drawn 5 at a time.
         monkeypatch.setattr(genbounds.harness, "_BLOCK_WORDS", 100)
         problem = count_problem(2, 7)
         for supersample in (False, True):
@@ -623,6 +667,63 @@ class TestBlockDraw:
     def test_a_trial_index_is_an_integer_below_2_to_the_64(self, trial):
         with pytest.raises(ConfigurationError):
             violation_trial(make_config(standard_problem(), "zhang", trials=1), trial)
+
+
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+#: Limbs at the edges of the 32-bit halves and of the carries.
+EDGE_LIMBS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def limbs(values):
+    """(hi, lo) uint64 arrays of Python ints in [0, 2^128)."""
+    return tuple(np.array([v >> shift & (2**64 - 1) for v in values], dtype=np.uint64) for shift in (64, 0))
+
+
+def joined(hi, lo):
+    return [a << 64 | b for a, b in zip(hi.ravel().tolist(), lo.ravel().tolist())]
+
+
+class TestStreamArithmetic:
+    """The jump arithmetic of the block streams, against Python integers."""
+
+    def test_mulhi_on_edge_limbs(self):
+        a, b = np.array(list(itertools.product(EDGE_LIMBS, repeat=2)), dtype=np.uint64).T
+        assert _mulhi(a, b).tolist() == [x * y >> 64 for x, y in zip(a.tolist(), b.tolist())]
+
+    def test_mul_add128_on_edge_limbs(self):
+        values = [hi << 64 | lo for hi, lo in itertools.product(EDGE_LIMBS, repeat=2)]
+        a, b, c = map(list, zip(*itertools.product(values, repeat=3)))
+        want = [(x * y + z) % 2**128 for x, y, z in zip(a, b, c)]
+        assert joined(*_mul_add128(limbs(a), limbs(b), limbs(c))) == want
+        # A scalar factor, as the origins take u^-1.
+        a, c = map(list, zip(*itertools.product(values, repeat=2)))
+        for y in values:
+            scalar = tuple(np.uint64(limb[0]) for limb in limbs([y]))
+            assert joined(*_mul_add128(limbs(a), scalar, limbs(c))) == [(x * y + z) % 2**128 for x, z in zip(a, c)]
+
+    def test_jump_constants_are_the_lcg_sums_times_u(self):
+        # B_t = C_t u with C_t = sum_{i<t} MULT^i and MULT - 1 = 4 u, for t = 2..m+1.
+        u, power, total, want = (PCG_MULT - 1) // 4, PCG_MULT, 1, []
+        for _ in range(300):
+            total = (total + power) % 2**128
+            power = power * PCG_MULT % 2**128
+            want.append(total * u % 2**128)
+            assert (4 * want[-1] + 1) % 2**128 == power
+        assert joined(*_jump_constants(300)) == want
+
+    @given(x=st.integers(0, 2**128 - 1), inc=st.integers(0, 2**127 - 1).map(lambda v: 2 * v + 1))
+    @settings(max_examples=30, deadline=None)
+    def test_one_product_jump_equals_sequential_steps(self, x, inc):
+        u_inverse = pow((PCG_MULT - 1) // 4, -1, 2**128)
+        y = (4 * x + inc * u_inverse) % 2**128
+        assert joined(*_mul_add128(limbs([inc]), _INC_FACTOR, limbs([4 * x % 2**128]))) == [y]
+        (y_hi, y_lo), (x_hi, x_lo) = limbs([y]), limbs([x])
+        states = _mul_add128(_jump_constants(599), (y_hi[:, None], y_lo[:, None]), (x_hi[:, None], x_lo[:, None]))
+        want, state = [], (PCG_MULT * x + inc) % 2**128
+        for _ in range(599):  # t = 2..600
+            state = (PCG_MULT * state + inc) % 2**128
+            want.append(state)
+        assert joined(*states) == want
 
 
 class TestCmiExperiment:
@@ -1024,8 +1125,8 @@ class TestBlockEvaluator:
         ids=["gibbs", "erm-lowest", "erm-uniform"],
     )
     def test_trials_over_several_blocks_equal_the_per_trial_primitives(self, monkeypatch, problem, algorithm):
-        # 1000 stream words: blocks of 5 (wide) or 83 (soft) trials, or 2 and 33 for a supersample.
-        monkeypatch.setattr(genbounds.harness, "_BLOCK_WORDS", 1000)
+        # 300 stream words: blocks of 12 (wide) or 42 (soft) trials, or 9 and 30 for a supersample.
+        monkeypatch.setattr(genbounds.harness, "_BLOCK_WORDS", 300)
         fixed = DiscreteDist.from_weights(np.arange(1.0, problem.num_hypotheses + 1))
         for (bound, kind, params), prior in itertools.product(TRIAL_KINDS, (None, fixed)):
             if bound == "catoni" and not problem.has_binary_losses:

@@ -14,7 +14,10 @@ that goes first alternates from pair to pair.  The output holds every run's
 result line, each end-to-end metric's median and quartiles per side, the
 number of pairs in which the change did better on each metric, in the
 direction BENCHMARK.json gives, and a verdict per metric: ``gain``, ``worse``,
-``unresolved`` or ``within bound`` (see ``_verdict``).
+``unresolved`` or ``within bound`` (see ``_verdict``).  Before the workloads,
+each side runs ``perfbench/run.py --acceptance`` once, and the output records
+its violation count per acceptance certification, whether they are the
+expected ones (``correct``), and whether the change kept the parent's counts.
 """
 
 from __future__ import annotations
@@ -60,6 +63,21 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(argv[1:])} in {tree.name} exited {done.returncode}:\n{done.stderr}")
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def parse_acceptance(stdout: str) -> dict:
+    """The violation counts and ``correct`` of a ``perfbench/run.py --acceptance`` line (the last stdout line)."""
+    line = json.loads(stdout.strip().splitlines()[-1])["acceptance"]
+    return {"violations": line["violations"], "correct": line["correct"]}
+
+
+def run_acceptance(tree: Path) -> dict:
+    """:func:`parse_acceptance` of one acceptance run in ``tree``; exit 1 means counts other than the expected."""
+    argv = [sys.executable, "perfbench/run.py", "--acceptance"]
+    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    if done.returncode not in (0, 1) or not done.stdout.strip():
+        raise RuntimeError(f"{' '.join(argv[1:])} in {tree.name} exited {done.returncode}:\n{done.stderr}")
+    return parse_acceptance(done.stdout)
 
 
 def _spread(values: list[float]) -> dict:
@@ -136,6 +154,10 @@ def main(argv=None) -> int:
         trees = {side: Path(tmp) / side for side in SIDES}
         export_parent(args.parent, trees["parent"])
         export_change(trees["change"])
+        acceptance = {side: run_acceptance(trees[side]) for side in SIDES}
+        acceptance["kept"] = acceptance["parent"]["violations"] == acceptance["change"]["violations"]
+        print(f"acceptance: {json.dumps(acceptance)}", file=sys.stderr)
+        report["acceptance"] = acceptance
         for workload in (w["name"] for w in spec["workloads"]):
             pairs = []
             for seed in range(1, args.pairs + 1):
