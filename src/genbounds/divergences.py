@@ -18,6 +18,7 @@ NaN and -inf; its largest must not be +inf; and its total must be 1 within
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -61,28 +62,65 @@ def _check_rows(rows: np.ndarray) -> None:
 
 
 def _normalized(weights) -> np.ndarray:
-    """Nonnegative weights divided by their total, which must be positive."""
+    """Nonnegative weights divided by their total, which must be positive.
+
+    Finite weights whose total overflows, such as [1e308, 1e308], are first
+    divided by the largest; a finite total divides the weights as they are.
+    """
     w = np.asarray(weights, dtype=float)
-    total = w.sum()
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if total == math.inf:
+        if not np.isfinite(w).all():
+            raise DomainError("weights must be finite")
+        w = w / w.max()
+        total = w.sum()
     if not total > 0:
         raise DomainError("weights must have positive total mass")
     return w / total
 
 
+def _floored_log(q: np.ndarray) -> np.ndarray:
+    """log(max(q, 1e-300)) of each entry, and -inf where q is 0: the prior's log in a Gibbs logit."""
+    log_q = np.log(np.maximum(q, 1e-300))
+    log_q[q == 0] = -np.inf
+    return log_q
+
+
 @dataclass(frozen=True)
 class DiscreteDist:
-    """A probability vector over a finite index set."""
+    """A probability vector over a finite index set, immutable.
+
+    ``probs`` is a read-only copy of the given probabilities, so the caller's
+    array stays writable and unchanged.  The floored log of
+    :func:`_floored_log`, which every Gibbs measure against this
+    distribution reads, is computed on first use and kept.
+    """
 
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", _probabilities(self.probs, 1))
+        probs = _probabilities(np.array(self.probs, dtype=float), 1)
+        probs.setflags(write=False)
+        object.__setattr__(self, "probs", probs)
 
     def __len__(self) -> int:
         return self.probs.size
 
+    def __reduce__(self):
+        # Pickling and copying rebuild through the constructor, so a copy's probs are read-only too.
+        return DiscreteDist, (self.probs,)
+
+    @functools.cached_property
+    def _log_probs(self) -> np.ndarray:
+        log_q = _floored_log(self.probs)
+        log_q.setflags(write=False)
+        return log_q
+
     @classmethod
     def uniform(cls, size: int) -> "DiscreteDist":
+        if not _is_positive_integer(size):
+            raise DomainError("size must be a positive integer")
         return cls(np.full(size, 1.0 / size))
 
     @classmethod

@@ -81,7 +81,7 @@ from .divergences import (
 )
 from .errors import ConfigurationError, DomainError, _is_positive_integer
 from .losses import LossModel
-from .posteriors import _gibbs_rows, gibbs_posterior
+from .posteriors import _gibbs_rows
 from .problems import (
     ENUMERATION_BUDGET,
     FiniteProblem,
@@ -101,6 +101,11 @@ from .registry import BOUNDS, BoundEntry
 # ---------------------------------------------------------------------------
 # Learning rules
 # ---------------------------------------------------------------------------
+
+
+def _uniform_probs(h: int) -> np.ndarray:
+    """The probabilities of ``DiscreteDist.uniform(h)``, for the row kernels."""
+    return np.full(h, 1.0 / h)
 
 
 @dataclass(frozen=True)
@@ -145,8 +150,8 @@ class GibbsAlgorithm:
             raise ConfigurationError("beta_alg must be positive")
 
     def posterior(self, problem: FiniteProblem, sample) -> DiscreteDist:
-        base = DiscreteDist.uniform(problem.num_hypotheses)
-        return gibbs_posterior(base, empirical_risks(problem, sample), problem.n * self.beta_alg)
+        uniform = _uniform_probs(problem.num_hypotheses)
+        return DiscreteDist(self._posterior_rows(empirical_risks(problem, sample), uniform, problem.n))
 
     def _posterior_rows(self, risks: np.ndarray, base: np.ndarray, n: int) -> np.ndarray:
         """The Gibbs posterior relative to ``base`` (one row, or one per row) of each row of risks."""
@@ -575,8 +580,7 @@ def verify_expectation_bounds(
 
     if _is_exchangeable(algorithm):
         _, weights, risks = tabulate_types(problem, budget)
-        uniform = DiscreteDist.uniform(problem.num_hypotheses).probs
-        probs = algorithm._posterior_rows(risks, uniform, problem.n)
+        probs = algorithm._posterior_rows(risks, _uniform_probs(problem.num_hypotheses), problem.n)
         _check_rows(probs)
     else:
         _, weights, risks, probs = tabulate(problem, lambda s: algorithm.posterior(problem, s), budget)
@@ -650,7 +654,7 @@ def _block_evaluator(config: TrialConfig, kind: str, params: tuple):
     n, h = problem.n, problem.num_hypotheses
     model = _bound_model(problem)
     beta = config.bound.params.get("beta")
-    uniform = DiscreteDist.uniform(h).probs
+    uniform = _uniform_probs(h)
     fixed_prior = config.prior.probs if config.prior is not None else uniform
     lowest, highest = problem.losses.min(), problem.losses.max()
     if kind == "private-prior":
@@ -686,9 +690,10 @@ def _trials(config: TrialConfig, kind: str, trials: np.ndarray, *params) -> np.n
     trials as keep their count rows and posterior rows within
     ``_BLOCK_WORDS`` values (a 150-trial certification on 16 x 8, n = 200 is
     one block), and one dict over the run maps each training type's count
-    bytes to its id, numbered in the order the types first appear.  The
-    types a block sees first are evaluated together, in that order, by one
-    call of the :func:`_block_evaluator` body, into run-level
+    bytes, in the smallest unsigned type that holds n (one byte a count
+    below n = 256), to its id, numbered in the order the types first appear.
+    The types a block sees first are evaluated together, in that order, by
+    one call of the :func:`_block_evaluator` body, into run-level
     arrays of bounds and posteriors indexed by id, which hold at most one row
     per trial or per sample type.  Each trial's truth is its type's posterior
     dotted with a reference row: the annealed or the true risks, or for a
@@ -702,12 +707,14 @@ def _trials(config: TrialConfig, kind: str, trials: np.ndarray, *params) -> np.n
     size = min(len(trials), math.comb(n + k - 1, k - 1))
     bounds, posteriors = np.empty(size), np.empty((size, problem.num_hypotheses))
     ids: dict[bytes, int] = {}
+    key_dtype = np.min_scalar_type(n)  # every count is at most n
     reference = None
     result = np.empty((len(trials), 2))
     start = 0
     for counts in _trial_counts(problem, config.seed, trials, kind == "supersample"):
         types = np.ascontiguousarray(counts[:, 0])
-        raw, width = types.tobytes(), types.strides[0]
+        keys = types.astype(key_dtype)
+        raw, width = keys.tobytes(), keys.strides[0]
         seen = len(ids)
         block = np.array([ids.setdefault(raw[i : i + width], len(ids)) for i in range(0, len(raw), width)])
         if len(ids) > seen:
@@ -848,8 +855,7 @@ def _check_dp_prior(problem: FiniteProblem, epsilon: float) -> None:
 
 def _dp_prior_rows(problem: FiniteProblem, risks: np.ndarray, epsilon: float) -> np.ndarray:
     """The mechanism's prior for each row of empirical risks; unchecked, see :func:`_check_dp_prior`."""
-    uniform = DiscreteDist.uniform(problem.num_hypotheses).probs
-    return _gibbs_rows(uniform, risks, problem.n * epsilon / 2.0)
+    return _gibbs_rows(_uniform_probs(problem.num_hypotheses), risks, problem.n * epsilon / 2.0)
 
 
 def dp_mechanism_max_log_ratio(
@@ -875,7 +881,7 @@ def dp_mechanism_max_log_ratio(
         log_priors = np.log(priors)
     underflow = priors < np.finfo(float).tiny
     if underflow.any():
-        logits = np.log(DiscreteDist.uniform(problem.num_hypotheses).probs) - problem.n * epsilon / 2.0 * risks
+        logits = np.log(_uniform_probs(problem.num_hypotheses)) - problem.n * epsilon / 2.0 * risks
         log_priors[underflow] = (logits - _logsumexp(logits, 1.0, axis=1)[:, None])[underflow]
     return float(np.max(np.abs(log_priors[rows] - log_priors[neighbors]), initial=0.0))
 

@@ -23,6 +23,7 @@ from .bounds import _PHI_INVERSE, BoundResult, _result
 from .divergences import (
     DiscreteDist,
     GaussianKLInputs,
+    _floored_log,
     _kl_rows,
     _logsumexp,
     kl_discrete,
@@ -32,6 +33,7 @@ from .divergences import (
 from .errors import DegenerateError, DomainError, ParameterError, ShapeError, _is_positive_integer
 from .problems import (
     FiniteProblem,
+    _sample_risks,
     annealed_risks,
     empirical_risks,
     tabulate,
@@ -65,14 +67,18 @@ def _expectation(p: DiscreteDist, f: np.ndarray) -> float:
 
 
 def gibbs_posterior(q: DiscreteDist, f_values, beta: float) -> DiscreteDist:
-    """The Gibbs measure proportional to q(w) e^{-beta f(w)}, max-shifted for stability."""
-    return DiscreteDist(_gibbs_rows(q.probs, _as_values(q, f_values), beta))
+    """The Gibbs measure proportional to q(w) e^{-beta f(w)}, max-shifted for stability.
+
+    The prior's log is the one ``q`` keeps, so reusing a prior takes it once.
+    """
+    return DiscreteDist(_gibbs_rows(q.probs, _as_values(q, f_values), beta, q._log_probs))
 
 
-def _gibbs_rows(q: np.ndarray, f: np.ndarray, beta: float) -> np.ndarray:
+def _gibbs_rows(q: np.ndarray, f: np.ndarray, beta: float, log_q: np.ndarray | None = None) -> np.ndarray:
     """The Gibbs weights of each row of ``f`` against ``q``, one row or one row per row of ``f``.
 
-    Each row is computed as a single vector would be, so a row equals
+    ``log_q`` is ``_floored_log(q)``, taken here when not given.  Each row is
+    computed as a single vector would be, so a row equals
     :func:`gibbs_posterior` of it to the bit.  The rows are not checked as
     probability vectors; the caller does that.
     """
@@ -80,8 +86,8 @@ def _gibbs_rows(q: np.ndarray, f: np.ndarray, beta: float) -> np.ndarray:
         raise DomainError("beta must be nonnegative")
     if beta == 0:
         return np.array(np.broadcast_to(q, np.broadcast_shapes(q.shape, f.shape)))
-    log_q = np.log(np.maximum(q, 1e-300))
-    log_q[q == 0] = -np.inf
+    if log_q is None:
+        log_q = _floored_log(q)
     logits = log_q - beta * f
     # On short rows numpy's call overhead outweighs the work, so: the ufuncs'
     # own reductions, in-place steps, and for a single row a scalar peak and
@@ -219,7 +225,7 @@ def iei_empirical_check(
     annealed = annealed_risks(problem, beta)
     samples = rng.choice(problem.num_outcomes, size=(trials, problem.n), p=problem.mu.probs)
     probs = np.array([posterior_rule(sample).probs for sample in samples])
-    risks = np.array([empirical_risks(problem, sample) for sample in samples])
+    risks = _sample_risks(problem, samples)
     terms = _iei_term(problem, probs, q, beta, annealed, risks)
     value = float(terms.mean())
     std_error = float(terms.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf

@@ -26,6 +26,8 @@ from .errors import BudgetError, DomainError, ShapeError, _is_positive_integer
 #: Default ceiling on the number of samples an exhaustive enumeration may visit.
 ENUMERATION_BUDGET = 10**6
 
+_OUT_OF_RANGE = "sample contains out-of-range outcome indices"
+
 
 @dataclass(frozen=True)
 class FiniteProblem:
@@ -74,19 +76,6 @@ def _is_integral(values: np.ndarray) -> bool:
     )
 
 
-def _check_sample(problem: FiniteProblem, sample) -> np.ndarray:
-    s = np.asarray(sample)
-    if s.ndim != 1 or s.size == 0:
-        raise DomainError("a sample must be a nonempty 1-D list of outcome indices")
-    # NumPy turns a list mixing bools and ints into ints, so look at its entries.
-    has_bool = not isinstance(sample, np.ndarray) and any(isinstance(x, (bool, np.bool_)) for x in sample)
-    if has_bool or not _is_integral(s):
-        raise DomainError("sample entries must be integer outcome indices")
-    if s.min() < 0 or s.max() >= problem.num_outcomes:
-        raise DomainError("sample contains out-of-range outcome indices")
-    return s.astype(int, copy=False)
-
-
 def true_risks(problem: FiniteProblem) -> np.ndarray:
     """Population risks of all hypotheses: the mu-expectation of each loss row."""
     return problem.losses @ problem.mu.probs
@@ -98,8 +87,23 @@ def empirical_risks(problem: FiniteProblem, sample) -> np.ndarray:
     Computed from the sample's type (its count vector), so it is exactly the
     same for every ordering of the sample and costs O(h k), not O(h n).
     """
-    s = _check_sample(problem, sample)
-    return problem.losses @ np.bincount(s, minlength=problem.num_outcomes) / s.size
+    s = np.asarray(sample)
+    if s.ndim != 1 or s.size == 0:
+        raise DomainError("a sample must be a nonempty 1-D list of outcome indices")
+    # NumPy turns a list mixing bools and ints into ints, so look at its entries.
+    has_bool = not isinstance(sample, np.ndarray) and any(isinstance(x, (bool, np.bool_)) for x in sample)
+    if has_bool or not _is_integral(s):
+        raise DomainError("sample entries must be integer outcome indices")
+    # The largest index is checked before bincount would allocate that many
+    # bins; bincount refuses a negative one itself.  A float below the int64
+    # range has no integer to cast to, so floats check both ends.
+    if not np.maximum.reduce(s) < problem.num_outcomes or (s.dtype.kind == "f" and np.minimum.reduce(s) < 0):
+        raise DomainError(_OUT_OF_RANGE)
+    try:
+        counts = np.bincount(s.astype(int, copy=False), minlength=problem.num_outcomes)
+    except ValueError:
+        raise DomainError(_OUT_OF_RANGE) from None
+    return problem.losses @ counts / s.size
 
 
 def annealed_risks(problem: FiniteProblem, beta: float) -> np.ndarray:
@@ -168,6 +172,17 @@ def iter_types(
 def _count_risks(problem: FiniteProblem, counts: np.ndarray) -> np.ndarray:
     """The empirical risks of each row of sample counts, each as :func:`empirical_risks` gives it."""
     return np.matmul(problem.losses[None], counts[:, :, None].astype(float))[:, :, 0] / problem.n
+
+
+def _sample_risks(problem: FiniteProblem, samples: np.ndarray) -> np.ndarray:
+    """:func:`_count_risks` of each row of an (m, n) array of in-range outcome indices.
+
+    The rows' counts come from one ``bincount``, each row's outcomes offset by
+    k times the row.
+    """
+    k, rows = problem.num_outcomes, len(samples)
+    counts = np.bincount((samples + k * np.arange(rows)[:, None]).ravel(), minlength=rows * k)
+    return _count_risks(problem, counts.reshape(rows, k))
 
 
 def _type_neighbors(problem: FiniteProblem, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,14 +266,13 @@ def tabulate(
     Row r holds the r-th sample of :func:`iter_samples`, its product-measure
     weight, its per-hypothesis empirical risks and ``rule(sample).probs``.
     Sample s sits at row sum_i s_i k^(n-1-i), so changing coordinate i to z
-    moves it by (z - s_i) k^(n-1-i) rows.  The risks are :func:`_count_risks`
-    of the samples' count vectors, so every ordering of a type has its risks.
+    moves it by (z - s_i) k^(n-1-i) rows.  The risks are :func:`_sample_risks`,
+    from the samples' count vectors, so every ordering of a type has its risks.
     """
     k, n = problem.num_outcomes, problem.n
     _check_budget("enumerating {} sequences", lambda m: k**m, n, budget)
     rows = k**n
     samples = np.arange(rows)[:, None] // k ** np.arange(n - 1, -1, -1) % k
     weights = np.prod(problem.mu.probs[samples], axis=1)
-    counts = np.bincount((samples + k * np.arange(rows)[:, None]).ravel(), minlength=rows * k)
-    risks = _count_risks(problem, counts.reshape(rows, k))
-    return samples, weights, risks, np.array([rule(sample).probs for sample in samples])
+    probs = np.array([rule(sample).probs for sample in samples])
+    return samples, weights, _sample_risks(problem, samples), probs

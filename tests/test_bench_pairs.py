@@ -1,6 +1,7 @@
 """Tests of the summary that tools/bench_pairs.py writes."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -115,3 +116,29 @@ def test_an_acceptance_line_gives_its_counts_and_correct():
         "violations": {"zhang": 65, "catoni": 65, "cmi": 4, "dp-prior": 1},
         "correct": False,
     }
+
+
+def test_a_failing_workload_keeps_the_workloads_already_done(tmp_path, monkeypatch):
+    spec = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+    first, second = (w["name"] for w in spec["workloads"][:2])
+    result = {"correct": True, "attempted": 1, "failed": 0,
+              "metrics": {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in spec["end_to_end"]}}
+    counts = {"violations": {"zhang": 65}, "correct": True}
+
+    def run_once(tree, workload, seed, seconds):
+        if workload == second:
+            raise RuntimeError(f"{workload} failed")
+        return result
+
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args: b"0123abc\n")
+    monkeypatch.setattr(bench_pairs, "export_parent", lambda rev, dest: dest.mkdir())
+    monkeypatch.setattr(bench_pairs, "export_change", lambda dest: dest.mkdir())
+    monkeypatch.setattr(bench_pairs, "run_acceptance", lambda tree: counts)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(RuntimeError, match=f"^{second} failed$"):
+        bench_pairs.main(["--out", str(out), "--pairs", "2", "--workdir", str(tmp_path)])
+    report = json.loads(out.read_text())
+    assert list(report["workloads"]) == [first]
+    assert len(report["workloads"][first]["runs"]) == 2
+    assert report["acceptance"]["kept"] is True

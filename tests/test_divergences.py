@@ -51,6 +51,11 @@ class TestDiscreteDist:
         assert np.allclose(DiscreteDist.uniform(4).probs, 0.25)
         assert np.allclose(DiscreteDist.from_weights([2, 2]).probs, [0.5, 0.5])
 
+    @pytest.mark.parametrize("size", [0, -1, 2.5, True, np.float64(3.0)])
+    def test_uniform_refuses_a_size_that_is_not_a_positive_integer(self, size):
+        with pytest.raises(DomainError, match="^size must be a positive integer$"):
+            DiscreteDist.uniform(size)
+
 
 class TestKlDiscrete:
     def test_identical_is_exactly_zero(self, rng):
@@ -354,7 +359,7 @@ class TestRowKernelAgainstReferences:
     def test_a_q_that_misses_the_support_gives_inf(self, rng):
         for _ in range(50):
             p = sparse_table(rng, (int(rng.integers(2, 9)), int(rng.integers(2, 7))))
-            q = random_dist(rng, p.shape[1]).probs
+            q = random_dist(rng, p.shape[1]).probs.copy()  # a DiscreteDist's probs are read-only
             q[np.flatnonzero(p.sum(axis=0))[0]] = 0.0
             q /= q.sum()
             assert reference_conditional_kl(p, q) == math.inf

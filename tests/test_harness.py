@@ -117,6 +117,16 @@ class TestAlgorithms:
         weights = np.exp(-4 * 2.0 * (risks - risks.min()))
         assert np.allclose(post.probs, weights / weights.sum())
 
+    def test_gibbs_equals_the_gibbs_posterior_against_the_uniform_prior_bit_for_bit(self, rng):
+        for _ in range(50):
+            h, k, n = (int(x) for x in rng.integers(1, [6, 5, 30]))
+            problem = random_problem(rng, h, k, n)
+            sample = rng.integers(0, k, size=n)
+            beta_alg = float(10 ** rng.uniform(-3, 2))
+            post = GibbsAlgorithm(beta_alg).posterior(problem, sample)
+            want = gibbs_posterior(DiscreteDist.uniform(h), empirical_risks(problem, sample), n * beta_alg)
+            assert post.probs.tobytes() == want.probs.tobytes()
+
 
 class TestClopperPearson:
     def test_zero_violations(self):
@@ -1152,6 +1162,19 @@ class TestBlockEvaluator:
             got = _trials(config, kind, np.arange(config.trials, dtype=np.uint64), *params)
             want = [per_trial(config, kind, params, t) for t in range(config.trials)]
             assert [tuple(pair) for pair in got.tolist()] == want, bound
+
+    @pytest.mark.parametrize("bound, kind, params", TRIAL_KINDS, ids=[trial[0] for trial in TRIAL_KINDS])
+    def test_types_whose_counts_agree_in_their_low_bytes_are_told_apart(self, monkeypatch, bound, kind, params):
+        # At n = 300 a type is keyed by two bytes a count; (257, 43) and (1, 299) share their low bytes.
+        # One expert on outcome 0 and two on outcome 1, so the two types have different bounds.
+        problem = FiniteProblem(losses=[[0, 1], [1, 0], [1, 0]], mu=DiscreteDist([0.5, 0.5]), n=300)
+        config = make_config(problem, bound, trials=3)
+        counts = np.array([[257, 43], [1, 299], [257, 43]])[:, None].repeat(2 if kind == "supersample" else 1, axis=1)
+        monkeypatch.setattr(genbounds.harness, "_trial_counts", lambda *args: iter([counts]))
+        got = _trials(config, kind, np.arange(3, dtype=np.uint64), *params)
+        for (bound_value, _), train in zip(got.tolist(), counts[:, 0]):
+            assert bound_value == per_type(config, kind, params, train)[2]
+        assert got[0, 0] != got[1, 0]
 
     @pytest.mark.parametrize("problem", [standard_problem(), wide_problem()], ids=["coin", "wide"])
     def test_posteriors_within_rounding_of_the_prior_are_certified(self, problem):

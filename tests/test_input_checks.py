@@ -6,7 +6,10 @@ np.where(q > 0, log(max(q, 1e-300)), -inf) - beta f, shifted by its maximum
 and normalized.
 """
 
+import copy
+import dataclasses
 import math
+import pickle
 import re
 
 import numpy as np
@@ -84,6 +87,61 @@ def test_a_valid_table_is_kept_bit_for_bit(build, ndim):
     assert build(table).probs.tobytes() == table.tobytes()
 
 
+def test_a_distribution_holds_a_read_only_copy_of_its_probabilities():
+    table = np.array([0.25, 0.0, 0.75])
+    dist = DiscreteDist(table)
+    with pytest.raises(ValueError, match="read-only"):
+        dist.probs[0] = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dist.probs = table
+    with pytest.raises(ValueError, match="read-only"):
+        dist._log_probs[0] = 0.0
+    assert table.flags.writeable and table.tolist() == [0.25, 0.0, 0.75]
+    table[0] = 0.5
+    assert dist.probs.tolist() == [0.25, 0.0, 0.75]
+    for twin in (pickle.loads(pickle.dumps(dist)), copy.copy(dist), copy.deepcopy(dist)):
+        assert not twin.probs.flags.writeable and twin.probs.tolist() == [0.25, 0.0, 0.75]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "build, weights, probs",
+    [
+        (DiscreteDist.from_weights, [1e308, 1e308], [0.5, 0.5]),
+        (DiscreteDist.from_weights, [1e308, 1e308, 0.0, 1e308, 1e308], [0.25, 0.25, 0.0, 0.25, 0.25]),
+        (JointTable.from_weights, [[1e308, 1e308], [1e308, 1e308]], [[0.25, 0.25], [0.25, 0.25]]),
+    ],
+    ids=["two", "four and a zero", "joint"],
+)
+def test_finite_weights_whose_total_overflows_are_normalized(build, weights, probs):
+    assert build(weights).probs.tolist() == probs
+
+
+@pytest.mark.parametrize("build", [DiscreteDist.from_weights, JointTable.from_weights])
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ([INF, 1.0], "weights must be finite"),
+        ([1e308, 1e308, INF], "weights must be finite"),
+        ([NAN, 1.0], "weights must have positive total mass"),
+        ([0.0, 0.0], "weights must have positive total mass"),
+    ],
+    ids=["inf", "inf beside an overflow", "nan", "zeros"],
+)
+def test_weights_are_refused_with_the_same_error(build, weights, message):
+    if build is JointTable.from_weights:
+        weights = [weights]
+    _raises_exactly(DomainError, message, build, weights)
+
+
+def test_weights_with_a_finite_total_are_divided_by_it_bit_for_bit():
+    rng = np.random.default_rng(18)
+    for scale in (1e-300, 1.0, 1e300):
+        for size in (1, 2, 5, 17):
+            weights = rng.random(size) * scale + 1e-3 * scale
+            assert DiscreteDist.from_weights(weights).probs.tobytes() == (weights / weights.sum()).tobytes()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "entries, message",
@@ -134,6 +192,11 @@ NOT_INDICES = "sample entries must be integer outcome indices"
         (np.array([-1, 1]), OUT_OF_RANGE),
         (np.array([1, 2], dtype=np.uint8), OUT_OF_RANGE),
         (np.array([0.0, 2.0]), OUT_OF_RANGE),
+        ([0, 10**12], OUT_OF_RANGE),
+        (np.array([0, np.iinfo(np.int64).max]), OUT_OF_RANGE),
+        (np.array([0, 2**64 - 1], dtype=np.uint64), OUT_OF_RANGE),
+        (np.array([0.0, 1e20]), OUT_OF_RANGE),
+        (np.array([-1e20, 0.0]), OUT_OF_RANGE),
         ([True, False], NOT_INDICES),
         ([1, True], NOT_INDICES),
         ([0.5, 1], NOT_INDICES),
@@ -141,7 +204,8 @@ NOT_INDICES = "sample entries must be integer outcome indices"
         (np.array([0.0, INF]), NOT_INDICES),
         (np.array([-INF, 1.0]), NOT_INDICES),
     ],
-    ids=["list past k", "negative", "uint8 past k", "integral floats past k", "bools", "int and bool",
+    ids=["list past k", "negative", "uint8 past k", "integral floats past k", "10**12", "int64 max",
+         "uint64 max", "1e20", "-1e20", "bools", "int and bool",
          "fraction", "nan", "+inf", "-inf"],
 )
 def test_empirical_risks_refuses_samples_with_the_same_error(sample, message):
@@ -177,22 +241,27 @@ TINY = st.sampled_from([0.0, 5e-324, 1e-310, 2.2e-308, 1e-305])
     data=st.data(),
     size=st.integers(1, 6),
     beta=st.floats(1e-3, 1e3),
+    calls=st.integers(1, 4),
 )
-def test_gibbs_posterior_matches_the_reference_formula_bit_for_bit(data, size, beta):
+def test_gibbs_posterior_matches_the_reference_formula_bit_for_bit(data, size, beta, calls):
     weights = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=size, max_size=size)))
     q = weights / weights.sum()
     tiny = data.draw(st.lists(st.one_of(st.none(), TINY), min_size=size, max_size=size))
     q = np.array([x if t is None else t for x, t in zip(q, tiny)])
     if abs(q.sum() - 1.0) > 1e-12:  # a replaced entry carried mass; give it to the first
         q[0] += 1.0 - q.sum()
-    f = np.array(data.draw(st.lists(st.one_of(st.floats(-50.0, 50.0), st.just(INF)), min_size=size, max_size=size)))
-    prior = DiscreteDist(q)
-    want = _reference_gibbs(prior.probs, f, beta)
-    if want is None:
-        with pytest.raises(DegenerateError):
-            gibbs_posterior(prior, f, beta)
-    else:
-        assert gibbs_posterior(prior, f, beta).probs.tobytes() == want.tobytes()
+    prior = DiscreteDist(q)  # one prior, and so one cached log, for every call
+    for _ in range(calls):
+        f = np.array(data.draw(st.lists(st.one_of(st.floats(-50.0, 50.0), st.just(INF)), min_size=size,
+                                        max_size=size)))
+        if data.draw(st.booleans()):
+            f[q == 0] = INF  # f = inf exactly where the prior has no mass
+        want = _reference_gibbs(prior.probs, f, beta)
+        if want is None:
+            with pytest.raises(DegenerateError):
+                gibbs_posterior(prior, f, beta)
+        else:
+            assert gibbs_posterior(prior, f, beta).probs.tobytes() == want.tobytes()
 
 
 _SGD = dict(n=50, beta=2.0, lam=0.1, alpha=2.0, b=10, c=0.5, m=200, delta=0.05, delta_prime=0.05,
@@ -210,6 +279,7 @@ def _coin_rule(sample):
 #: (site, a call taking the integer under test, the error class, its message)
 INTEGER_SITES = [
     ("BoundRequest", lambda k: BoundRequest(n=k, delta=0.5), ParameterError, "n must be a positive integer"),
+    ("DiscreteDist.uniform", DiscreteDist.uniform, DomainError, "size must be a positive integer"),
     ("xu_raginsky", lambda k: xu_raginsky(1.0, k, 0.5), DomainError, "n must be a positive integer"),
     ("cmi_expectation", lambda k: cmi_expectation(1.0, k), DomainError, "n must be a positive integer"),
     ("fano_identification_lb", lambda k: fano_identification_lb(1.0, k), DomainError,

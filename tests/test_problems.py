@@ -20,7 +20,7 @@ from genbounds import (
     phi_beta,
     true_risks,
 )
-from genbounds.problems import tabulate
+from genbounds.problems import _sample_risks, tabulate
 from conftest import random_problem
 
 
@@ -107,6 +107,15 @@ def test_empirical_risks_depend_on_the_type_alone(case):
     # rounding errors together stay under (k + n) eps.
     tolerance = (losses.shape[1] + len(sample)) * np.finfo(float).eps
     assert np.all(np.abs(risks - losses[:, sample].mean(axis=1)) <= tolerance)
+
+
+def test_the_risks_of_a_block_of_samples_equal_the_one_sample_risks_bit_for_bit(rng):
+    for _ in range(200):
+        h, k, n = (int(x) for x in rng.integers(1, [6, 7, 60]))
+        problem = random_problem(rng, h, k, n)
+        samples = rng.integers(0, k, size=(int(rng.integers(1, 20)), n))
+        want = np.array([empirical_risks(problem, sample) for sample in samples])
+        assert _sample_risks(problem, samples).tobytes() == want.tobytes()
 
 
 class TestAnnealedExpectation:

@@ -18,6 +18,8 @@ direction BENCHMARK.json gives, and a verdict per metric: ``gain``, ``worse``,
 each side runs ``perfbench/run.py --acceptance`` once, and the output records
 its violation count per acceptance certification, whether they are the
 expected ones (``correct``), and whether the change kept the parent's counts.
+The output file is rewritten after the acceptance runs and after each
+finished workload, so a run that fails keeps the pairs already done.
 """
 
 from __future__ import annotations
@@ -143,7 +145,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be positive")
-    seconds = spec["run_seconds"]
+    seconds, out = spec["run_seconds"], Path(args.out)
     report = {
         "parent": {"rev": args.parent, "commit": _git("rev-parse", args.parent).decode().strip()},
         "change": "working tree",
@@ -158,6 +160,7 @@ def main(argv=None) -> int:
         acceptance["kept"] = acceptance["parent"]["violations"] == acceptance["change"]["violations"]
         print(f"acceptance: {json.dumps(acceptance)}", file=sys.stderr)
         report["acceptance"] = acceptance
+        out.write_text(json.dumps(report, indent=1) + "\n")
         for workload in (w["name"] for w in spec["workloads"]):
             pairs = []
             for seed in range(1, args.pairs + 1):
@@ -168,7 +171,7 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side}: {json.dumps(pair[side]['metrics'])}", file=sys.stderr)
                 pairs.append(pair)
             report["workloads"][workload] = {"runs": pairs, "summary": summarize(pairs, spec["end_to_end"])}
-    Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+            out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
 
