@@ -8,6 +8,12 @@ configuration error, as is a ``report`` input that cannot be read.  Output rows 
 every emitted file embeds its configuration and seed so reports are
 reproducible.  Exit codes: 0 success, 1 certification failure, 2 usage or
 configuration error.
+
+``bound sweep`` and ``report`` work a column at a time.  A sweep over a
+field that the bound's table entry evaluates as rows is one bound call, and
+the records of any sweep are read off its results' columns.  CSV is written
+from zipped columns and read back a numeric column at a time, and the rows
+of a JSON-lines file are decoded with one ``json.loads`` when that is safe.
 """
 
 from __future__ import annotations
@@ -227,27 +233,81 @@ def _convert_units(record: dict, unit: str) -> dict:
     return out
 
 
-def _make_record(cfg: dict, result: bound_ops.BoundResult, seed=None, **overrides) -> dict:
-    record = {
-        "bound": cfg.get("name", ""),
-        "name": cfg.get("label", cfg.get("name", "")),
-        "n": cfg.get("n", ""),
-        "beta": result.beta_used if result.beta_used is not None else cfg.get("beta", ""),
-        "delta": cfg.get("delta", ""),
-        "kl": float(cfg["kl"]) if "kl" in cfg else "",
-        "value": result.value,
-        "vacuous": result.vacuous,
-        "seed": seed if seed is not None else "",
-        "components": dict(result.components),
-    }
-    record.update(overrides)
-    return record
+#: The fields of a bound record: the CSV columns, then the components JSON lines also carry.
+_RECORD_FIELDS = (*CSV_HEADER, "components")
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _result_columns(results: list[bound_ops.BoundResult]) -> tuple[list, list, list, list]:
+    """The values, vacuity flags, betas used and components of every row of ``results``.
+
+    ``results`` is one row result, or one-row results in row order.
+    """
+    if len(results) == 1 and isinstance(results[0].value, np.ndarray):
+        (result,) = results
+        size, names = len(result.value), list(result.components)
+        rows = zip(*(column.tolist() for column in result.components.values()))
+        beta = result.beta_used
+        betas = beta.tolist() if isinstance(beta, np.ndarray) else [beta] * size
+        return result.value.tolist(), result.vacuous.tolist(), betas, [dict(zip(names, row)) for row in rows]
+    return (
+        [result.value for result in results],
+        [result.vacuous for result in results],
+        [result.beta_used for result in results],
+        [dict(result.components) for result in results],
+    )
+
+
+def _records(
+    cfg: dict, results: list[bound_ops.BoundResult], seed=None, parameter: str | None = None
+) -> list[dict]:
+    """The records of ``results``, one per row, read off its columns (see :func:`_result_columns`).
+
+    ``parameter`` is the field a sweep set; ``cfg`` holds its points as a
+    list or an array, one per row, and each record shows its own point, even
+    where the bound reports the beta it used.  Any other field is the same in
+    every record.
+    """
+    values, vacuous, betas, components = _result_columns(results)
+    size = len(values)
+
+    def column(field: str, default="") -> list:
+        value = cfg.get(field, default)
+        if field == parameter:
+            return value.tolist() if isinstance(value, np.ndarray) else value
+        if field == "kl" and value != "":
+            value = float(value)
+        return [value] * size
+
+    if parameter == "beta":
+        betas = column("beta")
+    else:
+        fallback = cfg.get("beta", "")
+        betas = [fallback if beta is None else beta for beta in betas]
+    name = cfg.get("name", "")
+    columns = [
+        [name] * size,
+        column("label", name),
+        column("n"),
+        betas,
+        column("delta"),
+        column("kl"),
+        values,
+        vacuous,
+        [seed if seed is not None else ""] * size,
+        components,
+    ]
+    return [dict(zip(_RECORD_FIELDS, row)) for row in zip(*columns)]
+
+
+def _csv_column(rows: list[dict], name: str) -> list:
+    """The cells of column ``name``; a missing cell is ``''``.
+
+    The CSV writer writes a float as its ``repr`` and anything else as its
+    ``str``, except ``None``, which it writes as ``''``: a ``None`` cell is
+    written as ``None`` here, as ``str`` gives it.
+    """
+    cells = [row.get(name, "") for row in rows]
+    return ["None" if cell is None else cell for cell in cells] if None in cells else cells
 
 
 #: One encoder for every JSON-lines row; ``json.dumps`` with options builds a new one per call.
@@ -260,10 +320,11 @@ def write_records(
     """Emit rows with the embedded configuration header in CSV or JSON lines.
 
     Unit conversion happens here, exactly once; pass ``convert=False`` when
-    re-emitting rows that already carry the target unit.  An output file that
-    cannot be written is a ``ConfigurationError`` naming the path.
+    re-emitting rows that already carry the target unit.  The CSV writer gets
+    the rows as zipped columns.  An output file that cannot be written is a
+    ``ConfigurationError`` naming the path.
     """
-    rows = [_convert_units(r, unit) for r in records] if convert else records
+    rows = [_convert_units(r, unit) for r in records] if convert and unit != "nats" else records
     header = dict(header, unit=unit)
     if fmt == "json-lines":
         lines = [json.dumps({"record_type": "header", **header}, sort_keys=True)]
@@ -274,8 +335,7 @@ def write_records(
         buf.write("# genbounds " + json.dumps(header, sort_keys=True) + "\n")
         writer = csv.writer(buf)
         writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow([_format_cell(row.get(col, "")) for col in CSV_HEADER])
+        writer.writerows(zip(*(_csv_column(rows, name) for name in CSV_HEADER)))
         text = buf.getvalue()
     else:
         raise ConfigurationError(f"unknown format {fmt!r}")
@@ -300,6 +360,77 @@ def _json_record(path: str, number: int, text: str) -> dict:
     return record
 
 
+def _json_rows(path: str, numbered: list[tuple[int, str]]) -> list[dict]:
+    """The JSON object of each numbered line, decoded with one ``json.loads`` where that is safe.
+
+    The lines are decoded as one array, joined by a comma and a newline, when
+    every line starts with ``{`` and none holds a ``[``.  A string cannot
+    span a raw newline, and with no nested array a line left open ends inside
+    an object, where the next line's ``{`` cannot follow a comma; so an array
+    of exactly one element per line holds each line's own object.  Anything
+    else is decoded line by line, so an error names its line.
+    """
+    text = ",\n".join(line for _, line in numbered)
+    if text.startswith("{") and "[" not in text and text.count(",\n{") == len(numbered) - 1:
+        try:
+            records = json.loads("[" + text + "]")
+        except json.JSONDecodeError:
+            pass
+        else:
+            if len(records) == len(numbered):
+                return records
+    return [_json_record(path, *entry) for entry in numbered]
+
+
+#: CSV columns read back as numbers; an ``n`` that is a whole number is read as an int.
+_NUMERIC_COLUMNS = ("n", "beta", "delta", "kl", "value")
+
+
+def _number(cell, integral: bool):
+    """``cell`` as a number; an empty cell, or one that is not a number, as it is."""
+    if not cell:
+        return cell
+    try:
+        number = float(cell)
+    except ValueError:
+        return cell
+    return int(number) if integral and number.is_integer() else number
+
+
+def _numbers(cells, integral: bool) -> list:
+    """:func:`_number` of each cell, in one pass over the column when every filled cell is a number."""
+    try:
+        numbers = [float(cell) if cell else cell for cell in cells]
+    except ValueError:
+        return [_number(cell, integral) for cell in cells]
+    if integral:
+        return [int(x) if isinstance(x, float) and x.is_integer() else x for x in numbers]
+    return numbers
+
+
+def _csv_rows(lines: list[str]) -> list[dict]:
+    """The rows under the CSV header line, as ``csv.DictReader`` gives them, numeric columns converted.
+
+    A short row is padded with ``None``; a long row keeps its extra cells
+    under the key ``None``.
+    """
+    table = [row for row in csv.reader(io.StringIO("\n".join(lines))) if row]
+    if not table:
+        return []
+    fields, *table = table
+    width = len(fields)
+    padded = [row if len(row) == width else (row + [None] * width)[:width] for row in table]
+    columns = [
+        _numbers(column, field == "n") if field in _NUMERIC_COLUMNS else column
+        for field, column in zip(fields, zip(*padded))
+    ]
+    rows = [dict(zip(fields, values)) for values in zip(*columns)]
+    for row, cells in zip(rows, table):
+        if len(cells) > width:
+            row[None] = cells[width:]
+    return rows
+
+
 def read_records(path: str) -> tuple[dict, list[dict]]:
     """Read back an emitted file; returns (header, rows).
 
@@ -314,23 +445,10 @@ def read_records(path: str) -> tuple[dict, list[dict]]:
         header = _json_record(path, number, first)
         if header.get("record_type") != "header":
             raise ConfigurationError(f"{path} lacks a header record")
-        rows = [_json_record(path, *entry) for entry in numbered[1:]]
-        return header, rows
+        return header, _json_rows(path, numbered[1:])
     if first.startswith("# genbounds "):
         header = _json_record(path, number, first[len("# genbounds "):])
-        reader = csv.DictReader(io.StringIO("\n".join(line for _, line in numbered[1:])))
-        rows = []
-        for raw in reader:
-            row = dict(raw)
-            for key in ("n", "beta", "delta", "kl", "value"):
-                if row.get(key):
-                    try:
-                        number = float(row[key])
-                    except ValueError:
-                        continue
-                    row[key] = int(number) if key == "n" and number.is_integer() else number
-            rows.append(row)
-        return header, rows
+        return header, _csv_rows([line for _, line in numbered[1:]])
     raise ConfigurationError(f"{path} does not look like an emitted report")
 
 
@@ -354,10 +472,9 @@ def _output_options(config: dict, args) -> tuple[str | None, str, str]:
 def cmd_bound_compute(args) -> int:
     config = load_config(args.config, "compute")
     cfg = _require(config, "bound", "config")
-    result = compute_named_bound(cfg)
+    records = _records(cfg, [compute_named_bound(cfg)], args.seed)
     path, unit, fmt = _output_options(config, args)
-    record = _make_record(cfg, result, seed=args.seed)
-    write_records([record], {"command": "bound compute", "config": config, "seed": args.seed}, path, fmt, unit)
+    write_records(records, {"command": "bound compute", "config": config, "seed": args.seed}, path, fmt, unit)
     return 0
 
 
@@ -385,9 +502,11 @@ def _sweep_grid(sweep: dict) -> list[float]:
 def cmd_bound_sweep(args) -> int:
     """Evaluate one bound at every point of a grid over one parameter, a record per point.
 
-    A bound that takes a request sweeps kl in one call on the grid as rows of
-    kl, each row the value a one-point call gives; any other sweep calls the
-    bound once per point.
+    A parameter that the bound's table entry lists in ``rows`` is swept in
+    one call, on the grid as rows of it: ``kl`` for every bound that takes a
+    request and for ``pac-bayes-sgd``, ``delta`` for ``occam``.  Each row is
+    the value a one-point call gives.  Any other sweep calls the bound once
+    per point.  Either way the records are read off the results' columns.
     """
     config = load_config(args.config, "sweep")
     cfg = dict(_require(config, "bound", "config"))
@@ -399,20 +518,19 @@ def cmd_bound_sweep(args) -> int:
     if not grid:
         raise ConfigurationError("sweep grid is empty")
     entry = BOUNDS.get(cfg.get("name"))
-    if parameter == "kl" and entry is not None and entry.request is not None:
-        kls = [float(point) for point in grid]
-        result = compute_named_bound({**cfg, "kl": np.array(kls)})
-        records = [
-            _make_record({**cfg, "kl": kl}, row, seed=args.seed, kl=kl) for kl, row in zip(kls, result.rows())
-        ]
+    if entry is not None and parameter in entry.rows:
+        cfg[parameter] = np.array(grid, dtype=float)
+        results = [compute_named_bound(cfg)]
     else:
-        records = []
+        results, points = [], []
         for point in grid:
             if parameter == "n" and not float(point).is_integer():
                 raise ConfigurationError(f"sweep points for n must be integers; got {float(point)}")
             cfg[parameter] = int(point) if parameter == "n" else float(point)
-            result = compute_named_bound(cfg)
-            records.append(_make_record(cfg, result, seed=args.seed, **{parameter: cfg[parameter]}))
+            results.append(compute_named_bound(cfg))
+            points.append(cfg[parameter])
+        cfg[parameter] = points
+    records = _records(cfg, results, args.seed, parameter)
     path, unit, fmt = _output_options(config, args)
     write_records(records, {"command": "bound sweep", "config": config, "seed": args.seed}, path, fmt, unit)
     return 0

@@ -87,12 +87,13 @@ def _floored_log(q: np.ndarray) -> np.ndarray:
     return log_q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteDist:
     """A probability vector over a finite index set, immutable.
 
     ``probs`` is a read-only copy of the given probabilities, so the caller's
-    array stays writable and unchanged.  The floored log of
+    array stays writable and unchanged, and two distributions with equal
+    probabilities are equal and hash alike.  The floored log of
     :func:`_floored_log`, which every Gibbs measure against this
     distribution reads, is computed on first use and kept.
     """
@@ -106,6 +107,15 @@ class DiscreteDist:
 
     def __len__(self) -> int:
         return self.probs.size
+
+    def __eq__(self, other):
+        if not isinstance(other, DiscreteDist):
+            return NotImplemented
+        return np.array_equal(self.probs, other.probs)
+
+    def __hash__(self) -> int:
+        # Adding 0.0 turns a -0.0 entry into 0.0, which it equals.
+        return hash((self.probs + 0.0).tobytes())
 
     def __reduce__(self):
         # Pickling and copying rebuild through the constructor, so a copy's probs are read-only too.
@@ -128,9 +138,13 @@ class DiscreteDist:
         return cls(_normalized(weights))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointTable:
-    """A joint probability table p(s, w) over finite sample and hypothesis indices."""
+    """A joint probability table p(s, w) over finite sample and hypothesis indices.
+
+    ``probs`` is the caller's array, which stays writable, so a table equals
+    and hashes as itself only.
+    """
 
     probs: np.ndarray
 

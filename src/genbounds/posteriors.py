@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import _PHI_INVERSE, BoundResult, _result
+from .bounds import _PHI_INVERSE, BoundResult, _on_rows, _result
 from .divergences import (
     DiscreteDist,
     GaussianKLInputs,
@@ -316,7 +316,8 @@ def gaussian_icm_objective(model: QuadraticModel, cov_eigenvalues) -> float:
     return expected_quadratic_loss(model, s) + kl / (model.n * model.beta)
 
 
-def occam_bound(model: QuadraticModel, delta: float, empirical_risk: float) -> BoundResult:
+@_on_rows
+def occam_bound(model: QuadraticModel, delta, empirical_risk: float) -> BoundResult:
     """Curvature-aware annealed-risk bound for the optimal Gaussian posterior.
 
     value = empirical_risk + log(1/delta)/(n beta)
@@ -324,8 +325,14 @@ def occam_bound(model: QuadraticModel, delta: float, empirical_risk: float) -> B
     where lam_i are the regularized curvature eigenvalues.  The exponential of
     minus the log-ratio sum is reported as the Occam factor: the fraction of
     prior volume consistent with the data.
+
+    ``delta`` is a float or 1-D rows: the same numpy code computes both, and
+    each row of a row result equals to the bit what a one-row call gives.
     """
-    if not 0 < delta <= 1:
+    delta = np.asarray(delta, dtype=float)
+    if delta.ndim > 1:
+        raise ShapeError("delta must be a float or 1-D rows")
+    if not np.logical_and.reduce((0.0 < delta) & (delta <= 1.0), axis=None):
         raise ParameterError("delta must lie in (0, 1]")
     if math.isnan(empirical_risk):
         raise ParameterError("empirical_risk must not be NaN")
@@ -335,7 +342,7 @@ def occam_bound(model: QuadraticModel, delta: float, empirical_risk: float) -> B
     log_ratio_sum = float(np.sum(np.log(spectrum / model.lam)))
     components = {
         "empirical_risk": float(empirical_risk),
-        "confidence": math.log(1.0 / delta) / scale,
+        "confidence": np.log(1.0 / delta) / scale,
         "prior_mismatch": model.lam * mean_gap / (2.0 * scale),
         "occam_complexity": log_ratio_sum / (2.0 * scale),
     }
@@ -368,7 +375,8 @@ class PacBayesSgdParams:
 
     ``alpha`` prices the inverse-temperature grid, ``b`` and ``c`` the
     resolution and scale of the prior-precision grid, and ``m`` the number of
-    posterior draws behind the Monte Carlo risk estimate.
+    posterior draws behind the Monte Carlo risk estimate.  ``kl`` is a float
+    or 1-D rows, stored as a Python float or a float64 array.
     """
 
     n: int
@@ -381,7 +389,7 @@ class PacBayesSgdParams:
     delta: float
     delta_prime: float
     mc_empirical_risk: float
-    kl: float
+    kl: float | np.ndarray
 
     def __post_init__(self) -> None:
         if not _is_positive_integer(self.n):
@@ -402,17 +410,23 @@ class PacBayesSgdParams:
             raise ParameterError("delta and delta_prime must lie in (0, 1)")
         if not 0 <= self.mc_empirical_risk <= 1:
             raise ParameterError("mc_empirical_risk must lie in [0, 1]")
-        if not self.kl >= 0:
+        kl = np.asarray(self.kl, dtype=float)
+        if kl.ndim > 1:
+            raise ShapeError("kl must be a float or 1-D rows")
+        if not np.logical_and.reduce(kl >= 0, axis=None):
             raise ParameterError("kl must be nonnegative (inf allowed)")
+        object.__setattr__(self, "kl", kl if kl.ndim else float(kl))
 
 
+@_on_rows
 def pacbayes_sgd_objective(params: PacBayesSgdParams) -> BoundResult:
     """Evaluate the retraining bound with grid and Monte Carlo costs broken out.
 
     The three cost addends price, respectively, holding the bound uniformly
     over the temperature grid (beta > 1), selecting the prior precision from
     the geometric grid lam = c e^{-j/b}, and replacing the posterior risk by
-    an m-draw Monte Carlo estimate.
+    an m-draw Monte Carlo estimate.  Rows of kl give a row result, each row
+    equal to the bit to what a one-row call gives.
     """
     p = params
     scale = p.n * p.beta

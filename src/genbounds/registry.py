@@ -79,10 +79,14 @@ def _sgd_params_from(cfg: dict) -> posteriors.PacBayesSgdParams:
 class BoundEntry:
     """One named bound.
 
-    ``evaluate(cfg)`` computes it from a flat config mapping.  When the bound
-    takes a request, ``request(req, *values)`` computes it from one and the
-    values of its extra config fields (``epsilon``, say); a request of rows
-    gives one value per row.  ``trial`` is the
+    ``evaluate(cfg)`` computes it from a flat config mapping.  ``rows`` names
+    the config fields that ``evaluate`` also takes as 1-D rows, in one call
+    giving one value per row, each the value a one-row config gives: ``kl``
+    for every bound that takes a request and for ``pac-bayes-sgd``, ``delta``
+    for ``occam``.  A sweep over one of these fields is one call.  When the
+    bound takes a request, ``request(req, *values)`` computes it from one and
+    the values of its extra config fields (``epsilon``, say); a request of
+    rows gives one value per row.  ``trial`` is the
     certification trial that checks it (``plain``, ``supersample`` or
     ``private-prior``), ``truth`` the exact quantity it must dominate there
     (``annealed``, ``true`` or ``gap``), and ``losses`` the loss values that
@@ -93,6 +97,7 @@ class BoundEntry:
 
     evaluate: Callable[[dict], bounds.BoundResult]
     request: Callable[..., bounds.BoundResult] | None = None
+    rows: tuple[str, ...] = ()
     trial: str | None = None
     truth: str | None = None
     losses: str | None = None
@@ -106,7 +111,7 @@ def _on_request(request, *params: str, **facts) -> BoundEntry:
         req = _request_from(cfg)
         return request(req, *(_need(cfg, key) for key in params))
 
-    return BoundEntry(evaluate, request, **facts)
+    return BoundEntry(evaluate, request, rows=("kl",), **facts)
 
 
 def _scalar(value_of: Callable[[dict], float], **facts) -> BoundEntry:
@@ -182,7 +187,10 @@ BOUNDS: dict[str, BoundEntry] = {
     "occam": BoundEntry(
         lambda c: posteriors.occam_bound(
             _quadratic_model_from(c), _need(c, "delta"), c.get("empirical_risk", 0.0)
-        )
+        ),
+        rows=("delta",),
     ),
-    "pac-bayes-sgd": BoundEntry(lambda c: posteriors.pacbayes_sgd_objective(_sgd_params_from(c))),
+    "pac-bayes-sgd": BoundEntry(
+        lambda c: posteriors.pacbayes_sgd_objective(_sgd_params_from(c)), rows=("kl",)
+    ),
 }

@@ -118,6 +118,17 @@ def test_an_acceptance_line_gives_its_counts_and_correct():
     }
 
 
+PROVENANCE = {"genbounds": "0.1.0", "python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1", "nproc": 2,
+              "platform": "Linux-x86_64"}
+
+
+def test_a_run_gives_its_provenance_fields_and_its_result_line():
+    run_fields = {"workload": "cli-sweep", "seed": 3, "seconds": 16.0, "trace": 0, "sizes": {"trials": 50}}
+    result = line(100.0, 0.3)
+    stdout = json.dumps({"provenance": {**PROVENANCE, **run_fields}}) + "\n" + json.dumps(result) + "\n"
+    assert bench_pairs.parse_run(stdout) == (PROVENANCE, result)
+
+
 def test_a_failing_workload_keeps_the_workloads_already_done(tmp_path, monkeypatch):
     spec = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
     first, second = (w["name"] for w in spec["workloads"][:2])
@@ -128,7 +139,7 @@ def test_a_failing_workload_keeps_the_workloads_already_done(tmp_path, monkeypat
     def run_once(tree, workload, seed, seconds):
         if workload == second:
             raise RuntimeError(f"{workload} failed")
-        return result
+        return {**PROVENANCE, "genbounds": f"{tree.name}-{seed}"}, result
 
     monkeypatch.setattr(bench_pairs, "_git", lambda *args: b"0123abc\n")
     monkeypatch.setattr(bench_pairs, "export_parent", lambda rev, dest: dest.mkdir())
@@ -142,3 +153,6 @@ def test_a_failing_workload_keeps_the_workloads_already_done(tmp_path, monkeypat
     assert list(report["workloads"]) == [first]
     assert len(report["workloads"][first]["runs"]) == 2
     assert report["acceptance"]["kept"] is True
+    # One provenance per side, from that side's first run.
+    assert report["provenance"] == {side: {**PROVENANCE, "genbounds": f"{side}-1"} for side in ("parent", "change")}
+

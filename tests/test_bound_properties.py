@@ -4,7 +4,9 @@ Each bound is drawn at random inputs through its table entry and must be
 monotone in kl and in 1/delta, stay in [0, 1] when it is stated only for
 [0, 1]-valued losses, flag a value above 1 as vacuous for a [0, 1] model, and
 refuse NaN in any of its numeric fields.  A call on rows of empirical risk and
-kl must give, row by row and to the bit, what one call per row gives.
+kl, or on rows of a field the table entry lists in ``rows`` (``delta`` for
+occam, ``kl`` for pac-bayes-sgd), must give, row by row and to the bit, what
+one call per row gives, and refuse a bad row as a one-row call refuses it.
 """
 
 import math
@@ -196,3 +198,75 @@ def test_a_row_outside_the_unit_interval_is_refused_by_a_unit_bound():
     request = BoundRequest(n=10, delta=0.1, empirical_risk=[0.5, 1.0 + 2.0**-52], kl=[1.0, 1.0], beta=1.0)
     with pytest.raises(GenBoundsError, match="empirical_risk must lie in"):
         BOUNDS["catoni"].request(request)
+
+
+#: One valid config per bound that evaluates a field other than empirical risk and kl as rows.
+FIELD_ROW_CASES = {
+    "occam": {
+        "n": 50, "beta": 0.8, "lam": 1.5, "hessian_eigenvalues": [0.0, 0.4, 3.0],
+        "w_p": [0.2, -0.5, 1.0], "w_q": [0.0, 0.3, -0.2], "empirical_risk": 0.2, "delta": 0.05,
+    },
+    "pac-bayes-sgd": {
+        "n": 50, "beta": 2.0, "lam": 0.1, "alpha": 1.5, "b": 4, "c": 0.8, "m": 100,
+        "delta": 0.05, "delta_prime": 0.05, "mc_empirical_risk": 0.2, "kl": 1.0,
+    },
+}
+#: field -> (a draw of m valid rows, edge rows, bad rows: NaN and out of range).
+FIELD_ROWS = {
+    "kl": (lambda rng, m: rng.exponential(3.0, m), [0.0, math.inf, 1e300, 1e-300], [math.nan, -1.0, -math.inf]),
+    "delta": (lambda rng, m: rng.uniform(1e-6, 1.0, m), [1.0, 1e-300, 5e-324, 0.5], [math.nan, 0.0, 1.5, -0.1]),
+}
+
+
+def _row_config(name: str) -> dict:
+    """A valid config for ``name``: its field row case, or its request row case at delta 0.05."""
+    if name in FIELD_ROW_CASES:
+        return {"name": name, **FIELD_ROW_CASES[name]}
+    extras = next(extras for case, extras in ROW_CASES if case == name)
+    return {"name": name, "n": 50, "delta": 0.05, "empirical_risk": 0.2, "kl": 1.0, **extras}
+
+
+def test_every_entry_takes_its_row_fields_as_rows():
+    for name, entry in BOUNDS.items():
+        others = {"occam": ("delta",), "pac-bayes-sgd": ("kl",)}
+        assert entry.rows == (("kl",) if entry.request is not None else others.get(name, ())), name
+        for field in entry.rows:
+            cfg = _row_config(name)
+            edges = FIELD_ROWS[field][1]
+            rows = entry.evaluate({**cfg, field: np.array(edges)})
+            assert rows.value.shape == (len(edges),)
+            assert [repr(row) for row in rows.rows()] == [
+                repr(entry.evaluate({**cfg, field: edge})) for edge in edges
+            ], (name, field)
+
+
+@pytest.mark.parametrize("name, field", [("occam", "delta"), ("pac-bayes-sgd", "kl")])
+def test_a_row_field_call_equals_one_call_per_row_to_the_bit(name, field):
+    cfg = _row_config(name)
+    draw, edges, _ = FIELD_ROWS[field]
+    for m in range(1, 18):
+        rng = np.random.default_rng(m)
+        values = draw(rng, m)
+        for row, edge in zip(rng.choice(m, size=min(m, 3), replace=False), rng.permutation(edges)):
+            values[row] = edge
+        rows = BOUNDS[name].evaluate({**cfg, field: values})
+        assert rows.value.shape == rows.raw_value.shape == rows.vacuous.shape == (m,)
+        assert all(component.shape == (m,) for component in rows.components.values())
+        assert np.array_equal(rows.recompose(), rows.raw_value)
+        for i, row in enumerate(rows.rows()):
+            one = BOUNDS[name].evaluate({**cfg, field: float(values[i])})
+            assert repr(row) == repr(one), (m, i)
+            assert type(one.value) is float and type(one.vacuous) is bool
+
+
+@pytest.mark.parametrize(
+    "name, field", [(name, field) for name, entry in BOUNDS.items() for field in entry.rows]
+)
+def test_a_bad_row_is_refused_as_a_one_point_call_refuses_it(name, field):
+    cfg = _row_config(name)
+    for bad in FIELD_ROWS[field][2]:
+        with pytest.raises(GenBoundsError) as one:
+            BOUNDS[name].evaluate({**cfg, field: bad})
+        rows = np.array([*FIELD_ROWS[field][1][:2], bad, FIELD_ROWS[field][1][0]])
+        with pytest.raises(type(one.value), match=f"^{re.escape(str(one.value))}$"):
+            BOUNDS[name].evaluate({**cfg, field: rows})

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface and its report formats."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -170,6 +172,20 @@ class TestBoundSweep:
         step = betas[1] - betas[0]
         assert abs(best_beta - optimum) <= step
 
+    def test_a_beta_sweep_records_each_grid_point_as_beta(self, tmp_path):
+        # union-beta picks its own beta; a record of a beta sweep still shows the grid point.
+        bound = {"name": "union-beta", "n": 50, "delta": 0.1, "kl": 1.0, "empirical_risk": 0.2, "alpha": 2.0, "v": 5.0}
+        grid = [0.1, 0.5, 2.0]
+        cfg = write_yaml(tmp_path / "sweep.yaml", {"bound": bound, "sweep": {"parameter": "beta", "grid": grid}})
+        out_path = tmp_path / "sweep.csv"
+        assert main(["bound", "sweep", "--config", cfg, "--out", str(out_path)]) == 0
+        _, rows = read_records(str(out_path))
+        assert [r["beta"] for r in rows] == grid
+        computed = tmp_path / "point.csv"
+        assert main(["bound", "compute", "--config", write_yaml(tmp_path / "point.yaml", {"bound": bound}),
+                     "--out", str(computed)]) == 0
+        assert read_records(str(computed))[1][0]["beta"] not in grid
+
     def test_n_sweep_is_nonincreasing(self, tmp_path):
         cfg = write_yaml(
             tmp_path / "nsweep.yaml",
@@ -208,6 +224,30 @@ class TestBoundSweep:
             point = write_yaml(tmp_path / "point.yaml", {"bound": {**bound, "kl": kl}})
             computed = tmp_path / "point.csv"
             assert main(["bound", "compute", "--config", point, "--out", str(computed)]) == 0
+            assert lines[-len(grid) + i] == computed.read_text().splitlines()[-1]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    @pytest.mark.parametrize(
+        "bound, parameter, grid",
+        [
+            ({"name": "occam", "n": 40, "beta": 0.7, "lam": 1.2, "hessian_eigenvalues": [0.0, 0.5, 2.0],
+              "w_p": [0.1, -0.4, 0.9], "w_q": [0.0, 0.2, -0.3], "empirical_risk": 0.25},
+             "delta", [1e-300, 0.005, 0.05, 0.3, 1.0]),
+            ({"name": "pac-bayes-sgd", "n": 40, "beta": 2.5, "lam": 0.1, "alpha": 1.5, "b": 3, "c": 0.9,
+              "m": 200, "delta": 0.05, "delta_prime": 0.05, "mc_empirical_risk": 0.2},
+             "kl", [0.0, 0.7, 3.0, 1e300, math.inf]),
+        ],
+        ids=["occam-delta", "pac-bayes-sgd-kl"],
+    )
+    def test_a_one_call_sweep_emits_what_each_point_computes(self, tmp_path, bound, parameter, grid, fmt):
+        cfg = write_yaml(tmp_path / "sweep.yaml", {"bound": bound, "sweep": {"parameter": parameter, "grid": grid}})
+        swept = tmp_path / "sweep.out"
+        assert main(["bound", "sweep", "--config", cfg, "--out", str(swept), "--format", fmt]) == 0
+        lines = swept.read_text().splitlines()
+        for i, point in enumerate(grid):
+            one = write_yaml(tmp_path / "point.yaml", {"bound": {**bound, parameter: point}})
+            computed = tmp_path / "point.out"
+            assert main(["bound", "compute", "--config", one, "--out", str(computed), "--format", fmt]) == 0
             assert lines[-len(grid) + i] == computed.read_text().splitlines()[-1]
 
     def test_non_integral_n_point_exits_2(self, tmp_path):
@@ -467,6 +507,107 @@ class TestReport:
         path.write_text('{"record_type": "header"}\n[1, 2]\n')
         with pytest.raises(ConfigurationError, match=r"rows\.jsonl line 2: expected a JSON object"):
             read_records(str(path))
+
+    def test_an_experiment_row_without_beta_writes_none(self, tmp_path):
+        experiment = {"bound": "pac-bayes-kl", "delta": 0.05, "trials": 20, "seed": 7}
+        cfg = write_yaml(tmp_path / "exp.yaml", {"experiment": experiment, "problem": dict(STANDARD_PROBLEM)})
+        out = tmp_path / "exp.csv"
+        assert main(["experiment", "run", "--config", cfg, "--out", str(out)]) in (0, 1)
+        assert out.read_text().splitlines()[-1].startswith("pac-bayes-kl,pac-bayes-kl,50,None,0.05,,")
+
+
+def _reference_cell(value) -> str:
+    """A CSV cell as it is written: ``repr`` for a float, ``str`` for anything else."""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _reference_text(rows: list[dict], header: dict, fmt: str) -> bytes:
+    """The bytes of an emitted file, one ``_reference_cell`` or ``json.dumps`` call per cell or row."""
+    if fmt == "json-lines":
+        lines = [json.dumps({"record_type": "header", **header}, sort_keys=True)]
+        lines += [json.dumps({"record_type": "row", **row}, sort_keys=True, default=str) for row in rows]
+        return ("\n".join(lines) + "\n").encode()
+    buf = io.StringIO()
+    buf.write("# genbounds " + json.dumps(header, sort_keys=True) + "\n")
+    writer = csv.writer(buf)
+    writer.writerow(cli.CSV_HEADER)
+    for row in rows:
+        writer.writerow([_reference_cell(row.get(column, "")) for column in cli.CSV_HEADER])
+    return buf.getvalue().encode()
+
+
+#: Records with every kind of cell: labels with a comma, a quote and a newline, ints,
+#: floats (+-inf, nan, -0.0, the smallest subnormal), bools, empty and None cells, and missing cells.
+ODD_RECORDS = [
+    {"bound": "catoni", "name": 'a, "quoted"\nlabel', "n": 50, "beta": 0.5, "delta": 0.1, "kl": 1e-300,
+     "value": math.inf, "vacuous": True, "seed": 7, "components": {"x": -math.inf, "y": 0.1}},
+    {"bound": "zhang", "name": "", "n": 3, "beta": None, "delta": "", "kl": math.nan, "value": -math.inf,
+     "vacuous": False, "seed": "", "components": {}},
+    {"bound": "delta", "name": "plain", "n": 12, "beta": 2.0, "delta": 0.30000000000000004, "kl": -0.0,
+     "value": 5e-324, "vacuous": False, "seed": 0},
+    {"bound": "fano", "name": "tail,", "value": 1e300, "n": 7},
+]
+
+
+class TestEmission:
+    """Emitted bytes are the reference formatter's, and read back to what was written."""
+
+    HEADER = {"command": "test", "config": {"label": "a,b"}, "seed": 1}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_every_cell_is_written_as_the_reference_writes_it(self, tmp_path, fmt):
+        path = tmp_path / "odd.out"
+        cli.write_records(ODD_RECORDS, self.HEADER, str(path), fmt, "nats")
+        assert path.read_bytes() == _reference_text(ODD_RECORDS, {**self.HEADER, "unit": "nats"}, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_a_written_file_reads_back_and_rewrites_to_the_same_bytes(self, tmp_path, fmt):
+        path, again = tmp_path / "odd.out", tmp_path / "again.out"
+        cli.write_records(ODD_RECORDS, self.HEADER, str(path), fmt, "nats")
+        header, rows = read_records(str(path))
+        assert header == ({"record_type": "header"} if fmt == "json-lines" else {}) | self.HEADER | {"unit": "nats"}
+        cli.write_records(rows, header, str(again), fmt, header["unit"], convert=False)
+        assert again.read_bytes() == path.read_bytes()
+        if fmt == "json-lines":
+            assert _same_value(rows, [{"record_type": "row", **record} for record in ODD_RECORDS])
+            return
+        first, second, third, fourth = rows
+        assert first["name"] == ODD_RECORDS[0]["name"] and first["value"] == math.inf and first["n"] == 50
+        assert (first["vacuous"], first["seed"]) == ("True", "7")
+        assert second["beta"] == "None" and second["delta"] == "" and math.isnan(second["kl"])
+        assert third["delta"] == 0.30000000000000004 and third["value"] == 5e-324
+        assert math.copysign(1.0, third["kl"]) == -1.0
+        assert (fourth["name"], fourth["beta"], fourth["value"]) == ("tail,", "", 1e300)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ('{"a": 1}\n{"b": 2} {"c": 3}\n{"d": 4}\n', "line 3: malformed JSON (Extra data)"),
+            ('{"a": 1}\n{"b": 2},{"c": 3}\n', "line 3: malformed JSON (Extra data)"),
+            ('{"a": 1,\n"b": 2}\n', "line 2: malformed JSON (Expecting property name enclosed in double quotes)"),
+            ('{"a": 1}\n[1]\n', "line 3: expected a JSON object"),
+            ('{"a": 1}\n3\n{"b": 2}\n', "line 3: expected a JSON object"),
+            ('{"a": 1}\n\n{"b": }\n{"c": 3}\n', "line 4: malformed JSON (Expecting value)"),
+            # A split object and a line of two objects would decode, joined, to one object per line.
+            ('{"a": [{"x": 1}\n{"y": 2}]}\n{"p": 1}, {"q": 2}\n', "line 2: malformed JSON (Expecting ',' delimiter)"),
+            ('{"a": 1}, {"b": 2\n"c": 3}\n', "line 2: malformed JSON (Extra data)"),
+        ],
+        ids=["two-objects", "two-objects-comma", "split-object", "array", "number", "malformed-middle",
+             "split-and-two", "two-and-split"],
+    )
+    def test_a_bad_json_row_is_refused_naming_its_line(self, tmp_path, rows, message):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"record_type": "header"}\n' + rows)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(f'{path} {message}')}$"):
+            read_records(str(path))
+
+    def test_json_rows_decode_as_each_line_alone_decodes(self, tmp_path):
+        rows = ['{"a": 1}', '  {"b": "[x]", "c": [1, 2]}  ', '{"d": {"e": "},{"}}', '{"f": NaN}']
+        path = tmp_path / "rows.jsonl"
+        # All four lines decode one by one (a line holds a "["); the last two are decoded joined.
+        for lines in (rows, rows[2:]):
+            path.write_text('{"record_type": "header"}\n' + "\n".join(lines) + "\n")
+            assert _same_value(read_records(str(path))[1], [json.loads(line) for line in lines])
 
 
 def _same_value(a, b) -> bool:

@@ -1,6 +1,7 @@
 """Tests for discrete/Gaussian divergences, information measures, and inversions."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -55,6 +56,33 @@ class TestDiscreteDist:
     def test_uniform_refuses_a_size_that_is_not_a_positive_integer(self, size):
         with pytest.raises(DomainError, match="^size must be a positive integer$"):
             DiscreteDist.uniform(size)
+
+    def test_equal_probabilities_are_equal_and_hash_alike(self):
+        a, b = DiscreteDist([0.5, 0.5]), DiscreteDist(np.array([0.5, 0.5]))
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert b in {a} and [DiscreteDist([1.0, 0.0]), a].index(b) == 1
+        assert pickle.loads(pickle.dumps(a)) == a
+        # 0.0 == -0.0, so the two distributions are equal and must hash alike.
+        assert DiscreteDist([-0.0, 1.0]) == DiscreteDist([0.0, 1.0])
+        assert hash(DiscreteDist([-0.0, 1.0])) == hash(DiscreteDist([0.0, 1.0]))
+
+    def test_other_probabilities_shapes_and_types_are_unequal(self):
+        a = DiscreteDist([0.5, 0.5])
+        assert a != DiscreteDist([0.25, 0.75])
+        assert a != DiscreteDist([0.5, 0.5, 0.0])
+        assert DiscreteDist([1.0]) != DiscreteDist([1.0, 0.0])
+        assert a != [0.5, 0.5] and a != "a"
+
+
+class TestJointTable:
+    def test_a_table_equals_and_hashes_as_itself_only(self):
+        # The table keeps the caller's writable array, so equality by value could change under a caller.
+        weights = np.array([[0.5, 0.0], [0.0, 0.5]])
+        table = JointTable(weights)
+        assert table == table and table in {table} and [table].index(table) == 0
+        assert table != JointTable(weights)
+        assert hash(table) == hash(table)
 
 
 class TestKlDiscrete:

@@ -14,6 +14,7 @@ from genbounds import (
     PacBayesSgdParams,
     ParameterError,
     QuadraticModel,
+    ShapeError,
     dv_identity_residual,
     empirical_risks,
     expected_quadratic_loss,
@@ -285,6 +286,12 @@ class TestOccamBound:
         result = occam_bound(model, 1.0, 0.0)
         assert result.value == pytest.approx(math.log(2.0) / 20.0, abs=1e-14)
 
+    def test_delta_rows_must_be_one_dimensional(self):
+        model = QuadraticModel(hessian_eigenvalues=[0.1], w_p=[0.0], w_q=[0.0], lam=1.0, n=10, beta=1.0)
+        assert occam_bound(model, [0.5, 1.0], 0.1).value.shape == (2,)
+        with pytest.raises(ShapeError, match="^delta must be a float or 1-D rows$"):
+            occam_bound(model, [[0.5, 1.0]], 0.1)
+
     def test_occam_factor_range(self, rng):
         for _ in range(50):
             k = int(rng.integers(1, 5))
@@ -374,6 +381,12 @@ class TestPacBayesSgdObjective:
         lean = pacbayes_sgd_objective(self.base_params(mc_empirical_risk=0.01)).value
         fat = pacbayes_sgd_objective(self.base_params(mc_empirical_risk=0.2)).value
         assert fat >= lean
+
+    def test_kl_rows_must_be_one_dimensional(self):
+        assert isinstance(self.base_params(kl=np.float64(2.0)).kl, float)
+        assert pacbayes_sgd_objective(self.base_params(kl=[1.0, 2.0])).value.shape == (2,)
+        with pytest.raises(ShapeError, match="^kl must be a float or 1-D rows$"):
+            self.base_params(kl=[[1.0, 2.0]])
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):

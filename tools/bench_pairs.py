@@ -18,6 +18,8 @@ direction BENCHMARK.json gives, and a verdict per metric: ``gain``, ``worse``,
 each side runs ``perfbench/run.py --acceptance`` once, and the output records
 its violation count per acceptance certification, whether they are the
 expected ones (``correct``), and whether the change kept the parent's counts.
+It also keeps, once per side, the provenance of that side's first run: the
+genbounds, Python, numpy and scipy versions, the CPU count and the platform.
 The output file is rewritten after the acceptance runs and after each
 finished workload, so a run that fails keeps the pairs already done.
 """
@@ -57,14 +59,28 @@ def export_change(dest: Path) -> None:
             shutil.copy2(source, target)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line (the last stdout line) of one untraced perfbench run in ``tree``."""
+#: The fields of a perfbench provenance line that describe the machine and the software, not the run.
+PROVENANCE_FIELDS = ("genbounds", "python", "numpy", "scipy", "nproc", "platform")
+
+
+def parse_run(stdout: str) -> tuple[dict, dict]:
+    """The provenance (its :data:`PROVENANCE_FIELDS`) and the result line of a perfbench run's stdout.
+
+    The provenance line is the first stdout line, the result line the last.
+    """
+    lines = stdout.strip().splitlines()
+    provenance = json.loads(lines[0])["provenance"]
+    return {key: provenance[key] for key in PROVENANCE_FIELDS}, json.loads(lines[-1])
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """:func:`parse_run` of one untraced perfbench run in ``tree``."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(argv[1:])} in {tree.name} exited {done.returncode}:\n{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return parse_run(done.stdout)
 
 
 def parse_acceptance(stdout: str) -> dict:
@@ -150,6 +166,7 @@ def main(argv=None) -> int:
         "parent": {"rev": args.parent, "commit": _git("rev-parse", args.parent).decode().strip()},
         "change": "working tree",
         "seconds": seconds,
+        "provenance": {},
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
@@ -167,7 +184,8 @@ def main(argv=None) -> int:
                 order = SIDES if seed % 2 else SIDES[::-1]
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run_once(trees[side], workload, seed, seconds)
+                    provenance, pair[side] = run_once(trees[side], workload, seed, seconds)
+                    report["provenance"].setdefault(side, provenance)
                     print(f"{workload} seed {seed} {side}: {json.dumps(pair[side]['metrics'])}", file=sys.stderr)
                 pairs.append(pair)
             report["workloads"][workload] = {"runs": pairs, "summary": summarize(pairs, spec["end_to_end"])}
