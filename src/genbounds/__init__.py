@@ -62,6 +62,7 @@ from .harness import (
     SupersampleDraw,
     TrialConfig,
     ViolationReport,
+    certify,
     clopper_pearson_upper,
     cmi_exact_quantities,
     cmi_trial,

@@ -50,7 +50,7 @@ _DELTA_INVERSE = "delta_inverse"
 _on_rows = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundRequest:
     """The inputs shared by the bound computations: one (risk, KL) pair or rows of them.
 

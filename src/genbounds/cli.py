@@ -39,9 +39,8 @@ from .harness import (
     ErmAlgorithm,
     GibbsAlgorithm,
     TrialConfig,
-    run_cmi_experiment,
-    run_dp_prior_experiment,
-    run_violation_experiment,
+    _of_trial,
+    certify,
 )
 from .problems import FiniteProblem
 from .registry import BOUNDS, _require
@@ -116,6 +115,9 @@ _EXPERIMENT_SCHEMA = {
     "algorithm": _ALGORITHM_SCHEMA,
     "prior": _VECTOR,
 }
+
+#: The experiment fields that set up the run; every other one is a bound parameter, for ``BoundSpec.params``.
+_RUN_FIELDS = ("bound", "label", "delta", "trials", "seed", "bound_offset", "algorithm", "prior")
 
 _OUTPUT_SCHEMA = {"unit": str, "path": str, "format": str}
 
@@ -569,7 +571,7 @@ def _trial_config(config: dict, args) -> tuple[TrialConfig, dict]:
         algorithm=_algorithm_from(section.get("algorithm")),
         bound=BoundSpec(
             name=_require(section, "bound", "experiment"),
-            params={"beta": section.get("beta")},
+            params={"beta": None, **{k: v for k, v in section.items() if k not in _RUN_FIELDS}},
         ),
         delta=_require(section, "delta", "experiment"),
         prior=DiscreteDist(np.asarray(prior, float)) if prior is not None else None,
@@ -579,18 +581,10 @@ def _trial_config(config: dict, args) -> tuple[TrialConfig, dict]:
 
 
 def cmd_experiment(args) -> int:
-    """Run the subcommand's certification; the harness rejects a bound its trial does not check."""
+    """Certify the configured bound; the harness refuses a bound that the subcommand's trial does not check."""
     config = load_config(args.config, "experiment")
     trial_config, section = _trial_config(config, args)
-    if args.subcommand == "dp-prior":
-        epsilon = section.get("epsilon")
-        if epsilon is None:
-            raise ConfigurationError("experiment.epsilon is required for dp-prior")
-        report = run_dp_prior_experiment(trial_config, epsilon)
-    elif args.subcommand == "cmi":
-        report = run_cmi_experiment(trial_config)
-    else:
-        report = run_violation_experiment(trial_config)
+    report = certify(_of_trial(trial_config, args.trial_kind))
     path, unit, fmt = _output_options(config, args)
     record = {
         "bound": trial_config.bound.name,
@@ -672,11 +666,11 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser("experiment", help="run certification experiments").add_subparsers(
         dest="subcommand", required=True
     )
-    for name in ("run", "cmi", "dp-prior"):
+    for name, trial_kind in (("run", "plain"), ("cmi", "supersample"), ("dp-prior", "private-prior")):
         p = experiment.add_parser(name)
         add_common(p)
         p.add_argument("--trials", type=int, default=None, help="number of trials")
-        p.set_defaults(handler="cmd_experiment")
+        p.set_defaults(handler="cmd_experiment", trial_kind=trial_kind)
 
     report = sub.add_parser("report", help="merge emitted report files")
     report.add_argument("inputs", nargs="+", help="previously emitted report files")

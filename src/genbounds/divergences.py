@@ -166,7 +166,7 @@ class JointTable:
         return DiscreteDist.from_weights(self.probs.sum(axis=0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianKLInputs:
     """Spectral description of KL(N(w_P, H^-1) || N(w_Q, I/lam)).
 

@@ -3,9 +3,9 @@
 Each experiment draws training samples, runs a learning rule, evaluates a
 pre-registered bound against the exactly computed comparison quantity, and
 reports the violation rate together with a Clopper-Pearson upper confidence
-bound on it.  One trial pipeline serves every bound; the bound table's
-``trial`` field picks how it draws (a sample or a supersample) and which
-prior it measures the posterior against (the fixed one or the private one).
+bound on it.  One trial pipeline, :func:`certify`, serves every bound whose
+table entry names a ``trial``, which picks how it draws (a sample or a
+supersample) and its prior (the fixed one or the private one).
 Per-trial randomness comes from counter-based streams derived from
 (seed, trial index): trial t draws from ``numpy.random.default_rng([seed,
 t])``, so results do not depend on execution order and parallel or serial
@@ -50,8 +50,8 @@ from the row kernels the certification applies to a block of drawn types,
 not from one rule call per row.  :func:`enumerate_joint` and the supersample
 check run on sequences: a supersample is a pair of rows.
 
-All bound parameters (beta, delta, the prior) are fixed in the trial
-configuration before any sample is drawn.
+All bound parameters (beta and the entry's ``fields``, delta, the prior)
+are fixed in the trial configuration before any sample is drawn.
 
 ``scipy.special`` is imported by the first :func:`clopper_pearson_upper`
 call, not with this module, so the commands that never certify (``bound
@@ -63,7 +63,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -95,7 +95,7 @@ from .problems import (
     tabulate_types,
     true_risks,
 )
-from .registry import BOUNDS, BoundEntry
+from .registry import BOUNDS, BoundEntry, _require
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +173,7 @@ def _is_exchangeable(algorithm) -> bool:
 
 @dataclass(frozen=True)
 class BoundSpec:
-    """A named bound with the parameters it was registered with before the draw."""
+    """A named bound with the parameters fixed before the draw: ``beta`` and its table entry's ``fields``."""
 
     name: str
     params: dict = field(default_factory=dict)
@@ -227,7 +227,7 @@ class ViolationReport:
         return self.clopper_pearson_upper_95 <= delta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupersampleDraw:
     """An n x 2 supersample and the selector bits picking the training column."""
 
@@ -600,15 +600,16 @@ def verify_expectation_bounds(
 # Violation-rate certification of the high-probability bounds
 # ---------------------------------------------------------------------------
 
-def _registered(config: TrialConfig, trial: str) -> BoundEntry:
-    """The configured bound's table entry, checked against the trial and the losses."""
+def _registered(config: TrialConfig) -> BoundEntry:
+    """The configured bound's table entry, checked against its parameters and the losses."""
     name = config.bound.name
     entry = BOUNDS.get(name)
-    if entry is None or entry.trial != trial:
-        supported = ", ".join(key for key, e in BOUNDS.items() if e.trial == trial)
-        raise ConfigurationError(
-            f"bound {name!r} is not certified by the {trial} trial; supported: {supported}"
-        )
+    if entry is None or entry.trial is None:
+        certifiable = ", ".join(key for key, e in BOUNDS.items() if e.trial is not None)
+        raise ConfigurationError(f"bound {name!r} has no certification trial; certifiable: {certifiable}")
+    unread = [key for key in config.bound.params if key not in ("beta", *entry.fields)]
+    if unread:
+        raise ConfigurationError(f"bound {name!r} does not read the parameter(s) {', '.join(map(str, unread))}")
     if entry.losses == "binary" and not config.problem.has_binary_losses:
         raise ConfigurationError(f"bound {name!r} is stated for {{0, 1}}-valued losses")
     if entry.losses == "unit" and not config.problem.has_unit_losses:
@@ -635,34 +636,35 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], np.broadcast_to(b, a.shape)[:, :, None])[:, 0, 0]
 
 
-def _block_evaluator(config: TrialConfig, kind: str, params: tuple):
+def _block_evaluator(config: TrialConfig):
     """The per-type body of a certification trial, as a function of a block of training types.
 
     The function takes an (m, k) array of training counts and returns their
-    posteriors, an (m, h) array, and their bound values, an array of m.
-    ``private-prior`` measures the posterior against
-    :func:`dp_prior_mechanism` at ``params`` (epsilon), the others against the
-    configured prior; a Gibbs learner's base is the private prior there and
-    uniform otherwise.  Every row is computed as the one-sample primitives
-    compute it, to the bit, and checked as a :class:`DiscreteDist` is, except
-    that the fitted risk is clipped to the range of the losses.  The bound is
-    one call on a request holding the rows of fitted risk and KL, whose
-    values equal the one-type calls' to the bit.
+    posteriors, an (m, h) array, and their bound values, an array of m.  The
+    entry's ``fields`` come from the bound's params.  ``private-prior``
+    measures the posterior against :func:`dp_prior_mechanism` at epsilon, the
+    others against the configured prior; a Gibbs learner's base is the
+    private prior there and uniform otherwise.  Every row is computed as the
+    one-sample primitives compute it, to the bit, and checked as a
+    :class:`DiscreteDist` is, except that the fitted risk is clipped to the
+    range of the losses.  The bound is one call on a request holding the rows
+    of fitted risk and KL, whose values equal the one-type calls' to the bit.
     """
-    entry = _registered(config, kind)
+    entry = _registered(config)
     problem = config.problem
     n, h = problem.n, problem.num_hypotheses
     model = _bound_model(problem)
     beta = config.bound.params.get("beta")
+    params = [_require(config.bound.params, key, "experiment") for key in entry.fields]
     uniform = _uniform_probs(h)
     fixed_prior = config.prior.probs if config.prior is not None else uniform
     lowest, highest = problem.losses.min(), problem.losses.max()
-    if kind == "private-prior":
+    if entry.trial == "private-prior":
         _check_dp_prior(problem, *params)
 
     def evaluate(types: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         risks = _count_risks(problem, types)
-        if kind == "private-prior":
+        if entry.trial == "private-prior":
             priors = _dp_prior_rows(problem, risks, *params)
             _check_rows(priors)
             base = priors
@@ -679,11 +681,11 @@ def _block_evaluator(config: TrialConfig, kind: str, params: tuple):
     return evaluate
 
 
-def _trials(config: TrialConfig, kind: str, trials: np.ndarray, *params) -> np.ndarray:
+def _trials(config: TrialConfig, trials: np.ndarray) -> np.ndarray:
     """Certification trials; returns each one's (bound value, exact quantity it must dominate).
 
-    ``kind`` is the bound table's trial: ``plain`` and ``private-prior`` draw
-    a sample, ``supersample`` draws a supersample and trains on its selected
+    The bound's entry names the trial: ``plain`` and ``private-prior`` draw a
+    sample, ``supersample`` draws a supersample and trains on its selected
     column.  ``trials`` holds the trial indices, each below 2^64.  Each trial
     is deterministic in (config.seed, trial) alone: the trials are drawn a
     block at a time by :func:`_trial_counts`, whose blocks hold as many
@@ -693,17 +695,17 @@ def _trials(config: TrialConfig, kind: str, trials: np.ndarray, *params) -> np.n
     bytes, in the smallest unsigned type that holds n (one byte a count
     below n = 256), to its id, numbered in the order the types first appear.
     The types a block sees first are evaluated together, in that order, by
-    one call of the :func:`_block_evaluator` body, into run-level
-    arrays of bounds and posteriors indexed by id, which hold at most one row
-    per trial or per sample type.  Each trial's truth is its type's posterior
-    dotted with a reference row: the annealed or the true risks, or for a
-    supersample its ghost risks minus its training risks.  The result is a
-    (trials, 2) array.
+    one call of the :func:`_block_evaluator` body, into run-level arrays of
+    bounds and posteriors indexed by id, which hold at most one row per trial
+    or per sample type.  Each trial's truth is its type's posterior dotted
+    with the reference row the entry's ``truth`` names: the annealed or the
+    true risks, or for a supersample its ghost risks minus its training
+    risks.  The result is a (trials, 2) array.
     """
-    evaluate = _block_evaluator(config, kind, params)
+    evaluate = _block_evaluator(config)
     problem = config.problem
     k, n = problem.num_outcomes, problem.n
-    truth = BOUNDS[config.bound.name].truth
+    entry = BOUNDS[config.bound.name]
     size = min(len(trials), math.comb(n + k - 1, k - 1))
     bounds, posteriors = np.empty(size), np.empty((size, problem.num_hypotheses))
     ids: dict[bytes, int] = {}
@@ -711,7 +713,7 @@ def _trials(config: TrialConfig, kind: str, trials: np.ndarray, *params) -> np.n
     reference = None
     result = np.empty((len(trials), 2))
     start = 0
-    for counts in _trial_counts(problem, config.seed, trials, kind == "supersample"):
+    for counts in _trial_counts(problem, config.seed, trials, entry.trial == "supersample"):
         types = np.ascontiguousarray(counts[:, 0])
         keys = types.astype(key_dtype)
         raw, width = keys.tobytes(), keys.strides[0]
@@ -721,11 +723,11 @@ def _trials(config: TrialConfig, kind: str, trials: np.ndarray, *params) -> np.n
             # Ids count up in first-seen order: the running maximum reaches a new id where it first appears.
             fresh = np.maximum.accumulate(block).searchsorted(np.arange(seen, len(ids)))
             posteriors[seen : len(ids)], bounds[seen : len(ids)] = evaluate(types[fresh])
-        if truth == "gap":
+        if entry.truth == "gap":
             reference = _count_risks(problem, counts[:, 1]) - _count_risks(problem, types)
         elif reference is None:  # after the first bounds, so a missing beta raises the bound's error
             beta = config.bound.params.get("beta")
-            reference = annealed_risks(problem, beta) if truth == "annealed" else true_risks(problem)
+            reference = annealed_risks(problem, beta) if entry.truth == "annealed" else true_risks(problem)
         rows = result[start : start + len(block)]
         rows[:, 0] = bounds[block]
         rows[:, 1] = _row_dots(posteriors[block], reference)
@@ -733,17 +735,12 @@ def _trials(config: TrialConfig, kind: str, trials: np.ndarray, *params) -> np.n
     return result
 
 
-def _one_trial(config: TrialConfig, kind: str, trial, *params) -> tuple[float, float]:
+def _one_trial(config: TrialConfig, trial) -> tuple[float, float]:
     """(bound, truth) of one trial, through :func:`_trials`; ``trial`` is an integer in [0, 2^64)."""
     if isinstance(trial, bool) or not isinstance(trial, numbers.Integral) or not 0 <= trial <= _M64:
         raise ConfigurationError(f"trial must be an integer in [0, 2^64); got {trial!r}")
-    bound, truth = _trials(config, kind, np.array([trial], dtype=np.uint64), *params)[0].tolist()
+    bound, truth = _trials(config, np.array([trial], dtype=np.uint64))[0].tolist()
     return bound, truth
-
-
-def violation_trial(config: TrialConfig, trial: int) -> tuple[float, float]:
-    """One trial of the plain certification; returns (bound value, exact true quantity)."""
-    return _one_trial(config, "plain", trial)
 
 
 def _summarize(pairs) -> ViolationReport:
@@ -763,14 +760,54 @@ def _summarize(pairs) -> ViolationReport:
     )
 
 
-def run_violation_experiment(config: TrialConfig) -> ViolationReport:
-    """Certify a high-probability bound by repeated sampling.
+def certify(config: TrialConfig) -> ViolationReport:
+    """Certify a high-probability bound by repeated sampling, in the trial its table entry names.
 
-    Per trial: draw a fresh training sample, form the posterior, evaluate the
-    pre-registered bound, and compare with the exactly computed quantity it
-    bounds (annealed risk for the annealed-risk bound, true risk otherwise).
+    Per trial: draw a fresh training sample (or supersample), form the
+    posterior, evaluate the pre-registered bound, and compare with the exactly
+    computed quantity the entry's ``truth`` names.  A bound without a trial,
+    or a parameter other than beta and the entry's ``fields``, is refused.
     """
-    return _summarize(_trials(config, "plain", np.arange(config.trials, dtype=np.uint64)))
+    return _summarize(_trials(config, np.arange(config.trials, dtype=np.uint64)))
+
+
+def _of_trial(config: TrialConfig, trial: str, **params) -> TrialConfig:
+    """``config`` with ``params`` joining its bound's; a bound that ``trial`` does not certify is refused."""
+    name = config.bound.name
+    if getattr(BOUNDS.get(name), "trial", None) != trial:
+        supported = ", ".join(key for key, e in BOUNDS.items() if e.trial == trial)
+        raise ConfigurationError(f"bound {name!r} is not certified by the {trial} trial; supported: {supported}")
+    return replace(config, bound=BoundSpec(name, {**config.bound.params, **params}))
+
+
+def run_violation_experiment(config: TrialConfig) -> ViolationReport:
+    """:func:`certify` for a bound of the plain trial; a bound of another trial is refused."""
+    return certify(_of_trial(config, "plain"))
+
+
+def violation_trial(config: TrialConfig, trial: int) -> tuple[float, float]:
+    """One trial of the plain certification; returns (bound value, exact true quantity)."""
+    return _one_trial(_of_trial(config, "plain"), trial)
+
+
+def run_cmi_experiment(config: TrialConfig) -> ViolationReport:
+    """:func:`certify` for the high-probability supersample gap bound."""
+    return certify(_of_trial(config, "supersample"))
+
+
+def cmi_trial(config: TrialConfig, trial: int) -> tuple[float, float]:
+    """One supersample trial; returns (bound value, exact posterior-mean gap)."""
+    return _one_trial(_of_trial(config, "supersample"), trial)
+
+
+def run_dp_prior_experiment(config: TrialConfig, epsilon: float) -> ViolationReport:
+    """:func:`certify` for the annealed-risk bound against the exponential-mechanism prior at ``epsilon``."""
+    return certify(_of_trial(config, "private-prior", epsilon=epsilon))
+
+
+def dp_prior_trial(config: TrialConfig, trial: int, epsilon: float) -> tuple[float, float]:
+    """One trial of the private-prior certification; returns (bound, annealed risk)."""
+    return _one_trial(_of_trial(config, "private-prior", epsilon=epsilon), trial)
 
 
 # ---------------------------------------------------------------------------
@@ -787,16 +824,6 @@ def _draw_supersample(problem: FiniteProblem, rng: np.random.Generator) -> tuple
 def draw_supersample(problem: FiniteProblem, rng: np.random.Generator) -> SupersampleDraw:
     z_tilde, u = _draw_supersample(problem, rng)
     return SupersampleDraw(z_tilde=z_tilde, u=u)
-
-
-def cmi_trial(config: TrialConfig, trial: int) -> tuple[float, float]:
-    """One supersample trial; returns (bound value, exact posterior-mean gap)."""
-    return _one_trial(config, "supersample", trial)
-
-
-def run_cmi_experiment(config: TrialConfig) -> ViolationReport:
-    """Certify the high-probability supersample gap bound."""
-    return _summarize(_trials(config, "supersample", np.arange(config.trials, dtype=np.uint64)))
 
 
 def cmi_exact_quantities(
@@ -884,18 +911,6 @@ def dp_mechanism_max_log_ratio(
         logits = np.log(_uniform_probs(problem.num_hypotheses)) - problem.n * epsilon / 2.0 * risks
         log_priors[underflow] = (logits - _logsumexp(logits, 1.0, axis=1)[:, None])[underflow]
     return float(np.max(np.abs(log_priors[rows] - log_priors[neighbors]), initial=0.0))
-
-
-def dp_prior_trial(config: TrialConfig, trial: int, epsilon: float) -> tuple[float, float]:
-    """One trial of the private-prior certification; returns (bound, annealed risk)."""
-    return _one_trial(config, "private-prior", trial, epsilon)
-
-
-def run_dp_prior_experiment(config: TrialConfig, epsilon: float) -> ViolationReport:
-    """Certify the annealed-risk bound against the exponential-mechanism prior."""
-    if not epsilon > 0:
-        raise ConfigurationError("epsilon must be positive")
-    return _summarize(_trials(config, "private-prior", np.arange(config.trials, dtype=np.uint64), epsilon))
 
 
 # ---------------------------------------------------------------------------

@@ -237,7 +237,7 @@ def iei_empirical_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticModel:
     """A quadratic training-loss surface around its minimizer, co-diagonal with the prior.
 
@@ -369,7 +369,7 @@ def occam_spectral_kl(model: QuadraticModel) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PacBayesSgdParams:
     """Inputs of the retraining objective evaluator.
 

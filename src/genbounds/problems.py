@@ -29,7 +29,7 @@ ENUMERATION_BUDGET = 10**6
 _OUT_OF_RANGE = "sample contains out-of-range outcome indices"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteProblem:
     """A loss matrix over (hypothesis, outcome), a data distribution, and a sample size."""
 

@@ -6,7 +6,7 @@ takes a :class:`~genbounds.bounds.BoundRequest`, from a request and its extra
 parameters.  Bounds the harness certifies also record which trial draws their
 samples, which exact quantity they must dominate, and which loss values they
 are stated for.  The CLI dispatch, the unit conversion on emission and the
-harness's bound calls are all read off this table.
+harness's trials and bound calls are all read off this table.
 
 Bound functions are looked up through their module at call time (never
 stored as function objects), so a replacement installed on the module, such
@@ -85,19 +85,20 @@ class BoundEntry:
     for every bound that takes a request and for ``pac-bayes-sgd``, ``delta``
     for ``occam``.  A sweep over one of these fields is one call.  When the
     bound takes a request, ``request(req, *values)`` computes it from one and
-    the values of its extra config fields (``epsilon``, say); a request of
-    rows gives one value per row.  ``trial`` is the
-    certification trial that checks it (``plain``, ``supersample`` or
-    ``private-prior``), ``truth`` the exact quantity it must dominate there
-    (``annealed``, ``true`` or ``gap``), and ``losses`` the loss values that
-    trial requires (``unit`` for [0, 1], ``binary`` for {0, 1}; None when any
-    loss will do).  Information-valued bounds are converted to bits on
-    emission.
+    the values of the config fields ``fields`` names (``epsilon`` for
+    ``dp-prior``), which a certification reads from ``BoundSpec.params``; a
+    request of rows gives one value per row.  ``trial`` is the certification
+    trial that checks it (``plain``, ``supersample`` or ``private-prior``),
+    ``truth`` the exact quantity it must dominate there (``annealed``,
+    ``true`` or ``gap``), and ``losses`` the loss values that trial requires
+    (``unit`` for [0, 1], ``binary`` for {0, 1}; None when any loss will do).
+    Information-valued bounds are converted to bits on emission.
     """
 
     evaluate: Callable[[dict], bounds.BoundResult]
     request: Callable[..., bounds.BoundResult] | None = None
     rows: tuple[str, ...] = ()
+    fields: tuple[str, ...] = ()
     trial: str | None = None
     truth: str | None = None
     losses: str | None = None
@@ -111,7 +112,7 @@ def _on_request(request, *params: str, **facts) -> BoundEntry:
         req = _request_from(cfg)
         return request(req, *(_need(cfg, key) for key in params))
 
-    return BoundEntry(evaluate, request, rows=("kl",), **facts)
+    return BoundEntry(evaluate, request, rows=("kl",), fields=params, **facts)
 
 
 def _scalar(value_of: Callable[[dict], float], **facts) -> BoundEntry:

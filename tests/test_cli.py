@@ -383,9 +383,48 @@ class TestExperimentCommands:
         cfg = experiment_config(tmp_path, filename="zhang.yaml", bound="zhang", trials=10)
         assert main(["experiment", "cmi", "--config", cfg]) == 2
 
-    def test_dp_prior_needs_epsilon(self, tmp_path):
+    def test_dp_prior_needs_epsilon(self, tmp_path, capsys):
         cfg = experiment_config(tmp_path, filename="noeps.yaml", bound="dp-prior", trials=10)
         assert main(["experiment", "dp-prior", "--config", cfg]) == 2
+        assert "experiment.epsilon" in capsys.readouterr().err
+
+    def test_a_parameter_the_bound_does_not_read_exits_2(self, tmp_path, capsys):
+        # zhang has no epsilon: the run used to certify zhang and drop the field.
+        cfg = experiment_config(tmp_path, filename="eps.yaml", bound="zhang", epsilon=0.2, trials=10)
+        assert main(["experiment", "run", "--config", cfg]) == 2
+        assert "'zhang' does not read the parameter(s) epsilon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "subcommand, bound",
+        [("run", "cmi"), ("run", "dp-prior"), ("cmi", "dp-prior"), ("dp-prior", "zhang"), ("run", "union-beta")],
+    )
+    def test_the_subcommand_must_match_the_bounds_trial(self, tmp_path, capsys, subcommand, bound):
+        cfg = experiment_config(tmp_path, filename="other.yaml", bound=bound, epsilon=0.2, trials=10)
+        assert main(["experiment", subcommand, "--config", cfg]) == 2
+        assert "is not certified by the" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "subcommand, fields",
+        [("run", {"bound": "zhang"}), ("cmi", {"bound": "cmi", "beta": 0.3}),
+         ("dp-prior", {"bound": "dp-prior", "epsilon": 0.2})],
+    )
+    def test_a_run_reports_what_certify_gives(self, tmp_path, subcommand, fields):
+        cfg = experiment_config(tmp_path, filename="same.yaml", trials=200, **fields)
+        out = tmp_path / "same.jsonl"
+        assert main(["experiment", subcommand, "--config", cfg, "--out", str(out), "--format", "json-lines"]) == 0
+        _, (row,) = read_records(str(out))
+        params = {"beta": 1.0, **fields}
+        bound = genbounds.BoundSpec(params.pop("bound"), params)
+        problem = genbounds.FiniteProblem(
+            losses=STANDARD_PROBLEM["losses"], mu=genbounds.DiscreteDist(STANDARD_PROBLEM["mu"]), n=50
+        )
+        config = genbounds.TrialConfig(
+            seed=7, trials=200, problem=problem, algorithm=genbounds.GibbsAlgorithm(5.0), bound=bound, delta=0.05
+        )
+        report = genbounds.certify(config)
+        assert {key: row[key] for key in ("violations", "rate", "bound_mean")} == {
+            "violations": report.violations, "rate": report.rate, "bound_mean": report.bound_mean
+        }
 
     def test_negative_seed_exits_2(self, tmp_path):
         cfg = experiment_config(tmp_path, filename="neg.yaml", seed=-1, trials=10)

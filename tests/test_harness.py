@@ -1,7 +1,9 @@
 """Tests for the certification harness: enumeration, experiments, privacy audit."""
 
+import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genbounds.bounds
+import genbounds.cli
 from genbounds import (
     BoundRequest,
     BoundSpec,
@@ -28,6 +31,7 @@ from genbounds import (
     SupersampleDraw,
     TrialConfig,
     annealed_risks,
+    certify,
     clopper_pearson_upper,
     cmi_exact_quantities,
     cmi_expectation,
@@ -68,6 +72,7 @@ from genbounds.harness import (
     _jump_constants,
     _mul_add128,
     _mulhi,
+    _one_trial,
     _summarize,
     _thresholds,
     _trial_counts,
@@ -86,13 +91,15 @@ def standard_problem(n=50):
     )
 
 
-def make_config(problem, bound, trials=400, seed=7, delta=0.05, beta=1.0, **kwargs):
+def make_config(problem, bound, trials=400, seed=7, delta=0.05, beta=1.0, params=(), **kwargs):
+    """A trial config; ``params`` are the values of the bound's table ``fields``, in their order."""
+    fields = dict(zip(BOUNDS[bound].fields, params)) if params else {}
     return TrialConfig(
         seed=seed,
         trials=trials,
         problem=problem,
         algorithm=kwargs.pop("algorithm", GibbsAlgorithm(beta_alg=5.0)),
-        bound=BoundSpec(bound, {"beta": beta}),
+        bound=BoundSpec(bound, {"beta": beta, **fields}),
         delta=delta,
         **kwargs,
     )
@@ -612,13 +619,13 @@ class TestBlockDraw:
     def test_types_are_evaluated_once_in_first_seen_order_across_blocks(self, monkeypatch):
         # 100 words: 14 trials a block, 5 for a supersample, and types new in most blocks.
         problem = count_problem(8, 7)
-        for bound, kind, supersample in (("zhang", "plain", False), ("cmi", "supersample", True)):
+        for bound, supersample in (("zhang", False), ("cmi", True)):
             config = make_config(problem, bound, trials=300)
             trials = np.arange(config.trials, dtype=np.uint64)
-            whole = _trials(config, kind, trials)
+            whole = _trials(config, trials)
             monkeypatch.setattr(genbounds.harness, "_BLOCK_WORDS", 100)
             blocks = record_evaluations(monkeypatch)
-            assert np.array_equal(_trials(config, kind, trials), whole)
+            assert np.array_equal(_trials(config, trials), whole)
             evaluated = [tuple(row) for block in blocks for row in block]
             drawn = [tuple(per_trial_counts(problem, config.seed, t, supersample)[0].tolist()) for t in range(300)]
             assert evaluated == list(dict.fromkeys(drawn)) and 100 < len(evaluated) < 300
@@ -646,10 +653,10 @@ class TestBlockDraw:
         # 16 x 8, n = 200, 150 trials: the stream words come 40 trials at a time, 16 for a
         # supersample, and all 150 trials make one block.
         problem = wide_problem()
-        for bound, kind in (("zhang", "plain"), ("cmi", "supersample")):
+        for bound in ("zhang", "cmi"):
             config = make_config(problem, bound, trials=150)
             blocks = record_evaluations(monkeypatch)
-            _trials(config, kind, np.arange(config.trials, dtype=np.uint64))
+            _trials(config, np.arange(config.trials, dtype=np.uint64))
             assert len(blocks) == 1 and len(blocks[0]) > 100, bound
             monkeypatch.undo()
 
@@ -1119,10 +1126,10 @@ class TestBlockEvaluator:
     def test_rows_equal_the_per_type_primitives(self, problem, bound, kind, params, fixed_prior, algorithm):
         h = problem.num_hypotheses
         prior = DiscreteDist.from_weights(np.arange(1.0, h + 1)) if fixed_prior else None
-        config = make_config(problem, bound, trials=1, algorithm=algorithm, prior=prior)
+        config = make_config(problem, bound, trials=1, algorithm=algorithm, prior=prior, params=params)
         types = np.random.default_rng(3).multinomial(problem.n, problem.mu.probs, size=40)
         types[5] = types[2]  # a repeated type is evaluated again, the same way
-        posteriors, bounds = _block_evaluator(config, kind, params)(types)
+        posteriors, bounds = _block_evaluator(config)(types)
         for i, counts in enumerate(types):
             _, want_posterior, want_bound, _ = per_type(config, kind, params, counts)
             assert np.array_equal(posteriors[i], want_posterior)
@@ -1141,8 +1148,8 @@ class TestBlockEvaluator:
         for (bound, kind, params), prior in itertools.product(TRIAL_KINDS, (None, fixed)):
             if bound == "catoni" and not problem.has_binary_losses:
                 continue
-            config = make_config(problem, bound, trials=90, algorithm=algorithm, prior=prior)
-            got = _trials(config, kind, np.arange(config.trials, dtype=np.uint64), *params)
+            config = make_config(problem, bound, trials=90, algorithm=algorithm, prior=prior, params=params)
+            got = _trials(config, np.arange(config.trials, dtype=np.uint64))
             want = [per_trial(config, kind, params, t) for t in range(config.trials)]
             assert [tuple(pair) for pair in got.tolist()] == want, (bound, prior)
 
@@ -1156,10 +1163,10 @@ class TestBlockEvaluator:
         # trials, and the wide problem's 40 trials draw 40 of its C(207, 7) types.
         size = math.comb(problem.n + problem.num_outcomes - 1, problem.num_outcomes - 1)
         for bound, kind, params in TRIAL_KINDS:
-            config = make_config(problem, bound, trials=trials)
+            config = make_config(problem, bound, trials=trials, params=params)
             counts = _trial_counts(problem, config.seed, np.arange(trials, dtype=np.uint64), kind == "supersample")
             assert len({row for block in counts for row in map(tuple, block[:, 0].tolist())}) == min(trials, size)
-            got = _trials(config, kind, np.arange(config.trials, dtype=np.uint64), *params)
+            got = _trials(config, np.arange(config.trials, dtype=np.uint64))
             want = [per_trial(config, kind, params, t) for t in range(config.trials)]
             assert [tuple(pair) for pair in got.tolist()] == want, bound
 
@@ -1168,10 +1175,10 @@ class TestBlockEvaluator:
         # At n = 300 a type is keyed by two bytes a count; (257, 43) and (1, 299) share their low bytes.
         # One expert on outcome 0 and two on outcome 1, so the two types have different bounds.
         problem = FiniteProblem(losses=[[0, 1], [1, 0], [1, 0]], mu=DiscreteDist([0.5, 0.5]), n=300)
-        config = make_config(problem, bound, trials=3)
+        config = make_config(problem, bound, trials=3, params=params)
         counts = np.array([[257, 43], [1, 299], [257, 43]])[:, None].repeat(2 if kind == "supersample" else 1, axis=1)
         monkeypatch.setattr(genbounds.harness, "_trial_counts", lambda *args: iter([counts]))
-        got = _trials(config, kind, np.arange(3, dtype=np.uint64), *params)
+        got = _trials(config, np.arange(3, dtype=np.uint64))
         for (bound_value, _), train in zip(got.tolist(), counts[:, 0]):
             assert bound_value == per_type(config, kind, params, train)[2]
         assert got[0, 0] != got[1, 0]
@@ -1179,9 +1186,9 @@ class TestBlockEvaluator:
     @pytest.mark.parametrize("problem", [standard_problem(), wide_problem()], ids=["coin", "wide"])
     def test_posteriors_within_rounding_of_the_prior_are_certified(self, problem):
         # At beta_alg = 1e-9 the posteriors' KLs to the uniform prior sum a few ulps below 0.
-        for bound, kind, params in TRIAL_KINDS:
-            config = make_config(problem, bound, trials=2000, algorithm=GibbsAlgorithm(beta_alg=1e-9))
-            report = _summarize(_trials(config, kind, np.arange(config.trials, dtype=np.uint64), *params))
+        for bound, _, params in TRIAL_KINDS:
+            config = make_config(problem, bound, trials=2000, algorithm=GibbsAlgorithm(beta_alg=1e-9), params=params)
+            report = _summarize(_trials(config, np.arange(config.trials, dtype=np.uint64)))
             assert report.trials == 2000 and report.certified(config.delta), bound
 
     @pytest.mark.parametrize("h", [9, 11, 20, 21, 25])
@@ -1191,7 +1198,7 @@ class TestBlockEvaluator:
         # rounds to 1 + 2^-52, which a [0, 1] bound refused, ending the certification.
         problem = FiniteProblem(losses=[[1.0, i % 2] for i in range(h)], mu=DiscreteDist([0.7, 0.3]), n=3)
         config = make_config(problem, bound, trials=200, seed=1)
-        posteriors, bounds = _block_evaluator(config, "plain", ())(np.array([[3, 0]]))
+        posteriors, bounds = _block_evaluator(config)(np.array([[3, 0]]))
         assert posteriors[0] @ np.ones(h) > 1.0
         kl = kl_discrete(DiscreteDist(posteriors[0]), DiscreteDist.uniform(h))
         one = BoundRequest(n=3, delta=0.05, empirical_risk=1.0, kl=kl, beta=1.0, model=LossModel.bernoulli())
@@ -1204,6 +1211,96 @@ class TestBlockEvaluator:
         config = make_config(standard_problem(), "zhang", trials=20)
         with pytest.raises(DomainError, match="probabilities sum to 1.5, not 1"):
             run_violation_experiment(config)
+
+
+#: The entry points of each trial kind before :func:`certify`: the run function, the one-trial function and the
+#: values of the bound's fields they take after the config (and the trial).
+TRIAL_ENTRY_POINTS = {
+    "plain": (run_violation_experiment, violation_trial, ()),
+    "supersample": (run_cmi_experiment, cmi_trial, ()),
+    "private-prior": (run_dp_prior_experiment, dp_prior_trial, (0.2,)),
+}
+CERTIFIABLE = [name for name, entry in BOUNDS.items() if entry.trial is not None]
+
+
+class TestCertify:
+    """One certification path, keyed by the bound table."""
+
+    def test_the_certifiable_bounds(self):
+        assert CERTIFIABLE == [
+            "zhang", "catoni", "catoni-linear", "mcallester-linear", "pac-bayes-kl", "cmi", "dp-prior"
+        ]
+
+    @pytest.mark.parametrize("problem", [standard_problem(), wide_problem()], ids=["coin", "wide"])
+    @pytest.mark.parametrize("bound", CERTIFIABLE)
+    def test_certify_equals_the_entry_points_of_its_trial(self, problem, bound):
+        entry = BOUNDS[bound]
+        run, one_trial, values = TRIAL_ENTRY_POINTS[entry.trial]
+        config = make_config(problem, bound, trials=300, beta=0.3 if bound == "cmi" else 1.0)
+        full = make_config(problem, bound, trials=300, beta=0.3 if bound == "cmi" else 1.0, params=values)
+        assert repr(certify(full)) == repr(run(config, *values))
+        for trial in (0, 7, 2**40):
+            got = _one_trial(full, trial)
+            assert repr(got) == repr(one_trial(config, trial, *values))
+            assert got == per_trial(full, entry.trial, values, trial)
+
+    @pytest.mark.parametrize("bound", CERTIFIABLE)
+    def test_a_certifiable_entry_reads_what_the_cli_can_configure(self, bound):
+        entry = BOUNDS[bound]
+        assert entry.request is not None and entry.truth in ("annealed", "true", "gap")
+        assert entry.trial in TRIAL_ENTRY_POINTS
+        assert all(field in genbounds.cli._EXPERIMENT_SCHEMA for field in entry.fields)
+
+    def test_a_bound_without_a_trial_is_refused_with_the_certifiable_bounds(self):
+        config = make_config(standard_problem(), "union-beta", trials=10)
+        with pytest.raises(ConfigurationError, match="certifiable: " + ", ".join(CERTIFIABLE) + "$"):
+            certify(config)
+
+    def test_an_unknown_bound_is_refused(self):
+        config = TrialConfig(
+            seed=1, trials=10, problem=standard_problem(), algorithm=ErmAlgorithm(),
+            bound=BoundSpec("no-such-bound", {"beta": 1.0}), delta=0.05,
+        )
+        with pytest.raises(ConfigurationError, match="'no-such-bound' has no certification trial"):
+            certify(config)
+
+    @pytest.mark.parametrize(
+        "bound, params, unread",
+        [("zhang", {"epsilon": 0.2}, "epsilon"), ("dp-prior", {"alpha": 2.0, "epsilon": 0.2, "v": 1}, "alpha, v")],
+    )
+    def test_a_parameter_the_bound_does_not_read_is_refused(self, bound, params, unread):
+        config = make_config(standard_problem(), bound, trials=10)
+        config = dataclasses.replace(config, bound=BoundSpec(bound, {"beta": 1.0, **params}))
+        refusal = re.escape(f"{bound!r} does not read the parameter(s) {unread}") + "$"
+        with pytest.raises(ConfigurationError, match=refusal):
+            certify(config)
+        with pytest.raises(ConfigurationError, match="does not read"):
+            _one_trial(config, 0)
+
+    def test_a_missing_field_is_named(self):
+        config = make_config(standard_problem(), "dp-prior", trials=10)
+        with pytest.raises(ConfigurationError, match="missing required field experiment.epsilon"):
+            certify(config)
+
+    def test_an_entry_point_sets_the_bounds_epsilon(self):
+        # The run function's epsilon replaces one the config holds, as the argument it is.
+        config = make_config(standard_problem(), "dp-prior", trials=200, params=(5.0,))
+        want = certify(make_config(standard_problem(), "dp-prior", trials=200, params=(0.2,)))
+        assert run_dp_prior_experiment(config, 0.2) == want != certify(config)
+        assert config.bound.params == {"beta": 1.0, "epsilon": 5.0}
+
+    @pytest.mark.parametrize("trial", sorted(TRIAL_ENTRY_POINTS))
+    def test_an_entry_point_refuses_a_bound_of_another_trial(self, trial):
+        run, one_trial, values = TRIAL_ENTRY_POINTS[trial]
+        supported = ", ".join(name for name in CERTIFIABLE if BOUNDS[name].trial == trial)
+        for bound in CERTIFIABLE:
+            if BOUNDS[bound].trial != trial:
+                config = make_config(standard_problem(), bound, trials=10)
+                refusal = f"not certified by the {trial} trial; supported: {supported}$"
+                with pytest.raises(ConfigurationError, match=refusal):
+                    run(config, *values)
+                with pytest.raises(ConfigurationError, match=f"not certified by the {trial} trial"):
+                    one_trial(config, 0, *values)
 
 
 def mc_deviation(m, delta_prime):

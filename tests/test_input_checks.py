@@ -26,9 +26,16 @@ from genbounds.bounds import (
     xu_raginsky,
     zhang_gen_expectation,
 )
-from genbounds.divergences import JointTable, conditional_mutual_info, max_info_dp_bound
+from genbounds.divergences import GaussianKLInputs, JointTable, conditional_mutual_info, max_info_dp_bound
 from genbounds.errors import DegenerateError, DomainError, ParameterError
-from genbounds.harness import clopper_pearson_upper, union_beta_grid
+from genbounds.harness import (
+    BoundSpec,
+    ErmAlgorithm,
+    SupersampleDraw,
+    TrialConfig,
+    clopper_pearson_upper,
+    union_beta_grid,
+)
 from genbounds.losses import phi_beta, phi_beta_inverse, psi_of, psi_star_inverse, psi_star_inverse_numeric
 from genbounds.posteriors import (
     PacBayesSgdParams,
@@ -373,3 +380,43 @@ def test_phi_beta_inverse_takes_the_infinite_sum_of_an_infinite_kl():
 
 def test_annealed_risks_refuse_an_infinite_beta():
     _raises_exactly(DomainError, "beta must be finite", annealed_risks, COIN, INF)
+
+
+def _sgd_params(kl):
+    return PacBayesSgdParams(
+        n=100, beta=2.0, lam=0.1, alpha=2.0, b=10, c=0.5, m=50, delta=0.05,
+        delta_prime=0.01, mc_empirical_risk=0.1, kl=kl,
+    )
+
+
+#: Frozen classes with array fields, some of them the caller's writable arrays, so each equals and hashes as
+#: itself only: equality by value could change after construction, and numpy arrays refuse to be one truth value.
+ARRAY_HOLDERS = {
+    "BoundRequest": lambda: BoundRequest(n=10, delta=0.1),
+    "BoundRequest rows": lambda: BoundRequest(n=10, delta=0.1, kl=[1.0, 2.0]),
+    "PacBayesSgdParams": lambda: _sgd_params(1.0),
+    "PacBayesSgdParams rows": lambda: _sgd_params([1.0, 2.0]),
+    "FiniteProblem": lambda: FiniteProblem(losses=[[0, 1], [1, 0]], mu=DiscreteDist([0.5, 0.5]), n=2),
+    "QuadraticModel": lambda: QuadraticModel(_ONE, _ONE, _ONE, lam=1.0, n=3, beta=1.0),
+    "GaussianKLInputs": lambda: GaussianKLInputs(0.0, np.array([2.0, 2.0]), 2.0),
+    "SupersampleDraw": lambda: SupersampleDraw(z_tilde=[[0, 1], [1, 0]], u=[0, 1]),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+def test_an_array_holder_equals_and_hashes_as_itself_only(make):
+    one, other = make(), make()
+    assert one == one and not one != one and one in {one} and hash(one) == hash(one)
+    assert one != other and not one == other
+
+
+def test_a_row_request_keeps_the_callers_array():
+    kl = np.array([1.0, 2.0])
+    assert BoundRequest(n=10, delta=0.1, kl=kl).kl is kl
+
+
+def test_trial_configs_compare_without_raising():
+    config = TrialConfig(
+        seed=1, trials=5, problem=COIN, algorithm=ErmAlgorithm(), bound=BoundSpec("zhang", {"beta": 1.0}), delta=0.1
+    )
+    assert config == dataclasses.replace(config) and config != dataclasses.replace(config, problem=copy.copy(COIN))
