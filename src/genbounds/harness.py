@@ -22,20 +22,19 @@ trials as keep their count rows and posterior rows within ``_BLOCK_WORDS``
 values, or one chunk if that is more.  A draw's outcome is the number of
 integer thresholds ceil(cdf_j 2^53) the top 53 bits of its stream word
 reach, which is the inverse-CDF search on the double those bits make.  The
-learning rules see a sample only through its type (its count vector), so
-within one run the trials that draw the same type share one evaluation of
-the posterior and the bound: one dict over the run numbers the types in the
-order they first appear, and arrays indexed by that number hold their bounds
-and posteriors.  The types a block of trials sees first are evaluated
-together, in one call: risks, priors, posteriors and KLs as arrays of rows,
-each row bit for bit what the one-sample functions give, and the bound as
-one call over the block's rows of fitted risk and KL, each row what a
-one-type call gives.  Every truth is E_P[reference] for the trial's
-posterior P, taken per trial as the posterior dotted with a reference row:
-the annealed or the true risks, or the ghost minus the training risks of a
-supersample.  A report still depends only on (seed, trial index), and
-replaying one trial runs the same code on that trial alone.  A NaN bound or truth refuses the report, since no
-comparison with NaN can count as a violation.
+learning rules see a sample only through its type (its count vector), and a
+block's trials are evaluated row by row, one row per trial in trial order,
+in one call on the block's training types: risks, priors, posteriors and
+KLs as arrays of rows, each row bit for bit what the one-sample functions
+give, and the bound as one call over the block's rows of fitted risk and
+KL, each row what a one-type call gives.  Nothing is kept from one block to
+the next, so memory is bounded by the block.  Every truth is E_P[reference]
+for the trial's posterior P, taken per trial as the posterior dotted with a
+reference row: the annealed or the true risks, or the ghost minus the
+training risks of a supersample, each clipped to its loss row's range.  A
+report depends only on (seed, trial index), and replaying one trial runs
+the same code on that trial alone.  A NaN bound or truth refuses the
+report, since no comparison with NaN can count as a violation.
 
 The exact checks read a sample table: one count row per type from
 :func:`~genbounds.problems.tabulate_types`, or one row per sequence from
@@ -198,7 +197,7 @@ class TrialConfig:
         if not _is_positive_integer(self.trials):
             raise ConfigurationError(f"trials must be a positive integer; got {self.trials!r}")
         if not _is_exchangeable(self.algorithm):
-            # Trials of one sample type share an evaluation, which is only
+            # Trials are evaluated from their sample types, which is only
             # right for rules that see the sample through its type.
             raise ConfigurationError(
                 "the algorithm must be an ErmAlgorithm or a GibbsAlgorithm; "
@@ -691,47 +690,36 @@ def _trials(config: TrialConfig, trials: np.ndarray) -> np.ndarray:
     block at a time by :func:`_trial_counts`, whose blocks hold as many
     trials as keep their count rows and posterior rows within
     ``_BLOCK_WORDS`` values (a 150-trial certification on 16 x 8, n = 200 is
-    one block), and one dict over the run maps each training type's count
-    bytes, in the smallest unsigned type that holds n (one byte a count
-    below n = 256), to its id, numbered in the order the types first appear.
-    The types a block sees first are evaluated together, in that order, by
-    one call of the :func:`_block_evaluator` body, into run-level arrays of
-    bounds and posteriors indexed by id, which hold at most one row per trial
-    or per sample type.  Each trial's truth is its type's posterior dotted
-    with the reference row the entry's ``truth`` names: the annealed or the
-    true risks, or for a supersample its ghost risks minus its training
-    risks.  The result is a (trials, 2) array.
+    one block).  A block's trials are evaluated row by row, in trial order,
+    by one call of the :func:`_block_evaluator` body on the block's training
+    types, a type drawn twice being evaluated twice; nothing is kept from one
+    block to the next but the reference row.  Each trial's truth is its
+    posterior dotted with the reference row the entry's ``truth`` names: the
+    annealed or the true risks, or for a supersample its ghost risks minus
+    its training risks, each hypothesis's difference clipped to plus or
+    minus the range of its losses, which a rounded risk can leave.  The
+    result is a (trials, 2) array.
     """
     evaluate = _block_evaluator(config)
     problem = config.problem
-    k, n = problem.num_outcomes, problem.n
     entry = BOUNDS[config.bound.name]
-    size = min(len(trials), math.comb(n + k - 1, k - 1))
-    bounds, posteriors = np.empty(size), np.empty((size, problem.num_hypotheses))
-    ids: dict[bytes, int] = {}
-    key_dtype = np.min_scalar_type(n)  # every count is at most n
+    span = np.ptp(problem.losses, axis=1)
     reference = None
     result = np.empty((len(trials), 2))
     start = 0
     for counts in _trial_counts(problem, config.seed, trials, entry.trial == "supersample"):
         types = np.ascontiguousarray(counts[:, 0])
-        keys = types.astype(key_dtype)
-        raw, width = keys.tobytes(), keys.strides[0]
-        seen = len(ids)
-        block = np.array([ids.setdefault(raw[i : i + width], len(ids)) for i in range(0, len(raw), width)])
-        if len(ids) > seen:
-            # Ids count up in first-seen order: the running maximum reaches a new id where it first appears.
-            fresh = np.maximum.accumulate(block).searchsorted(np.arange(seen, len(ids)))
-            posteriors[seen : len(ids)], bounds[seen : len(ids)] = evaluate(types[fresh])
+        posteriors, bounds = evaluate(types)
         if entry.truth == "gap":
-            reference = _count_risks(problem, counts[:, 1]) - _count_risks(problem, types)
+            gaps = _count_risks(problem, counts[:, 1]) - _count_risks(problem, types)
+            reference = np.minimum(np.maximum(gaps, -span), span)
         elif reference is None:  # after the first bounds, so a missing beta raises the bound's error
             beta = config.bound.params.get("beta")
             reference = annealed_risks(problem, beta) if entry.truth == "annealed" else true_risks(problem)
-        rows = result[start : start + len(block)]
-        rows[:, 0] = bounds[block]
-        rows[:, 1] = _row_dots(posteriors[block], reference)
-        start += len(block)
+        rows = result[start : start + len(types)]
+        rows[:, 0] = bounds
+        rows[:, 1] = _row_dots(posteriors, reference)
+        start += len(types)
     return result
 
 
@@ -772,12 +760,12 @@ def certify(config: TrialConfig) -> ViolationReport:
 
 
 def _of_trial(config: TrialConfig, trial: str, **params) -> TrialConfig:
-    """``config`` with ``params`` joining its bound's; a bound that ``trial`` does not certify is refused."""
+    """``config`` with ``params`` joining its bound's, itself if none; a bound ``trial`` does not certify is refused."""
     name = config.bound.name
     if getattr(BOUNDS.get(name), "trial", None) != trial:
         supported = ", ".join(key for key, e in BOUNDS.items() if e.trial == trial)
         raise ConfigurationError(f"bound {name!r} is not certified by the {trial} trial; supported: {supported}")
-    return replace(config, bound=BoundSpec(name, {**config.bound.params, **params}))
+    return replace(config, bound=BoundSpec(name, {**config.bound.params, **params})) if params else config
 
 
 def run_violation_experiment(config: TrialConfig) -> ViolationReport:

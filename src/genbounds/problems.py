@@ -77,8 +77,8 @@ def _is_integral(values: np.ndarray) -> bool:
 
 
 def true_risks(problem: FiniteProblem) -> np.ndarray:
-    """Population risks of all hypotheses: the mu-expectation of each loss row."""
-    return problem.losses @ problem.mu.probs
+    """Population risks of all hypotheses: the mu-expectation of each loss row, within its range."""
+    return _within_rows(problem, problem.losses @ problem.mu.probs)
 
 
 def empirical_risks(problem: FiniteProblem, sample) -> np.ndarray:
@@ -116,7 +116,15 @@ def annealed_risks(problem: FiniteProblem, beta: float) -> np.ndarray:
         raise DomainError("beta must be positive")
     if beta == math.inf:  # -inf * a zero loss is NaN
         raise DomainError("beta must be finite")
-    return -_logsumexp(-beta * problem.losses, problem.mu.probs[None, :], axis=1) / beta
+    return _within_rows(problem, -_logsumexp(-beta * problem.losses, problem.mu.probs[None, :], axis=1) / beta)
+
+
+def _within_rows(problem: FiniteProblem, risks: np.ndarray) -> np.ndarray:
+    """Each risk clipped to its loss row's [min, max], where a true or annealed risk lies exactly.
+
+    Rounding, and mu's masses summing to 1 only within an ulp, can leave it: a constant-1 row gets 1 + 2^-52.
+    """
+    return np.minimum(np.maximum(risks, problem.losses.min(axis=1)), problem.losses.max(axis=1))
 
 
 def _check_budget(what: str, count, n: int, budget: int) -> None:

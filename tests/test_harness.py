@@ -481,6 +481,30 @@ class TestViolationExperiment:
         assert abs(report.true_quantity_mean - exact) <= 3 * se
 
 
+class TestTruthWithinTheLosses:
+    """A truth that rounds past the range of the losses must not count a correct bound as violated."""
+
+    def test_a_true_risk_rounded_past_1_is_not_a_violation(self):
+        # mu's masses sum to 1 + 2^-52, so the constant-1 row's true risk rounded to 1 + 2^-52, above
+        # the bound clamped to 1, on every trial that draws outcome 0 alone: 1297 violations before the clip.
+        problem = FiniteProblem(
+            losses=[[1, 1], [1, 0]], mu=DiscreteDist([0.8410730240022617, 0.15892697599773845]), n=16
+        )
+        assert sum(problem.mu.probs.tolist()) > 1.0 and true_risks(problem)[0] == 1.0
+        config = make_config(problem, "catoni", trials=20_000, seed=20240817, algorithm=ErmAlgorithm())
+        report = certify(config)
+        assert report.violations == 35 and report.certified(0.05)
+
+    def test_a_gap_rounded_past_the_range_is_clipped(self):
+        # Hypothesis 0 has the constant loss 0.7, which some types' risks round to 0.7 + 2^-53: its
+        # ghost minus training risk is 0 exactly, but the difference of the rounded risks is not.
+        problem = FiniteProblem(losses=[[0.7, 0.7], [1.0, 1.0]], mu=DiscreteDist([0.5, 0.5]), n=7)
+        config = make_config(problem, "cmi", trials=200, algorithm=ErmAlgorithm())
+        truths = _trials(config, np.arange(config.trials, dtype=np.uint64))[:, 1]
+        assert np.all(truths == 0.0)
+        assert any(per_trial(config, "supersample", (), t)[1] != 0.0 for t in range(config.trials))
+
+
 def reference_cmi_quantities(problem, algorithm):
     """(CMI, expected gap) by a loop over every supersample and selector pair."""
     k, n = problem.num_outcomes, problem.n
@@ -616,8 +640,8 @@ class TestBlockDraw:
         counts = (tops[:, None] >= thresholds).sum(axis=1)
         assert np.array_equal(counts, _inverse_cdf(mu).searchsorted(tops * 2.0**-53, side="right"))
 
-    def test_types_are_evaluated_once_in_first_seen_order_across_blocks(self, monkeypatch):
-        # 100 words: 14 trials a block, 5 for a supersample, and types new in most blocks.
+    def test_each_block_evaluates_its_drawn_types_in_trial_order(self, monkeypatch):
+        # 100 words: 14 trials a block, 5 for a supersample, and types repeat within and across blocks.
         problem = count_problem(8, 7)
         for bound, supersample in (("zhang", False), ("cmi", True)):
             config = make_config(problem, bound, trials=300)
@@ -626,9 +650,11 @@ class TestBlockDraw:
             monkeypatch.setattr(genbounds.harness, "_BLOCK_WORDS", 100)
             blocks = record_evaluations(monkeypatch)
             assert np.array_equal(_trials(config, trials), whole)
+            drawn = [block[:, 0].tolist() for block in _trial_counts(problem, config.seed, trials, supersample)]
+            assert blocks == drawn and len(blocks) > 1
             evaluated = [tuple(row) for block in blocks for row in block]
-            drawn = [tuple(per_trial_counts(problem, config.seed, t, supersample)[0].tolist()) for t in range(300)]
-            assert evaluated == list(dict.fromkeys(drawn)) and 100 < len(evaluated) < 300
+            assert evaluated == [tuple(per_trial_counts(problem, config.seed, t, supersample)[0]) for t in range(300)]
+            assert len(set(evaluated)) < 300
             monkeypatch.undo()
 
     @pytest.mark.parametrize(
@@ -995,7 +1021,7 @@ def soft_problem(n=12):
 
 
 class TestTypeLoop:
-    """Trials of one training type share an evaluation; reports must not notice."""
+    """A block's trials are evaluated row by row; reports must equal the one-trial entry points."""
 
     @pytest.mark.parametrize("problem", [standard_problem(n=20), soft_problem()], ids=["coin", "soft"])
     @pytest.mark.parametrize(
@@ -1013,7 +1039,7 @@ class TestTypeLoop:
             singles = [one_trial(config, t, *params) for t in range(config.trials)]
             assert run(config, *params) == _summarize(singles), bound
 
-    def test_bound_is_evaluated_once_per_training_type(self, monkeypatch):
+    def test_bound_is_one_call_per_block_with_a_row_per_trial(self, monkeypatch):
         calls = []
         original = genbounds.bounds.zhang_high_prob
 
@@ -1024,12 +1050,8 @@ class TestTypeLoop:
         monkeypatch.setattr(genbounds.bounds, "zhang_high_prob", counted)
         config = make_config(standard_problem(), "zhang", trials=2000)
         run_violation_experiment(config)
-        types = {
-            int(np.random.default_rng([config.seed, t]).choice(2, size=50, p=[0.5, 0.5]).sum())
-            for t in range(config.trials)
-        }
-        # One call per block of new types, one row per type.
-        assert sum(len(request.kl) for request in calls) == len(types) < 51
+        # Blocks of 1365 trials on the coin at n = 50; a type drawn again is evaluated again.
+        assert [len(request.kl) for request in calls] == [1365, 635]
 
     @pytest.mark.parametrize("bound", ["zhang", "dp-prior"])
     def test_annealed_truth_without_beta_raises_the_bounds_error(self, bound):
@@ -1159,8 +1181,8 @@ class TestBlockEvaluator:
         ids=["more-trials-than-types", "more-types-than-trials"],
     )
     def test_a_full_type_table_equals_the_per_trial_primitives(self, problem, trials):
-        # Every row of the type table is filled: the coin at n = 5 draws all its 6 types in 300
-        # trials, and the wide problem's 40 trials draw 40 of its C(207, 7) types.
+        # The coin at n = 5 draws each of its 6 types many times in 300 trials, and the wide
+        # problem's 40 trials draw 40 of its C(207, 7) types.
         size = math.comb(problem.n + problem.num_outcomes - 1, problem.num_outcomes - 1)
         for bound, kind, params in TRIAL_KINDS:
             config = make_config(problem, bound, trials=trials, params=params)
@@ -1172,7 +1194,7 @@ class TestBlockEvaluator:
 
     @pytest.mark.parametrize("bound, kind, params", TRIAL_KINDS, ids=[trial[0] for trial in TRIAL_KINDS])
     def test_types_whose_counts_agree_in_their_low_bytes_are_told_apart(self, monkeypatch, bound, kind, params):
-        # At n = 300 a type is keyed by two bytes a count; (257, 43) and (1, 299) share their low bytes.
+        # At n = 300, (257, 43) and (1, 299) share their low bytes, so a one-byte count would confuse them.
         # One expert on outcome 0 and two on outcome 1, so the two types have different bounds.
         problem = FiniteProblem(losses=[[0, 1], [1, 0], [1, 0]], mu=DiscreteDist([0.5, 0.5]), n=300)
         config = make_config(problem, bound, trials=3, params=params)
@@ -1288,6 +1310,13 @@ class TestCertify:
         want = certify(make_config(standard_problem(), "dp-prior", trials=200, params=(0.2,)))
         assert run_dp_prior_experiment(config, 0.2) == want != certify(config)
         assert config.bound.params == {"beta": 1.0, "epsilon": 5.0}
+
+    @pytest.mark.parametrize("trial", sorted(TRIAL_ENTRY_POINTS))
+    def test_a_trial_without_parameters_is_the_config_itself(self, trial):
+        # No rebuilt config, so the entry points do not re-run its checks.
+        bound = next(name for name in CERTIFIABLE if BOUNDS[name].trial == trial)
+        config = make_config(standard_problem(), bound, trials=10, params=TRIAL_ENTRY_POINTS[trial][2])
+        assert genbounds.harness._of_trial(config, trial) is config
 
     @pytest.mark.parametrize("trial", sorted(TRIAL_ENTRY_POINTS))
     def test_an_entry_point_refuses_a_bound_of_another_trial(self, trial):

@@ -60,6 +60,22 @@ def test_true_risk_matches_monte_carlo(rng):
         assert abs(true_risks(problem)[w] - mc.mean()) <= 3 * se
 
 
+def test_true_and_annealed_risks_stay_within_each_loss_row(rng):
+    # mu's masses may sum to 1 + an ulp, and a constant-1 row's rounded mean then passes 1.
+    lowest, highest, clipped = np.array([1.0, 0.7, 0.0]), np.array([1.0, 0.7, 1.0]), 0
+    for _ in range(500):
+        k = int(rng.integers(2, 6))
+        losses = np.vstack([np.ones(k), np.full(k, 0.7), [0.0, 1.0, *rng.random(k - 2)]])
+        problem = FiniteProblem(losses=losses, mu=DiscreteDist.from_weights(rng.random(k)), n=3)
+        for risks in (true_risks(problem), annealed_risks(problem, 0.05), annealed_risks(problem, 1.0)):
+            assert np.all(lowest <= risks) and np.all(risks <= highest)
+        rounded = losses @ problem.mu.probs
+        inside = (lowest <= rounded) & (rounded <= highest)
+        assert np.array_equal(true_risks(problem)[inside], rounded[inside])  # an in-range risk is not moved
+        clipped += not inside.all()
+    assert clipped > 0
+
+
 def test_empirical_risks():
     problem = FiniteProblem(losses=[[0.0, 1.0], [1.0, 0.0]], mu=DiscreteDist([0.5, 0.5]), n=4)
     risks = empirical_risks(problem, [0, 0, 1, 1])
