@@ -8,33 +8,33 @@ table entry names a ``trial``, which picks how it draws (a sample or a
 supersample) and its prior (the fixed one or the private one).
 Per-trial randomness comes from counter-based streams derived from
 (seed, trial index): trial t draws from ``numpy.random.default_rng([seed,
-t])``, so results do not depend on execution order and parallel or serial
-runs agree bit-exactly.  No generator is created per trial: SeedSequence and
-PCG64 are fixed algorithms, so the harness computes the streams of a block
-of trials at once in array arithmetic, bit for bit, and the test suite pins
-this to the installed numpy.  Each stream word is one 128-bit product and
-one addition: with MULT - 1 = 4 u, u odd, the state the LCG reaches from a
-trial's x in t steps is B_t y + x mod 2^128, where y = 4 x + inc u^-1 is
-computed once per trial and B_t = (MULT^t - 1) / 4 comes from MULT^t mod
-2^130.  The words are computed a chunk of trials at a time, at most
-``_BLOCK_WORDS`` values, and a block joins consecutive chunks: as many
-trials as keep their count rows and posterior rows within ``_BLOCK_WORDS``
-values, or one chunk if that is more.  A draw's outcome is the number of
-integer thresholds ceil(cdf_j 2^53) the top 53 bits of its stream word
-reach, which is the inverse-CDF search on the double those bits make.  The
-learning rules see a sample only through its type (its count vector), and a
-block's trials are evaluated row by row, one row per trial in trial order,
-in one call on the block's training types: risks, priors, posteriors and
+t])``, a sample by ``choice(k, n, p=mu)`` and a supersample as
+:func:`draw_supersample` draws it, so results do not depend on execution
+order and parallel or serial runs agree bit-exactly.  No generator is
+created per trial: SeedSequence and PCG64 are fixed algorithms, so the
+harness computes the streams of a block of trials at once in array
+arithmetic, bit for bit, and the test suite pins this to numpy itself.
+Each stream word is one 128-bit product and one addition: with MULT - 1 =
+4 u, u odd, the state the LCG reaches from a trial's x in t steps is B_t y
++ x mod 2^128, where y = 4 x + inc u^-1 is computed once per trial and B_t
+= (MULT^t - 1) / 4 comes from MULT^t mod 2^130.  The words are computed a
+chunk of trials at a time, at most ``_BLOCK_WORDS`` values, and a block
+joins consecutive chunks: as many trials as keep their count rows and
+posterior rows within ``_BLOCK_WORDS`` values, or one chunk if that is
+more.  A draw's outcome is the number of integer thresholds ceil(cdf_j
+2^53) the top 53 bits of its stream word reach, which is the inverse-CDF
+search on the double those bits make.  The learning rules see a sample
+only through its type (its count vector), and one per-block body evaluates
+a block's trials row by row, in trial order: risks, priors, posteriors and
 KLs as arrays of rows, each row bit for bit what the one-sample functions
-give, and the bound as one call over the block's rows of fitted risk and
-KL, each row what a one-type call gives.  Nothing is kept from one block to
-the next, so memory is bounded by the block.  Every truth is E_P[reference]
-for the trial's posterior P, taken per trial as the posterior dotted with a
-reference row: the annealed or the true risks, or the ghost minus the
-training risks of a supersample, each clipped to its loss row's range.  A
-report depends only on (seed, trial index), and replaying one trial runs
-the same code on that trial alone.  A NaN bound or truth refuses the
-report, since no comparison with NaN can count as a violation.
+give, the bound as one call over the block's rows of fitted risk and KL,
+and beside each bound its truth, the posterior dotted with a reference row:
+the annealed or the true risks, or the ghost minus the training risks of a
+supersample, each clipped to its loss row's range.  Nothing is kept from
+one block to the next, so memory is bounded by the block.  A report
+depends only on (seed, trial index), and replaying one trial runs the same
+code on that trial alone.  A NaN bound or truth refuses the report, since
+no comparison with NaN can count as a violation.
 
 The exact checks read a sample table: one count row per type from
 :func:`~genbounds.problems.tabulate_types`, or one row per sequence from
@@ -62,7 +62,9 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -157,6 +159,11 @@ class GibbsAlgorithm:
         return _gibbs_rows(base, risks, n * self.beta_alg)
 
 
+def _is_real(value) -> bool:
+    """True for a real number, numpy's included; bool is not one, as the CLI schema reads it."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
 def _is_exchangeable(algorithm) -> bool:
     """True for the rules known to see a sample only through its type.
 
@@ -172,10 +179,23 @@ def _is_exchangeable(algorithm) -> bool:
 
 @dataclass(frozen=True)
 class BoundSpec:
-    """A named bound with the parameters fixed before the draw: ``beta`` and its table entry's ``fields``."""
+    """A named bound with the parameters fixed before the draw: ``beta`` and its table entry's ``fields``.
+
+    ``params`` is kept as a read-only copy, so a spec equal to another hashes
+    equal to it for as long as it lives.
+    """
 
     name: str
-    params: dict = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+
+    def __hash__(self) -> int:
+        return hash((self.name, frozenset(self.params.items())))
+
+    def __reduce__(self):
+        return BoundSpec, (self.name, dict(self.params))
 
 
 @dataclass(frozen=True)
@@ -203,11 +223,13 @@ class TrialConfig:
                 "the algorithm must be an ErmAlgorithm or a GibbsAlgorithm; "
                 f"got {type(self.algorithm).__name__}"
             )
-        if not 0 < self.delta <= 1:
-            raise ConfigurationError("delta must lie in (0, 1]")
-        if not isinstance(self.bound_offset, numbers.Real) or not math.isfinite(self.bound_offset):
+        if not _is_real(self.delta) or not 0 < self.delta <= 1:
+            raise ConfigurationError(f"delta must be a number in (0, 1]; got {self.delta!r}")
+        if not _is_real(self.bound_offset) or not math.isfinite(self.bound_offset):
             # No truth exceeds a NaN or +inf bound, so such an offset would certify anything.
             raise ConfigurationError(f"bound_offset must be a finite number; got {self.bound_offset!r}")
+        if self.prior is not None and not isinstance(self.prior, DiscreteDist):
+            raise ConfigurationError(f"prior must be a DiscreteDist or None; got {type(self.prior).__name__}")
         if self.prior is not None and len(self.prior) != self.problem.num_hypotheses:
             raise ConfigurationError("prior must match the hypothesis count")
 
@@ -272,26 +294,6 @@ def clopper_pearson_upper(violations: int, trials: int, confidence: float = 0.95
     from scipy.special import betaincinv
 
     return float(betaincinv(violations + 1, trials - violations, confidence))
-
-
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng([seed, trial])
-
-
-def _draw(rng: np.random.Generator, mu: np.ndarray, size) -> np.ndarray:
-    """``rng.choice(len(mu), size, p=mu)`` without its argument checks.
-
-    The inverse-CDF draw ``choice`` runs inside: the same indices, the same
-    stream position afterwards.
-    """
-    return _inverse_cdf(mu).searchsorted(rng.random(size), side="right")
-
-
-def _inverse_cdf(mu: np.ndarray) -> np.ndarray:
-    """The cumulative table ``Generator.choice`` searches, normalised to end at 1."""
-    cdf = mu.cumsum()
-    cdf /= cdf[-1]
-    return cdf
 
 
 # ---------------------------------------------------------------------------
@@ -457,14 +459,17 @@ def _stream_words(origins: np.ndarray, m: int) -> np.ndarray:
 
 
 def _thresholds(mu: np.ndarray) -> np.ndarray:
-    """t_j = ceil(cdf_j 2^53) as uint64, j < k - 1, with ``cdf`` from :func:`_inverse_cdf`.
+    """t_j = ceil(cdf_j 2^53) as uint64, j < k - 1, for the cumulative table ``Generator.choice`` searches.
 
-    A double m 2^-53 reaches cdf_j exactly when the integer m reaches t_j, so
-    the number of thresholds m reaches is ``cdf.searchsorted(m 2^-53,
-    side="right")``.  The last entry, 1, is never reached; nor is a t_j of
-    2^53, which a zero tail mass gives.
+    ``choice(k, size, p=mu)`` normalises ``mu.cumsum()`` to end at 1 and
+    takes ``cdf.searchsorted(x, side="right")`` of each double x it draws.  A
+    double m 2^-53 reaches cdf_j exactly when the integer m reaches t_j, so
+    that search is the number of thresholds m reaches.  The last entry, 1, is
+    never reached; nor is a t_j of 2^53, which a zero tail mass gives.
     """
-    return np.minimum(np.ceil(_inverse_cdf(mu)[:-1] * 2.0**53), 2.0**53).astype(np.uint64)
+    cdf = mu.cumsum()
+    cdf /= cdf[-1]
+    return np.minimum(np.ceil(cdf[:-1] * 2.0**53), 2.0**53).astype(np.uint64)
 
 
 def _trial_counts(problem: FiniteProblem, seed: int, trials: np.ndarray, supersample: bool):
@@ -472,13 +477,15 @@ def _trial_counts(problem: FiniteProblem, seed: int, trials: np.ndarray, supersa
 
     Each block is an array of shape (block, 1, k) of training counts, or
     (block, 2, k) of training and ghost counts for a supersample.  The draws
-    are those of :func:`_draw` and :func:`_draw_supersample` from
-    :func:`_trial_rng`: a double is the top 53 bits of an output, and the
-    selector bit ``integers(0, 2)`` takes from a 32-bit half-word (low half
-    first) is its top bit.  A draw's outcome is the number of
-    :func:`_thresholds` its top 53 bits reach, compared as integers, which is
-    the inverse-CDF search of :func:`_draw`.  A supersample's selector bits
-    pick each row's training and ghost words before the comparison.
+    are those trial t makes from ``default_rng([seed, t])``: ``choice(k, n,
+    p=mu)`` for a sample, and for a supersample ``choice(k, (n, 2), p=mu)``
+    and then ``integers(0, 2, n)``, as :func:`draw_supersample` makes them.
+    A double is the top 53 bits of an output, and the selector bit
+    ``integers(0, 2)`` takes from a 32-bit half-word (low half first) is its
+    top bit.  A draw's outcome is the number of :func:`_thresholds` its top
+    53 bits reach, compared as integers, which is the inverse-CDF search of
+    ``choice``.  A supersample's selector bits pick each row's training and
+    ghost words before the comparison.
 
     The stream words are computed a chunk of trials at a time, as many as
     keep the word array within ``_BLOCK_WORDS`` values, and the outcomes of
@@ -636,18 +643,20 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _block_evaluator(config: TrialConfig):
-    """The per-type body of a certification trial, as a function of a block of training types.
+    """Whether a certification draws supersamples, and its body for a block of trials.
 
-    The function takes an (m, k) array of training counts and returns their
-    posteriors, an (m, h) array, and their bound values, an array of m.  The
-    entry's ``fields`` come from the bound's params.  ``private-prior``
-    measures the posterior against :func:`dp_prior_mechanism` at epsilon, the
-    others against the configured prior; a Gibbs learner's base is the
-    private prior there and uniform otherwise.  Every row is computed as the
-    one-sample primitives compute it, to the bit, and checked as a
-    :class:`DiscreteDist` is, except that the fitted risk is clipped to the
-    range of the losses.  The bound is one call on a request holding the rows
-    of fitted risk and KL, whose values equal the one-type calls' to the bit.
+    The body takes an (m, parts, k) block of training (and ghost) counts, as
+    :func:`_trial_counts` yields it, and returns the training types'
+    posteriors, (m, h), and each trial's bound and truth, (m, 2).
+    ``private-prior`` measures the posterior against
+    :func:`dp_prior_mechanism` at epsilon, the others against the configured
+    prior; a Gibbs learner's base is the private prior there and uniform
+    otherwise.  Each row is what the one-sample primitives give, to the bit,
+    checked as a :class:`DiscreteDist` is, except that the fitted risk is
+    clipped to the loss range and each gap to plus or minus its row's range.
+    The bound is one call on the rows of fitted risk and KL; the reference
+    row the entry's ``truth`` names is taken after it, so that a missing
+    beta raises the bound's error.
     """
     entry = _registered(config)
     problem = config.problem
@@ -658,11 +667,12 @@ def _block_evaluator(config: TrialConfig):
     uniform = _uniform_probs(h)
     fixed_prior = config.prior.probs if config.prior is not None else uniform
     lowest, highest = problem.losses.min(), problem.losses.max()
+    span = np.ptp(problem.losses, axis=1)
     if entry.trial == "private-prior":
         _check_dp_prior(problem, *params)
 
-    def evaluate(types: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        risks = _count_risks(problem, types)
+    def evaluate(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        risks = _count_risks(problem, counts[:, 0])
         if entry.trial == "private-prior":
             priors = _dp_prior_rows(problem, risks, *params)
             _check_rows(priors)
@@ -675,9 +685,14 @@ def _block_evaluator(config: TrialConfig):
         fitted = np.minimum(np.maximum(_row_dots(posteriors, risks), lowest), highest)
         kls = _kl_rows(posteriors, priors)
         request = BoundRequest(n=n, delta=config.delta, empirical_risk=fitted, kl=kls, beta=beta, model=model)
-        return posteriors, entry.request(request, *params).value + config.bound_offset
+        bounds = entry.request(request, *params).value + config.bound_offset
+        if entry.truth == "gap":
+            reference = np.minimum(np.maximum(_count_risks(problem, counts[:, 1]) - risks, -span), span)
+        else:
+            reference = annealed_risks(problem, beta) if entry.truth == "annealed" else true_risks(problem)
+        return posteriors, np.stack([bounds, _row_dots(posteriors, reference)], axis=1)
 
-    return evaluate
+    return entry.trial == "supersample", evaluate
 
 
 def _trials(config: TrialConfig, trials: np.ndarray) -> np.ndarray:
@@ -690,37 +705,14 @@ def _trials(config: TrialConfig, trials: np.ndarray) -> np.ndarray:
     block at a time by :func:`_trial_counts`, whose blocks hold as many
     trials as keep their count rows and posterior rows within
     ``_BLOCK_WORDS`` values (a 150-trial certification on 16 x 8, n = 200 is
-    one block).  A block's trials are evaluated row by row, in trial order,
-    by one call of the :func:`_block_evaluator` body on the block's training
-    types, a type drawn twice being evaluated twice; nothing is kept from one
-    block to the next but the reference row.  Each trial's truth is its
-    posterior dotted with the reference row the entry's ``truth`` names: the
-    annealed or the true risks, or for a supersample its ghost risks minus
-    its training risks, each hypothesis's difference clipped to plus or
-    minus the range of its losses, which a rounded risk can leave.  The
-    result is a (trials, 2) array.
+    one block).  Each block's trials are evaluated row by row, in trial
+    order, by one call of the :func:`_block_evaluator` body, a type drawn
+    twice being evaluated twice, and nothing is kept from one block to the
+    next.  The result is a (trials, 2) array.
     """
-    evaluate = _block_evaluator(config)
-    problem = config.problem
-    entry = BOUNDS[config.bound.name]
-    span = np.ptp(problem.losses, axis=1)
-    reference = None
-    result = np.empty((len(trials), 2))
-    start = 0
-    for counts in _trial_counts(problem, config.seed, trials, entry.trial == "supersample"):
-        types = np.ascontiguousarray(counts[:, 0])
-        posteriors, bounds = evaluate(types)
-        if entry.truth == "gap":
-            gaps = _count_risks(problem, counts[:, 1]) - _count_risks(problem, types)
-            reference = np.minimum(np.maximum(gaps, -span), span)
-        elif reference is None:  # after the first bounds, so a missing beta raises the bound's error
-            beta = config.bound.params.get("beta")
-            reference = annealed_risks(problem, beta) if entry.truth == "annealed" else true_risks(problem)
-        rows = result[start : start + len(types)]
-        rows[:, 0] = bounds
-        rows[:, 1] = _row_dots(posteriors, reference)
-        start += len(types)
-    return result
+    supersample, evaluate = _block_evaluator(config)
+    blocks = _trial_counts(config.problem, config.seed, trials, supersample)
+    return np.concatenate([evaluate(counts)[1] for counts in blocks])
 
 
 def _one_trial(config: TrialConfig, trial) -> tuple[float, float]:
@@ -803,15 +795,10 @@ def dp_prior_trial(config: TrialConfig, trial: int, epsilon: float) -> tuple[flo
 # ---------------------------------------------------------------------------
 
 
-def _draw_supersample(problem: FiniteProblem, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """An n x 2 supersample and n selector bits, in this order from ``rng``."""
-    z_tilde = _draw(rng, problem.mu.probs, (problem.n, 2))
-    return z_tilde, rng.integers(0, 2, size=problem.n)
-
-
 def draw_supersample(problem: FiniteProblem, rng: np.random.Generator) -> SupersampleDraw:
-    z_tilde, u = _draw_supersample(problem, rng)
-    return SupersampleDraw(z_tilde=z_tilde, u=u)
+    """An n x 2 supersample and n selector bits, in this order from ``rng``."""
+    z_tilde = rng.choice(problem.num_outcomes, (problem.n, 2), p=problem.mu.probs)
+    return SupersampleDraw(z_tilde=z_tilde, u=rng.integers(0, 2, problem.n))
 
 
 def cmi_exact_quantities(

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import pickle
 import re
 
 import numpy as np
@@ -66,9 +67,6 @@ from genbounds.harness import (
     _INC_FACTOR,
     _block_evaluator,
     _bound_model,
-    _draw,
-    _draw_supersample,
-    _inverse_cdf,
     _jump_constants,
     _mul_add128,
     _mulhi,
@@ -76,7 +74,6 @@ from genbounds.harness import (
     _summarize,
     _thresholds,
     _trial_counts,
-    _trial_rng,
     _trials,
 )
 from genbounds.problems import tabulate, tabulate_types
@@ -525,8 +522,17 @@ def reference_cmi_quantities(problem, algorithm):
     return conditional_mutual_info(joint / joint.sum()), expected_gap
 
 
+def trial_samples(problem, seed, trial, supersample):
+    """Trial ``trial``'s training sample and its ghost sample (None without a supersample), drawn by numpy."""
+    rng, k, n = np.random.default_rng([seed, trial]), problem.num_outcomes, problem.n
+    if not supersample:
+        return rng.choice(k, n, p=problem.mu.probs), None
+    draw = SupersampleDraw(rng.choice(k, (n, 2), p=problem.mu.probs), rng.integers(0, 2, n))
+    return draw.training_sample, draw.ghost_sample
+
+
 class TestTrialDraw:
-    """The trials draw by inverse CDF, which must be ``Generator.choice`` to the bit."""
+    """A supersample is ``Generator.choice`` and then ``integers``, to the bit."""
 
     @pytest.mark.parametrize(
         "weights", [[0.5, 0.5], np.random.default_rng(5).random(8) + 0.2], ids=["coin", "8-outcome"]
@@ -536,27 +542,18 @@ class TestTrialDraw:
         k, n = len(mu), 50
         problem = FiniteProblem(losses=np.zeros((1, k)), mu=mu, n=n)
         for trial in range(300):
-            ours, theirs = _trial_rng(1, trial), _trial_rng(1, trial)
-            sample = _draw(ours, mu.probs, n)
-            expected = theirs.choice(k, size=n, p=mu.probs)
-            assert sample.dtype == expected.dtype and np.array_equal(sample, expected)
-            assert ours.random() == theirs.random()
-
-            ours, theirs = _trial_rng(2, trial), _trial_rng(2, trial)
-            z_tilde, u = _draw_supersample(problem, ours)
-            expected = theirs.choice(k, size=(n, 2), p=mu.probs)
-            assert z_tilde.dtype == expected.dtype and np.array_equal(z_tilde, expected)
-            assert np.array_equal(u, theirs.integers(0, 2, size=n))
+            ours, theirs = np.random.default_rng([2, trial]), np.random.default_rng([2, trial])
+            draw = draw_supersample(problem, ours)
+            assert np.array_equal(draw.z_tilde, theirs.choice(k, size=(n, 2), p=mu.probs))
+            assert np.array_equal(draw.u, theirs.integers(0, 2, size=n))
             assert ours.random() == theirs.random()
 
 
 def per_trial_counts(problem, seed, trial, supersample):
     """One trial's training (and ghost) counts, drawn from its own generator."""
-    rng, k = _trial_rng(seed, trial), problem.num_outcomes
-    if not supersample:
-        return np.bincount(_draw(rng, problem.mu.probs, problem.n), minlength=k)[None]
-    draw = SupersampleDraw(*_draw_supersample(problem, rng))
-    return np.stack([np.bincount(draw.training_sample, minlength=k), np.bincount(draw.ghost_sample, minlength=k)])
+    k = problem.num_outcomes
+    samples = trial_samples(problem, seed, trial, supersample)
+    return np.stack([np.bincount(sample, minlength=k) for sample in samples if sample is not None])
 
 
 def block_counts(problem, seed, trials, supersample):
@@ -587,13 +584,13 @@ def record_evaluations(monkeypatch):
     original = genbounds.harness._block_evaluator
 
     def recording(*args):
-        evaluate = original(*args)
+        supersample, evaluate = original(*args)
 
-        def record(types):
-            blocks.append(types.tolist())
-            return evaluate(types)
+        def record(counts):
+            blocks.append(counts[:, 0].tolist())
+            return evaluate(counts)
 
-        return record
+        return supersample, record
 
     monkeypatch.setattr(genbounds.harness, "_block_evaluator", recording)
     return blocks
@@ -638,7 +635,9 @@ class TestBlockDraw:
         tops = (thresholds.astype(np.int64)[:, None] + [-1, 0, 1]).ravel()
         tops = tops[(tops >= 0) & (tops < 2**53)].astype(np.uint64)
         counts = (tops[:, None] >= thresholds).sum(axis=1)
-        assert np.array_equal(counts, _inverse_cdf(mu).searchsorted(tops * 2.0**-53, side="right"))
+        cdf = mu.cumsum()
+        cdf /= cdf[-1]  # the table Generator.choice searches
+        assert np.array_equal(counts, cdf.searchsorted(tops * 2.0**-53, side="right"))
 
     def test_each_block_evaluates_its_drawn_types_in_trial_order(self, monkeypatch):
         # 100 words: 14 trials a block, 5 for a supersample, and types repeat within and across blocks.
@@ -1000,6 +999,37 @@ class TestTrialConfig:
         with pytest.raises(ConfigurationError, match="bound_offset must be a finite number"):
             make_config(standard_problem(), "zhang", bound_offset=offset)
 
+    @pytest.mark.parametrize("delta", [True, "0.05", None], ids=["bool", "string", "none"])
+    def test_delta_must_be_a_number(self, delta):
+        with pytest.raises(ConfigurationError, match="delta must be a number"):
+            make_config(standard_problem(), "zhang", delta=delta)
+
+    def test_a_bool_bound_offset_is_refused(self):
+        with pytest.raises(ConfigurationError, match="bound_offset must be a finite number"):
+            make_config(standard_problem(), "zhang", bound_offset=True)
+
+    def test_a_prior_must_be_a_distribution(self):
+        with pytest.raises(ConfigurationError, match="prior must be a DiscreteDist"):
+            make_config(standard_problem(n=5), "zhang", prior=[0.25, 0.25, 0.25, 0.25])
+
+    def test_equal_configs_hash_equal(self):
+        problem = standard_problem()
+        config, twin = (make_config(problem, "dp-prior", params=(0.2,)) for _ in range(2))
+        assert config == twin and hash(config) == hash(twin)
+        assert hash(config.bound) == hash(BoundSpec("dp-prior", {"epsilon": 0.2, "beta": 1.0}))
+        assert len({config, twin, make_config(problem, "dp-prior", params=(0.3,))}) == 2
+        assert config.bound.params.get("epsilon") == 0.2
+        assert dict(**config.bound.params) == {"beta": 1.0, "epsilon": 0.2}
+
+    def test_a_bound_spec_keeps_its_own_params(self):
+        params = {"beta": 1.0}
+        spec = BoundSpec("zhang", params)
+        params["beta"] = 2.0
+        assert spec.params == {"beta": 1.0} and list(spec.params) == ["beta"]
+        with pytest.raises(TypeError):
+            spec.params["beta"] = 3.0
+        assert pickle.loads(pickle.dumps(spec)) == spec
+
     @pytest.mark.parametrize("pair", [(math.nan, 0.5), (0.5, math.nan)], ids=["bound", "truth"])
     def test_a_nan_bound_or_truth_refuses_the_summary(self, pair):
         with pytest.raises(DomainError, match="NaN"):
@@ -1116,14 +1146,8 @@ def per_type(config, kind, params, counts):
 def per_trial(config, kind, params, trial):
     """(bound, truth) of one trial from the per-trial draw and the public primitives."""
     problem = config.problem
-    k, n = problem.num_outcomes, problem.n
-    rng = _trial_rng(config.seed, trial)
-    if kind == "supersample":
-        z_tilde, u = _draw_supersample(problem, rng)
-        train, ghost = z_tilde[np.arange(n), u], z_tilde[np.arange(n), 1 - u]
-    else:
-        train, ghost = _draw(rng, problem.mu.probs, n), None
-    risks, posterior, bound, truth = per_type(config, kind, params, np.bincount(train, minlength=k))
+    train, ghost = trial_samples(problem, config.seed, trial, kind == "supersample")
+    risks, posterior, bound, truth = per_type(config, kind, params, np.bincount(train, minlength=problem.num_outcomes))
     if truth is None:
         truth = float(posterior @ (empirical_risks(problem, ghost) - risks))
     return bound, truth
@@ -1149,13 +1173,19 @@ class TestBlockEvaluator:
         h = problem.num_hypotheses
         prior = DiscreteDist.from_weights(np.arange(1.0, h + 1)) if fixed_prior else None
         config = make_config(problem, bound, trials=1, algorithm=algorithm, prior=prior, params=params)
-        types = np.random.default_rng(3).multinomial(problem.n, problem.mu.probs, size=40)
-        types[5] = types[2]  # a repeated type is evaluated again, the same way
-        posteriors, bounds = _block_evaluator(config)(types)
-        for i, counts in enumerate(types):
-            _, want_posterior, want_bound, _ = per_type(config, kind, params, counts)
+        parts = 2 if kind == "supersample" else 1
+        counts = np.random.default_rng(3).multinomial(problem.n, problem.mu.probs, size=(40, parts))
+        counts[5] = counts[2]  # a repeated type is evaluated again, the same way
+        supersample, evaluate = _block_evaluator(config)
+        posteriors, rows = evaluate(counts)
+        assert supersample == (kind == "supersample") and rows.shape == (40, 2)
+        for i, (train, *ghost) in enumerate(counts):
+            risks, want_posterior, want_bound, want_truth = per_type(config, kind, params, train)
+            if ghost:
+                ghost_risks = empirical_risks(problem, np.repeat(np.arange(problem.num_outcomes), ghost[0]))
+                want_truth = float(want_posterior @ (ghost_risks - risks))
             assert np.array_equal(posteriors[i], want_posterior)
-            assert bounds[i] == want_bound
+            assert rows[i].tolist() == [want_bound, want_truth]
 
     @pytest.mark.parametrize("problem", [wide_problem(), soft_problem()], ids=["wide", "soft"])
     @pytest.mark.parametrize(
@@ -1220,11 +1250,11 @@ class TestBlockEvaluator:
         # rounds to 1 + 2^-52, which a [0, 1] bound refused, ending the certification.
         problem = FiniteProblem(losses=[[1.0, i % 2] for i in range(h)], mu=DiscreteDist([0.7, 0.3]), n=3)
         config = make_config(problem, bound, trials=200, seed=1)
-        posteriors, bounds = _block_evaluator(config)(np.array([[3, 0]]))
+        posteriors, rows = _block_evaluator(config)[1](np.array([[[3, 0]]]))
         assert posteriors[0] @ np.ones(h) > 1.0
         kl = kl_discrete(DiscreteDist(posteriors[0]), DiscreteDist.uniform(h))
         one = BoundRequest(n=3, delta=0.05, empirical_risk=1.0, kl=kl, beta=1.0, model=LossModel.bernoulli())
-        assert bounds[0] == genbounds.registry.BOUNDS[bound].request(one).value
+        assert rows[0, 0] == genbounds.registry.BOUNDS[bound].request(one).value
         assert run_violation_experiment(config).trials == 200
 
     def test_a_row_that_is_not_a_distribution_is_refused(self, monkeypatch):
