@@ -97,7 +97,7 @@ class BoundRequest:
         object.__setattr__(self, "kl", kl if kl.ndim else float(kl))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundResult:
     """A computed upper bound with its component breakdown.
 

@@ -223,18 +223,6 @@ def compute_named_bound(cfg: dict) -> bound_ops.BoundResult:
 # ---------------------------------------------------------------------------
 
 
-def _convert_units(record: dict, unit: str) -> dict:
-    if unit == "nats":
-        return record
-    out = dict(record)
-    if isinstance(out.get("kl"), float):
-        out["kl"] = out["kl"] / _LN2
-    entry = BOUNDS.get(out.get("bound"))
-    if entry is not None and entry.info_valued and isinstance(out.get("value"), float):
-        out["value"] = out["value"] / _LN2
-    return out
-
-
 #: The fields of a bound record: the CSV columns, then the components JSON lines also carry.
 _RECORD_FIELDS = (*CSV_HEADER, "components")
 
@@ -260,14 +248,15 @@ def _result_columns(results: list[bound_ops.BoundResult]) -> tuple[list, list, l
 
 
 def _records(
-    cfg: dict, results: list[bound_ops.BoundResult], seed=None, parameter: str | None = None
+    cfg: dict, results: list[bound_ops.BoundResult], seed=None, parameter: str | None = None, unit: str = "nats"
 ) -> list[dict]:
     """The records of ``results``, one per row, read off its columns (see :func:`_result_columns`).
 
     ``parameter`` is the field a sweep set; ``cfg`` holds its points as a
     list or an array, one per row, and each record shows its own point, even
     where the bound reports the beta it used.  Any other field is the same in
-    every record.
+    every record.  In ``bits`` the ``kl`` column is converted, and so are the
+    values and every component of an information-valued bound.
     """
     values, vacuous, betas, components = _result_columns(results)
     size = len(values)
@@ -286,13 +275,19 @@ def _records(
         fallback = cfg.get("beta", "")
         betas = [fallback if beta is None else beta for beta in betas]
     name = cfg.get("name", "")
+    kl = column("kl")
+    if unit == "bits":
+        kl = [cell / _LN2 if isinstance(cell, float) else cell for cell in kl]
+        if name in BOUNDS and BOUNDS[name].info_valued:
+            values = [value / _LN2 for value in values]
+            components = [{key: part / _LN2 for key, part in parts.items()} for parts in components]
     columns = [
         [name] * size,
         column("label", name),
         column("n"),
         betas,
         column("delta"),
-        column("kl"),
+        kl,
         values,
         vacuous,
         [seed if seed is not None else ""] * size,
@@ -316,28 +311,24 @@ def _csv_column(rows: list[dict], name: str) -> list:
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
 
 
-def write_records(
-    records: list[dict], header: dict, path, fmt: str, unit: str, convert: bool = True
-) -> None:
-    """Emit rows with the embedded configuration header in CSV or JSON lines.
+def write_records(records: list[dict], header: dict, path, fmt: str, unit: str) -> None:
+    """Emit rows, already in ``unit``, with the embedded configuration header in CSV or JSON lines.
 
-    Unit conversion happens here, exactly once; pass ``convert=False`` when
-    re-emitting rows that already carry the target unit.  The CSV writer gets
-    the rows as zipped columns.  An output file that cannot be written is a
+    The header records the unit.  The CSV writer gets the rows as zipped
+    columns.  An output file that cannot be written is a
     ``ConfigurationError`` naming the path.
     """
-    rows = [_convert_units(r, unit) for r in records] if convert and unit != "nats" else records
     header = dict(header, unit=unit)
     if fmt == "json-lines":
         lines = [json.dumps({"record_type": "header", **header}, sort_keys=True)]
-        lines += [_ROW_ENCODER.encode({"record_type": "row", **row}) for row in rows]
+        lines += [_ROW_ENCODER.encode({"record_type": "row", **row}) for row in records]
         text = "\n".join(lines) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
         buf.write("# genbounds " + json.dumps(header, sort_keys=True) + "\n")
         writer = csv.writer(buf)
         writer.writerow(CSV_HEADER)
-        writer.writerows(zip(*(_csv_column(rows, name) for name in CSV_HEADER)))
+        writer.writerows(zip(*(_csv_column(records, name) for name in CSV_HEADER)))
         text = buf.getvalue()
     else:
         raise ConfigurationError(f"unknown format {fmt!r}")
@@ -474,8 +465,8 @@ def _output_options(config: dict, args) -> tuple[str | None, str, str]:
 def cmd_bound_compute(args) -> int:
     config = load_config(args.config, "compute")
     cfg = _require(config, "bound", "config")
-    records = _records(cfg, [compute_named_bound(cfg)], args.seed)
     path, unit, fmt = _output_options(config, args)
+    records = _records(cfg, [compute_named_bound(cfg)], args.seed, unit=unit)
     write_records(records, {"command": "bound compute", "config": config, "seed": args.seed}, path, fmt, unit)
     return 0
 
@@ -532,8 +523,8 @@ def cmd_bound_sweep(args) -> int:
             results.append(compute_named_bound(cfg))
             points.append(cfg[parameter])
         cfg[parameter] = points
-    records = _records(cfg, results, args.seed, parameter)
     path, unit, fmt = _output_options(config, args)
+    records = _records(cfg, results, args.seed, parameter, unit)
     write_records(records, {"command": "bound sweep", "config": config, "seed": args.seed}, path, fmt, unit)
     return 0
 
@@ -632,8 +623,7 @@ def cmd_report(args) -> int:
         raise ConfigurationError(f"refusing to merge mixed units: {sorted(units)}")
     rows.sort(key=_sort_key)
     merged_header = {"command": "report", "config": {"inputs": list(args.inputs)}, "seed": ""}
-    # Rows already carry their unit from first emission; only re-tag it.
-    write_records(rows, merged_header, args.out, args.format or "csv", units.pop(), convert=False)
+    write_records(rows, merged_header, args.out, args.format or "csv", units.pop())
     return 0
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +28,6 @@ from .errors import DomainError, ShapeError, _is_positive_integer
 
 #: Tolerance on total probability mass for distribution-like inputs.
 PROB_MASS_ATOL = 1e-12
-
-_MAX_INFO_BRACKET = 50.0
-_MAX_INFO_TOL = 1e-9
 
 
 def _probabilities(values, ndim: int) -> np.ndarray:
@@ -280,8 +276,10 @@ def kl_binary_inverse_upper(y, c):
     """Largest x in [y, 1] with kl(y || x) <= c, by bisection, for floats or rows of (y, c).
 
     Each row bisects [y, 1] until its midpoint no longer falls strictly
-    between the bracket's ends, or for at most 200 steps, and keeps the
-    lower end it had then, so every row gets the value a one-row call gives.
+    between the bracket's ends, and keeps the lower end it had then, so every
+    row gets the value a one-row call gives.  A root near 0 takes up to about
+    1075 halvings to reach adjacent doubles, so the cap of 1100 steps never
+    stops a row first.
     The returned x satisfies kl(y || x) = c to within 1e-9 unless it
     saturates at 1 (which requires y = 1 or an astronomically large c).
     """
@@ -297,7 +295,7 @@ def kl_binary_inverse_upper(y, c):
     lo, hi = y.copy(), np.where(bisected, 1.0, y)
     kl = _kl_binary_from(y)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for step in range(200):
+        for step in range(1100):
             mid = 0.5 * (lo + hi)
             # Where the scalar loop breaks, at the first midpoint not strictly inside the
             # bracket, these updates leave lo as it is: a midpoint at lo can only pull hi down
@@ -381,40 +379,28 @@ def conditional_mutual_info(joint3) -> float:
 
 
 def max_info_exact(joint: JointTable, alpha: float = 0.0) -> float:
-    """alpha-approximate max-information between the axes of a finite joint.
+    """alpha-approximate max-information between the axes of a finite joint, in closed form.
 
-    For alpha = 0 this is the log of the largest density ratio against the
-    product of the marginals.  For alpha > 0 the value is located by binary
-    search over thresholds t of the exact test
-    ``max_O [P(O) - e^t Q(O)] <= alpha``; the maximizing event is always the
-    superlevel set of the density ratio, so the inner maximization is exact.
+    The smallest t with P(O) <= e^t Q(O) + alpha for every event O, where Q is
+    the product of the marginals.  Order the cells with p > 0 by the density
+    ratio p/q, largest first, and let P_j and Q_j be the masses of the first j.
+    For any event, P(O) - e^t Q(O) is at most the largest P_j - e^t Q_j, the
+    superlevel sets of the ratio being these prefixes, so the value is the
+    largest log((P_j - alpha)/Q_j) over the prefixes with P_j > alpha.  For
+    alpha = 0 that is the log of the largest density ratio.
     """
     if not 0.0 <= alpha < 1.0:
         raise DomainError("alpha must lie in [0, 1)")
     p = joint.probs
     q = p.sum(axis=1, keepdims=True) * p.sum(axis=0, keepdims=True)
     mask = p > 0
-    if alpha == 0.0:
-        return float(np.max(np.log(p[mask]) - np.log(q[mask])))
-
-    def excess(t: float) -> float:
-        return float(np.sum(np.maximum(p - math.exp(t) * q, 0.0)))
-
-    lo, hi = -_MAX_INFO_BRACKET, _MAX_INFO_BRACKET
-    if excess(hi) > alpha:
-        return math.inf
-    if excess(lo) <= alpha:
-        # Unreachable for alpha < 1 (the full space has mass 1), kept as an
-        # explicit floor so degenerate inputs are visible rather than silent.
-        warnings.warn("max-information fell below the search bracket; returning its floor")
-        return lo
-    while hi - lo > _MAX_INFO_TOL:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) <= alpha:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    p, q = p[mask], q[mask]
+    with np.errstate(divide="ignore"):  # a q that underflows to 0 gives the ratio inf
+        order = np.argsort(np.log(q) - np.log(p), kind="stable")
+        prefix_p, prefix_q = np.cumsum(p[order]), np.cumsum(q[order])
+        above = prefix_p > alpha
+        levels = np.log(prefix_p[above] - alpha) - np.log(prefix_q[above])
+    return float(np.max(levels, initial=-math.inf))
 
 
 def max_info_dp_bound(epsilon: float, n: int, alpha: float = 0.0) -> float:

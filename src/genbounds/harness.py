@@ -30,8 +30,10 @@ KLs as arrays of rows, each row bit for bit what the one-sample functions
 give, the bound as one call over the block's rows of fitted risk and KL,
 and beside each bound its truth, the posterior dotted with a reference row:
 the annealed or the true risks, or the ghost minus the training risks of a
-supersample, each clipped to its loss row's range.  Nothing is kept from
-one block to the next, so memory is bounded by the block.  A report
+supersample, each clipped to its loss row's range.  Only each trial's
+(bound, truth) pair is kept from one block to the next, so a block's draw
+and evaluation take memory bounded by the block, while the trial indices
+and the (trials, 2) array of pairs grow with the trial count.  A report
 depends only on (seed, trial index), and replaying one trial runs the same
 code on that trial alone.  A NaN bound or truth refuses the report, since
 no comparison with NaN can count as a violation.
@@ -315,8 +317,8 @@ _M32, _M64, _M130 = (1 << 32) - 1, (1 << 64) - 1, (1 << 130) - 1
 _INC_FACTOR = tuple(np.uint64(pow(_PCG_MULT >> 2, -1, 1 << 128) >> shift & _M64) for shift in (64, 0))
 #: Stream words of one chunk: each limb array holds about this many uint64s,
 #: whatever the trial count, n and k, and a block of trials holds about this
-#: many count and posterior values, so the memory of a certification does not
-#: grow with them.
+#: many count and posterior values, so the memory of a block does not grow
+#: with them.
 _BLOCK_WORDS = 8192
 
 
@@ -493,8 +495,8 @@ def _trial_counts(problem: FiniteProblem, seed: int, trials: np.ndarray, supersa
     ghost) outcomes offset by k times their row.  A block joins the counts
     of consecutive chunks: as many trials as keep its count rows and the h
     posterior values of each within ``_BLOCK_WORDS``, or one chunk if that
-    is more, so each block is one evaluation downstream and memory does not
-    grow with the trial count.  The trials are seeded as many whole blocks
+    is more, so each block is one evaluation downstream and its memory does
+    not grow with the trial count.  The trials are seeded as many whole blocks
     at a time as fit in ``_BLOCK_WORDS`` trials.
     """
     k, n, h = problem.num_outcomes, problem.n, problem.num_hypotheses

@@ -132,6 +132,20 @@ class TestBoundCompute:
         # the value is a risk, not an information quantity: unchanged
         assert bits_rows[0]["value"] == pytest.approx(nats_rows[0]["value"])
 
+    def test_an_information_valued_row_in_bits_converts_its_value_and_components(self, tmp_path):
+        cfg = write_yaml(tmp_path / "mi.yaml", {"bound": {"name": "max-info-dp", "n": 100, "epsilon": 0.1}})
+        rows = {}
+        for unit in ("nats", "bits"):
+            out_path = tmp_path / f"{unit}.jsonl"
+            argv = ["bound", "compute", "--config", cfg, "--out", str(out_path), "--format", "json-lines"]
+            assert main([*argv, "--unit", unit]) == 0
+            header, (rows[unit],) = read_records(str(out_path))
+            assert header["unit"] == unit
+        nats, bits = rows["nats"], rows["bits"]
+        assert nats["value"] == pytest.approx(10.0) and nats["components"] == {"value": nats["value"]}
+        assert bits["value"] == nats["value"] / math.log(2.0)
+        assert bits["components"] == {"value": nats["value"] / math.log(2.0)}
+
 
     def test_an_output_directory_exits_2_naming_it(self, tmp_path, capsys):
         cfg = compute_config(tmp_path)
@@ -605,7 +619,7 @@ class TestEmission:
         cli.write_records(ODD_RECORDS, self.HEADER, str(path), fmt, "nats")
         header, rows = read_records(str(path))
         assert header == ({"record_type": "header"} if fmt == "json-lines" else {}) | self.HEADER | {"unit": "nats"}
-        cli.write_records(rows, header, str(again), fmt, header["unit"], convert=False)
+        cli.write_records(rows, header, str(again), fmt, header["unit"])
         assert again.read_bytes() == path.read_bytes()
         if fmt == "json-lines":
             assert _same_value(rows, [{"record_type": "row", **record} for record in ODD_RECORDS])

@@ -152,6 +152,12 @@ class TestKlBinaryInverseUpper:
         for c in (0.1, 0.5, 2.0):
             assert kl_binary_inverse_upper(0.0, c) == pytest.approx(-math.expm1(-c), abs=1e-11)
 
+    @pytest.mark.parametrize("c", [1e-45, 1e-100, 1e-200, 1e-300, 5e-324])
+    def test_a_root_near_zero_is_bisected_to_adjacent_doubles(self, c):
+        # kl(0 || x) = -log(1 - x) = c has the root -expm1(-c), which is c in floats.
+        assert kl_binary_inverse_upper(0.0, c) == c
+        assert kl_binary_inverse_upper([0.0, 0.3], [c, 0.5]).tolist()[0] == c
+
     def test_large_radius_stays_below_one(self):
         # kl(0.1 || x) diverges as x -> 1, so the inverse never saturates for
         # finite radii; the root for c = 10 sits just below 1.
@@ -446,7 +452,16 @@ class TestMaxInfo:
             for alpha in (0.0, 0.05, 0.2):
                 exact = max_info_exact(joint, alpha)
                 oracle = brute_force_max_info(joint, alpha)
-                assert exact == pytest.approx(oracle, abs=1e-6)
+                assert exact == pytest.approx(oracle, abs=1e-12)
+
+    def test_a_level_beyond_50_nats_is_finite_and_monotone_in_alpha(self):
+        # The density ratio of the first cell is 1e22, a level of about 50.66 nats.
+        joint = JointTable(np.array([[1e-22, 0.0], [0.0, 1.0 - 1e-22]]))
+        levels = [max_info_exact(joint, alpha) for alpha in (0.0, 1e-23, 5e-23, 0.5)]
+        assert levels[0] == pytest.approx(math.log(1e22), rel=1e-12)
+        assert levels[1] == pytest.approx(math.log(0.9e22), rel=1e-12)
+        assert all(math.isfinite(level) for level in levels)
+        assert levels == sorted(levels, reverse=True)
 
     def test_monotone_in_alpha(self, rng):
         for _ in range(20):

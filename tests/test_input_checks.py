@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from genbounds import DiscreteDist, FiniteProblem, LossModel, PsiFunction
 from genbounds.bounds import (
     BoundRequest,
+    BoundResult,
     cmi_expectation,
     dp_prior_penalty,
     fano_identification_lb,
@@ -394,6 +395,8 @@ def _sgd_params(kl):
 ARRAY_HOLDERS = {
     "BoundRequest": lambda: BoundRequest(n=10, delta=0.1),
     "BoundRequest rows": lambda: BoundRequest(n=10, delta=0.1, kl=[1.0, 2.0]),
+    "BoundResult": lambda: BoundResult(0.5, {"risk": 0.5}),
+    "BoundResult rows": lambda: BoundResult(np.array([0.5, 0.6]), {"risk": np.array([0.5, 0.6])}),
     "PacBayesSgdParams": lambda: _sgd_params(1.0),
     "PacBayesSgdParams rows": lambda: _sgd_params([1.0, 2.0]),
     "FiniteProblem": lambda: FiniteProblem(losses=[[0, 1], [1, 0]], mu=DiscreteDist([0.5, 0.5]), n=2),
