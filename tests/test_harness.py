@@ -5,6 +5,8 @@ import itertools
 import math
 import pickle
 import re
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -132,6 +134,39 @@ class TestAlgorithms:
             assert post.probs.tobytes() == want.probs.tobytes()
 
 
+#: The confidences of the exact grid, and its (violations, trials): T <= 250, v spread over [0, T).
+CP_CONFIDENCES = [0.5, 0.9, 0.95, 0.99]
+CP_GRID = sorted(
+    {(v, t) for t in (1, 2, 3, 5, 10, 17, 50, 100, 250) for v in (0, 1, 2, 3, t // 4, t // 2, 3 * t // 4, t - 2, t - 1)
+     if 0 <= v < t}
+)
+
+
+def cdf_exceeds(violations, trials, p, alpha):
+    """F(v; T, p) = P[Bin(T, p) <= v] > alpha, exactly, for rationals p = m / d and alpha.
+
+    F d^T = (d - m)^(T - v) sum_{j <= v} C(T, j) m^j (d - m)^(v - j), so the
+    comparison is one of integers.
+    """
+    p, alpha = Fraction(p), Fraction(alpha)
+    m, d = p.numerator, p.denominator
+    head, binomial = 0, 1
+    for j in range(violations + 1):
+        head += binomial * m**j * (d - m) ** (violations - j)
+        binomial = binomial * (trials - j) // (j + 1)
+    return (d - m) ** (trials - violations) * head * alpha.denominator > alpha.numerator * d**trials
+
+
+def root_is_within(violations, trials, confidence, value, rel=Fraction(1, 10**14)):
+    """True when the root of F(v; T, p) = 1 - confidence lies within ``rel`` relative of ``value``.
+
+    F falls in p, so the root lies in [a, b] exactly when F(a) > 1 - confidence >= F(b).
+    """
+    alpha = 1 - Fraction(confidence)
+    below, above = Fraction(value) * (1 - rel), min(Fraction(value) * (1 + rel), Fraction(1))
+    return cdf_exceeds(violations, trials, below, alpha) and not cdf_exceeds(violations, trials, above, alpha)
+
+
 class TestClopperPearson:
     def test_zero_violations(self):
         # 1 - 0.05^(1/n) closed form
@@ -144,8 +179,66 @@ class TestClopperPearson:
         uppers = [clopper_pearson_upper(k, 50) for k in range(0, 51, 5)]
         assert np.all(np.diff(uppers) > 0)
 
-    def test_acceptance_value(self):
-        assert clopper_pearson_upper(65, 10_000) == 0.00798471527353767
+    @pytest.mark.parametrize("confidence", CP_CONFIDENCES)
+    @pytest.mark.parametrize("violations, trials", CP_GRID)
+    def test_the_exact_root_lies_within_1e_14(self, violations, trials, confidence):
+        assert root_is_within(violations, trials, confidence, clopper_pearson_upper(violations, trials, confidence))
+
+    @pytest.mark.parametrize("violations", [65, 3, 1])
+    def test_the_acceptance_values_are_within_1e_14_of_the_exact_root(self, violations):
+        assert root_is_within(violations, 10_000, 0.95, clopper_pearson_upper(violations, 10_000))
+
+    @pytest.mark.parametrize("confidence", [0.01, 0.3])
+    @pytest.mark.parametrize("violations, trials", [(1, 3), (2, 10), (5, 17), (40, 50), (100, 250)])
+    def test_below_confidence_one_half_the_root_lies_within_1e_14(self, violations, trials, confidence):
+        assert root_is_within(violations, trials, confidence, clopper_pearson_upper(violations, trials, confidence))
+
+    def test_matches_betaincinv_up_to_a_million_trials(self):
+        rng = np.random.default_rng(20240817)
+        for _ in range(300):
+            trials = int(10 ** rng.uniform(0, 6))
+            violations = int(rng.integers(0, trials + 1))
+            confidence = float(rng.choice(CP_CONFIDENCES))
+            expected = 1.0 if violations == trials else scipy.special.betaincinv(
+                violations + 1, trials - violations, confidence
+            )
+            got = clopper_pearson_upper(violations, trials, confidence)
+            assert got == pytest.approx(expected, rel=1e-11, abs=0), (violations, trials, confidence)
+
+    def test_nondecreasing_in_violations_and_confidence(self):
+        for trials in (7, 50, 1000):
+            uppers = [clopper_pearson_upper(v, trials) for v in range(0, trials + 1, max(1, trials // 100))]
+            assert np.all(np.diff(uppers) >= 0), trials
+        levels = [0.01, 0.3, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999]
+        for violations, trials in [(0, 10), (1, 10), (5, 10), (9, 10), (65, 10_000), (5000, 10_000)]:
+            uppers = [clopper_pearson_upper(violations, trials, c) for c in levels]
+            assert np.all(np.diff(uppers) >= 0), (violations, trials)
+
+    def test_nonincreasing_in_trials(self):
+        for violations in (0, 1, 5, 65):
+            uppers = [clopper_pearson_upper(violations, trials) for trials in range(violations + 1, violations + 300)]
+            assert np.all(np.diff(uppers) <= 0), violations
+
+    @pytest.mark.parametrize("confidence", CP_CONFIDENCES)
+    def test_at_least_the_rate_from_confidence_one_half(self, confidence):
+        for violations, trials in CP_GRID + [(65, 10_000), (500_000, 10**6)]:
+            assert clopper_pearson_upper(violations, trials, confidence) >= violations / trials
+
+    @pytest.mark.parametrize("confidence", [0.01, 0.5, 0.95, 0.99])
+    def test_zero_violations_is_the_closed_form(self, confidence):
+        for trials in (1, 2, 100, 10**6):
+            assert clopper_pearson_upper(0, trials, confidence) == -math.expm1(math.log1p(-confidence) / trials)
+
+    @pytest.mark.parametrize("confidence", [0.01, 0.5, 0.95])
+    def test_as_many_violations_as_trials_gives_1(self, confidence):
+        for trials in (1, 2, 10**6):
+            assert clopper_pearson_upper(trials, trials, confidence) == 1.0
+
+    def test_numpy_integers_are_accepted(self):
+        expected = clopper_pearson_upper(65, 10_000)
+        for kind in (np.int32, np.int64, np.uint32, np.uint64):
+            got = clopper_pearson_upper(kind(65), kind(10_000))
+            assert type(got) is float and got == expected
 
     @pytest.mark.parametrize("confidence", [1.5, 1.0, 0.0, -0.1, math.nan])
     def test_a_confidence_outside_0_1_is_refused(self, confidence):
@@ -500,6 +593,23 @@ class TestTruthWithinTheLosses:
         truths = _trials(config, np.arange(config.trials, dtype=np.uint64))[:, 1]
         assert np.all(truths == 0.0)
         assert any(per_trial(config, "supersample", (), t)[1] != 0.0 for t in range(config.trials))
+
+
+class TestCertifyMemory:
+    def test_only_the_pairs_grow_with_the_trials(self):
+        # Each trial keeps its (bound, truth) pair, 16 bytes, in one array; the trial indices, the draws
+        # and the evaluation of a block do not grow with the trial count.
+        certify(make_config(standard_problem(), "zhang", trials=100))
+        peaks = []
+        for trials in (50_000, 200_000):
+            tracemalloc.start()
+            try:
+                report = certify(make_config(standard_problem(), "zhang", trials=trials))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert report.trials == trials
+        assert (peaks[1] - peaks[0]) / 150_000 <= 20
 
 
 def reference_cmi_quantities(problem, algorithm):
