@@ -17,28 +17,28 @@ arithmetic, bit for bit, and the test suite pins this to numpy itself.
 Each stream word is one 128-bit product and one addition: with MULT - 1 =
 4 u, u odd, the state the LCG reaches from a trial's x in t steps is B_t y
 + x mod 2^128, where y = 4 x + inc u^-1 is computed once per trial and B_t
-= (MULT^t - 1) / 4 comes from MULT^t mod 2^130.  The words are computed a
-chunk of trials at a time, at most ``_BLOCK_WORDS`` values, and a block
-joins consecutive chunks: as many trials as keep their count rows and
-posterior rows within ``_BLOCK_WORDS`` values, or one chunk if that is
-more.  A draw's outcome is the number of integer thresholds ceil(cdf_j
-2^53) the top 53 bits of its stream word reach, which is the inverse-CDF
-search on the double those bits make.  The learning rules see a sample
-only through its type (its count vector), and one per-block body evaluates
-a block's trials row by row, in trial order: risks, priors, posteriors and
-KLs as arrays of rows, each row bit for bit what the one-sample functions
-give, the bound as one call over the block's rows of fitted risk and KL,
-and beside each bound its truth, the posterior dotted with a reference row:
-the annealed or the true risks, or the ghost minus the training risks of a
-supersample, each clipped to its loss row's range.  Only each trial's
-(bound, truth) pair is kept from one block to the next, written into one
-array allocated before the first block, and the trial indices are made a
-seeding group at a time: a block's draw and evaluation take memory bounded
-by the block, and the pairs, 16 bytes a trial, are all that grows with the
-trial count.  A report
-depends only on (seed, trial index), and replaying one trial runs the same
-code on that trial alone.  A NaN bound or truth refuses the report, since
-no comparison with NaN can count as a violation.
+= (MULT^t - 1) / 4 comes from MULT^t mod 2^130.  A block holds as many
+trials as keep their count rows and posterior rows within ``_BLOCK_WORDS``
+values, or one chunk if that is more; its trials are seeded by themselves,
+and its words are computed a chunk of trials at a time, at most
+``_BLOCK_WORDS`` values.  A draw's outcome is the number of integer
+thresholds ceil(cdf_j 2^53) the top 53 bits of its stream word reach,
+which is the inverse-CDF search on the double those bits make.  The
+learning rules see a sample only through its type (its count vector), and
+one per-block body evaluates a block's trials row by row, in trial order:
+risks, priors, posteriors and KLs as arrays of rows, each row bit for bit
+what the one-sample functions give, the bound as one call over the block's
+rows of fitted risk and KL, and beside each bound its truth, the posterior
+dotted with a reference row: the annealed or the true risks, or the ghost
+minus the training risks of a supersample, each clipped to its loss row's
+range.  Only each trial's (bound, truth) pair is kept from one block to
+the next, written into one array allocated before the first block, and the
+trial indices are made a block at a time: a block's seeding, draw and
+evaluation take memory bounded by the block, and the pairs, 16 bytes a
+trial, are all that grows with the trial count.  A report depends only on
+(seed, trial index), and replaying one trial runs the same code on that
+trial alone.  A NaN bound or truth refuses the report, since no comparison
+with NaN can count as a violation.
 
 The exact checks read a sample table: one count row per type from
 :func:`~genbounds.problems.tabulate_types`, or one row per sequence from
@@ -47,11 +47,13 @@ types when the rule is an :class:`ErmAlgorithm` or a
 :class:`GibbsAlgorithm`, since then W is independent of S given the type and
 I(S;W), the averaged KL and the expected gap do not change; any other rule
 runs on sequences.  The privacy audit always runs on types (the mechanism
-sees the sample through its empirical risks), where a neighbour moves one
-count from outcome a to outcome b.  On types, the posteriors and priors come
-from the row kernels the certification applies to a block of drawn types,
-not from one rule call per row.  :func:`enumerate_joint` and the supersample
-check run on sequences: a supersample is a pair of rows.
+sees the sample through its empirical risks), a block of rows at a time,
+and builds each neighbour from its row by moving one count from outcome a
+to outcome b, so only the type table grows with the count.  On types, the
+posteriors and priors come from the row kernels the certification applies
+to a block of drawn types, not from one rule call per row.
+:func:`enumerate_joint` and the supersample check run on sequences: a
+supersample is a pair of rows.
 
 All bound parameters (beta and the entry's ``fields``, delta, the prior)
 are fixed in the trial configuration before any sample is drawn.
@@ -94,7 +96,6 @@ from .problems import (
     _check_budget,
     _count_risks,
     _is_integral,
-    _type_neighbors,
     annealed_risks,
     empirical_risks,
     tabulate,
@@ -589,16 +590,15 @@ def _trial_counts(problem: FiniteProblem, seed: int, trials: np.ndarray | range,
     ``choice``.  A supersample's selector bits pick each row's training and
     ghost words before the comparison.
 
-    The stream words are computed a chunk of trials at a time, as many as
-    keep the word array within ``_BLOCK_WORDS`` values, and the outcomes of
-    a chunk are counted by one ``bincount``, each trial's training (and
-    ghost) outcomes offset by k times their row.  A block joins the counts
-    of consecutive chunks: as many trials as keep its count rows and the h
-    posterior values of each within ``_BLOCK_WORDS``, or one chunk if that
-    is more, so each block is one evaluation downstream and its memory does
-    not grow with the trial count.  The trials are seeded as many whole blocks
-    at a time as fit in ``_BLOCK_WORDS`` trials; ``trials`` is an array or a
-    range of indices, and only each such group is an array.
+    A block holds as many trials as keep its count rows and the h posterior
+    values of each within ``_BLOCK_WORDS``, or one chunk if that is more, so
+    each block is one evaluation downstream and its memory does not grow
+    with the trial count.  Each block's trials are seeded by themselves, and
+    their stream words are computed a chunk of trials at a time, as many as
+    keep the word array within ``_BLOCK_WORDS`` values; the outcomes of a
+    chunk are counted by one ``bincount``, each trial's training (and ghost)
+    outcomes offset by k times their row.  ``trials`` is an array or a range
+    of indices, and only each block of it is an array.
     """
     k, n, h = problem.num_outcomes, problem.n, problem.num_hypotheses
     thresholds = _thresholds(problem.mu.probs).tolist()
@@ -623,13 +623,10 @@ def _trial_counts(problem: FiniteProblem, seed: int, trials: np.ndarray | range,
             draws += top >= threshold
         return np.bincount(draws.ravel(), minlength=size * parts * k).reshape(size, parts, k)
 
-    seeded = _BLOCK_WORDS // block * block
-    for start in range(0, len(trials), seeded):
-        origins = _pcg64_origins(seed, np.asarray(trials[start : start + seeded], dtype=np.uint64))
-        for first in range(0, origins.shape[1], block):
-            rows = origins[:, first : first + block]
-            counts = [count(_stream_words(rows[:, i : i + chunk], width)) for i in range(0, rows.shape[1], chunk)]
-            yield counts[0] if len(counts) == 1 else np.concatenate(counts)
+    for first in range(0, len(trials), block):
+        origins = _pcg64_origins(seed, np.asarray(trials[first : first + block], dtype=np.uint64))
+        counts = [count(_stream_words(origins[:, i : i + chunk], width)) for i in range(0, origins.shape[1], chunk)]
+        yield counts[0] if len(counts) == 1 else np.concatenate(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +707,7 @@ def verify_expectation_bounds(
 # ---------------------------------------------------------------------------
 
 def _registered(config: TrialConfig) -> BoundEntry:
-    """The configured bound's table entry, checked against its parameters and the losses."""
+    """The configured bound's table entry, checked against its parameters, the prior and the losses."""
     name = config.bound.name
     entry = BOUNDS.get(name)
     if entry is None or entry.trial is None:
@@ -719,6 +716,8 @@ def _registered(config: TrialConfig) -> BoundEntry:
     unread = [key for key in config.bound.params if key not in ("beta", *entry.fields)]
     if unread:
         raise ConfigurationError(f"bound {name!r} does not read the parameter(s) {', '.join(map(str, unread))}")
+    if entry.trial == "private-prior" and config.prior is not None:
+        raise ConfigurationError(f"bound {name!r} measures against the private prior and does not read a prior")
     if entry.losses == "binary" and not config.problem.has_binary_losses:
         raise ConfigurationError(f"bound {name!r} is stated for {{0, 1}}-valued losses")
     if entry.losses == "unit" and not config.problem.has_unit_losses:
@@ -804,9 +803,9 @@ def _trials(config: TrialConfig, trials: np.ndarray | range) -> np.ndarray:
     The bound's entry names the trial: ``plain`` and ``private-prior`` draw a
     sample, ``supersample`` draws a supersample and trains on its selected
     column.  ``trials`` holds the trial indices, each below 2^64.  Each trial
-    is deterministic in (config.seed, trial) alone: the trials are drawn a
-    block at a time by :func:`_trial_counts`, whose blocks hold as many
-    trials as keep their count rows and posterior rows within
+    is deterministic in (config.seed, trial) alone: the trials are seeded
+    and drawn a block at a time by :func:`_trial_counts`, whose blocks hold
+    as many trials as keep their count rows and posterior rows within
     ``_BLOCK_WORDS`` values (a 150-trial certification on 16 x 8, n = 200 is
     one block).  Each block's trials are evaluated row by row, in trial
     order, by one call of the :func:`_block_evaluator` body, a type drawn
@@ -977,24 +976,41 @@ def dp_mechanism_max_log_ratio(
     Returns the largest absolute log-probability ratio between priors on
     samples differing in one coordinate; at most epsilon when the mechanism
     is correctly calibrated.  The mechanism sees a sample through its type,
-    so the audit runs over the type table and its neighbouring rows, each
-    row's prior as :func:`dp_prior_mechanism` computes it.  The mechanism
-    gives every hypothesis positive mass, so a prior entry that rounds to 0,
-    or to a subnormal whose log has lost precision, takes its log from the
-    logits instead: log q - (n epsilon / 2) f less the row's log-sum-exp.
+    and changing a coordinate from a to b moves one count from a to b.  The
+    audit walks the type table a block of rows at a time, as many as keep
+    their count and prior values within ``_BLOCK_WORDS`` (at least one), and
+    builds the neighbour c - e_a + e_b of each row with c_a >= 1 for every
+    a < b, since a move and its reverse join the same two types.  Each
+    side's prior is :func:`dp_prior_mechanism`'s, from its own count row.
+    The inputs are checked before the table is built, the only part that
+    grows with the type count.  The mechanism gives every hypothesis
+    positive mass, so a prior entry that rounds to 0, or to a subnormal
+    whose log has lost precision, takes its log from the logits
+    instead: log q - (n epsilon / 2) f less the row's log-sum-exp.
     """
-    counts, _, risks = tabulate_types(problem, budget)
     _check_dp_prior(problem, epsilon)
-    priors = _dp_prior_rows(problem, risks, epsilon)
-    _check_rows(priors)
-    rows, neighbors = _type_neighbors(problem, counts)
-    with np.errstate(divide="ignore"):
-        log_priors = np.log(priors)
-    underflow = priors < np.finfo(float).tiny
-    if underflow.any():
-        logits = np.log(_uniform_probs(problem.num_hypotheses)) - problem.n * epsilon / 2.0 * risks
-        log_priors[underflow] = (logits - _logsumexp(logits, 1.0, axis=1)[:, None])[underflow]
-    return float(np.max(np.abs(log_priors[rows] - log_priors[neighbors]), initial=0.0))
+    counts, _, _ = tabulate_types(problem, budget)
+    k, h = problem.num_outcomes, problem.num_hypotheses
+    a, b = np.triu_indices(k, 1)
+    unit = np.eye(k, dtype=counts.dtype)
+    moves = unit[b] - unit[a]
+    block = max(1, _BLOCK_WORDS // (k + h))
+    worst = 0.0
+    for first in range(0, len(counts), block):
+        rows = counts[first : first + block]
+        types, move = np.nonzero(rows[:, a] > 0)
+        risks = _count_risks(problem, np.concatenate([rows, rows[types] + moves[move]]))
+        priors = _dp_prior_rows(problem, risks, epsilon)
+        _check_rows(priors)
+        with np.errstate(divide="ignore"):
+            log_priors = np.log(priors)
+        underflow = priors < np.finfo(float).tiny
+        if underflow.any():
+            logits = np.log(_uniform_probs(h)) - problem.n * epsilon / 2.0 * risks
+            log_priors[underflow] = (logits - _logsumexp(logits, 1.0, axis=1)[:, None])[underflow]
+        ratios = np.abs(log_priors[types] - log_priors[len(rows) :])
+        worst = max(worst, float(np.max(ratios, initial=0.0)))
+    return worst
 
 
 # ---------------------------------------------------------------------------

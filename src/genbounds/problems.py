@@ -193,23 +193,6 @@ def _sample_risks(problem: FiniteProblem, samples: np.ndarray) -> np.ndarray:
     return _count_risks(problem, counts.reshape(rows, k))
 
 
-def _type_neighbors(problem: FiniteProblem, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row pairs of the type table ``counts`` whose types are neighbours.
-
-    Changing one coordinate of a sample from a to b moves one count from a
-    to b, so every (row, a, b) with a != b and c_a >= 1 gives one pair.  A
-    row's code sum_j c_j (n + 1)^(k-1-j) descends strictly down the table,
-    so a binary search finds the neighbour's row; the codes are Python
-    integers where int64 could overflow.
-    """
-    k, n = problem.num_outcomes, problem.n
-    dtype = np.int64 if (n + 1) ** k <= np.iinfo(np.int64).max else object
-    radix = np.array([(n + 1) ** (k - 1 - j) for j in range(k)], dtype=dtype)
-    codes = counts @ radix
-    rows, a, b = np.nonzero((counts > 0)[:, :, None] & ~np.eye(k, dtype=bool))
-    return rows, len(codes) - 1 - np.searchsorted(codes[::-1], codes[rows] - radix[a] + radix[b])
-
-
 def tabulate_types(
     problem: FiniteProblem, budget: int = ENUMERATION_BUDGET
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -402,6 +402,14 @@ class TestExperimentCommands:
         assert main(["experiment", "dp-prior", "--config", cfg]) == 2
         assert "experiment.epsilon" in capsys.readouterr().err
 
+    def test_a_prior_for_the_private_prior_exits_2(self, tmp_path, capsys):
+        # The bound is measured against the mechanism's prior: a configured prior used to be dropped.
+        cfg = experiment_config(
+            tmp_path, filename="prior.yaml", bound="dp-prior", epsilon=0.2, trials=10, prior=[0.97, 0.01, 0.01, 0.01]
+        )
+        assert main(["experiment", "dp-prior", "--config", cfg]) == 2
+        assert "'dp-prior' measures against the private prior and does not read a prior" in capsys.readouterr().err
+
     def test_a_parameter_the_bound_does_not_read_exits_2(self, tmp_path, capsys):
         # zhang has no epsilon: the run used to certify zhang and drop the field.
         cfg = experiment_config(tmp_path, filename="eps.yaml", bound="zhang", epsilon=0.2, trials=10)

@@ -381,24 +381,31 @@ def type_table(problem, rule):
 
 
 def reference_type_audit(problem, epsilon):
-    """The privacy audit by recomputing the mechanism on every type and each neighbouring type."""
+    """The privacy audit by recomputing the mechanism's log prior on every type and after every move of a count."""
     k = problem.num_outcomes
     counts, _, _ = tabulate_types(problem)
-    priors = {
-        tuple(row): dp_prior_mechanism(problem, np.repeat(np.arange(k), row), epsilon).probs
-        for row in counts.tolist()
+    log_priors = {
+        tuple(row): reference_log_prior(problem, np.repeat(np.arange(k), row), epsilon) for row in counts.tolist()
     }
     worst = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for row, prior in priors.items():
-            for a, b in itertools.permutations(range(k), 2):
-                if row[a]:
-                    neighbor = list(row)
-                    neighbor[a] -= 1
-                    neighbor[b] += 1
-                    ratios = np.abs(np.log(prior) - np.log(priors[tuple(neighbor)]))
-                    worst = max(worst, float(np.nanmax(ratios)))
+    for row, log_prior in log_priors.items():
+        for a, b in itertools.permutations(range(k), 2):
+            if row[a]:
+                neighbor = list(row)
+                neighbor[a] -= 1
+                neighbor[b] += 1
+                worst = max(worst, float(np.max(np.abs(log_prior - log_priors[tuple(neighbor)]))))
     return worst
+
+
+@st.composite
+def audit_problems(draw):
+    """A problem with [0, 1] losses, h <= 5, 2 <= k <= 5 and n <= 6, whose data law may have zero masses."""
+    h, k, n = draw(st.integers(1, 5)), draw(st.integers(2, 5)), draw(st.integers(1, 6))
+    loss = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1)
+    losses = draw(st.lists(st.lists(loss, min_size=k, max_size=k), min_size=h, max_size=h))
+    masses = draw(st.lists(st.just(0.0) | st.floats(0.05, 1), min_size=k, max_size=k).filter(any))
+    return FiniteProblem(losses=losses, mu=DiscreteDist.from_weights(masses), n=n)
 
 
 class FirstOutcome:
@@ -490,6 +497,19 @@ class TestTypeTable:
     def test_audit_equals_the_mechanism_on_each_type(self, epsilon, mu):
         problem = FiniteProblem(losses=np.random.default_rng(3).random((4, 3)), mu=DiscreteDist(mu), n=5)
         assert dp_mechanism_max_log_ratio(problem, epsilon) == reference_type_audit(problem, epsilon)
+
+    @given(
+        problem=audit_problems(),
+        epsilon=st.integers(-200, 350).map(lambda e: 10 ** (e / 100)),
+        words=st.integers(1, 40),
+    )
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_audit_across_blocks_equals_every_move(self, problem, epsilon, words):
+        # Blocks of at most a few rows, so most neighbours lie in other blocks; at n epsilon / 2 up to
+        # about 10^4 some priors round to 0 and take their logs from the logits.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(genbounds.harness, "_BLOCK_WORDS", words)
+            assert dp_mechanism_max_log_ratio(problem, epsilon) == reference_type_audit(problem, epsilon)
 
     def test_verify_runs_where_the_sequences_exceed_the_budget(self, rng):
         problem = random_problem(rng, 3, 2, n=25)
@@ -796,13 +816,30 @@ class TestBlockDraw:
             monkeypatch.undo()
 
     def test_block_boundaries_of_the_seeding_and_the_draws(self, monkeypatch):
-        # 100 words: the trials are seeded 99 at a time, in blocks of 33 drawn 14 at a time, or for a
-        # supersample 100 at a time, in blocks of 20 drawn 5 at a time.
+        # 100 words: each block of 33 trials is seeded by itself and drawn 14 at a time, or for a
+        # supersample each block of 20 is drawn 5 at a time.
         monkeypatch.setattr(genbounds.harness, "_BLOCK_WORDS", 100)
         problem = count_problem(2, 7)
         for supersample in (False, True):
             expected = [per_trial_counts(problem, 11, t, supersample) for t in BLOCK_TRIALS.tolist()]
             assert np.array_equal(block_counts(problem, 11, BLOCK_TRIALS, supersample), expected)
+
+    def test_each_block_is_seeded_by_itself(self, monkeypatch):
+        # On the coin at n = 50 a block holds 1365 trials, so 10^4 trials are seeded in 8 calls.
+        config = make_config(standard_problem(), "zhang", trials=10_000)
+        seeded = []
+        original = genbounds.harness._pcg64_origins
+
+        def recording(seed, trials):
+            seeded.append(trials.tolist())
+            return original(seed, trials)
+
+        monkeypatch.setattr(genbounds.harness, "_pcg64_origins", recording)
+        pairs = _trials(config, range(config.trials))
+        assert [len(trials) for trials in seeded] == [1365] * 7 + [445]
+        assert [t for trials in seeded for t in trials] == list(range(config.trials))
+        monkeypatch.setattr(genbounds.harness, "_BLOCK_WORDS", 100)
+        assert np.array_equal(_trials(config, range(config.trials)), pairs)
 
     def test_certifications_create_no_generator(self, monkeypatch):
         zhang = make_config(standard_problem(), "zhang", trials=2000)
@@ -1012,6 +1049,20 @@ def reference_audit(problem, epsilon):
 
 
 class TestDpPriorExperiment:
+    @pytest.mark.parametrize(
+        "losses, epsilon, error",
+        [([[0, 1], [1, 0]], -1.0, DomainError), ([[0, 2], [1, 0]], 0.5, ConfigurationError)],
+        ids=["negative-epsilon", "losses-beyond-1"],
+    )
+    def test_audit_checks_its_inputs_before_the_type_table(self, monkeypatch, losses, epsilon, error):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the audit built the type table before it checked its inputs")
+
+        monkeypatch.setattr(genbounds.harness, "tabulate_types", refuse)
+        problem = FiniteProblem(losses=losses, mu=DiscreteDist([0.5, 0.5]), n=10**5)
+        with pytest.raises(error):
+            dp_mechanism_max_log_ratio(problem, epsilon)
+
     def test_mechanism_is_private_exhaustively(self, rng):
         for epsilon in (0.2, 1.0):
             problem = random_problem(rng, 3, 2, n=4)
@@ -1176,6 +1227,12 @@ class TestTypeLoop:
         )
         for bound, run, one_trial, params in runs:
             config = make_config(problem, bound, trials=120, algorithm=algorithm, prior=prior)
+            if bound == "dp-prior" and prior is not None:
+                # The private prior replaces the configured one, which is refused rather than ignored.
+                for call in (lambda: run(config, *params), lambda: one_trial(config, 0, *params)):
+                    with pytest.raises(ConfigurationError, match="does not read a prior"):
+                        call()
+                continue
             singles = [one_trial(config, t, *params) for t in range(config.trials)]
             assert run(config, *params) == _summarize(singles), bound
 
@@ -1283,6 +1340,10 @@ class TestBlockEvaluator:
         h = problem.num_hypotheses
         prior = DiscreteDist.from_weights(np.arange(1.0, h + 1)) if fixed_prior else None
         config = make_config(problem, bound, trials=1, algorithm=algorithm, prior=prior, params=params)
+        if kind == "private-prior" and fixed_prior:
+            with pytest.raises(ConfigurationError, match="does not read a prior"):
+                _block_evaluator(config)
+            return
         parts = 2 if kind == "supersample" else 1
         counts = np.random.default_rng(3).multinomial(problem.n, problem.mu.probs, size=(40, parts))
         counts[5] = counts[2]  # a repeated type is evaluated again, the same way
@@ -1311,6 +1372,10 @@ class TestBlockEvaluator:
             if bound == "catoni" and not problem.has_binary_losses:
                 continue
             config = make_config(problem, bound, trials=90, algorithm=algorithm, prior=prior, params=params)
+            if kind == "private-prior" and prior is not None:
+                with pytest.raises(ConfigurationError, match="does not read a prior"):
+                    _trials(config, np.arange(config.trials, dtype=np.uint64))
+                continue
             got = _trials(config, np.arange(config.trials, dtype=np.uint64))
             want = [per_trial(config, kind, params, t) for t in range(config.trials)]
             assert [tuple(pair) for pair in got.tolist()] == want, (bound, prior)
