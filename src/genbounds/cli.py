@@ -33,7 +33,7 @@ import yaml
 
 from . import bounds as bound_ops
 from .divergences import DiscreteDist
-from .errors import ConfigurationError, GenBoundsError
+from .errors import ConfigurationError, GenBoundsError, _is_real
 from .harness import (
     BoundSpec,
     ErmAlgorithm,
@@ -132,10 +132,6 @@ _TOP_SCHEMAS = {
 }
 
 
-def _is_number(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, _NUM)
-
-
 def _validate(data, schema, path: str) -> None:
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path or 'config'} must be a mapping")
@@ -147,11 +143,11 @@ def _validate(data, schema, path: str) -> None:
         if isinstance(expected, dict):
             _validate(value, expected, where)
         elif expected is _NUM or expected == _NUM:
-            if not _is_number(value):
+            if not _is_real(value):
                 raise ConfigurationError(f"{where} must be a number")
         elif expected is _VECTOR or expected is _MATRIX:
             rows = value if expected is _MATRIX and isinstance(value, list) else [value]
-            numeric = all(isinstance(row, list) and all(map(_is_number, row)) for row in rows)
+            numeric = all(isinstance(row, list) and all(map(_is_real, row)) for row in rows)
             if not numeric or len({len(row) for row in rows}) > 1:
                 raise ConfigurationError(f"{where} must be {expected}")
         elif not isinstance(value, expected) or isinstance(value, bool) and expected is int:

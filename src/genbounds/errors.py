@@ -1,4 +1,4 @@
-"""Semantic exception types shared across the package, and the integer check behind them."""
+"""Semantic exception types shared across the package, and the number checks behind them."""
 
 import numbers
 
@@ -6,6 +6,11 @@ import numbers
 def _is_positive_integer(value) -> bool:
     """True for an integer of at least 1 (numpy integers included; bool, floats and NaN not)."""
     return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 1
+
+
+def _is_real(value) -> bool:
+    """True for a real number, numpy's included; bool is not one, as the CLI schema reads it."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
 
 
 class GenBoundsError(Exception):

@@ -58,10 +58,10 @@ supersample is a pair of rows.
 All bound parameters (beta and the entry's ``fields``, delta, the prior)
 are fixed in the trial configuration before any sample is drawn.
 
-The Clopper-Pearson bound is computed here with the standard library
-(Loader's binomial probabilities and a safeguarded Newton iteration, see
-:func:`clopper_pearson_upper`), so no module of the package imports scipy;
-the tests use it as an oracle.
+The Clopper-Pearson bound takes Loader's binomial probabilities from the
+type table's kernel in :mod:`~genbounds.problems` and solves for its root by
+a safeguarded Newton iteration (:func:`clopper_pearson_upper`), so no module
+of the package imports scipy; the tests use it as an oracle.
 """
 
 from __future__ import annotations
@@ -87,15 +87,17 @@ from .divergences import (
     golden_formula_residual,
     mutual_info,
 )
-from .errors import ConfigurationError, DomainError, _is_positive_integer
+from .errors import ConfigurationError, DomainError, _is_positive_integer, _is_real
 from .losses import LossModel
 from .posteriors import _gibbs_rows
 from .problems import (
     ENUMERATION_BUDGET,
     FiniteProblem,
     _check_budget,
+    _bd0,
     _count_risks,
     _is_integral,
+    _stirlerr,
     annealed_risks,
     empirical_risks,
     tabulate,
@@ -163,11 +165,6 @@ class GibbsAlgorithm:
     def _posterior_rows(self, risks: np.ndarray, base: np.ndarray, n: int) -> np.ndarray:
         """The Gibbs posterior relative to ``base`` (one row, or one per row) of each row of risks."""
         return _gibbs_rows(base, risks, n * self.beta_alg)
-
-
-def _is_real(value) -> bool:
-    """True for a real number, numpy's included; bool is not one, as the CLI schema reads it."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Real)
 
 
 def _is_exchangeable(algorithm) -> bool:
@@ -282,39 +279,8 @@ class SupersampleDraw:
         return self.z_tilde[np.arange(len(self.u)), 1 - self.u]
 
 
-#: log(n!) - (n + 1/2) log n + n - log sqrt(2 pi) for n < 16, rounded from 40-digit values.
-_STIRLERR = (
-    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834, 0.020790672103765093,
-    0.016644691189821193, 0.013876128823070748, 0.01189670994589177, 0.010411265261972096,
-    0.009255462182712733, 0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
-    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
-)
-
 #: Steps of the Clopper-Pearson solver: enough for the bisection alone to reach adjacent doubles near 0.
 _CP_STEPS = 1100
-
-
-def _stirlerr(n: int) -> float:
-    """The error of Stirling's formula for log(n!): the table below 16, five terms of its series above."""
-    if n < len(_STIRLERR):
-        return _STIRLERR[n]
-    nn = n * n
-    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
-
-
-def _bd0(x: int, m: float) -> float:
-    """x log(x / m) + m - x, by its series in (x - m) / (x + m) where the two are close (Loader 2000)."""
-    d = x - m
-    if abs(d) >= 0.1 * (x + m):
-        return x * math.log(x / m) - d
-    v = d / (x + m)
-    s, e, v2, j = d * v, 2 * x * v, v * v, 1
-    while True:
-        j += 2
-        e *= v2
-        s, last = s + e / j, s
-        if s == last:
-            return s
 
 
 def clopper_pearson_upper(violations: int, trials: int, confidence: float = 0.95) -> float:
@@ -329,16 +295,14 @@ def clopper_pearson_upper(violations: int, trials: int, confidence: float = 0.95
     approximation to the beta quantile (AS 109) and is kept inside a
     bracket from the median of the binomial, x >= k / T, where each step
     outside it bisects.  log F(k; T, x) is log pmf(k) + log S: the pmf is
-    Loader's saddle-point form (stirlerr and bd0, "Fast and accurate
-    computation of binomial probabilities", 2000), so no binomial
-    coefficient and no lgamma difference is formed, and S = F / pmf(k) is
-    summed backwards from k until a term falls below 1e-17, which in the
-    bracket the terms do geometrically.  d log F / dx = -(T - k) / ((1 - x)
-    S) and the curvature follows from it.  The result is within 1e-14
-    relative of the exact root, as the tests check in exact integer
-    arithmetic, and most calls take two evaluations: 10-30 us for v <= 100
-    and T <= 10^5, about 1 ms at v = 5 10^5, T = 10^6 (one Intel Xeon
-    vCPU).
+    Loader's saddle-point form, from the stirlerr and bd0 of
+    :mod:`~genbounds.problems`, and S = F / pmf(k) is summed backwards from
+    k until a term falls below 1e-17, which in the bracket the terms do
+    geometrically.  d log F / dx = -(T - k) / ((1 - x) S) and the curvature
+    follows from it.  The result is within 1e-14 relative of the exact root,
+    as the tests check in exact integer arithmetic, and most calls take two
+    evaluations: about 50 us for v <= 100 and T <= 10^5, about 1 ms at
+    v = 5 10^5, T = 10^6 (one Intel Xeon vCPU).
     """
     if not _is_positive_integer(trials):
         raise DomainError("trials must be a positive integer")
@@ -362,7 +326,8 @@ def clopper_pearson_upper(violations: int, trials: int, confidence: float = 0.95
     k, log_tail = (v, math.log1p(-confidence)) if lower else (t - v - 1, math.log(confidence))
     u = t - k
     # log pmf(k) less its two bd0 terms, which are all that depend on x.
-    log_pmf_rest = _stirlerr(t) - _stirlerr(k) - _stirlerr(u) - 0.5 * math.log(2 * math.pi * (k * u / t))
+    errors = _stirlerr(np.array([t, k, u], dtype=float))
+    log_pmf_rest = float(errors[0] - errors[1] - errors[2]) - 0.5 * math.log(2 * math.pi * (k * u / t))
     # Carter's start: a normal quantile z for the smaller tail, then the Beta(v + 1, t - v) quantile from it.
     r = math.sqrt(-2 * math.log(min(confidence, 1 - confidence)))
     z = r - (2.30753 + 0.27061 * r) / (1 + (0.99229 + 0.04481 * r) * r)
@@ -384,7 +349,7 @@ def clopper_pearson_upper(violations: int, trials: int, confidence: float = 0.95
             s += term
             if term < 1e-17:
                 break
-        g = log_pmf_rest - _bd0(k, t * x) - _bd0(u, t * y) + math.log(s) - log_tail
+        g = log_pmf_rest - float(_bd0(k, t * x)) - float(_bd0(u, t * y)) + math.log(s) - log_tail
         if (g > 0) == lower:
             lo = p
         else:

@@ -1,6 +1,7 @@
 """Tests for finite problems: risks, annealed risks, enumeration."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from genbounds import (
     phi_beta,
     true_risks,
 )
-from genbounds.problems import _sample_risks, tabulate
+from genbounds.problems import _sample_risks, tabulate, tabulate_types
 from conftest import random_problem
 
 
@@ -231,22 +232,57 @@ class TestIterTypes:
         with pytest.raises(BudgetError, match="enumerating 15 types exceeds the budget of 10"):
             list(iter_types(problem, budget=10))
 
-    @pytest.mark.parametrize("mu", [[0.5, 0.5], [0.3, 0.7]])
+    @pytest.mark.parametrize("mu", [[1.0, 0.0, 0.0], [0.3, 0.7, 0.0, 0.0], [0.0, 0.7, 0.0, 0.3]])
+    @pytest.mark.parametrize("n", [3, 5, 40])
+    def test_trailing_zero_masses_give_finite_weights(self, mu, n):
+        problem = FiniteProblem(losses=np.zeros((1, len(mu))), mu=DiscreteDist(mu), n=n)
+        types = list(iter_types(problem))
+        weights = np.array([w for _, w in types])
+        assert np.all(np.isfinite(weights))
+        uses_zero_mass = np.array([np.any(problem.mu.probs[sample] == 0) for sample, _ in types])
+        assert np.all(weights[uses_zero_mass] == 0.0) and np.all(weights[~uses_zero_mass] > 0)
+        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
+        if n <= 5:
+            by_type = {}
+            for sample, weight in iter_samples(problem):
+                key = tuple(np.sort(sample))
+                by_type[key] = by_type.get(key, 0.0) + weight
+            for sample, weight in types:
+                assert weight == pytest.approx(by_type[tuple(sample)], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("mu", [[0.5, 0.5], [0.3, 0.7], np.random.default_rng(3).dirichlet(np.ones(3)).tolist(),
+                                    np.random.default_rng(4).dirichlet(np.ones(4)).tolist()],
+                             ids=["mu0", "mu1", "k3", "k4"])
     def test_weights_beyond_the_float_range_of_the_multinomial(self, mu):
         # C(2000, 1000) is about 2^1995 and 0.5^2000 is below every float.
-        problem = FiniteProblem(losses=[[0.0, 1.0]], mu=DiscreteDist(mu), n=2000)
+        k = len(mu)
+        n = {2: 2000, 3: 100, 4: 30}[k]
+        problem = FiniteProblem(losses=np.zeros((1, k)), mu=DiscreteDist(mu), n=n)
         types = list(iter_types(problem))
-        assert len(types) == 2001
-        assert math.fsum(w for _, w in types) == pytest.approx(1.0, abs=1e-9)
-        p, q = (Fraction(float(m)) for m in problem.mu.probs)
+        assert len(types) == math.comb(n + k - 1, k - 1)
+        assert math.fsum(w for _, w in types) == pytest.approx(1.0, abs=1e-12)
+        masses = [Fraction(float(m)) for m in problem.mu.probs]
         checked = 0
         for sample, weight in types[::40]:
-            c = int(np.sum(sample == 0))
-            exact = math.comb(2000, c) * p**c * q ** (2000 - c)
-            if exact > 1e-290:
-                assert abs(Fraction(weight) - exact) <= 1e-9 * exact
+            counts = np.bincount(sample, minlength=k).tolist()
+            exact = Fraction(math.factorial(n))
+            for c, m in zip(counts, masses):
+                exact *= m**c / math.factorial(c)
+            if exact > 1e-280:
+                assert abs(Fraction(weight) - exact) <= 1e-12 * exact
                 checked += 1
         assert checked >= 10
+
+    def test_two_outcomes_at_a_large_count_take_memory_by_the_row(self):
+        problem = FiniteProblem(losses=[[0.0, 1.0]], mu=DiscreteDist([0.3, 0.7]), n=10**5)
+        tracemalloc.start()
+        try:
+            _, weights, _ = tabulate_types(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert abs(math.fsum(weights) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("k, n, budget, fits", [(3, 4, 10, "n ≤ 3 fits"), (2, 200, 100, "n ≤ 99 fits"),
                                                     (5, 10**6, 10**6, "n ≤ 67 fits")], ids=["k3", "k2", "k5"])
