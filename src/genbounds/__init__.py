@@ -112,7 +112,6 @@ from .problems import (
     annealed_risks,
     empirical_risks,
     iter_samples,
-    iter_types,
     true_risks,
 )
 

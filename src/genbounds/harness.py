@@ -40,20 +40,20 @@ trial, are all that grows with the trial count.  A report depends only on
 trial alone.  A NaN bound or truth refuses the report, since no comparison
 with NaN can count as a violation.
 
-The exact checks read a sample table: one count row per type from
-:func:`~genbounds.problems.tabulate_types`, or one row per sequence from
-:func:`~genbounds.problems.tabulate`.  The expectation-bound check runs on
-types when the rule is an :class:`ErmAlgorithm` or a
-:class:`GibbsAlgorithm`, since then W is independent of S given the type and
-I(S;W), the averaged KL and the expected gap do not change; any other rule
-runs on sequences.  The privacy audit always runs on types (the mechanism
-sees the sample through its empirical risks), a block of rows at a time,
-and builds each neighbour from its row by moving one count from outcome a
-to outcome b, so only the type table grows with the count.  On types, the
-posteriors and priors come from the row kernels the certification applies
-to a block of drawn types, not from one rule call per row.
-:func:`enumerate_joint` and the supersample check run on sequences: a
-supersample is a pair of rows.
+The exact checks read a sample table, which holds data only: one count row
+per type from :func:`~genbounds.problems.tabulate_types`, or one row per
+sequence from :func:`~genbounds.problems.tabulate`.  :func:`_table_posteriors`
+gives each row's posterior: the row kernel of an :class:`ErmAlgorithm` or a
+:class:`GibbsAlgorithm`, the one the certification applies to a block of
+drawn types, on either table, and one ``posterior`` call per sequence for any
+other rule.  The expectation-bound check runs on types for those two
+classes, since then W is independent of S given the type and I(S;W), the
+averaged KL and the expected gap do not change; any other rule runs on
+sequences.  The privacy audit always runs on types (the mechanism sees the
+sample through its empirical risks), a block of rows at a time, and builds
+each neighbour from its row by moving one count from outcome a to outcome
+b, so only the type table grows with the count.  :func:`enumerate_joint`
+and the supersample check run on sequences: a supersample is a pair of rows.
 
 All bound parameters (beta and the entry's ``fields``, delta, the prior)
 are fixed in the trial configuration before any sample is drawn.
@@ -75,7 +75,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .bounds import BoundRequest, xu_raginsky, zhang_gen_expectation
+from .bounds import BoundRequest, zhang_gen_expectation
 from .divergences import (
     DiscreteDist,
     JointTable,
@@ -326,8 +326,8 @@ def clopper_pearson_upper(violations: int, trials: int, confidence: float = 0.95
     k, log_tail = (v, math.log1p(-confidence)) if lower else (t - v - 1, math.log(confidence))
     u = t - k
     # log pmf(k) less its two bd0 terms, which are all that depend on x.
-    errors = _stirlerr(np.array([t, k, u], dtype=float))
-    log_pmf_rest = float(errors[0] - errors[1] - errors[2]) - 0.5 * math.log(2 * math.pi * (k * u / t))
+    errors = _stirlerr(np.array([t, k, u], dtype=float)).tolist()
+    log_pmf_rest = errors[0] - errors[1] - errors[2] - 0.5 * math.log(2 * math.pi * (k * u / t))
     # Carter's start: a normal quantile z for the smaller tail, then the Beta(v + 1, t - v) quantile from it.
     r = math.sqrt(-2 * math.log(min(confidence, 1 - confidence)))
     z = r - (2.30753 + 0.27061 * r) / (1 + (0.99229 + 0.04481 * r) * r)
@@ -349,7 +349,7 @@ def clopper_pearson_upper(violations: int, trials: int, confidence: float = 0.95
             s += term
             if term < 1e-17:
                 break
-        g = log_pmf_rest - float(_bd0(k, t * x)) - float(_bd0(u, t * y)) + math.log(s) - log_tail
+        g = log_pmf_rest - _bd0(k, t * x) - _bd0(u, t * y) + math.log(s) - log_tail
         if (g > 0) == lower:
             lo = p
         else:
@@ -599,14 +599,27 @@ def _trial_counts(problem: FiniteProblem, seed: int, trials: np.ndarray | range,
 # ---------------------------------------------------------------------------
 
 
+def _table_posteriors(problem: FiniteProblem, algorithm, samples: np.ndarray, risks: np.ndarray) -> np.ndarray:
+    """The posterior of each row of a sample table, given its samples and risks.
+
+    An :class:`ErmAlgorithm` or a :class:`GibbsAlgorithm` reads the risks through its row kernel against the
+    uniform base, each row its ``posterior`` to the bit, on either table; any other rule runs once per sequence.
+    """
+    if _is_exchangeable(algorithm):
+        probs = algorithm._posterior_rows(risks, _uniform_probs(problem.num_hypotheses), problem.n)
+        _check_rows(probs)
+        return probs
+    return np.array([algorithm.posterior(problem, sample).probs for sample in samples])
+
+
 def enumerate_joint(
     problem: FiniteProblem,
     algorithm,
     budget: int = ENUMERATION_BUDGET,
 ) -> JointTable:
     """Exact joint p(s, w) = mu^n(s) P(w | s) over all samples and hypotheses."""
-    _, weights, _, probs = tabulate(problem, lambda s: algorithm.posterior(problem, s), budget)
-    return JointTable.from_weights(weights[:, None] * probs)
+    samples, weights, risks = tabulate(problem, budget)
+    return JointTable.from_weights(weights[:, None] * _table_posteriors(problem, algorithm, samples, risks))
 
 
 @dataclass(frozen=True)
@@ -635,13 +648,14 @@ def verify_expectation_bounds(
 ) -> ExpectationBoundReport:
     """Exactly evaluate the expected generalization gap and its information bounds.
 
-    From the enumerated joint: the expected gap E[true - empirical risk], the
-    mutual information route (sub-Gaussian scale 1/2 for [0, 1] losses), and
-    the averaged-KL route for an arbitrary fixed prior.  The golden-formula
-    residual ties the two complexity measures together.  The joint is over
-    sample types for an :class:`ErmAlgorithm` or a :class:`GibbsAlgorithm`,
-    whose posteriors come from its row kernel against the uniform base, and
-    over sequences for any other rule.
+    From the enumerated joint: the expected gap E[true - empirical risk] and
+    its bound psi*^-1(. / n) of ``model`` by two routes, the mutual
+    information (Xu and Raginsky's bound for a sub-Gaussian model,
+    :func:`~genbounds.bounds.subgamma_mi` for a sub-gamma one) and the
+    averaged KL to an arbitrary fixed prior.  The golden-formula residual
+    ties the two complexity measures together.  The joint is over sample
+    types for an :class:`ErmAlgorithm` or a :class:`GibbsAlgorithm` and over
+    sequences for any other rule (see :func:`_table_posteriors`).
     """
     if model is None:
         model = LossModel.bounded_unit()
@@ -649,19 +663,15 @@ def verify_expectation_bounds(
         raise ConfigurationError("a [0, 1] loss model requires losses in [0, 1]")
     q = prior if prior is not None else DiscreteDist.uniform(problem.num_hypotheses)
 
-    if _is_exchangeable(algorithm):
-        _, weights, risks = tabulate_types(problem, budget)
-        probs = algorithm._posterior_rows(risks, _uniform_probs(problem.num_hypotheses), problem.n)
-        _check_rows(probs)
-    else:
-        _, weights, risks, probs = tabulate(problem, lambda s: algorithm.posterior(problem, s), budget)
-    joint = JointTable.from_weights(weights[:, None] * probs)
+    table = tabulate_types if _is_exchangeable(algorithm) else tabulate
+    samples, weights, risks = table(problem, budget)
+    joint = JointTable.from_weights(weights[:, None] * _table_posteriors(problem, algorithm, samples, risks))
     info = mutual_info(joint)
     avg_kl = conditional_kl(joint, q)
     return ExpectationBoundReport(
         mutual_information=info,
         expected_gap=float(np.sum(joint.probs * (true_risks(problem) - risks))),
-        mi_gap_bound=xu_raginsky(info, problem.n, 0.5),
+        mi_gap_bound=zhang_gen_expectation(info, problem.n, model),
         prior_gap_bound=zhang_gen_expectation(avg_kl, problem.n, model),
         golden_residual=golden_formula_residual(joint, q),
     )
@@ -890,9 +900,8 @@ def cmi_exact_quantities(
     """
     k, n, h = problem.num_outcomes, problem.n, problem.num_hypotheses
     _check_budget("a supersample joint of {} entries", lambda m: k ** (2 * m) * 2**m * h, n, budget)
-    samples, weights, risks, probs = tabulate(
-        problem, lambda s: algorithm.posterior(problem, s), budget
-    )
+    samples, weights, risks = tabulate(problem, budget)
+    probs = _table_posteriors(problem, algorithm, samples, risks)
     place = k ** np.arange(n - 1, -1, -1)
     selectors = ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(bool)
     first, second = samples[:, None, None, :], samples[None, :, None, :]

@@ -198,7 +198,8 @@ def iei_exact(
     if not beta > 0:
         raise DomainError("beta must be positive")
     annealed = annealed_risks(problem, beta)
-    _, weights, risks, probs = tabulate(problem, posterior_rule)
+    samples, weights, risks = tabulate(problem)
+    probs = np.array([posterior_rule(sample).probs for sample in samples])
     terms = _iei_term(problem, probs, q, beta, annealed, risks)
     positive = weights > 0  # a zero-weight row adds 0 even if its term overflows
     return float(weights[positive] @ terms[positive])
@@ -271,8 +272,8 @@ class QuadraticModel:
             raise DomainError("n must be a positive integer")
         if not self.beta > 0:
             raise DomainError("beta must be positive")
-        if np.any(self.n * self.beta * h + self.lam <= 0):
-            raise DomainError("the regularized curvature must be positive definite")
+        if math.inf in (self.lam, self.beta):
+            raise DomainError("lam and beta must be finite")
         object.__setattr__(self, "hessian_eigenvalues", h)
         object.__setattr__(self, "w_p", wp)
         object.__setattr__(self, "w_q", wq)

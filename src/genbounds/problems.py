@@ -1,15 +1,16 @@
 """Finite learning problems on which every risk quantity is exactly computable.
 
-The exact checks enumerate samples in one of two tables.  The sequence table
-(:func:`tabulate`) has one row per sample, k^n in all, in the order of
-:func:`iter_samples`.  The type table (:func:`tabulate_types`) has one count
-row per type, C(n + k - 1, k - 1) in all, weighted by the multinomial
-probability of the type, a chain of binomial probabilities in Loader's form
-(:func:`_binomial_pmf`, whose :func:`_stirlerr` and :func:`_bd0` the
-Clopper-Pearson bound also reads); it represents any rule that sees a sample
-only through its type, as the empirical risks do, and is read by the same row
-kernels as the certification's blocks of drawn types.  Both tables take
-their risks from one count-row kernel, :func:`_count_risks`.
+The exact checks enumerate samples in one of two tables, which hold data
+only: each returns (samples, weights, risks) and takes no learning rule.
+The sequence table (:func:`tabulate`) has one row per sample, k^n in all, in
+the order of :func:`iter_samples`.  The type table (:func:`tabulate_types`)
+has one count row per type, C(n + k - 1, k - 1) in all, weighted by the
+multinomial probability of the type, a chain of binomial probabilities in
+Loader's form (:func:`_binomial_pmf`, whose :func:`_stirlerr` and
+:func:`_bd0` the Clopper-Pearson bound also reads); it represents any rule
+that sees a sample only through its type, as the empirical risks do, and is
+read by the same row kernels as the certification's blocks of drawn types.
+Both tables take their risks from one count-row kernel, :func:`_count_risks`.
 """
 
 from __future__ import annotations
@@ -163,21 +164,6 @@ def iter_samples(
         yield sample, float(np.prod(mu[sample]))
 
 
-def iter_types(
-    problem: FiniteProblem, budget: int = ENUMERATION_BUDGET
-) -> Iterator[tuple[np.ndarray, float]]:
-    """Yield one sorted sample per type with the type's probability, the mass of its samples.
-
-    Types come in the row order of :func:`tabulate_types`.  Raises
-    :class:`BudgetError` when the C(n + k - 1, k - 1) types are too many to
-    enumerate exhaustively.
-    """
-    counts, weights, _ = tabulate_types(problem, budget)
-    outcomes = np.arange(problem.num_outcomes)
-    for row, weight in zip(counts, weights.tolist()):
-        yield np.repeat(outcomes, row), weight
-
-
 def _count_risks(problem: FiniteProblem, counts: np.ndarray) -> np.ndarray:
     """The empirical risks of each row of sample counts, each as :func:`empirical_risks` gives it."""
     return np.matmul(problem.losses[None], counts[:, :, None].astype(float))[:, :, 0] / problem.n
@@ -248,8 +234,8 @@ def _bd0(x, m):
     """x log(x / m) + m - x for each integer x >= 0 and m >= 0, with 0 log 0 = 0 (Loader 2000).
 
     Where |x - m| < (x + m) / 10 it is the series in v = (x - m) / (x + m): its terms fall by v^2 < 1/100, so ten
-    reach every bit a double holds.  It takes arrays, or numbers, whose series runs in Python floats at a sixth of
-    a 2-array's cost.  Numbers need x, m > 0; an array holding x = 0 or m = 0 divides by 0 under ``np.errstate``.
+    reach every bit a double holds.  It takes arrays, or numbers, which stay Python floats (the series at a sixth
+    of a 2-array's cost); numbers need x, m > 0.  An array with x = 0 or m = 0 divides by 0 under ``np.errstate``.
     """
     d = x - m
     v = d / (x + m)
@@ -257,6 +243,8 @@ def _bd0(x, m):
     for j in range(3, 23, 2):
         e = e * v2
         s = s + e / j
+    if isinstance(d, float):
+        return s if abs(d) < 0.1 * (x + m) else x * math.log(x / m) - d
     return np.where(abs(d) < 0.1 * (x + m), s, np.where(x > 0, x * np.log(x / m) - d, m))
 
 
@@ -281,20 +269,17 @@ def _binomial_pmf(x: np.ndarray, r: np.ndarray, p: float, q: float) -> np.ndarra
 
 
 def tabulate(
-    problem: FiniteProblem, rule, budget: int = ENUMERATION_BUDGET
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every sample as one table row: (samples, weights, risks, probs).
+    problem: FiniteProblem, budget: int = ENUMERATION_BUDGET
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every sample as one table row: (samples, weights, risks).
 
     Row r holds the r-th sample of :func:`iter_samples`, its product-measure
-    weight, its per-hypothesis empirical risks and ``rule(sample).probs``.
-    Sample s sits at row sum_i s_i k^(n-1-i), so changing coordinate i to z
-    moves it by (z - s_i) k^(n-1-i) rows.  The risks are :func:`_sample_risks`,
-    from the samples' count vectors, so every ordering of a type has its risks.
+    weight and its per-hypothesis empirical risks.  Sample s sits at row
+    sum_i s_i k^(n-1-i), so changing coordinate i to z moves it by
+    (z - s_i) k^(n-1-i) rows.  The risks are :func:`_sample_risks`, from the
+    samples' count vectors, so every ordering of a type has its risks.
     """
     k, n = problem.num_outcomes, problem.n
     _check_budget("enumerating {} sequences", lambda m: k**m, n, budget)
-    rows = k**n
-    samples = np.arange(rows)[:, None] // k ** np.arange(n - 1, -1, -1) % k
-    weights = np.prod(problem.mu.probs[samples], axis=1)
-    probs = np.array([rule(sample).probs for sample in samples])
-    return samples, weights, _sample_risks(problem, samples), probs
+    samples = np.arange(k**n)[:, None] // k ** np.arange(n - 1, -1, -1) % k
+    return samples, np.prod(problem.mu.probs[samples], axis=1), _sample_risks(problem, samples)

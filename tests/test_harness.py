@@ -56,6 +56,7 @@ from genbounds import (
     run_cmi_experiment,
     run_dp_prior_experiment,
     run_violation_experiment,
+    subgamma_mi,
     true_risks,
     union_beta_grid,
     union_bound_beta,
@@ -74,6 +75,7 @@ from genbounds.harness import (
     _mulhi,
     _one_trial,
     _summarize,
+    _table_posteriors,
     _thresholds,
     _trial_counts,
     _trials,
@@ -250,9 +252,8 @@ class TestSampleTable:
     def test_rows_follow_iter_samples_and_the_index_formula(self, rng):
         problem = random_problem(rng, 3, 3, n=3)
         algorithm = GibbsAlgorithm(beta_alg=1.0)
-        samples, weights, risks, probs = tabulate(
-            problem, lambda s: algorithm.posterior(problem, s)
-        )
+        samples, weights, risks = tabulate(problem)
+        probs = _table_posteriors(problem, algorithm, samples, risks)
         expected = list(iter_samples(problem))
         assert len(samples) == len(expected) == 27
         for row, (sample, weight) in enumerate(expected):
@@ -331,6 +332,22 @@ class TestVerifyExpectationBounds:
             assert report.prior_bound_holds
             assert abs(report.golden_residual) <= 1e-10
 
+    @pytest.mark.parametrize("model", [LossModel.sub_gaussian(4.0), LossModel.sub_gamma(4.0, 0.5)],
+                             ids=["sub-gaussian", "sub-gamma"])
+    def test_the_mi_route_reads_the_loss_model(self, model):
+        # Losses in [0, 8) are 4-sub-Gaussian by Hoeffding's lemma.  A route read at the unit scale 1/2
+        # failed this correct learner on 90 of these 200 problems.
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            losses, masses = 8 * rng.random((3, 2)), rng.random(2) + 0.2
+            problem = FiniteProblem(losses=losses, mu=DiscreteDist.from_weights(masses), n=4)
+            report = verify_expectation_bounds(problem, GibbsAlgorithm(beta_alg=2.0), model=model)
+            info = report.mutual_information
+            assert report.mi_gap_bound == zhang_gen_expectation(info, 4, model)
+            want = subgamma_mi(info, 4, 4.0, model.c) if model.c else xu_raginsky(info, 4, 4.0)
+            assert report.mi_gap_bound == pytest.approx(want, rel=1e-15)
+            assert report.mi_bound_holds and report.prior_bound_holds
+
     def test_unit_model_requires_unit_losses(self, rng):
         problem = FiniteProblem(losses=[[0.0, 3.0]], mu=DiscreteDist([0.5, 0.5]), n=2)
         with pytest.raises(ConfigurationError):
@@ -358,8 +375,9 @@ class TestVerifyExpectationBounds:
 
 
 def table_report(table, problem, algorithm, prior=None):
-    """The expectation-bound report computed from one sample table, whatever the rule."""
-    _, weights, risks, probs = table(problem, lambda s: algorithm.posterior(problem, s))
+    """The expectation-bound report computed from one sample table and one rule call per row, whatever the rule."""
+    samples, weights, risks = table(problem)
+    probs = np.array([algorithm.posterior(problem, sample).probs for sample in samples])
     joint = JointTable.from_weights(weights[:, None] * probs)
     q = prior if prior is not None else DiscreteDist.uniform(problem.num_hypotheses)
     info = mutual_info(joint)
@@ -372,12 +390,11 @@ def table_report(table, problem, algorithm, prior=None):
     )
 
 
-def type_table(problem, rule):
-    """The type table with each row recomputed from its sorted sample: (samples, weights, risks, probs)."""
+def type_table(problem):
+    """The type table with each row's risks recomputed from its sorted sample: (samples, weights, risks)."""
     counts, weights, _ = tabulate_types(problem)
     samples = [np.repeat(np.arange(problem.num_outcomes), row) for row in counts]
-    risks = np.array([empirical_risks(problem, sample) for sample in samples])
-    return samples, weights, risks, np.array([rule(sample).probs for sample in samples])
+    return samples, weights, np.array([empirical_risks(problem, sample) for sample in samples])
 
 
 def reference_type_audit(problem, epsilon):
@@ -537,7 +554,7 @@ class TestTypeTable:
     def test_codes_beyond_int64(self, rng):
         # 64 outcomes at n = 1: the code of a count vector reaches 2^63.
         problem = random_problem(rng, 3, 64, n=1)
-        _, _, risks, _ = tabulate(problem, lambda s: DiscreteDist.uniform(3))
+        _, _, risks = tabulate(problem)
         for row, (sample, _) in enumerate(iter_samples(problem)):
             assert np.array_equal(risks[row], empirical_risks(problem, sample))
         assert dp_mechanism_max_log_ratio(problem, 0.7) == reference_audit(problem, 0.7)

@@ -22,18 +22,32 @@ from genbounds.bounds import (
     BoundRequest,
     BoundResult,
     cmi_expectation,
+    cmi_pac_high_prob,
     dp_prior_penalty,
     fano_identification_lb,
+    subgamma_pacbayes,
+    union_bound_beta,
     xu_raginsky,
     zhang_gen_expectation,
 )
-from genbounds.divergences import GaussianKLInputs, JointTable, conditional_mutual_info, max_info_dp_bound
-from genbounds.errors import DegenerateError, DomainError, ParameterError
+from genbounds.divergences import (
+    GaussianKLInputs,
+    JointTable,
+    conditional_kl,
+    conditional_mutual_info,
+    kl_binary_inverse_upper,
+    kl_gaussian_diag,
+    max_info_dp_bound,
+    max_info_exact,
+)
+from genbounds.errors import ConfigurationError, DegenerateError, DomainError, ParameterError, ShapeError
 from genbounds.harness import (
     BoundSpec,
     ErmAlgorithm,
+    GibbsAlgorithm,
     SupersampleDraw,
     TrialConfig,
+    certify,
     clopper_pearson_upper,
     union_beta_grid,
 )
@@ -42,6 +56,7 @@ from genbounds.posteriors import (
     PacBayesSgdParams,
     QuadraticModel,
     expected_quadratic_loss,
+    gaussian_icm_objective,
     gibbs_posterior,
     iei_empirical_check,
     iei_exact,
@@ -51,6 +66,7 @@ from genbounds.posteriors import (
     stochastic_complexity,
 )
 from genbounds.problems import annealed_risks, empirical_risks
+from genbounds.registry import BOUNDS
 
 NAN, INF = float("nan"), float("inf")
 NOT_PROBABILITIES = "probabilities must be finite and nonnegative"
@@ -354,20 +370,85 @@ def test_every_nan_parameter_is_refused(call, message):
     call(0.5)
 
 
-@pytest.mark.parametrize(
-    "call, value, message",
-    [
-        (lambda x: phi_beta_inverse(1.0, x), -5.0, "x must be nonnegative"),
-        (lambda x: phi_beta_inverse(1.0, x), -INF, "x must be nonnegative"),
-        (lambda x: local_entropy(_MODEL, 1.0, [x]), INF, "w must be finite"),
-        (lambda x: local_entropy(_MODEL, 1.0, [x]), -INF, "w must be finite"),
-        (lambda x: local_entropy_mc(_MODEL, 1.0, 10, seed=0, w=[x]), INF, "w must be finite"),
-    ],
-    ids=["phi_beta_inverse-negative", "phi_beta_inverse--inf", "local_entropy-+inf", "local_entropy--inf",
-         "local_entropy_mc-+inf"],
-)
-def test_out_of_range_values_are_refused(call, value, message):
-    _raises_exactly(DomainError, message, call, value)
+def _trial_config(problem, bound, prior=None):
+    return TrialConfig(seed=0, trials=10, problem=problem, algorithm=GibbsAlgorithm(1.0),
+                       bound=BoundSpec(bound, {"beta": 1.0}), delta=0.05, prior=prior)
+
+
+_JOINT = JointTable(np.full((2, 2), 0.25))
+
+#: (site, a call taking the value under test, the value, the error class, its message)
+OUT_OF_RANGE = [
+    ("phi_beta_inverse-negative", lambda x: phi_beta_inverse(1.0, x), -5.0, DomainError, "x must be nonnegative"),
+    ("phi_beta_inverse--inf", lambda x: phi_beta_inverse(1.0, x), -INF, DomainError, "x must be nonnegative"),
+    ("local_entropy-+inf", lambda x: local_entropy(_MODEL, 1.0, [x]), INF, DomainError, "w must be finite"),
+    ("local_entropy--inf", lambda x: local_entropy(_MODEL, 1.0, [x]), -INF, DomainError, "w must be finite"),
+    ("local_entropy_mc-+inf", lambda x: local_entropy_mc(_MODEL, 1.0, 10, seed=0, w=[x]), INF, DomainError,
+     "w must be finite"),
+    ("ErmAlgorithm-tie_break", lambda x: ErmAlgorithm(tie_break=x), "first", ConfigurationError,
+     "tie_break must be 'lowest' or 'uniform'"),
+    ("GibbsAlgorithm-0", GibbsAlgorithm, 0.0, ConfigurationError, "beta_alg must be positive"),
+    ("TrialConfig-prior-length", lambda x: _trial_config(COIN, "zhang", DiscreteDist.uniform(x)), 3,
+     ConfigurationError, "prior must match the hypothesis count"),
+    ("SupersampleDraw-one-column", lambda x: SupersampleDraw(np.zeros((x, 1), int), np.zeros(x, int)), 3,
+     DomainError, "z_tilde must be an n x 2 index array"),
+    ("SupersampleDraw-u-not-bits", lambda x: SupersampleDraw(np.zeros((3, 2), int), [0, x, 1]), 2, DomainError,
+     "u must be one bit per supersample row"),
+    ("union_beta_grid-alpha", lambda x: union_beta_grid(10, x, 4.0, 0.5), 1.0, DomainError,
+     "need alpha > 1, v > 0, sigma > 0"),
+    ("LossModel-c", lambda x: LossModel("sub_gaussian", c=x), 0.5, DomainError,
+     "only sub-gamma models carry a tail parameter c"),
+    ("PsiFunction-beta_sup", lambda x: PsiFunction(lambda b: b * b, beta_sup=x), 0.0, DomainError,
+     "beta_sup must be positive"),
+    ("subgamma_pacbayes-model",
+     lambda x: subgamma_pacbayes(BoundRequest(n=10, delta=0.1, kl=0.5, model=LossModel.sub_gaussian(x))), 1.0,
+     ParameterError, "requires a sub-gamma loss model"),
+    ("union_bound_beta-model",
+     lambda x: union_bound_beta(BoundRequest(n=10, delta=0.1, kl=0.5, model=LossModel.sub_gamma(x, 0.5)), 2.0, 4.0),
+     1.0, ParameterError, "requires a sub-Gaussian (or [0, 1]-valued) loss model"),
+    ("cmi_pac_high_prob-model",
+     lambda x: cmi_pac_high_prob(BoundRequest(n=10, delta=0.1, kl=0.5, beta=1.0, model=LossModel.sub_gaussian(x))),
+     1.0, ParameterError, "the supersample bound applies only to [0, 1]-valued losses"),
+    ("dp_prior_penalty-delta", lambda x: dp_prior_penalty(10, x, 0.1), 1.5, DomainError, "delta must lie in (0, 1]"),
+    ("kl_binary_inverse_upper-y", lambda x: kl_binary_inverse_upper(x, 0.1), 1.5, DomainError,
+     "y must lie in [0, 1]"),
+    ("kl_gaussian_diag-shapes", lambda x: kl_gaussian_diag(np.zeros(x), _ONE, [0.0], _ONE), 2, ShapeError,
+     "mean and variance vectors must share one shape"),
+    ("conditional_kl-q-length", lambda x: conditional_kl(_JOINT, DiscreteDist.uniform(x)), 3, ShapeError,
+     "q must match the hypothesis axis of the joint"),
+    ("max_info_exact-alpha", lambda x: max_info_exact(_JOINT, x), 1.0, DomainError, "alpha must lie in [0, 1)"),
+    ("QuadraticModel-empty", lambda x: QuadraticModel(np.ones(x), np.ones(x), np.ones(x), lam=1.0, n=3, beta=1.0),
+     0, ShapeError, "hessian_eigenvalues must be a nonempty 1-D vector"),
+    ("QuadraticModel-w_p-length", lambda x: QuadraticModel(_ONE, np.ones(x), _ONE, lam=1.0, n=3, beta=1.0), 2,
+     ShapeError, "w_p and w_q must match the eigenvalue vector length"),
+    ("QuadraticModel-beta-inf", lambda x: QuadraticModel(_ONE, _ONE, _ONE, lam=1.0, n=3, beta=x), INF, DomainError,
+     "lam and beta must be finite"),
+    ("QuadraticModel-lam-inf", lambda x: QuadraticModel(_ONE, _ONE, _ONE, lam=x, n=3, beta=1.0), INF, DomainError,
+     "lam and beta must be finite"),
+    ("expected_quadratic_loss-length", lambda x: expected_quadratic_loss(_MODEL, np.ones(x)), 2, ShapeError,
+     "covariance spectrum must match the Hessian spectrum"),
+    ("local_entropy-length", lambda x: local_entropy(_MODEL, 1.0, np.ones(x)), 2, ShapeError,
+     "w must match the model dimension"),
+    ("gaussian_icm_objective-cov", lambda x: gaussian_icm_objective(_MODEL, [x]), 0.0, DomainError,
+     "covariance eigenvalues must be positive"),
+    ("FiniteProblem-1-D-losses", lambda x: FiniteProblem(losses=[x, 1.0], mu=DiscreteDist.uniform(2), n=1), 0.0,
+     ShapeError, "losses must be a nonempty (hypotheses x outcomes) matrix"),
+    ("FiniteProblem-mu-length", lambda x: FiniteProblem(losses=[[0.0, 1.0]], mu=DiscreteDist.uniform(x), n=1), 3,
+     ShapeError, "mu must have one entry per outcome column"),
+    ("empirical_risks-empty", lambda x: empirical_risks(COIN, x), [], DomainError,
+     "a sample must be a nonempty 1-D list of outcome indices"),
+    ("certify-pac-bayes-kl-losses",
+     lambda x: certify(_trial_config(FiniteProblem(losses=[[0.0, x], [x, 0.0]], mu=COIN.mu, n=10), "pac-bayes-kl")),
+     2.0, ConfigurationError, "bound 'pac-bayes-kl' requires losses in [0, 1]"),
+    ("cmi-expectation-field", lambda x: BOUNDS["cmi-expectation"].evaluate({"n": x}), 10, ConfigurationError,
+     "cmi-expectation needs a cmi or avg_kl field"),
+]
+
+
+@pytest.mark.parametrize("call, value, cls, message", [case[1:] for case in OUT_OF_RANGE],
+                         ids=[case[0] for case in OUT_OF_RANGE])
+def test_out_of_range_values_are_refused(call, value, cls, message):
+    _raises_exactly(cls, message, call, value)
 
 
 def test_phi_beta_inverse_refuses_an_infinite_beta():

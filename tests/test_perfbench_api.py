@@ -1,10 +1,14 @@
-"""The benchmark's certifications, run through the package API the benchmark calls.
+"""The benchmark's certifications and exact checks, run through the package API the benchmark calls.
 
-perfbench/workloads.py calls the entry points of each trial kind, ``BoundSpec(name, params)`` and the
-dp-prior ``epsilon`` arguments.  Running its own checks here shows a break in that API in the test suite,
-before it can fail a benchmark run.
+perfbench/workloads.py calls the entry points of each trial kind, ``BoundSpec(name, params)``, the
+dp-prior ``epsilon`` arguments and the exact checks: ``iei_exact`` with a closure and
+``cmi_exact_quantities`` with a ``GibbsAlgorithm``.  perfbench/run.py traces package functions by their
+``module.name``.  Running the benchmark's own checks here, and resolving every name it traces, shows a
+break in that API in the test suite, before it can fail or silently zero a benchmark run.
 """
 
+import ast
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -30,3 +34,32 @@ PROBLEMS = {
 def test_a_benchmark_certification_passes_its_own_check(problem, name, beta):
     config = workloads.trial_config(problem(), name, beta, seed=3, trials=40)
     assert workloads.check_certification(config, workloads.run_certification(config)) == []
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS.values(), ids=workloads.WORKLOADS.keys())
+def test_a_benchmark_exact_check_passes_its_own_check(workload):
+    for item in workloads.exact_inputs(workload, np.random.default_rng([3, 0, 1])):
+        assert workloads.check_exact(item, workloads.run_exact(item)) == [], item.kind
+
+
+def traced_names() -> set[str]:
+    """The ``module.name`` strings perfbench/run.py reports: its three name tuples and its ``get`` lookups."""
+    tree = ast.parse((_PATH.parent / "run.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) in ("_CALLS_AND_S", "_WITH_SELF", "_US_PER_CALL") for target in node.targets
+        ):
+            names.update(ast.literal_eval(node.value))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "get" and node.args:
+            if isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str):
+                names.add(node.args[0].value)
+    return names
+
+
+def test_every_traced_name_resolves_in_the_package():
+    names = traced_names()
+    assert {"problems.iter_samples", "divergences.DiscreteDist", "harness.cmi_exact_quantities"} <= names
+    for name in sorted(names):
+        module, attribute = name.split(".")
+        assert callable(getattr(importlib.import_module(f"genbounds.{module}"), attribute, None)), name

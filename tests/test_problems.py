@@ -17,7 +17,6 @@ from genbounds import (
     annealed_risks,
     empirical_risks,
     iter_samples,
-    iter_types,
     phi_beta,
     true_risks,
 )
@@ -198,7 +197,7 @@ class TestIterSamples:
         with pytest.raises(BudgetError, match=f"sequences exceeds the budget of {budget}; {fits}$"):
             list(iter_samples(problem, budget=budget))
         with pytest.raises(BudgetError, match=f"; {fits}$"):
-            tabulate(problem, lambda sample: None, budget=budget)
+            tabulate(problem, budget=budget)
 
     def test_a_count_too_long_to_print_is_shown_by_its_magnitude(self, rng):
         problem = random_problem(rng, 2, 2, n=100_000)
@@ -206,12 +205,18 @@ class TestIterSamples:
             list(iter_samples(problem))
 
 
-class TestIterTypes:
+def sorted_types(problem):
+    """One sorted sample per row of the type table, with the row's weight."""
+    counts, weights, _ = tabulate_types(problem)
+    return [(np.repeat(np.arange(problem.num_outcomes), row), weight) for row, weight in zip(counts, weights.tolist())]
+
+
+class TestTypeTableWeights:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_one_sorted_sample_per_type_weighted_by_its_sequences(self, n, k):
         problem = random_problem(np.random.default_rng([n, k]), 2, k, n=n)
-        types = list(iter_types(problem))
+        types = sorted_types(problem)
         assert len(types) == math.comb(n + k - 1, k - 1)
         assert math.fsum(w for _, w in types) == pytest.approx(1.0, abs=1e-12)
         by_type = {}
@@ -224,19 +229,19 @@ class TestIterTypes:
 
     def test_zero_mass_outcomes_give_zero_weight_types(self):
         problem = FiniteProblem(losses=[[0.0, 1.0, 0.5]], mu=DiscreteDist([0.5, 0.5, 0.0]), n=3)
-        weights = {tuple(s): w for s, w in iter_types(problem)}
+        weights = {tuple(s): w for s, w in sorted_types(problem)}
         assert weights[(0, 1, 1)] == 0.375 and weights[(0, 0, 2)] == 0.0
 
     def test_budget_error_names_the_type_count(self, rng):
         problem = random_problem(rng, 2, 3, n=4)
         with pytest.raises(BudgetError, match="enumerating 15 types exceeds the budget of 10"):
-            list(iter_types(problem, budget=10))
+            tabulate_types(problem, budget=10)
 
     @pytest.mark.parametrize("mu", [[1.0, 0.0, 0.0], [0.3, 0.7, 0.0, 0.0], [0.0, 0.7, 0.0, 0.3]])
     @pytest.mark.parametrize("n", [3, 5, 40])
     def test_trailing_zero_masses_give_finite_weights(self, mu, n):
         problem = FiniteProblem(losses=np.zeros((1, len(mu))), mu=DiscreteDist(mu), n=n)
-        types = list(iter_types(problem))
+        types = sorted_types(problem)
         weights = np.array([w for _, w in types])
         assert np.all(np.isfinite(weights))
         uses_zero_mass = np.array([np.any(problem.mu.probs[sample] == 0) for sample, _ in types])
@@ -258,7 +263,7 @@ class TestIterTypes:
         k = len(mu)
         n = {2: 2000, 3: 100, 4: 30}[k]
         problem = FiniteProblem(losses=np.zeros((1, k)), mu=DiscreteDist(mu), n=n)
-        types = list(iter_types(problem))
+        types = sorted_types(problem)
         assert len(types) == math.comb(n + k - 1, k - 1)
         assert math.fsum(w for _, w in types) == pytest.approx(1.0, abs=1e-12)
         masses = [Fraction(float(m)) for m in problem.mu.probs]
@@ -289,4 +294,4 @@ class TestIterTypes:
     def test_budget_error_names_the_largest_n_that_fits(self, k, n, budget, fits):
         problem = random_problem(np.random.default_rng(k), 2, k, n=n)
         with pytest.raises(BudgetError, match=f"types exceeds the budget of {budget}; {fits}$"):
-            list(iter_types(problem, budget=budget))
+            tabulate_types(problem, budget=budget)
