@@ -351,6 +351,8 @@ def union_bound_beta(req: BoundRequest, alpha: float, v: float) -> BoundResult:
         raise ParameterError("alpha must exceed 1")
     if not v > 0:
         raise ParameterError("v must be positive")
+    if math.inf in (alpha, v):
+        raise ParameterError("alpha and v must be finite")
     sigma = _sub_gaussian_scale(req.model)
     delta, flags = _effective_delta(req)
     log_alpha = math.log(alpha)

@@ -42,18 +42,18 @@ with NaN can count as a violation.
 
 The exact checks read a sample table, which holds data only: one count row
 per type from :func:`~genbounds.problems.tabulate_types`, or one row per
-sequence from :func:`~genbounds.problems.tabulate`.  :func:`_table_posteriors`
-gives each row's posterior: the row kernel of an :class:`ErmAlgorithm` or a
-:class:`GibbsAlgorithm`, the one the certification applies to a block of
-drawn types, on either table, and one ``posterior`` call per sequence for any
-other rule.  The expectation-bound check runs on types for those two
-classes, since then W is independent of S given the type and I(S;W), the
-averaged KL and the expected gap do not change; any other rule runs on
-sequences.  The privacy audit always runs on types (the mechanism sees the
-sample through its empirical risks), a block of rows at a time, and builds
-each neighbour from its row by moving one count from outcome a to outcome
-b, so only the type table grows with the count.  :func:`enumerate_joint`
-and the supersample check run on sequences: a supersample is a pair of rows.
+sequence from :func:`~genbounds.problems.tabulate`.  The learning rules and
+:func:`~genbounds.posteriors._table_posteriors`, which gives each row's
+posterior, live in :mod:`~genbounds.posteriors`: an :class:`ErmAlgorithm` or
+a :class:`GibbsAlgorithm` reads its row kernel, the one the certification
+applies to drawn types, on either table, and so runs on types in the
+expectation-bound and exponential-moment checks (W is independent of S given
+the type); a callable rule runs once per sequence.  The privacy audit always
+runs on types (the mechanism sees the sample through its empirical risks), a
+block of rows at a time, and builds each neighbour from its row by moving
+one count from outcome a to outcome b, so only the type table grows with the
+count.  :func:`enumerate_joint` and the supersample check run on sequences:
+a supersample is a pair of rows.
 
 All bound parameters (beta and the entry's ``fields``, delta, the prior)
 are fixed in the trial configuration before any sample is drawn.
@@ -89,7 +89,15 @@ from .divergences import (
 )
 from .errors import ConfigurationError, DomainError, _is_positive_integer, _is_real
 from .losses import LossModel
-from .posteriors import _gibbs_rows
+from .posteriors import (
+    ErmAlgorithm,
+    GibbsAlgorithm,
+    _exact_table,
+    _gibbs_rows,
+    _is_exchangeable,
+    _table_posteriors,
+    _uniform_probs,
+)
 from .problems import (
     ENUMERATION_BUDGET,
     FiniteProblem,
@@ -105,74 +113,6 @@ from .problems import (
     true_risks,
 )
 from .registry import BOUNDS, BoundEntry, _require
-
-
-# ---------------------------------------------------------------------------
-# Learning rules
-# ---------------------------------------------------------------------------
-
-
-def _uniform_probs(h: int) -> np.ndarray:
-    """The probabilities of ``DiscreteDist.uniform(h)``, for the row kernels."""
-    return np.full(h, 1.0 / h)
-
-
-@dataclass(frozen=True)
-class ErmAlgorithm:
-    """Empirical risk minimization over the finite hypothesis set.
-
-    Ties resolve to the lowest hypothesis index by default (the choice
-    affects exact joints); "uniform" spreads the posterior over the argmin
-    set instead.
-    """
-
-    tie_break: str = "lowest"
-
-    def __post_init__(self) -> None:
-        if self.tie_break not in ("lowest", "uniform"):
-            raise ConfigurationError("tie_break must be 'lowest' or 'uniform'")
-
-    def posterior(self, problem: FiniteProblem, sample) -> DiscreteDist:
-        return DiscreteDist(self._posterior_rows(empirical_risks(problem, sample), None, problem.n))
-
-    def _posterior_rows(self, risks: np.ndarray, base, n: int) -> np.ndarray:
-        """The posterior of each row of empirical risks; ``base`` and ``n`` are unused."""
-        mask = risks <= risks.min(axis=-1, keepdims=True)
-        if self.tie_break == "lowest":
-            mask &= mask.cumsum(axis=-1) == 1  # the first index of the argmin set
-            return mask.astype(float)
-        return mask / mask.sum(axis=-1, keepdims=True)
-
-
-@dataclass(frozen=True)
-class GibbsAlgorithm:
-    """The empirical-risk Gibbs kernel at inverse temperature n * beta_alg.
-
-    This is the information-complexity minimizer at beta_alg relative to the
-    uniform distribution on hypotheses.
-    """
-
-    beta_alg: float
-
-    def __post_init__(self) -> None:
-        if not self.beta_alg > 0:
-            raise ConfigurationError("beta_alg must be positive")
-
-    def posterior(self, problem: FiniteProblem, sample) -> DiscreteDist:
-        uniform = _uniform_probs(problem.num_hypotheses)
-        return DiscreteDist(self._posterior_rows(empirical_risks(problem, sample), uniform, problem.n))
-
-    def _posterior_rows(self, risks: np.ndarray, base: np.ndarray, n: int) -> np.ndarray:
-        """The Gibbs posterior relative to ``base`` (one row, or one per row) of each row of risks."""
-        return _gibbs_rows(base, risks, n * self.beta_alg)
-
-
-def _is_exchangeable(algorithm) -> bool:
-    """True for the rules known to see a sample only through its type.
-
-    A subclass may override ``posterior``, so only the two classes qualify.
-    """
-    return type(algorithm) in (ErmAlgorithm, GibbsAlgorithm)
 
 
 # ---------------------------------------------------------------------------
@@ -599,19 +539,6 @@ def _trial_counts(problem: FiniteProblem, seed: int, trials: np.ndarray | range,
 # ---------------------------------------------------------------------------
 
 
-def _table_posteriors(problem: FiniteProblem, algorithm, samples: np.ndarray, risks: np.ndarray) -> np.ndarray:
-    """The posterior of each row of a sample table, given its samples and risks.
-
-    An :class:`ErmAlgorithm` or a :class:`GibbsAlgorithm` reads the risks through its row kernel against the
-    uniform base, each row its ``posterior`` to the bit, on either table; any other rule runs once per sequence.
-    """
-    if _is_exchangeable(algorithm):
-        probs = algorithm._posterior_rows(risks, _uniform_probs(problem.num_hypotheses), problem.n)
-        _check_rows(probs)
-        return probs
-    return np.array([algorithm.posterior(problem, sample).probs for sample in samples])
-
-
 def enumerate_joint(
     problem: FiniteProblem,
     algorithm,
@@ -655,7 +582,7 @@ def verify_expectation_bounds(
     averaged KL to an arbitrary fixed prior.  The golden-formula residual
     ties the two complexity measures together.  The joint is over sample
     types for an :class:`ErmAlgorithm` or a :class:`GibbsAlgorithm` and over
-    sequences for any other rule (see :func:`_table_posteriors`).
+    sequences for a callable rule (see :func:`~genbounds.posteriors._exact_table`).
     """
     if model is None:
         model = LossModel.bounded_unit()
@@ -663,9 +590,8 @@ def verify_expectation_bounds(
         raise ConfigurationError("a [0, 1] loss model requires losses in [0, 1]")
     q = prior if prior is not None else DiscreteDist.uniform(problem.num_hypotheses)
 
-    table = tabulate_types if _is_exchangeable(algorithm) else tabulate
-    samples, weights, risks = table(problem, budget)
-    joint = JointTable.from_weights(weights[:, None] * _table_posteriors(problem, algorithm, samples, risks))
+    weights, risks, probs = _exact_table(problem, algorithm, budget)
+    joint = JointTable.from_weights(weights[:, None] * probs)
     info = mutual_info(joint)
     avg_kl = conditional_kl(joint, q)
     return ExpectationBoundReport(
@@ -935,6 +861,8 @@ def _check_dp_prior(problem: FiniteProblem, epsilon: float) -> None:
         raise ConfigurationError("the sensitivity argument requires losses in [0, 1]")
     if not epsilon > 0:
         raise DomainError("epsilon must be positive")
+    if epsilon == math.inf:
+        raise DomainError("epsilon must be finite")
 
 
 def _dp_prior_rows(problem: FiniteProblem, risks: np.ndarray, epsilon: float) -> np.ndarray:
@@ -995,13 +923,15 @@ def dp_mechanism_max_log_ratio(
 def union_beta_grid(n: int, alpha: float, v: float, sigma: float) -> np.ndarray:
     """The geometric inverse-temperature grid underlying the union-bound price.
 
-    Starts at u = min(sqrt(2 alpha / sigma^2), v) / sqrt(n) and multiplies by
-    alpha until v is covered.
+    Starts at u = min(sqrt(2 alpha) / sigma, v) / sqrt(n), which squares no
+    sigma, and multiplies by alpha until v is covered.
     """
     if not _is_positive_integer(n):
         raise DomainError("n must be a positive integer")
     if not alpha > 1 or not v > 0 or not sigma > 0:
         raise DomainError("need alpha > 1, v > 0, sigma > 0")
-    u = min(math.sqrt(2.0 * alpha / sigma**2), v) / math.sqrt(n)
+    if math.inf in (alpha, v, sigma):
+        raise DomainError("alpha, v and sigma must be finite")
+    u = min(math.sqrt(2.0 * alpha) / sigma, v) / math.sqrt(n)
     count = max(math.ceil(math.log(v / u) / math.log(alpha)), 1)
     return u * alpha ** np.arange(count)

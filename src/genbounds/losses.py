@@ -208,13 +208,20 @@ def psi_star_inverse_numeric(psi: PsiFunction, y: float) -> float:
 def phi_beta(beta: float, x: float) -> float:
     """The annealing bijection -log(1 - (1 - e^-beta) x) / beta on [0, 1].
 
-    Uses log1p/expm1 so small beta does not lose precision.
+    Uses log1p/expm1 so small beta does not lose precision; where the
+    log1p argument falls below -1/2 the log of (1 - x) + x e^-beta, whose
+    1 - x is exact there, keeps large beta and x near 1 precise.
     """
     if not beta > 0:
         raise DomainError("beta must be positive")
     if not 0.0 <= x <= 1.0:
         raise DomainError("x must lie in [0, 1]")
-    return -math.log1p(math.expm1(-beta) * x) / beta
+    if x == 1.0:
+        return 1.0
+    shift = math.expm1(-beta) * x
+    if shift < -0.5:
+        return -math.log((1.0 - x) + x * math.exp(-beta)) / beta
+    return -math.log1p(shift) / beta
 
 
 @np.errstate(over="ignore")

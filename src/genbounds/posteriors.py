@@ -9,6 +9,11 @@ where p* is the Gibbs measure p*(w) proportional to q(w) e^{-beta f(w)}.  The
 left side minus its last term is the information complexity of p; the Gibbs
 measure is its unique minimizer and the minimum equals the stochastic
 complexity -log E_q[e^{-beta f}] / beta.
+
+The learning rules live here too, with the one contract of every exact
+check: a rule is an :class:`ErmAlgorithm` or a :class:`GibbsAlgorithm`, read
+through its row kernel, or any callable sample -> DiscreteDist, called once
+per sample by :func:`_table_posteriors` and nowhere else.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .bounds import _PHI_INVERSE, BoundResult, _on_rows, _result
 from .divergences import (
     DiscreteDist,
     GaussianKLInputs,
+    _check_rows,
     _floored_log,
     _kl_rows,
     _logsumexp,
@@ -30,17 +36,16 @@ from .divergences import (
     kl_gaussian_diag,
     kl_gaussian_spectral,
 )
-from .errors import DegenerateError, DomainError, ParameterError, ShapeError, _is_positive_integer
+from .errors import ConfigurationError, DegenerateError, DomainError, ParameterError, ShapeError, _is_positive_integer
 from .problems import (
+    ENUMERATION_BUDGET,
     FiniteProblem,
     _sample_risks,
     annealed_risks,
     empirical_risks,
     tabulate,
+    tabulate_types,
 )
-
-#: A learning rule mapping a sample (vector of outcome indices) to a posterior.
-PosteriorRule = Callable[[np.ndarray], DiscreteDist]
 
 
 @dataclass(frozen=True)
@@ -84,6 +89,8 @@ def _gibbs_rows(q: np.ndarray, f: np.ndarray, beta: float, log_q: np.ndarray | N
     """
     if not beta >= 0:
         raise DomainError("beta must be nonnegative")
+    if beta == math.inf:
+        raise DomainError("beta must be finite")
     if beta == 0:
         return np.array(np.broadcast_to(q, np.broadcast_shapes(q.shape, f.shape)))
     if log_q is None:
@@ -107,6 +114,8 @@ def stochastic_complexity(q: DiscreteDist, f_values, beta: float) -> float:
     f = _as_values(q, f_values)
     if not beta > 0:
         raise DomainError("beta must be positive")
+    if beta == math.inf:
+        raise DomainError("beta must be finite")
     return float(-_logsumexp(-beta * f, q.probs) / beta)
 
 
@@ -162,6 +171,102 @@ def dv_identity_residual(p: DiscreteDist, q: DiscreteDist, f_values, beta: float
 
 
 # ---------------------------------------------------------------------------
+# Learning rules
+# ---------------------------------------------------------------------------
+
+
+def _uniform_probs(h: int) -> np.ndarray:
+    """The probabilities of ``DiscreteDist.uniform(h)``, for the row kernels."""
+    return np.full(h, 1.0 / h)
+
+
+@dataclass(frozen=True)
+class ErmAlgorithm:
+    """Empirical risk minimization over the finite hypothesis set.
+
+    Ties resolve to the lowest hypothesis index by default (the choice
+    affects exact joints); "uniform" spreads the posterior over the argmin
+    set instead.
+    """
+
+    tie_break: str = "lowest"
+
+    def __post_init__(self) -> None:
+        if self.tie_break not in ("lowest", "uniform"):
+            raise ConfigurationError("tie_break must be 'lowest' or 'uniform'")
+
+    def posterior(self, problem: FiniteProblem, sample) -> DiscreteDist:
+        return DiscreteDist(self._posterior_rows(empirical_risks(problem, sample), None, problem.n))
+
+    def _posterior_rows(self, risks: np.ndarray, base, n: int) -> np.ndarray:
+        """The posterior of each row of empirical risks; ``base`` and ``n`` are unused."""
+        mask = risks <= risks.min(axis=-1, keepdims=True)
+        if self.tie_break == "lowest":
+            mask &= mask.cumsum(axis=-1) == 1  # the first index of the argmin set
+            return mask.astype(float)
+        return mask / mask.sum(axis=-1, keepdims=True)
+
+
+@dataclass(frozen=True)
+class GibbsAlgorithm:
+    """The empirical-risk Gibbs kernel at inverse temperature n * beta_alg.
+
+    This is the information-complexity minimizer at beta_alg relative to the
+    uniform distribution on hypotheses.
+    """
+
+    beta_alg: float
+
+    def __post_init__(self) -> None:
+        if not self.beta_alg > 0:
+            raise ConfigurationError("beta_alg must be positive")
+        if self.beta_alg == math.inf:
+            raise ConfigurationError("beta_alg must be finite")
+
+    def posterior(self, problem: FiniteProblem, sample) -> DiscreteDist:
+        uniform = _uniform_probs(problem.num_hypotheses)
+        return DiscreteDist(self._posterior_rows(empirical_risks(problem, sample), uniform, problem.n))
+
+    def _posterior_rows(self, risks: np.ndarray, base: np.ndarray, n: int) -> np.ndarray:
+        """The Gibbs posterior relative to ``base`` (one row, or one per row) of each row of risks."""
+        return _gibbs_rows(base, risks, n * self.beta_alg)
+
+
+#: The rule every exact check takes: a row-kernel rule, or a callable from a sample to its posterior.
+PosteriorRule = ErmAlgorithm | GibbsAlgorithm | Callable[[np.ndarray], DiscreteDist]
+
+
+def _is_exchangeable(rule) -> bool:
+    """True for the rules known to see a sample only through its type.
+
+    A subclass may override ``posterior``, so only the two classes qualify.
+    """
+    return type(rule) in (ErmAlgorithm, GibbsAlgorithm)
+
+
+def _table_posteriors(problem: FiniteProblem, rule, samples: np.ndarray, risks: np.ndarray) -> np.ndarray:
+    """The posterior of each row of a sample table or of drawn samples, given its samples and risks.
+
+    An :class:`ErmAlgorithm` or a :class:`GibbsAlgorithm` reads the risks through its row kernel against the
+    uniform base, each row its ``posterior`` to the bit, on either table; a callable runs once per row.
+    """
+    if _is_exchangeable(rule):
+        probs = rule._posterior_rows(risks, _uniform_probs(problem.num_hypotheses), problem.n)
+        _check_rows(probs)
+        return probs
+    probs = np.array([rule(sample).probs for sample in samples])
+    if probs.shape != risks.shape:
+        raise ShapeError("a rule's posteriors must have one entry per hypothesis")
+    return probs
+
+
+def _exact_table(problem: FiniteProblem, rule, budget: int = ENUMERATION_BUDGET):
+    """(weights, risks, posteriors) of the sample types for an ERM or Gibbs rule, of the sequences otherwise."""
+    samples, weights, risks = (tabulate_types if _is_exchangeable(rule) else tabulate)(problem, budget)
+    return weights, risks, _table_posteriors(problem, rule, samples, risks)
+
+
+# ---------------------------------------------------------------------------
 # The exponential-moment inequality behind the high-probability bounds
 # ---------------------------------------------------------------------------
 
@@ -192,14 +297,18 @@ def iei_exact(
     """Exhaustively enumerate E_S exp{n beta E_P[annealed - empirical] - D(P || Q)}.
 
     The exponential-moment inequality states this expectation never exceeds 1,
-    for any sample-dependent posterior rule and any fixed prior q.  The rule
-    may read the order of the sample, so it runs once per sequence.
+    for any sample-dependent posterior rule and any fixed prior q.  An
+    :class:`ErmAlgorithm` or a :class:`GibbsAlgorithm` runs on the sample
+    types and a callable, which may read the order of the sample, on the
+    sequences (see :func:`_exact_table`).  A :class:`GibbsAlgorithm` takes
+    the uniform base, not q; a Gibbs rule against q is a callable.
     """
     if not beta > 0:
         raise DomainError("beta must be positive")
+    if len(q) != problem.num_hypotheses:
+        raise ShapeError("q must have one entry per hypothesis")
     annealed = annealed_risks(problem, beta)
-    samples, weights, risks = tabulate(problem)
-    probs = np.array([posterior_rule(sample).probs for sample in samples])
+    weights, risks, probs = _exact_table(problem, posterior_rule)
     terms = _iei_term(problem, probs, q, beta, annealed, risks)
     positive = weights > 0  # a zero-weight row adds 0 even if its term overflows
     return float(weights[positive] @ terms[positive])
@@ -215,18 +324,22 @@ def iei_empirical_check(
 ) -> MonteCarloEstimate:
     """Monte Carlo estimate of the exponential moment checked by :func:`iei_exact`.
 
-    Deterministic given the seed.  The estimate should not exceed 1 by more
-    than a few standard errors.
+    Takes the rules :func:`iei_exact` takes, :class:`GibbsAlgorithm` again on
+    the uniform base, and gives a rule object and its callable form the same
+    estimate.  Deterministic given the seed.  The estimate should not exceed
+    1 by more than a few standard errors.
     """
     if not beta > 0:
         raise DomainError("beta must be positive")
     if not _is_positive_integer(trials):
         raise DomainError("trials must be a positive integer")
+    if len(q) != problem.num_hypotheses:
+        raise ShapeError("q must have one entry per hypothesis")
     rng = np.random.default_rng(seed)
     annealed = annealed_risks(problem, beta)
     samples = rng.choice(problem.num_outcomes, size=(trials, problem.n), p=problem.mu.probs)
-    probs = np.array([posterior_rule(sample).probs for sample in samples])
     risks = _sample_risks(problem, samples)
+    probs = _table_posteriors(problem, posterior_rule, samples, risks)
     terms = _iei_term(problem, probs, q, beta, annealed, risks)
     value = float(terms.mean())
     std_error = float(terms.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf

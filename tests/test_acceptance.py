@@ -361,17 +361,10 @@ def test_criterion_09_max_information():
         event = rng.random(p.shape) < 0.5
         assert p[event].sum() <= math.exp(level) * q[event].sum() + alpha + 1e-9
 
-    class PrivatePrior:
-        def __init__(self, epsilon):
-            self.epsilon = epsilon
-
-        def posterior(self, problem, sample):
-            return dp_prior_mechanism(problem, sample, self.epsilon)
-
     for epsilon in (0.3, 1.0):
         for n in (2, 3):
             problem = random_problem(rng, 3, 2, n=n)
-            joint = enumerate_joint(problem, PrivatePrior(epsilon))
+            joint = enumerate_joint(problem, lambda sample: dp_prior_mechanism(problem, sample, epsilon))
             assert max_info_exact(joint, 0.0) <= max_info_dp_bound(epsilon, n, 0.0) + 1e-9
             for alpha in (0.05, 0.2):
                 assert max_info_exact(joint, alpha) <= max_info_dp_bound(epsilon, n, alpha) + 1e-9

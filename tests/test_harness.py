@@ -1,6 +1,7 @@
 """Tests for the certification harness: enumeration, experiments, privacy audit."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import pickle
@@ -75,11 +76,11 @@ from genbounds.harness import (
     _mulhi,
     _one_trial,
     _summarize,
-    _table_posteriors,
     _thresholds,
     _trial_counts,
     _trials,
 )
+from genbounds.posteriors import _table_posteriors
 from genbounds.problems import tabulate, tabulate_types
 from genbounds.registry import BOUNDS
 from conftest import random_problem
@@ -267,12 +268,7 @@ class TestSampleTable:
 class TestEnumerateJoint:
     def test_constant_algorithm_gives_product(self, rng):
         problem = random_problem(rng, 3, 2, n=3)
-
-        class Constant:
-            def posterior(self, problem, sample):
-                return DiscreteDist([0.2, 0.5, 0.3])
-
-        joint = enumerate_joint(problem, Constant())
+        joint = enumerate_joint(problem, lambda sample: DiscreteDist([0.2, 0.5, 0.3]))
         assert mutual_info(joint) == pytest.approx(0.0, abs=1e-13)
 
     def test_single_draw_erm_identifies_outcome(self):
@@ -295,12 +291,7 @@ class TestEnumerateJoint:
 class TestVerifyExpectationBounds:
     def test_constant_algorithm_zero_gap(self, rng):
         problem = random_problem(rng, 3, 2, n=3)
-
-        class Constant:
-            def posterior(self, problem, sample):
-                return DiscreteDist.uniform(3)
-
-        report = verify_expectation_bounds(problem, Constant())
+        report = verify_expectation_bounds(problem, lambda sample: DiscreteDist.uniform(3))
         assert report.expected_gap == pytest.approx(0.0, abs=1e-12)
         assert report.mutual_information == pytest.approx(0.0, abs=1e-12)
         assert report.mi_bound_holds and report.prior_bound_holds
@@ -374,10 +365,10 @@ class TestVerifyExpectationBounds:
             assert abs(terms.mean() - target) <= 3 * se
 
 
-def table_report(table, problem, algorithm, prior=None):
-    """The expectation-bound report computed from one sample table and one rule call per row, whatever the rule."""
+def table_report(table, problem, rule, prior=None):
+    """The expectation-bound report computed from one sample table and one call per row of a callable rule."""
     samples, weights, risks = table(problem)
-    probs = np.array([algorithm.posterior(problem, sample).probs for sample in samples])
+    probs = np.array([rule(sample).probs for sample in samples])
     joint = JointTable.from_weights(weights[:, None] * probs)
     q = prior if prior is not None else DiscreteDist.uniform(problem.num_hypotheses)
     info = mutual_info(joint)
@@ -428,9 +419,12 @@ def audit_problems(draw):
 class FirstOutcome:
     """A rule that reads the order of the sample: it trusts the first outcome most."""
 
-    def posterior(self, problem, sample):
-        weights = np.ones(problem.num_hypotheses)
-        weights[int(sample[0]) % problem.num_hypotheses] += 4.0
+    def __init__(self, problem):
+        self.problem = problem
+
+    def __call__(self, sample):
+        weights = np.ones(self.problem.num_hypotheses)
+        weights[int(sample[0]) % self.problem.num_hypotheses] += 4.0
         return DiscreteDist.from_weights(weights)
 
 
@@ -476,7 +470,7 @@ class TestTypeTable:
         problem = random_problem(rng, 4, k, n=n, binary=isinstance(algorithm, ErmAlgorithm))
         prior = DiscreteDist.from_weights(rng.random(4) + 0.05) if fixed_prior else None
         got = verify_expectation_bounds(problem, algorithm, prior=prior)
-        want = table_report(tabulate, problem, algorithm, prior)
+        want = table_report(tabulate, problem, functools.partial(algorithm.posterior, problem), prior)
         for field in ("mutual_information", "expected_gap", "prior_gap_bound", "golden_residual"):
             assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12, field
         # The bound is sqrt(I / 2n): rounding noise of 1e-16 in an information
@@ -486,10 +480,10 @@ class TestTypeTable:
 
     def test_a_rule_that_reads_the_order_runs_on_sequences(self, rng):
         problem = random_problem(rng, 3, 2, n=4)
-        report = verify_expectation_bounds(problem, FirstOutcome())
-        assert report == table_report(tabulate, problem, FirstOutcome())
+        report = verify_expectation_bounds(problem, FirstOutcome(problem))
+        assert report == table_report(tabulate, problem, FirstOutcome(problem))
         # On types the rule would see only sorted samples, which changes the result.
-        assert report != table_report(type_table, problem, FirstOutcome())
+        assert report != table_report(type_table, problem, FirstOutcome(problem))
 
     @pytest.mark.parametrize(
         "algorithm",
@@ -507,7 +501,7 @@ class TestTypeTable:
             "zero-mass": DiscreteDist([0.5, 0.0, 0.25, 0.25]),
         }[prior]
         report = verify_expectation_bounds(problem, algorithm, prior=q)
-        assert report == table_report(type_table, problem, algorithm, q)
+        assert report == table_report(type_table, problem, functools.partial(algorithm.posterior, problem), q)
 
     @pytest.mark.parametrize("epsilon", [0.1, 0.7, 3.0])
     @pytest.mark.parametrize("mu", [[0.3, 0.2, 0.5], [0.6, 0.0, 0.4]], ids=["interior", "zero-mass"])
@@ -536,7 +530,7 @@ class TestTypeTable:
         with pytest.raises(BudgetError, match="33554432 sequences"):
             enumerate_joint(problem, GibbsAlgorithm(beta_alg=1.0))
         with pytest.raises(BudgetError, match="33554432 sequences"):
-            verify_expectation_bounds(problem, FirstOutcome())
+            verify_expectation_bounds(problem, FirstOutcome(problem))
 
     def test_verify_runs_where_the_multinomials_exceed_a_float(self, rng):
         problem = random_problem(rng, 3, 2, n=5000)
@@ -978,12 +972,7 @@ class TestCmiExperiment:
 
     def test_sample_ignoring_rule_has_zero_information(self, rng):
         problem = random_problem(rng, 3, 2, n=2)
-
-        class Constant:
-            def posterior(self, problem, sample):
-                return DiscreteDist.uniform(3)
-
-        cmi, gap = cmi_exact_quantities(problem, Constant())
+        cmi, gap = cmi_exact_quantities(problem, lambda sample: DiscreteDist.uniform(3))
         assert cmi == pytest.approx(0.0, abs=1e-12)
         assert gap == pytest.approx(0.0, abs=1e-12)
 
@@ -1590,11 +1579,13 @@ class TestMcCorrection:
 
 
 class TestUnionGrid:
-    def test_grid_is_geometric_and_covers_v(self):
-        grid = union_beta_grid(100, 2.0, 10.0, 0.5)
+    # sigma = 1e-308 squares to 0; its start is taken without the square.
+    @pytest.mark.parametrize("n, v, sigma", [(100, 10.0, 0.5), (10, 1e308, 1e-308)])
+    def test_grid_is_geometric_and_covers_v(self, n, v, sigma):
+        grid = union_beta_grid(n, 2.0, v, sigma)
         ratios = grid[1:] / grid[:-1]
         assert np.allclose(ratios, 2.0)
-        assert grid[-1] * 2.0 >= 10.0
+        assert grid[-1] * 2.0 >= v
 
     def test_size_never_exceeds_priced_allowance(self):
         for n in (1, 10, 100, 10**4):

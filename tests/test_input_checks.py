@@ -48,8 +48,13 @@ from genbounds.harness import (
     SupersampleDraw,
     TrialConfig,
     certify,
+    cmi_exact_quantities,
     clopper_pearson_upper,
+    dp_mechanism_max_log_ratio,
+    dp_prior_mechanism,
+    enumerate_joint,
     union_beta_grid,
+    verify_expectation_bounds,
 )
 from genbounds.losses import phi_beta, phi_beta_inverse, psi_of, psi_star_inverse, psi_star_inverse_numeric
 from genbounds.posteriors import (
@@ -376,6 +381,7 @@ def _trial_config(problem, bound, prior=None):
 
 
 _JOINT = JointTable(np.full((2, 2), 0.25))
+_UNION_REQUEST = BoundRequest(n=50, delta=0.05, kl=0.5, model=LossModel.sub_gaussian(1.0))
 
 #: (site, a call taking the value under test, the value, the error class, its message)
 OUT_OF_RANGE = [
@@ -442,6 +448,43 @@ OUT_OF_RANGE = [
      2.0, ConfigurationError, "bound 'pac-bayes-kl' requires losses in [0, 1]"),
     ("cmi-expectation-field", lambda x: BOUNDS["cmi-expectation"].evaluate({"n": x}), 10, ConfigurationError,
      "cmi-expectation needs a cmi or avg_kl field"),
+    *[
+        (f"{name}-posterior-length", lambda x, check=check: check(lambda sample: DiscreteDist.uniform(x)), 3,
+         ShapeError, "a rule's posteriors must have one entry per hypothesis")
+        for name, check in [
+            ("enumerate_joint", lambda rule: enumerate_joint(COIN, rule)),
+            ("verify_expectation_bounds", lambda rule: verify_expectation_bounds(COIN, rule)),
+            ("cmi_exact_quantities", lambda rule: cmi_exact_quantities(COIN, rule)),
+            ("iei_exact", lambda rule: iei_exact(COIN, rule, UNIFORM_2, 1.0)),
+            ("iei_empirical_check", lambda rule: iei_empirical_check(COIN, rule, UNIFORM_2, 1.0, 10, seed=0)),
+        ]
+    ],
+    ("iei_exact-q-length", lambda x: iei_exact(COIN, _coin_rule, DiscreteDist.uniform(x), 1.0), 3, ShapeError,
+     "q must have one entry per hypothesis"),
+    ("iei_empirical_check-q-length",
+     lambda x: iei_empirical_check(COIN, _coin_rule, DiscreteDist.uniform(x), 1.0, 10, seed=0), 3, ShapeError,
+     "q must have one entry per hypothesis"),
+    ("union_bound_beta-v-inf", lambda x: union_bound_beta(_UNION_REQUEST, 2.0, x), INF, ParameterError,
+     "alpha and v must be finite"),
+    ("union_bound_beta-alpha-inf", lambda x: union_bound_beta(_UNION_REQUEST, x, 2.0), INF, ParameterError,
+     "alpha and v must be finite"),
+    *[
+        (f"union_beta_grid-{name}-inf", call, INF, DomainError, "alpha, v and sigma must be finite")
+        for name, call in [
+            ("alpha", lambda x: union_beta_grid(10, x, 4.0, 0.5)),
+            ("v", lambda x: union_beta_grid(10, 2.0, x, 1.0)),
+            ("sigma", lambda x: union_beta_grid(10, 2.0, 1.0, x)),
+        ]
+    ],
+    ("gibbs_posterior-beta-inf", lambda x: gibbs_posterior(UNIFORM_2, [0.0, 1.0], x), INF, DomainError,
+     "beta must be finite"),
+    ("stochastic_complexity-beta-inf", lambda x: stochastic_complexity(UNIFORM_2, [0.0, 1.0], x), INF, DomainError,
+     "beta must be finite"),
+    ("GibbsAlgorithm-inf", GibbsAlgorithm, INF, ConfigurationError, "beta_alg must be finite"),
+    ("dp_prior_mechanism-epsilon-inf", lambda x: dp_prior_mechanism(COIN, [0, 1], x), INF, DomainError,
+     "epsilon must be finite"),
+    ("dp_mechanism_max_log_ratio-epsilon-inf", lambda x: dp_mechanism_max_log_ratio(COIN, x), INF, DomainError,
+     "epsilon must be finite"),
 ]
 
 

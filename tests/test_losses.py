@@ -1,5 +1,6 @@
 """Tests for the loss-family CGF machinery and the annealing bijection."""
 
+import decimal
 import math
 
 import numpy as np
@@ -139,6 +140,21 @@ class TestPhiBeta:
         # phi tends to the identity as beta -> 0
         assert phi_beta(1e-9, 0.37) == pytest.approx(0.37, abs=1e-9)
         assert phi_beta_inverse(1e-9, 0.37) == pytest.approx(0.37, abs=1e-9)
+
+    @pytest.mark.parametrize("beta", [1e-9, 1.0, 30.0, 37.0, 38.0, 745.0, 1e6])
+    def test_is_one_at_one_for_every_beta(self, beta):
+        assert phi_beta(beta, 1.0) == 1.0
+
+    def test_matches_a_decimal_reference_up_to_large_beta(self):
+        # (1 - x) + x e^-beta in 60 digits, with the binary x and beta taken exactly.
+        near_one = [1 - 1e-16, 1 - 2**-52, 1 - 1e-12, 1 - 1e-6, 0.999]
+        with decimal.localcontext() as context:
+            context.prec = 60
+            for beta in [*10 ** np.linspace(-9, 6, 61), 30.0, 37.0, 37.3, 38.0]:
+                for x in [*np.linspace(0.0, 1.0, 41), *near_one]:
+                    b, d = decimal.Decimal(float(beta)), decimal.Decimal(float(x))
+                    want = float(-((1 - d) + d * (-b).exp()).ln() / b)
+                    assert abs(phi_beta(beta, x) - want) <= 1e-15 * want, (beta, x)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

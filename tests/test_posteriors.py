@@ -9,7 +9,9 @@ from genbounds import (
     DegenerateError,
     DiscreteDist,
     DomainError,
+    ErmAlgorithm,
     FiniteProblem,
+    GibbsAlgorithm,
     LossModel,
     PacBayesSgdParams,
     ParameterError,
@@ -208,6 +210,37 @@ class TestIei:
         prior = DiscreteDist([1.0, 0.0])
         point_mass_off_support = lambda s: DiscreteDist([0.0, 1.0])
         assert iei_exact(problem, point_mass_off_support, prior, 1.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "rule",
+        [GibbsAlgorithm(beta_alg=2.0), ErmAlgorithm(), ErmAlgorithm(tie_break="uniform")],
+        ids=["gibbs", "erm-lowest", "erm-uniform"],
+    )
+    def test_a_rule_object_on_types_equals_its_callable_on_sequences(self, rule):
+        rng = np.random.default_rng(28)
+        for trial in range(40):
+            h, k, n = int(rng.integers(2, 5)), int(rng.integers(2, 4)), int(rng.integers(1, 6))
+            losses = rng.integers(0, 2, (h, k)).astype(float) if trial % 2 else rng.random((h, k))
+            mu = rng.random(k) + 0.1
+            if trial % 3:
+                mu[int(rng.integers(k))] = 0.0  # a zero mass gives type rows of zero weight
+            problem = FiniteProblem(losses=losses, mu=DiscreteDist.from_weights(mu), n=n)
+            q, beta = random_dist(rng, h), float(rng.choice([0.25, 1.0, 4.0]))
+            on_types = iei_exact(problem, rule, q, beta)
+            on_sequences = iei_exact(problem, lambda s: rule.posterior(problem, s), q, beta)
+            assert abs(on_types - on_sequences) <= 1e-12 * on_sequences
+            drawn = iei_empirical_check(problem, rule, q, beta, trials=50, seed=trial)
+            assert drawn == iei_empirical_check(problem, lambda s: rule.posterior(problem, s), q, beta, 50, trial)
+
+    def test_gibbs_algorithm_below_one_on_the_criterion_1_sweep(self):
+        rng = np.random.default_rng(101)
+        for num_hyp in (2, 3, 4):
+            for n in range(1, 7):
+                problem = random_problem(rng, num_hyp, 2, n=n)
+                prior = random_dist(rng, num_hyp)
+                for beta_alg in (0.5, 2.0):
+                    for beta in (0.25, 1.0, 4.0):
+                        assert iei_exact(problem, GibbsAlgorithm(beta_alg), prior, beta) <= 1.0 + 1e-10
 
     def test_zero_weight_sample_contributes_zero_even_if_its_term_overflows(self):
         # Sample [1, 1] has weight 0 and gap 1, so its term is exp(800).
