@@ -920,11 +920,23 @@ def dp_mechanism_max_log_ratio(
 # ---------------------------------------------------------------------------
 
 
+#: The most points :func:`union_beta_grid` returns, and the largest log v - log u it spans.
+_UNION_GRID_POINTS = 10**7
+_UNION_GRID_SPAN = 709.0
+
+
 def union_beta_grid(n: int, alpha: float, v: float, sigma: float) -> np.ndarray:
     """The geometric inverse-temperature grid underlying the union-bound price.
 
     Starts at u = min(sqrt(2 alpha) / sigma, v) / sqrt(n), which squares no
-    sigma, and multiplies by alpha until v is covered.
+    sigma, and multiplies by alpha until v is covered: the count is
+    ceil((log v - log u) / log alpha), and v / u is never formed.  The grid
+    is positive, finite and geometric, so three inputs are refused with a
+    DomainError: a start u below the smallest normal float (a subnormal v,
+    or a sigma near the largest float), where the grid would underflow; a
+    span log v - log u above 709 (v / u above about 8e307), where the
+    powers of alpha would overflow; and a grid of more than 10^7 points
+    (80 MB), which an alpha within about 1e-6 of 1 asks for.
     """
     if not _is_positive_integer(n):
         raise DomainError("n must be a positive integer")
@@ -933,5 +945,12 @@ def union_beta_grid(n: int, alpha: float, v: float, sigma: float) -> np.ndarray:
     if math.inf in (alpha, v, sigma):
         raise DomainError("alpha, v and sigma must be finite")
     u = min(math.sqrt(2.0 * alpha) / sigma, v) / math.sqrt(n)
-    count = max(math.ceil(math.log(v / u) / math.log(alpha)), 1)
+    if not u >= np.finfo(float).tiny:
+        raise DomainError("the grid's start min(sqrt(2 alpha) / sigma, v) / sqrt(n) underflows the normal floats")
+    span = math.log(v) - math.log(u)
+    if span > _UNION_GRID_SPAN:
+        raise DomainError(f"the grid spans log v - log u > {_UNION_GRID_SPAN:g}, where the powers of alpha overflow")
+    count = max(math.ceil(span / math.log(alpha)), 1)
+    if count > _UNION_GRID_POINTS:
+        raise DomainError(f"the grid would hold more than {_UNION_GRID_POINTS} points: alpha is too close to 1")
     return u * alpha ** np.arange(count)

@@ -26,6 +26,7 @@ import numpy as np
 
 from .bounds import _PHI_INVERSE, BoundResult, _on_rows, _result
 from .divergences import (
+    _SHORT_ROW,
     DiscreteDist,
     GaussianKLInputs,
     _check_rows,
@@ -61,6 +62,11 @@ def _as_values(q: DiscreteDist, f_values) -> np.ndarray:
     f = np.asarray(f_values, dtype=float)
     if f.ndim != 1 or f.size != len(q):
         raise ShapeError("f_values must be a 1-D vector matching the distribution")
+    # A NaN or -inf entry makes the total NaN or -inf; a short row with a
+    # larger total passes without a numpy reduction, and any other row,
+    # including one whose finite negative total overflows, is read by numpy.
+    if f.size <= _SHORT_ROW and sum(f.tolist()) > -math.inf:
+        return f
     if not np.minimum.reduce(f, axis=None) > -np.inf:
         raise DomainError("f_values must be > -inf and not NaN (+inf allowed)")
     return f
@@ -98,9 +104,15 @@ def _gibbs_rows(q: np.ndarray, f: np.ndarray, beta: float, log_q: np.ndarray | N
     logits = log_q - beta * f
     # On short rows numpy's call overhead outweighs the work, so: the ufuncs'
     # own reductions, in-place steps, and for a single row a scalar peak and
-    # total, as broadcasting a 1-element array costs more than a scalar.
+    # total, as broadcasting a 1-element array costs more than a scalar.  A
+    # short single row takes its peak from Python's max: its callers check f,
+    # so its logits hold no NaN, which max would skip.  The total stays
+    # numpy's, so a single row equals a row of a block to the bit.
     rows = logits.ndim > 1
-    peak = np.maximum.reduce(logits, axis=-1, keepdims=rows)
+    if rows or logits.size > _SHORT_ROW:
+        peak = np.maximum.reduce(logits, axis=-1, keepdims=rows)
+    else:
+        peak = max(logits.tolist())
     if -np.inf in (peak.ravel().tolist() if rows else (peak,)):
         raise DegenerateError("all prior mass sits on infinite f values")
     logits -= peak

@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .divergences import DiscreteDist, _logsumexp
+from .divergences import _SHORT_ROW, DiscreteDist, _logsumexp
 from .errors import BudgetError, DomainError, ShapeError, _is_positive_integer
 
 #: Default ceiling on the number of samples an exhaustive enumeration may visit.
@@ -97,15 +97,18 @@ def empirical_risks(problem: FiniteProblem, sample) -> np.ndarray:
     if has_bool or not _is_integral(s):
         raise DomainError("sample entries must be integer outcome indices")
     # The largest index is checked before bincount would allocate that many
-    # bins; bincount refuses a negative one itself.  A float below the int64
-    # range has no integer to cast to, so floats check both ends.
-    if not np.maximum.reduce(s) < problem.num_outcomes or (s.dtype.kind == "f" and np.minimum.reduce(s) < 0):
+    # bins, on a short sample as a Python number; bincount refuses a negative
+    # one itself.  A float below the int64 range has no integer to cast to,
+    # so floats check both ends.
+    peak = max(s.tolist()) if s.size <= _SHORT_ROW else np.maximum.reduce(s)
+    if not peak < problem.num_outcomes or (s.dtype.kind == "f" and np.minimum.reduce(s) < 0):
         raise DomainError(_OUT_OF_RANGE)
     try:
         counts = np.bincount(s.astype(int, copy=False), minlength=problem.num_outcomes)
     except ValueError:
         raise DomainError(_OUT_OF_RANGE) from None
-    return problem.losses @ counts / s.size
+    # ndarray.dot calls the matrix-vector product with less overhead than the @ operator, to the same bits.
+    return problem.losses.dot(counts) / s.size
 
 
 def annealed_risks(problem: FiniteProblem, beta: float) -> np.ndarray:

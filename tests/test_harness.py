@@ -1587,6 +1587,16 @@ class TestUnionGrid:
         assert np.allclose(ratios, 2.0)
         assert grid[-1] * 2.0 >= v
 
+    # Near the limits the grid admits: a start of 1e-300, above the smallest normal float; a span
+    # log v - log u of 706.9, below 709; and an alpha of 1 + 1e-5, which asks for 126 000 points.
+    @pytest.mark.parametrize("n, alpha, v, sigma",
+                             [(1, 2.0, 1e-300, 1.0), (1, 2.0, 1e300, 2e7), (1, 1 + 1e-5, 10.0, 0.5)])
+    def test_a_grid_near_the_limits_is_positive_finite_and_geometric(self, n, alpha, v, sigma):
+        grid = union_beta_grid(n, alpha, v, sigma)
+        assert grid[0] >= np.finfo(float).tiny and np.all(np.isfinite(grid))
+        assert np.allclose(grid[1:] / grid[:-1], alpha, rtol=1e-12, atol=0.0)
+        assert grid[-1] * alpha >= v
+
     def test_size_never_exceeds_priced_allowance(self):
         for n in (1, 10, 100, 10**4):
             for v in (0.1, 1.0, 10.0, 100.0):

@@ -31,8 +31,11 @@ from genbounds.bounds import (
     zhang_gen_expectation,
 )
 from genbounds.divergences import (
+    _SHORT_ROW,
+    PROB_MASS_ATOL,
     GaussianKLInputs,
     JointTable,
+    _check_rows,
     conditional_kl,
     conditional_mutual_info,
     kl_binary_inverse_upper,
@@ -60,6 +63,9 @@ from genbounds.losses import phi_beta, phi_beta_inverse, psi_of, psi_star_invers
 from genbounds.posteriors import (
     PacBayesSgdParams,
     QuadraticModel,
+    _as_values,
+    _gibbs_rows,
+    _uniform_probs,
     expected_quadratic_loss,
     gaussian_icm_objective,
     gibbs_posterior,
@@ -70,7 +76,7 @@ from genbounds.posteriors import (
     local_entropy_mc,
     stochastic_complexity,
 )
-from genbounds.problems import annealed_risks, empirical_risks
+from genbounds.problems import _count_risks, annealed_risks, empirical_risks
 from genbounds.registry import BOUNDS
 
 NAN, INF = float("nan"), float("inf")
@@ -114,6 +120,79 @@ def test_probability_tables_refuse_with_the_same_error(build, ndim, name, entrie
 def test_a_valid_table_is_kept_bit_for_bit(build, ndim):
     table = _table(ndim, [0.25, 0.0, 5e-324, 0.75 - 5e-324])
     assert build(table).probs.tobytes() == table.tobytes()
+
+
+def _outcome(call, *args):
+    """None if the call returns, else the class and message of the ValueError it raises."""
+    try:
+        call(*args)
+    except ValueError as error:  # DomainError and ShapeError are ValueErrors
+        return type(error), str(error)
+    return None
+
+
+#: Entries that a short row's Python read must treat as numpy does.
+SPECIAL = st.sampled_from([NAN, INF, -INF, -0.0, 0.0, -0.25, -1e-300, 5e-324, 1e-310, 1e308, -1e308, 1.0, 2.0])
+
+
+@st.composite
+def short_rows(draw):
+    """1-D rows of 1 to the short-row cap + 8 entries: normalized, with special entries, or near the mass bound."""
+    size = draw(st.integers(1, _SHORT_ROW + 8))
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
+    row = weights / weights.sum() if weights.sum() > 0 else np.full(size, 1.0 / size)
+    kind = draw(st.sampled_from(["normalized", "special", "near the bound", "[±1e308, ±1e308]"]))
+    if kind == "special":
+        for index in draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=3)):
+            row[index] = draw(SPECIAL)
+    elif kind == "near the bound":
+        # Move the last entry so that the total lands a few ulps from 1 - 1e-12 or 1 + 1e-12.
+        target = 1.0 + draw(st.sampled_from([-1.0, 1.0])) * PROB_MASS_ATOL + draw(st.integers(-4, 4)) * 2.0**-52
+        row[-1] = max(row[-1] + (target - row.sum()), 0.0)
+    elif kind == "[±1e308, ±1e308]":
+        row = np.full(size + 1, draw(st.sampled_from([1e308, -1e308])))
+    return row
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(row=short_rows())
+def test_a_short_row_is_judged_as_a_row_of_a_block(row):
+    # A one-row block takes the numpy check whatever its length, so it is the reference for the short-row read.
+    want = _outcome(_check_rows, row[None])
+    assert _outcome(_check_rows, row) == want
+    assert _outcome(DiscreteDist, row) == want
+    if want is None:
+        assert DiscreteDist(row).probs.tobytes() == row.tobytes()
+    # As f values, a row is refused for a NaN or -inf entry only; [-1e308, -1e308], whose total is -inf, passes.
+    refuses = not np.min(row) > -INF
+    want_values = (DomainError, "f_values must be > -inf and not NaN (+inf allowed)") if refuses else None
+    assert _outcome(_as_values, DiscreteDist.uniform(row.size), row) == want_values
+
+
+#: Row lengths on both sides of the short-row cap, and of numpy's 8-way summation.
+ROW_LENGTHS = [1, 2, 3, 7, 8, 9, _SHORT_ROW - 1, _SHORT_ROW, _SHORT_ROW + 1, 2 * _SHORT_ROW + 3]
+
+
+@pytest.mark.parametrize("h", ROW_LENGTHS)
+def test_one_row_primitives_equal_their_block_rows_bit_for_bit(h):
+    rng = np.random.default_rng([29, h])
+    q = DiscreteDist.from_weights(rng.random(h) + 0.05)
+    assert DiscreteDist(q.probs).probs.tobytes() == q.probs.tobytes()
+    for n in (10, _SHORT_ROW, _SHORT_ROW + 1, 200):
+        problem = FiniteProblem(losses=rng.random((h, 3)), mu=DiscreteDist.uniform(3), n=n)
+        samples = rng.integers(0, 3, size=(5, n))
+        counts = np.array([np.bincount(sample, minlength=3) for sample in samples])
+        risks = _count_risks(problem, counts)
+        rule = GibbsAlgorithm(0.7)
+        rows = rule._posterior_rows(risks, _uniform_probs(h), n)
+        for beta in (0.0, 0.3, 40.0):
+            gibbs = _gibbs_rows(q.probs, risks, beta)
+            for i, sample in enumerate(samples):
+                assert gibbs_posterior(q, risks[i], beta).probs.tobytes() == gibbs[i].tobytes()
+        for i, sample in enumerate(samples):
+            assert empirical_risks(problem, sample).tobytes() == risks[i].tobytes()
+            assert empirical_risks(problem, sample.tolist()).tobytes() == risks[i].tobytes()
+            assert rule.posterior(problem, sample).probs.tobytes() == rows[i].tobytes()
 
 
 def test_a_distribution_holds_a_read_only_copy_of_its_probabilities():
@@ -476,6 +555,16 @@ OUT_OF_RANGE = [
             ("sigma", lambda x: union_beta_grid(10, 2.0, 1.0, x)),
         ]
     ],
+    # Finite inputs whose grid cannot be built: about 10^15 points, a start that underflows, a span v / u that
+    # overflows.  Each used to fail inside the arithmetic (MemoryError, ZeroDivisionError, OverflowError).
+    ("union_beta_grid-alpha-near-1", lambda x: union_beta_grid(10, x, 4.0, 0.5), 1 + 1e-15, DomainError,
+     "the grid would hold more than 10000000 points: alpha is too close to 1"),
+    ("union_beta_grid-v-subnormal", lambda x: union_beta_grid(10, 2.0, x, 0.5), 5e-324, DomainError,
+     "the grid's start min(sqrt(2 alpha) / sigma, v) / sqrt(n) underflows the normal floats"),
+    ("union_beta_grid-v-sigma-1e308", lambda x: union_beta_grid(10, 2.0, x, x), 1e308, DomainError,
+     "the grid's start min(sqrt(2 alpha) / sigma, v) / sqrt(n) underflows the normal floats"),
+    ("union_beta_grid-span", lambda x: union_beta_grid(1, 2.0, x, x), 1e300, DomainError,
+     "the grid spans log v - log u > 709, where the powers of alpha overflow"),
     ("gibbs_posterior-beta-inf", lambda x: gibbs_posterior(UNIFORM_2, [0.0, 1.0], x), INF, DomainError,
      "beta must be finite"),
     ("stochastic_complexity-beta-inf", lambda x: stochastic_complexity(UNIFORM_2, [0.0, 1.0], x), INF, DomainError,

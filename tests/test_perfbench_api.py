@@ -3,8 +3,9 @@
 perfbench/workloads.py calls the entry points of each trial kind, ``BoundSpec(name, params)``, the
 dp-prior ``epsilon`` arguments and the exact checks: ``iei_exact`` with a closure and
 ``cmi_exact_quantities`` with a ``GibbsAlgorithm``.  perfbench/run.py traces package functions by their
-``module.name``.  Running the benchmark's own checks here, and resolving every name it traces, shows a
-break in that API in the test suite, before it can fail or silently zero a benchmark run.
+``module.name``.  Running the benchmark's own checks here, resolving every name it traces, and counting
+the traced calls of the iei check's rule shows a break in that API in the test suite, before it can fail
+or silently zero a benchmark run.
 """
 
 import ast
@@ -22,6 +23,9 @@ workloads = importlib.util.module_from_spec(_SPEC)
 # The module's dataclasses look their module up in sys.modules while they are built.
 sys.modules[_SPEC.name] = workloads
 _SPEC.loader.exec_module(workloads)
+_SPANS_SPEC = importlib.util.spec_from_file_location("perfbench_spans", _PATH.parent / "spans.py")
+spans = importlib.util.module_from_spec(_SPANS_SPEC)
+_SPANS_SPEC.loader.exec_module(spans)
 
 PROBLEMS = {
     "coin": lambda: workloads.coin_problem(50),
@@ -63,3 +67,22 @@ def test_every_traced_name_resolves_in_the_package():
     for name in sorted(names):
         module, attribute = name.split(".")
         assert callable(getattr(importlib.import_module(f"genbounds.{module}"), attribute, None)), name
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS.values(), ids=workloads.WORKLOADS.keys())
+def test_the_trace_counts_one_call_of_each_rule_primitive_per_sequence(workload):
+    # The iei check's callable rule runs once per sequence.  A moved name, or a constructor the tracer no longer
+    # wraps, fails here instead of silently zeroing a per-layer metric.
+    inputs = workloads.exact_inputs(workload, np.random.default_rng([3, 0, 1]))
+    item = next(item for item in inputs if item.kind == "iei")
+    sequences = item.problem.num_outcomes ** item.problem.n
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        workloads.run_exact(item)
+    finally:
+        tracer.uninstall()
+    summary = spans.summarize(tracer.take())
+    for name in ("divergences.DiscreteDist", "posteriors.gibbs_posterior", "problems.empirical_risks"):
+        assert summary.get(name, {"calls": 0})["calls"] == sequences, name
+    assert summary["posteriors.iei_exact"]["calls"] == 1
