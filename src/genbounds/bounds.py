@@ -261,9 +261,11 @@ def zhang_high_prob(req: BoundRequest) -> BoundResult:
     """High-probability bound on the posterior-averaged annealed risk.
 
     value = empirical_risk + (kl + log(1/delta)) / (n beta), split into the
-    information complexity and the confidence penalty.
+    information complexity and the confidence penalty; a [0, 1] model needs a risk in [0, 1].
     """
     beta = _require_beta(req)
+    if req.model.is_unit_range:
+        _require_unit_model(req)
     complexity, confidence, flags = _iei_terms(req, beta)
     components = {
         "information_complexity": req.empirical_risk + complexity,
@@ -299,15 +301,15 @@ def zhang_gen_expectation(avg_kl: float, n: int, model: LossModel) -> float:
 def xu_raginsky(mi: float, n: int, sigma: float) -> float:
     """Expected-gap bound sqrt(2 sigma^2 mi / n) for sigma-sub-Gaussian losses."""
     _require_nonnegative("mi", mi, n)
-    if not sigma > 0:
-        raise DomainError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise DomainError("sigma must be a positive finite real")
     return math.sqrt(2.0 * sigma**2 * mi / n)
 
 
 def subgamma_mi(mi: float, n: int, sigma: float, c: float) -> float:
     """Expected-gap bound sqrt(2 sigma^2 mi / n) + c mi / n for sub-gamma losses."""
-    if not c >= 0:
-        raise DomainError("c must be nonnegative")
+    if not 0 <= c < math.inf:  # c = inf would give inf * 0 = NaN at mi = 0
+        raise DomainError("c must be a nonnegative finite real")
     return xu_raginsky(mi, n, sigma) + c * mi / n
 
 
@@ -519,9 +521,11 @@ def dp_prior_high_prob(req: BoundRequest, epsilon: float) -> BoundResult:
     """Annealed-risk bound against an epsilon-differentially-private prior.
 
     ``req.kl`` is the divergence to the data-dependent prior; the ordinary
-    confidence term is replaced by :func:`dp_prior_penalty`.
+    confidence term is replaced by :func:`dp_prior_penalty`; a [0, 1] model needs a risk in [0, 1].
     """
     beta = _require_beta(req)
+    if req.model.is_unit_range:
+        _require_unit_model(req)
     delta, flags = _effective_delta(req)
     penalty = dp_prior_penalty(req.n, delta, epsilon)
     components = {

@@ -226,29 +226,6 @@ def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.maximum(terms.sum(axis=-1), 0.0)
 
 
-def _logsumexp(a: np.ndarray, b: np.ndarray, axis=None) -> np.ndarray:
-    """log(sum(b * exp(a))) along ``axis``, as ``scipy.special.logsumexp(a, axis, b)`` computes it.
-
-    Zero-weight entries are set to -inf, every tied maximum is summed into
-    ``m``, and the result is ``log1p(s / m) + log(m) + max``; where that is not
-    finite, it is ``log(sum(b * exp(a)))`` computed directly.  For real ``a``
-    and weights ``b >= 0`` the result is bit-identical to scipy's, with one
-    deviation: scipy's direct fallback does not mask zero weights, so a zero
-    weight on an entry whose exp overflows (``a = +inf``, or ``a > 709.78``)
-    gives NaN there and adds nothing here.
-    """
-    a = np.where(b == 0, -np.inf, a)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = a.max(axis=axis, keepdims=True)
-        top = a == a_max
-        m = (b * top).sum(axis=axis)
-        s = (b * np.exp(np.where(top, -np.inf, a) - a_max)).sum(axis=axis)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max.squeeze(axis)
-        direct = np.log((b * np.exp(a)).sum(axis=axis))
-    return np.where(np.isfinite(out), out, direct)
-
-
 def _mixture_kl(p: np.ndarray, q: np.ndarray) -> float:
     """sum_i m_i D(p_i / m_i || q_i) over the rows p_i of ``p`` with mass m_i > 0."""
     mass = p.sum(axis=1)

@@ -81,14 +81,13 @@ from .divergences import (
     JointTable,
     _check_rows,
     _kl_rows,
-    _logsumexp,
     conditional_kl,
     conditional_mutual_info,
     golden_formula_residual,
     mutual_info,
 )
 from .errors import ConfigurationError, DomainError, _is_positive_integer, _is_real
-from .losses import LossModel
+from .losses import LossModel, _annealed
 from .posteriors import (
     ErmAlgorithm,
     GibbsAlgorithm,
@@ -888,7 +887,7 @@ def dp_mechanism_max_log_ratio(
     grows with the type count.  The mechanism gives every hypothesis
     positive mass, so a prior entry that rounds to 0, or to a subnormal
     whose log has lost precision, takes its log from the logits
-    instead: log q - (n epsilon / 2) f less the row's log-sum-exp.
+    instead: log q - (n epsilon / 2) f + (n epsilon / 2) a, a the row's annealed f over q.
     """
     _check_dp_prior(problem, epsilon)
     counts, _, _ = tabulate_types(problem, budget)
@@ -908,8 +907,9 @@ def dp_mechanism_max_log_ratio(
             log_priors = np.log(priors)
         underflow = priors < np.finfo(float).tiny
         if underflow.any():
-            logits = np.log(_uniform_probs(h)) - problem.n * epsilon / 2.0 * risks
-            log_priors[underflow] = (logits - _logsumexp(logits, 1.0, axis=1)[:, None])[underflow]
+            scale, uniform = problem.n * epsilon / 2.0, _uniform_probs(h)
+            logits = np.log(uniform) - scale * risks
+            log_priors[underflow] = (logits + scale * _annealed(risks, uniform, scale)[:, None])[underflow]
         ratios = np.abs(log_priors[types] - log_priors[len(rows) :])
         worst = max(worst, float(np.max(ratios, initial=0.0)))
     return worst

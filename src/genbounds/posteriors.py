@@ -32,12 +32,12 @@ from .divergences import (
     _check_rows,
     _floored_log,
     _kl_rows,
-    _logsumexp,
     kl_discrete,
     kl_gaussian_diag,
     kl_gaussian_spectral,
 )
 from .errors import ConfigurationError, DegenerateError, DomainError, ParameterError, ShapeError, _is_positive_integer
+from .losses import _annealed
 from .problems import (
     ENUMERATION_BUDGET,
     FiniteProblem,
@@ -122,13 +122,13 @@ def _gibbs_rows(q: np.ndarray, f: np.ndarray, beta: float, log_q: np.ndarray | N
 
 
 def stochastic_complexity(q: DiscreteDist, f_values, beta: float) -> float:
-    """-log E_q[e^{-beta f}] / beta via log-sum-exp."""
+    """-log E_q[e^{-beta f}] / beta by the annealing kernel of ``losses``; a zero-mass entry adds nothing."""
     f = _as_values(q, f_values)
     if not beta > 0:
         raise DomainError("beta must be positive")
     if beta == math.inf:
         raise DomainError("beta must be finite")
-    return float(-_logsumexp(-beta * f, q.probs) / beta)
+    return float(_annealed(f, q.probs, beta))
 
 
 def information_complexity(p: DiscreteDist, q: DiscreteDist, f_values, beta: float) -> float:
@@ -136,6 +136,8 @@ def information_complexity(p: DiscreteDist, q: DiscreteDist, f_values, beta: flo
     f = _as_values(q, f_values)
     if not beta > 0:
         raise DomainError("beta must be positive")
+    if beta == math.inf:  # an infinite D(p || q) / beta would be NaN
+        raise DomainError("beta must be finite")
     divergence = kl_discrete(p, q)
     return _expectation(p, f) + divergence / beta
 
@@ -167,18 +169,14 @@ def dv_identity_residual(p: DiscreteDist, q: DiscreteDist, f_values, beta: float
 
     Computes D(p || p*) / beta minus
     [E_p[f] + D(p || q) / beta + log E_q[e^{-beta f}] / beta]
-    with every term evaluated independently.
+    with every term evaluated independently; the last is minus the stochastic complexity.
     """
     f = _as_values(q, f_values)
     if not beta > 0:
         raise DomainError("beta must be positive")
     p_star = gibbs_posterior(q, f, beta)
     lhs = kl_discrete(p, p_star) / beta
-    rhs = (
-        _expectation(p, f)
-        + kl_discrete(p, q) / beta
-        + float(_logsumexp(-beta * f, q.probs)) / beta
-    )
+    rhs = _expectation(p, f) + kl_discrete(p, q) / beta - float(_annealed(f, q.probs, beta))
     return lhs - rhs
 
 
@@ -589,6 +587,8 @@ def local_entropy(model: QuadraticModel, gamma: float, w=None) -> float:
     """
     if not gamma > 0:
         raise DomainError("gamma must be positive")
+    if gamma == math.inf:
+        raise DomainError("gamma must be finite")
     h = model.hessian_eigenvalues
     beta = model.beta
     base = -0.5 / beta * float(np.sum(np.log(2.0 * math.pi / (beta * (h + gamma)))))
@@ -609,11 +609,15 @@ def local_entropy_mc(
 ) -> MonteCarloEstimate:
     """Importance-sampling estimate of :func:`local_entropy` for cross-checking.
 
-    Samples from the Gaussian factor N(w, I / (beta gamma)) and averages
-    e^{-beta loss}; deterministic given the seed.  Intended for small k.
+    Samples from the Gaussian factor N(w, I / (beta gamma)) and takes the
+    annealed loss over the draws by the kernel of ``losses``, so a mean of
+    e^{-beta loss} below the smallest float still gives a finite value;
+    deterministic given the seed.  Intended for small k.
     """
     if not gamma > 0:
         raise DomainError("gamma must be positive")
+    if gamma == math.inf:
+        raise DomainError("gamma must be finite")
     if not _is_positive_integer(draws) or draws < 2:
         raise DomainError("draws must be an integer of at least 2 for a standard error")
     center = model.w_p if w is None else np.asarray(w, dtype=float)
@@ -627,9 +631,8 @@ def local_entropy_mc(
     points = center[None, :] + scale * rng.standard_normal((draws, model.k))
     sq = (points - model.w_p[None, :]) ** 2
     losses = 0.5 * sq @ model.hessian_eigenvalues
-    weights = np.exp(-beta * losses)
-    mean = float(weights.mean())
-    se_mean = float(weights.std(ddof=1) / math.sqrt(draws))
+    annealed = float(_annealed(losses, np.ones(draws), beta))
+    ratios = np.exp(-beta * (losses - annealed))  # e^{-beta loss} over its mean
     log_z_proposal = 0.5 * model.k * math.log(2.0 * math.pi / (beta * gamma))
-    value = -(math.log(mean) + log_z_proposal) / beta
-    return MonteCarloEstimate(value=value, std_error=se_mean / (mean * beta), draws=draws)
+    std_error = float(ratios.std(ddof=1)) / (math.sqrt(draws) * beta)
+    return MonteCarloEstimate(value=annealed - log_z_proposal / beta, std_error=std_error, draws=draws)

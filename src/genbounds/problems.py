@@ -22,8 +22,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .divergences import _SHORT_ROW, DiscreteDist, _logsumexp
+from .divergences import _SHORT_ROW, DiscreteDist
 from .errors import BudgetError, DomainError, ShapeError, _is_positive_integer
+from .losses import _annealed
 
 #: Default ceiling on the number of samples an exhaustive enumeration may visit.
 ENUMERATION_BUDGET = 10**6
@@ -114,14 +115,14 @@ def empirical_risks(problem: FiniteProblem, sample) -> np.ndarray:
 def annealed_risks(problem: FiniteProblem, beta: float) -> np.ndarray:
     """Annealed risks -log E_mu[exp(-beta * loss(w, Z))] / beta of all hypotheses.
 
-    A soft-min surrogate for the true risk, computed by log-sum-exp: it never
-    exceeds it and is nonincreasing in beta.
+    A soft-min surrogate for the true risk by the annealing kernel of ``losses``: it never exceeds
+    it, is nonincreasing in beta, and keeps its relative precision as beta -> 0.
     """
     if not beta > 0:
         raise DomainError("beta must be positive")
     if beta == math.inf:  # -inf * a zero loss is NaN
         raise DomainError("beta must be finite")
-    return _within_rows(problem, -_logsumexp(-beta * problem.losses, problem.mu.probs[None, :], axis=1) / beta)
+    return _within_rows(problem, _annealed(problem.losses, problem.mu.probs, beta))
 
 
 def _within_rows(problem: FiniteProblem, risks: np.ndarray) -> np.ndarray:

@@ -194,10 +194,13 @@ def test_every_row_is_checked(risk, kl, message):
         BoundRequest(n=10, delta=0.1, empirical_risk=risk, kl=kl)
 
 
-def test_a_row_outside_the_unit_interval_is_refused_by_a_unit_bound():
-    request = BoundRequest(n=10, delta=0.1, empirical_risk=[0.5, 1.0 + 2.0**-52], kl=[1.0, 1.0], beta=1.0)
+@pytest.mark.parametrize("risk", [[0.5, 1.0 + 2.0**-52], -0.1, 1.1], ids=["row", "-0.1", "1.1"])
+@pytest.mark.parametrize("name, params", [("catoni", ()), ("zhang", ()), ("dp-prior", (0.1,))],
+                         ids=["catoni", "zhang", "dp-prior"])
+def test_a_row_outside_the_unit_interval_is_refused_by_a_unit_bound(name, params, risk):
+    request = BoundRequest(n=10, delta=0.1, empirical_risk=risk, kl=1.0, beta=1.0)
     with pytest.raises(GenBoundsError, match="empirical_risk must lie in"):
-        BOUNDS["catoni"].request(request)
+        BOUNDS[name].request(request, *params)
 
 
 #: One valid config per bound that evaluates a field other than empirical risk and kl as rows.

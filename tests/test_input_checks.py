@@ -25,6 +25,7 @@ from genbounds.bounds import (
     cmi_pac_high_prob,
     dp_prior_penalty,
     fano_identification_lb,
+    subgamma_mi,
     subgamma_pacbayes,
     union_bound_beta,
     xu_raginsky,
@@ -569,6 +570,20 @@ OUT_OF_RANGE = [
      "beta must be finite"),
     ("stochastic_complexity-beta-inf", lambda x: stochastic_complexity(UNIFORM_2, [0.0, 1.0], x), INF, DomainError,
      "beta must be finite"),
+    # Each of these returned NaN, inf or a warning, or failed inside math, for an infinite scale.
+    ("information_complexity-beta-inf",
+     lambda x: information_complexity(DiscreteDist([0.0, 1.0]), DiscreteDist([1.0, 0.0]), [0.0, 1.0], x), INF,
+     DomainError, "beta must be finite"),
+    ("phi_beta-beta-inf", lambda x: phi_beta(x, 0.5), INF, DomainError, "beta must be finite"),
+    ("local_entropy-gamma-inf", lambda x: local_entropy(_MODEL, x), INF, DomainError, "gamma must be finite"),
+    ("local_entropy_mc-gamma-inf", lambda x: local_entropy_mc(_MODEL, x, 10, seed=0), INF, DomainError,
+     "gamma must be finite"),
+    ("xu_raginsky-sigma-inf", lambda x: xu_raginsky(1.0, 5, x), INF, DomainError,
+     "sigma must be a positive finite real"),
+    ("subgamma_mi-sigma-inf", lambda x: subgamma_mi(1.0, 5, x, 0.5), INF, DomainError,
+     "sigma must be a positive finite real"),
+    ("subgamma_mi-c-inf", lambda x: subgamma_mi(0.0, 5, 1.0, x), INF, DomainError,
+     "c must be a nonnegative finite real"),
     ("GibbsAlgorithm-inf", GibbsAlgorithm, INF, ConfigurationError, "beta_alg must be finite"),
     ("dp_prior_mechanism-epsilon-inf", lambda x: dp_prior_mechanism(COIN, [0, 1], x), INF, DomainError,
      "epsilon must be finite"),

@@ -39,7 +39,7 @@ from genbounds import (
 )
 from genbounds.bounds import BoundRequest
 from genbounds.posteriors import _gibbs_rows
-from conftest import random_dist, random_problem
+from conftest import ANNEALING_BETAS, annealed_reference, random_dist, random_problem
 
 
 class TestGibbsPosterior:
@@ -103,6 +103,31 @@ class TestStochasticComplexity:
     @pytest.mark.parametrize("beta", [1.0, 1e4])
     def test_all_prior_mass_on_infinite_loss_gives_inf_at_every_beta(self, beta):
         assert stochastic_complexity(DiscreteDist([1.0, 0.0]), [math.inf, -1.0], beta) == math.inf
+
+    @pytest.mark.parametrize("beta", [1e-300, 1.0, 1e4, 1e300])
+    @pytest.mark.parametrize("f", [math.inf, -1e308], ids=["+inf", "-1e308"])
+    def test_a_zero_mass_entry_adds_nothing(self, f, beta):
+        want = stochastic_complexity(DiscreteDist([0.25, 0.75]), [0.5, 2.0], beta)
+        assert stochastic_complexity(DiscreteDist([0.25, 0.0, 0.75]), [0.5, f, 2.0], beta) == want
+
+    def test_values_whose_spread_overflows_give_the_annealed_value(self):
+        # The shifted value 2e308 overflows to inf, whose exponential is exactly 0.
+        assert stochastic_complexity(DiscreteDist([0.5, 0.5]), [1e308, -1e308], 2.0) == -1e308
+
+    def test_matches_a_decimal_reference_at_every_beta(self):
+        for i in range(16):
+            rng = np.random.default_rng([30, i])
+            q = random_dist(rng, int(rng.integers(2, 5)))
+            f = rng.uniform(-1.0, 2.0, len(q))
+            for beta in ANNEALING_BETAS:
+                want = annealed_reference(f, q.probs, beta)
+                assert abs(stochastic_complexity(q, f, beta) - want) <= 1e-14 * (f.max() - f.min()), beta
+
+    def test_a_prior_whose_mass_is_off_within_the_tolerance_is_normalized(self):
+        q = DiscreteDist([0.25, 0.75 + 5e-13])
+        for beta in ANNEALING_BETAS:
+            want = annealed_reference([0.0, 1.0], q.probs, beta)
+            assert abs(stochastic_complexity(q, [0.0, 1.0], beta) - want) <= 1e-14, beta
 
     def test_equals_minimum_information_complexity(self, rng):
         for _ in range(100):
@@ -466,6 +491,12 @@ class TestLocalEntropy:
         w = np.array([0.6])
         estimate = local_entropy_mc(model, 1.1, draws=200_000, seed=32, w=w)
         assert abs(estimate.value - local_entropy(model, 1.1, w=w)) <= 3.0 * estimate.std_error
+
+    def test_monte_carlo_far_from_the_minimum_stays_finite(self):
+        # Every e^{-loss} underflows at w = 60, so their mean is 0 and its log would fail.
+        model = QuadraticModel(hessian_eigenvalues=[1.0], w_p=[0.0], w_q=[0.0], lam=1.0, n=3, beta=1.0)
+        estimate = local_entropy_mc(model, 1.0, draws=1000, seed=0, w=[60.0])
+        assert math.isfinite(estimate.value) and math.isfinite(estimate.std_error)
 
     def test_smoothed_volume_shrinks_with_curvature(self):
         # Sharper directions leave less smoothed low-loss volume around the

@@ -21,7 +21,7 @@ from genbounds import (
     true_risks,
 )
 from genbounds.problems import _sample_risks, tabulate, tabulate_types
-from conftest import random_problem
+from conftest import ANNEALING_BETAS, annealed_reference, random_problem
 
 
 def test_construction_validation():
@@ -171,6 +171,39 @@ class TestAnnealedExpectation:
         problem = random_problem(rng, 2, 2, n=1)
         with pytest.raises(DomainError):
             annealed_risks(problem, 0.0)
+
+    @staticmethod
+    def _problems(count):
+        """Seed-drawn problems, h in 2..4 and k in 2..3, with {0, 1} losses in every other one."""
+        for i in range(count):
+            rng = np.random.default_rng([30, i])
+            yield random_problem(rng, int(rng.integers(2, 5)), int(rng.integers(2, 4)), n=1, binary=i % 2 == 1)
+
+    def test_matches_a_decimal_reference_at_every_beta(self):
+        for problem in self._problems(16):
+            for beta in ANNEALING_BETAS:
+                got = annealed_risks(problem, beta)
+                for w, row in enumerate(problem.losses):
+                    want = min(max(annealed_reference(row, problem.mu.probs, beta), row.min()), row.max())
+                    assert abs(got[w] - want) <= 1e-15 * want, (beta, row)
+
+    def test_at_most_the_true_risk_and_nonincreasing_in_beta_down_to_1e_300(self):
+        # Within 1e-15 relative: the true risk and the annealed risk each round.
+        betas = 10.0 ** np.linspace(-300, 8, 78)
+        for problem in self._problems(60):
+            truth = true_risks(problem)
+            values = np.array([annealed_risks(problem, beta) for beta in betas])
+            assert np.all(values <= truth * (1 + 1e-15))
+            assert np.all(np.diff(values, axis=0) <= 1e-15 * truth)
+            assert np.all(np.abs(values[0] - truth) <= 1e-15 * truth)
+            supported = np.where(problem.mu.probs > 0, problem.losses, np.inf).min(axis=1)
+            assert np.all(values >= supported)
+
+    def test_phi_beta_is_the_annealed_risk_of_a_binary_row_to_the_bit(self):
+        for beta in [*ANNEALING_BETAS, 0.3, 37.0, 745.0]:
+            for p in [*np.linspace(0.0, 1.0, 41), 1e-300, 1 - 1e-12, 1 - 2**-52]:
+                problem = FiniteProblem(losses=[[0.0, 1.0]], mu=DiscreteDist([1.0 - p, p]), n=1)
+                assert annealed_risks(problem, beta)[0] == phi_beta(beta, p), (beta, p)
 
 
 class TestIterSamples:
