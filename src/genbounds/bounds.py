@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .divergences import kl_binary_inverse_upper
-from .errors import DomainError, ParameterError, ShapeError, _is_positive_integer
-from .losses import LossModel, phi_beta_inverse, psi_of, psi_star_inverse
+from .errors import DomainError, ParameterError, ShapeError, _is_count, _is_positive_integer
+from .losses import LossModel, _sqrt, phi_beta_inverse, psi_of, psi_star_inverse
 
 #: Tolerance within which components must recombine into the raw value.
 COMPONENT_ATOL = 1e-12
@@ -223,11 +223,11 @@ def _effective_delta(req: BoundRequest) -> tuple[float, tuple[str, ...]]:
     return req.delta, ()
 
 
-def _require_nonnegative(name: str, value: float, n: int) -> None:
-    """``value`` nonnegative (inf allowed) and ``n`` a positive integer; NaN fails both."""
+def _require_nonnegative(name: str, value: float, n) -> None:
+    """``value`` nonnegative (inf allowed) and ``n`` a positive integer or a row of them; NaN fails both."""
     if not value >= 0:
         raise DomainError(f"{name} must be nonnegative")
-    if not _is_positive_integer(n):
+    if not _is_count(n):
         raise DomainError("n must be a positive integer")
 
 
@@ -288,26 +288,32 @@ def zhang_gen_high_prob(req: BoundRequest) -> BoundResult:
     return _result(components, beta_used=beta, unit_range=req.model.is_unit_range, flags=flags)
 
 
-def zhang_gen_expectation(avg_kl: float, n: int, model: LossModel) -> float:
+@_on_rows
+def zhang_gen_expectation(avg_kl: float, n, model: LossModel) -> float | np.ndarray:
     """Expected generalization gap bound psi*^-1(avg_kl / n).
 
     ``avg_kl`` is the sample-averaged posterior-to-prior KL, which equals the
-    input-output mutual information under the oracle prior.
+    input-output mutual information under the oracle prior.  Like every
+    expectation bound here, it takes ``n`` as a positive integer, giving a
+    float, or as a 1-D row of them, giving a row whose entries equal the
+    integer calls bit for bit.
     """
     _require_nonnegative("avg_kl", avg_kl, n)
     return psi_star_inverse(model, avg_kl / n)
 
 
-def xu_raginsky(mi: float, n: int, sigma: float) -> float:
-    """Expected-gap bound sqrt(2 sigma^2 mi / n) for sigma-sub-Gaussian losses."""
+@_on_rows
+def xu_raginsky(mi: float, n, sigma: float) -> float | np.ndarray:
+    """Expected-gap bound sqrt(2 sigma^2 mi / n) for sigma-sub-Gaussian losses; ``n`` may be a row."""
     _require_nonnegative("mi", mi, n)
     if not 0 < sigma < math.inf:
         raise DomainError("sigma must be a positive finite real")
-    return math.sqrt(2.0 * sigma**2 * mi / n)
+    return _sqrt(2.0 * sigma**2 * mi / n)
 
 
-def subgamma_mi(mi: float, n: int, sigma: float, c: float) -> float:
-    """Expected-gap bound sqrt(2 sigma^2 mi / n) + c mi / n for sub-gamma losses."""
+@_on_rows
+def subgamma_mi(mi: float, n, sigma: float, c: float) -> float | np.ndarray:
+    """Expected-gap bound sqrt(2 sigma^2 mi / n) + c mi / n for sub-gamma losses; ``n`` may be a row."""
     if not 0 <= c < math.inf:  # c = inf would give inf * 0 = NaN at mi = 0
         raise DomainError("c must be a nonnegative finite real")
     return xu_raginsky(mi, n, sigma) + c * mi / n
@@ -480,23 +486,26 @@ def cmi_pac_high_prob(req: BoundRequest) -> BoundResult:
     return _result(components, beta_used=beta, clamp=True, flags=flags)
 
 
-def cmi_expectation(avg_kl_or_cmi: float, n: int) -> float:
-    """Expected supersample gap bound sqrt(2 avg_kl / n).
+@_on_rows
+def cmi_expectation(avg_kl_or_cmi: float, n) -> float | np.ndarray:
+    """Expected supersample gap bound sqrt(2 avg_kl / n); ``n`` may be a row.
 
     Under the oracle prior the argument is the conditional mutual information
     between the output and the selector bits.
     """
     _require_nonnegative("avg_kl_or_cmi", avg_kl_or_cmi, n)
-    return math.sqrt(2.0 * avg_kl_or_cmi / n)
+    return _sqrt(2.0 * avg_kl_or_cmi / n)
 
 
-def fano_identification_lb(cmi: float, n: int) -> float:
-    """Fano lower bound on the error of identifying the selector bits.
+@_on_rows
+def fano_identification_lb(cmi: float, n) -> float | np.ndarray:
+    """Fano lower bound on the error of identifying the selector bits; ``n`` may be a row.
 
     value = max(0, 1 - (cmi + log 2) / (n log 2)).
     """
     _require_nonnegative("cmi", cmi, n)
-    return max(0.0, 1.0 - (cmi + math.log(2.0)) / (n * math.log(2.0)))
+    value = 1.0 - (cmi + math.log(2.0)) / (n * math.log(2.0))
+    return np.maximum(value, 0.0) if isinstance(value, np.ndarray) else max(0.0, value)
 
 
 # ---------------------------------------------------------------------------
@@ -504,15 +513,19 @@ def fano_identification_lb(cmi: float, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def dp_prior_penalty(n: int, delta: float, epsilon: float) -> float:
-    """Privacy-adjusted confidence penalty log(2/delta) + n eps^2/2 + eps sqrt(n/2 log(4/delta))."""
+@_on_rows
+def dp_prior_penalty(n, delta: float, epsilon: float) -> float | np.ndarray:
+    """Privacy-adjusted confidence penalty log(2/delta) + n eps^2/2 + eps sqrt(n/2 log(4/delta)).
+
+    ``n`` may be a row, as for the expectation bounds.
+    """
     _require_nonnegative("epsilon", epsilon, n)
     if not 0 < delta <= 1:
         raise DomainError("delta must lie in (0, 1]")
     return (
         math.log(2.0 / delta)
         + n * epsilon**2 / 2.0
-        + epsilon * math.sqrt(n / 2.0 * math.log(4.0 / delta))
+        + epsilon * _sqrt(n / 2.0 * math.log(4.0 / delta))
     )
 
 

@@ -10,10 +10,15 @@ reproducible.  Exit codes: 0 success, 1 certification failure, 2 usage or
 configuration error.
 
 ``bound sweep`` and ``report`` work a column at a time.  A sweep over a
-field that the bound's table entry evaluates as rows is one bound call, and
-the records of any sweep are read off its results' columns.  CSV is written
-from zipped columns and read back a numeric column at a time, and the rows
-of a JSON-lines file are decoded with one ``json.loads`` when that is safe.
+field that the bound's table entry evaluates as rows is one bound call (``kl``
+for the bounds that take a request, ``n`` for the six expectation bounds),
+and the records of any sweep are read off its results' columns.  CSV is
+written from zipped columns and read back a numeric column at a time, and
+the rows of a JSON-lines file are decoded with one ``json.loads`` when that
+is safe.  A CSV ``report`` writes every cell as the text it read, parsing
+only its (bound, n, beta) sort key: a CSV input that the writer would write
+back line for line is kept as lines, and JSON float tokens are read as their
+text.  So a cell passes through as written, ``0.10`` included.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import csv
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
 import re
@@ -249,8 +255,8 @@ def _records(
     """The records of ``results``, one per row, read off its columns (see :func:`_result_columns`).
 
     ``parameter`` is the field a sweep set; ``cfg`` holds its points as a
-    list or an array, one per row, and each record shows its own point, even
-    where the bound reports the beta it used.  Any other field is the same in
+    list, one per row, and each record shows its own point, even where the
+    bound reports the beta it used.  Any other field is the same in
     every record.  In ``bits`` the ``kl`` column is converted, and so are the
     values and every component of an information-valued bound.
     """
@@ -260,7 +266,7 @@ def _records(
     def column(field: str, default="") -> list:
         value = cfg.get(field, default)
         if field == parameter:
-            return value.tolist() if isinstance(value, np.ndarray) else value
+            return value
         if field == "kl" and value != "":
             value = float(value)
         return [value] * size
@@ -307,11 +313,13 @@ def _csv_column(rows: list[dict], name: str) -> list:
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
 
 
-def write_records(records: list[dict], header: dict, path, fmt: str, unit: str) -> None:
+def write_records(records: list[dict | str], header: dict, path, fmt: str, unit: str) -> None:
     """Emit rows, already in ``unit``, with the embedded configuration header in CSV or JSON lines.
 
-    The header records the unit.  The CSV writer gets the rows as zipped
-    columns.  An output file that cannot be written is a
+    The header records the unit.  The CSV writer gets each run of records
+    as zipped columns; a CSV record may also be a line that ``report`` kept
+    whole, which is its cells as the writer writes them, and is written as
+    it is.  An output file that cannot be written is a
     ``ConfigurationError`` naming the path.
     """
     header = dict(header, unit=unit)
@@ -324,7 +332,12 @@ def write_records(records: list[dict], header: dict, path, fmt: str, unit: str) 
         buf.write("# genbounds " + json.dumps(header, sort_keys=True) + "\n")
         writer = csv.writer(buf)
         writer.writerow(CSV_HEADER)
-        writer.writerows(zip(*(_csv_column(records, name) for name in CSV_HEADER)))
+        for whole, run in itertools.groupby(records, key=lambda record: isinstance(record, str)):
+            if whole:
+                buf.write("\r\n".join(run) + "\r\n")
+            else:
+                run = list(run)
+                writer.writerows(zip(*(_csv_column(run, name) for name in CSV_HEADER)))
         text = buf.getvalue()
     else:
         raise ConfigurationError(f"unknown format {fmt!r}")
@@ -338,10 +351,16 @@ def write_records(records: list[dict], header: dict, path, fmt: str, unit: str) 
         raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _json_record(path: str, number: int, text: str) -> dict:
-    """The JSON object on line ``number`` of ``path``; anything else is a ``ConfigurationError``."""
+#: ``json.loads`` keeping each float token as its text, and NaN and the infinities as CSV writes them.
+_TEXT_LOADS = functools.partial(
+    json.loads, parse_float=str, parse_constant={"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}.__getitem__
+)
+
+
+def _json_record(path: str, number: int, text: str, loads=json.loads) -> dict:
+    """The JSON object on line ``number`` of ``path``, by ``loads``; anything else is a ``ConfigurationError``."""
     try:
-        record = json.loads(text)
+        record = loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path} line {number}: malformed JSON ({exc.msg})") from exc
     if not isinstance(record, dict):
@@ -349,8 +368,8 @@ def _json_record(path: str, number: int, text: str) -> dict:
     return record
 
 
-def _json_rows(path: str, numbered: list[tuple[int, str]]) -> list[dict]:
-    """The JSON object of each numbered line, decoded with one ``json.loads`` where that is safe.
+def _json_rows(path: str, numbered: list[tuple[int, str]], loads=json.loads) -> list[dict]:
+    """The JSON object of each numbered line, decoded by ``loads``, with one call where that is safe.
 
     The lines are decoded as one array, joined by a comma and a newline, when
     every line starts with ``{`` and none holds a ``[``.  A string cannot
@@ -362,13 +381,13 @@ def _json_rows(path: str, numbered: list[tuple[int, str]]) -> list[dict]:
     text = ",\n".join(line for _, line in numbered)
     if text.startswith("{") and "[" not in text and text.count(",\n{") == len(numbered) - 1:
         try:
-            records = json.loads("[" + text + "]")
+            records = loads("[" + text + "]")
         except json.JSONDecodeError:
             pass
         else:
             if len(records) == len(numbered):
                 return records
-    return [_json_record(path, *entry) for entry in numbered]
+    return [_json_record(path, number, line, loads) for number, line in numbered]
 
 
 #: CSV columns read back as numbers; an ``n`` that is a whole number is read as an int.
@@ -397,8 +416,8 @@ def _numbers(cells, integral: bool) -> list:
     return numbers
 
 
-def _csv_rows(lines: list[str]) -> list[dict]:
-    """The rows under the CSV header line, as ``csv.DictReader`` gives them, numeric columns converted.
+def _csv_rows(lines: list[str], text: bool = False) -> list[dict]:
+    """The rows under the CSV header line, as ``csv.DictReader`` gives them, numeric columns converted unless ``text``.
 
     A short row is padded with ``None``; a long row keeps its extra cells
     under the key ``None``.
@@ -409,24 +428,46 @@ def _csv_rows(lines: list[str]) -> list[dict]:
     fields, *table = table
     width = len(fields)
     padded = [row if len(row) == width else (row + [None] * width)[:width] for row in table]
-    columns = [
-        _numbers(column, field == "n") if field in _NUMERIC_COLUMNS else column
-        for field, column in zip(fields, zip(*padded))
-    ]
-    rows = [dict(zip(fields, values)) for values in zip(*columns)]
+    if not text:
+        columns = [
+            _numbers(column, field == "n") if field in _NUMERIC_COLUMNS else column
+            for field, column in zip(fields, zip(*padded))
+        ]
+        padded = zip(*columns)
+    rows = [dict(zip(fields, values)) for values in padded]
     for row, cells in zip(rows, table):
         if len(cells) > width:
             row[None] = cells[width:]
     return rows
 
 
+#: The header line of every CSV file that :func:`write_records` writes.
+_CSV_HEADER_LINE = ",".join(CSV_HEADER)
+
+
 def read_records(path: str) -> tuple[dict, list[dict]]:
     """Read back an emitted file; returns (header, rows).
 
-    A file that cannot be read, is not UTF-8 or holds a malformed JSON header
+    Number cells are read as numbers: a CSV ``n`` that is a whole number as
+    an int, the other numeric CSV columns and every JSON float as floats.  A
+    file that cannot be read, is not UTF-8 or holds a malformed JSON header
     or row is a ``ConfigurationError`` naming the path (and the line).
     """
-    numbered = [(i, line) for i, line in enumerate(_read_text(path, path).splitlines(), 1) if line.strip()]
+    return _read(path, text=False)
+
+
+def _read(path: str, text: bool) -> tuple[dict, list]:
+    """:func:`read_records`, or with ``text`` every cell as the text it was read as.
+
+    As text, a CSV cell is what ``csv`` gives, a JSON float token is as
+    written, and JSON's NaN and infinities are as CSV writes them (``nan``,
+    ``inf``, ``-inf``).  A CSV file that the writer would write back line for
+    line, its header ``CSV_HEADER`` and no line holding a quote or other than
+    one cell per column, gives its lines instead of records, each kept whole.
+    """
+    # The text is read with universal newlines, so every line ends in "\n"; str.splitlines would also break
+    # at characters such as \x0c and \u2028, which the CSV writer leaves unquoted inside a cell.
+    numbered = [(i, line) for i, line in enumerate(_read_text(path, path).split("\n"), 1) if line.strip()]
     if not numbered:
         raise ConfigurationError(f"{path} is empty")
     number, first = numbered[0]
@@ -434,10 +475,15 @@ def read_records(path: str) -> tuple[dict, list[dict]]:
         header = _json_record(path, number, first)
         if header.get("record_type") != "header":
             raise ConfigurationError(f"{path} lacks a header record")
-        return header, _json_rows(path, numbered[1:])
+        return header, _json_rows(path, numbered[1:], _TEXT_LOADS if text else json.loads)
     if first.startswith("# genbounds "):
         header = _json_record(path, number, first[len("# genbounds "):])
-        return header, _csv_rows([line for _, line in numbered[1:]])
+        lines = [line for _, line in numbered[1:]]
+        # Unquoted, each line is its cells joined by commas, which is how the writer writes them.
+        commas = len(CSV_HEADER) - 1
+        if text and lines[:1] == [_CSV_HEADER_LINE] and all('"' not in x and x.count(",") == commas for x in lines):
+            return header, lines[1:]
+        return header, _csv_rows(lines, text)
     raise ConfigurationError(f"{path} does not look like an emitted report")
 
 
@@ -471,6 +517,7 @@ _SWEEPABLE = ("beta", "n", "kl", "delta")
 
 
 def _sweep_grid(sweep: dict) -> list[float]:
+    """The sweep's points as Python floats."""
     if "grid" in sweep:
         return [float(g) for g in sweep["grid"]]
     for key in ("start", "stop", "points"):
@@ -482,9 +529,9 @@ def _sweep_grid(sweep: dict) -> list[float]:
     if spacing == "log" and not (sweep["start"] > 0 and sweep["stop"] > 0):
         raise ConfigurationError("sweep.start and sweep.stop must be positive for log spacing")
     if spacing == "linear":
-        return list(np.linspace(sweep["start"], sweep["stop"], sweep["points"]))
+        return np.linspace(sweep["start"], sweep["stop"], sweep["points"]).tolist()
     if spacing == "log":
-        return list(np.geomspace(sweep["start"], sweep["stop"], sweep["points"]))
+        return np.geomspace(sweep["start"], sweep["stop"], sweep["points"]).tolist()
     raise ConfigurationError("spacing must be 'linear' or 'log'")
 
 
@@ -493,9 +540,11 @@ def cmd_bound_sweep(args) -> int:
 
     A parameter that the bound's table entry lists in ``rows`` is swept in
     one call, on the grid as rows of it: ``kl`` for every bound that takes a
-    request and for ``pac-bayes-sgd``, ``delta`` for ``occam``.  Each row is
-    the value a one-point call gives.  Any other sweep calls the bound once
-    per point.  Either way the records are read off the results' columns.
+    request and for ``pac-bayes-sgd``, ``delta`` for ``occam``, ``n`` for the
+    six expectation bounds.  Each row is the value a one-point call gives.
+    Any other sweep calls the bound once per point.  Either way the records
+    are read off the results' columns, and an ``n`` point, which must be a
+    whole number, is recorded as an integer.
     """
     config = load_config(args.config, "sweep")
     cfg = dict(_require(config, "bound", "config"))
@@ -506,19 +555,22 @@ def cmd_bound_sweep(args) -> int:
     grid = _sweep_grid(sweep)
     if not grid:
         raise ConfigurationError("sweep grid is empty")
+    if parameter == "n":
+        for point in grid:
+            if not point.is_integer():
+                raise ConfigurationError(f"sweep points for n must be integers; got {point}")
+        grid = [int(point) for point in grid]
     entry = BOUNDS.get(cfg.get("name"))
     if entry is not None and parameter in entry.rows:
+        # A float row holds each n exactly: every n is the int of a whole float.
         cfg[parameter] = np.array(grid, dtype=float)
         results = [compute_named_bound(cfg)]
     else:
-        results, points = [], []
+        results = []
         for point in grid:
-            if parameter == "n" and not float(point).is_integer():
-                raise ConfigurationError(f"sweep points for n must be integers; got {float(point)}")
-            cfg[parameter] = int(point) if parameter == "n" else float(point)
+            cfg[parameter] = point
             results.append(compute_named_bound(cfg))
-            points.append(cfg[parameter])
-        cfg[parameter] = points
+    cfg[parameter] = grid
     path, unit, fmt = _output_options(config, args)
     records = _records(cfg, results, args.seed, parameter, unit)
     write_records(records, {"command": "bound sweep", "config": config, "seed": args.seed}, path, fmt, unit)
@@ -597,19 +649,34 @@ def cmd_experiment(args) -> int:
     return 0 if certified else 1
 
 
-def _sort_key(row: dict):
-    def numeric(value):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            return math.inf
-    return (str(row.get("bound", "")), numeric(row.get("n")), numeric(row.get("beta")))
+def _sort_number(value) -> float:
+    """``value`` as a number for a sort key; one that is not a number, or is NaN, as inf, which sorts last."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        return math.inf
+    return math.inf if math.isnan(number) else number
+
+
+def _sort_key(row: dict | str) -> tuple[str, float, float]:
+    """(bound, n, beta) of a record, or of a CSV line kept whole; n and beta as :func:`_sort_number` gives them."""
+    if isinstance(row, str):
+        bound, _, n, beta, _ = row.split(",", 4)
+        return bound, _sort_number(n), _sort_number(beta)
+    return str(row.get("bound", "")), _sort_number(row.get("n")), _sort_number(row.get("beta"))
 
 
 def cmd_report(args) -> int:
+    """Merge emitted files, of one unit, into one sorted by (bound, n, beta).
+
+    A CSV report writes every cell as the text it read, and parses only the
+    sort key; JSON lines are written from numbers, so for them the inputs
+    are read as numbers.
+    """
+    fmt = args.format or "csv"
     units, rows = set(), []
     for path in args.inputs:
-        header, file_rows = read_records(path)
+        header, file_rows = _read(path, text=fmt == "csv")
         unit = header.get("unit", "nats")
         if unit not in ("nats", "bits"):
             raise ConfigurationError(f"{path}: header unit must be 'nats' or 'bits'; got {unit!r}")
@@ -619,7 +686,7 @@ def cmd_report(args) -> int:
         raise ConfigurationError(f"refusing to merge mixed units: {sorted(units)}")
     rows.sort(key=_sort_key)
     merged_header = {"command": "report", "config": {"inputs": list(args.inputs)}, "seed": ""}
-    write_records(rows, merged_header, args.out, args.format or "csv", units.pop())
+    write_records(rows, merged_header, args.out, fmt, units.pop())
     return 0
 
 

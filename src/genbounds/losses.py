@@ -111,11 +111,19 @@ def psi_of(model: LossModel, beta: float) -> float:
     return beta * beta / 8.0
 
 
-def psi_star_inverse(model: LossModel, y: float) -> float:
-    """Closed form of the generalized inverse of the Legendre dual of psi."""
-    if not y >= 0:
+def _sqrt(x):
+    """The square root of a float, by ``math.sqrt``, or of each entry of a row, by ``np.sqrt``.
+
+    Both are the correctly rounded root, so a row's entries equal the float calls bit for bit.
+    """
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def psi_star_inverse(model: LossModel, y: float | np.ndarray) -> float | np.ndarray:
+    """Closed form of the generalized inverse of the Legendre dual of psi, of a float or of each entry of a row."""
+    if not (np.logical_and.reduce(y >= 0, axis=None) if isinstance(y, np.ndarray) else y >= 0):
         raise DomainError("y must be nonnegative")
-    base = math.sqrt(2.0 * model.sigma**2 * y)
+    base = _sqrt(2.0 * model.sigma**2 * y)
     if model.family == SUB_GAMMA:
         return base + model.c * y
     return base

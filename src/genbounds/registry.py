@@ -83,7 +83,8 @@ class BoundEntry:
     the config fields that ``evaluate`` also takes as 1-D rows, in one call
     giving one value per row, each the value a one-row config gives: ``kl``
     for every bound that takes a request and for ``pac-bayes-sgd``, ``delta``
-    for ``occam``.  A sweep over one of these fields is one call.  When the
+    for ``occam``, and ``n`` for the six expectation bounds (a row of whole
+    numbers).  A sweep over one of these fields is one call.  When the
     bound takes a request, ``request(req, *values)`` computes it from one and
     the values of the config fields ``fields`` names (``epsilon`` for
     ``dp-prior``), which a certification reads from ``BoundSpec.params``; a
@@ -116,7 +117,8 @@ def _on_request(request, *params: str, **facts) -> BoundEntry:
 
 
 def _scalar(value_of: Callable[[dict], float], **facts) -> BoundEntry:
-    return BoundEntry(lambda cfg: bounds._result({"value": value_of(cfg)}), **facts)
+    """An entry for an expectation bound: a plain value, of one ``n`` or of a row of them."""
+    return BoundEntry(lambda cfg: bounds._result({"value": value_of(cfg)}), rows=("n",), **facts)
 
 
 def _cmi_expectation(cfg: dict) -> float:

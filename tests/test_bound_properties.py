@@ -213,12 +213,28 @@ FIELD_ROW_CASES = {
         "n": 50, "beta": 2.0, "lam": 0.1, "alpha": 1.5, "b": 4, "c": 0.8, "m": 100,
         "delta": 0.05, "delta_prime": 0.05, "mc_empirical_risk": 0.2, "kl": 1.0,
     },
+    "zhang-gen-expectation": {"n": 50, "avg_kl": 1.3, "model": {"family": "sub_gamma", "sigma": 0.7, "c": 0.4}},
+    "xu-raginsky": {"n": 50, "mi": 0.8, "sigma": 1.1},
+    "subgamma-mi": {"n": 50, "mi": 0.8, "sigma": 1.1, "c": 0.3},
+    "cmi-expectation": {"n": 50, "cmi": 2.0},
+    "fano": {"n": 50, "cmi": 2.0},
+    "max-info-dp": {"n": 50, "epsilon": 0.2, "alpha": 0.05},
 }
-#: field -> (a draw of m valid rows, edge rows, bad rows: NaN and out of range).
+#: The bounds that take n as a row: the expectation bounds.
+N_ROW_BOUNDS = ("zhang-gen-expectation", "xu-raginsky", "subgamma-mi", "cmi-expectation", "fano", "max-info-dp")
+#: field -> (a draw of m valid rows, edge rows, bad rows: NaN and out of range).  An n row holds whole
+#: floats, as a sweep passes it; a one-point call takes each as an int.
 FIELD_ROWS = {
     "kl": (lambda rng, m: rng.exponential(3.0, m), [0.0, math.inf, 1e300, 1e-300], [math.nan, -1.0, -math.inf]),
     "delta": (lambda rng, m: rng.uniform(1e-6, 1.0, m), [1.0, 1e-300, 5e-324, 0.5], [math.nan, 0.0, 1.5, -0.1]),
+    "n": (lambda rng, m: rng.integers(1, 10**6, m).astype(float), [1, 2**53, 10**300, 7],
+          [math.nan, 0, 2.5, -3, math.inf]),
 }
+
+
+def _point(field: str, value):
+    """One row of ``field`` as a one-point config holds it: n as an int, anything else as a float."""
+    return int(value) if field == "n" else float(value)
 
 
 def _row_config(name: str) -> dict:
@@ -231,19 +247,21 @@ def _row_config(name: str) -> dict:
 
 def test_every_entry_takes_its_row_fields_as_rows():
     for name, entry in BOUNDS.items():
-        others = {"occam": ("delta",), "pac-bayes-sgd": ("kl",)}
+        others = {"occam": ("delta",), "pac-bayes-sgd": ("kl",), **{bound: ("n",) for bound in N_ROW_BOUNDS}}
         assert entry.rows == (("kl",) if entry.request is not None else others.get(name, ())), name
         for field in entry.rows:
             cfg = _row_config(name)
             edges = FIELD_ROWS[field][1]
-            rows = entry.evaluate({**cfg, field: np.array(edges)})
+            rows = entry.evaluate({**cfg, field: np.array(edges, dtype=float)})
             assert rows.value.shape == (len(edges),)
             assert [repr(row) for row in rows.rows()] == [
                 repr(entry.evaluate({**cfg, field: edge})) for edge in edges
             ], (name, field)
 
 
-@pytest.mark.parametrize("name, field", [("occam", "delta"), ("pac-bayes-sgd", "kl")])
+@pytest.mark.parametrize(
+    "name, field", [("occam", "delta"), ("pac-bayes-sgd", "kl"), *[(name, "n") for name in N_ROW_BOUNDS]]
+)
 def test_a_row_field_call_equals_one_call_per_row_to_the_bit(name, field):
     cfg = _row_config(name)
     draw, edges, _ = FIELD_ROWS[field]
@@ -257,7 +275,7 @@ def test_a_row_field_call_equals_one_call_per_row_to_the_bit(name, field):
         assert all(component.shape == (m,) for component in rows.components.values())
         assert np.array_equal(rows.recompose(), rows.raw_value)
         for i, row in enumerate(rows.rows()):
-            one = BOUNDS[name].evaluate({**cfg, field: float(values[i])})
+            one = BOUNDS[name].evaluate({**cfg, field: _point(field, values[i])})
             assert repr(row) == repr(one), (m, i)
             assert type(one.value) is float and type(one.vacuous) is bool
 

@@ -20,6 +20,7 @@ from genbounds import (
     dp_prior_penalty,
     fano_identification_lb,
     kl_binary,
+    max_info_dp_bound,
     mcallester_linear,
     pac_bayes_kl,
     subgamma_mi,
@@ -466,3 +467,38 @@ class TestResultInvariants:
             assert np.all(np.diff(in_n) <= 1e-12)
             in_kl = [maker(100, kl).raw_value for kl in kls]
             assert np.all(np.diff(in_kl) >= -1e-12)
+
+
+#: Every bound of a plain value that takes n as a row, as a function of n.
+N_ROW_FUNCTIONS = {
+    "zhang_gen_expectation": lambda n: zhang_gen_expectation(1.3, n, LossModel.sub_gamma(0.7, 0.4)),
+    "zhang_gen_expectation-unit": lambda n: zhang_gen_expectation(0.2, n, UNIT),
+    "xu_raginsky": lambda n: xu_raginsky(0.8, n, 1.1),
+    "subgamma_mi": lambda n: subgamma_mi(0.8, n, 1.1, 0.3),
+    "cmi_expectation": lambda n: cmi_expectation(2.0, n),
+    "fano_identification_lb": lambda n: fano_identification_lb(0.3, n),
+    "fano_identification_lb-floor": lambda n: fano_identification_lb(40.0, n),
+    "max_info_dp_bound": lambda n: max_info_dp_bound(0.2, n, 0.0),
+    "max_info_dp_bound-integer-epsilon": lambda n: max_info_dp_bound(3, n, 0.0),
+    "max_info_dp_bound-alpha": lambda n: max_info_dp_bound(0.2, n, 0.05),
+    "dp_prior_penalty": lambda n: dp_prior_penalty(n, 0.1, 0.3),
+}
+
+
+@pytest.mark.parametrize("bound", N_ROW_FUNCTIONS.values(), ids=N_ROW_FUNCTIONS.keys())
+@pytest.mark.parametrize("dtype", [np.int64, float])
+def test_an_n_row_equals_the_integer_calls_bit_for_bit(bound, dtype):
+    ns = [1, 2, 3, 7, 10, 57, 4999, 10**6, 2**53, 10**18]
+    row = bound(np.array(ns, dtype=dtype))
+    assert isinstance(row, np.ndarray) and row.shape == (len(ns),)
+    ones = [bound(n) for n in ns]
+    assert all(type(one) is float for one in ones)
+    assert [value.hex() for value in row.tolist()] == [one.hex() for one in ones]
+
+
+@pytest.mark.parametrize("bound", N_ROW_FUNCTIONS.values(), ids=N_ROW_FUNCTIONS.keys())
+@pytest.mark.parametrize("bad", [[0], [1, 2.5], [math.nan], [math.inf], [[1, 2]]], ids=["zero", "fraction", "nan",
+                                                                                          "inf", "2-D"])
+def test_an_n_row_of_other_than_positive_whole_numbers_is_refused(bound, bad):
+    with pytest.raises(DomainError, match="^n must be a positive integer$"):
+        bound(np.array(bad))

@@ -166,6 +166,17 @@ class TestBoundCompute:
         assert "unrecognized arguments: --trials 5" in capsys.readouterr().err
 
 
+#: The bounds that sweep n in one call, with the rest of a valid config.
+N_SWEEPS = {
+    "zhang-gen-expectation": {"avg_kl": 1.3, "model": {"family": "sub_gamma", "sigma": 0.7, "c": 0.4}},
+    "xu-raginsky": {"mi": 0.8, "sigma": 1.1},
+    "subgamma-mi": {"mi": 0.8, "sigma": 1.1, "c": 0.3},
+    "cmi-expectation": {"cmi": 2.0},
+    "fano": {"cmi": 40.0},
+    "max-info-dp": {"epsilon": 0.2, "alpha": 0.05},
+}
+
+
 class TestBoundSweep:
     def test_beta_sweep_minimum_near_optimum(self, tmp_path):
         kl, delta, n = 2.0, 0.05, 50
@@ -250,13 +261,22 @@ class TestBoundSweep:
             ({"name": "pac-bayes-sgd", "n": 40, "beta": 2.5, "lam": 0.1, "alpha": 1.5, "b": 3, "c": 0.9,
               "m": 200, "delta": 0.05, "delta_prime": 0.05, "mc_empirical_risk": 0.2},
              "kl", [0.0, 0.7, 3.0, 1e300, math.inf]),
+            *[({"name": name, **fields}, "n", [10, 57, 4999, 10**6, 2**60]) for name, fields in N_SWEEPS.items()],
         ],
-        ids=["occam-delta", "pac-bayes-sgd-kl"],
+        ids=["occam-delta", "pac-bayes-sgd-kl", *[f"{name}-n" for name in N_SWEEPS]],
     )
-    def test_a_one_call_sweep_emits_what_each_point_computes(self, tmp_path, bound, parameter, grid, fmt):
+    def test_a_one_call_sweep_emits_what_each_point_computes(
+        self, tmp_path, monkeypatch, bound, parameter, grid, fmt
+    ):
+        calls = []
+        compute = cli.compute_named_bound
+        monkeypatch.setattr(cli, "compute_named_bound", lambda cfg: calls.append(cfg) or compute(cfg))
         cfg = write_yaml(tmp_path / "sweep.yaml", {"bound": bound, "sweep": {"parameter": parameter, "grid": grid}})
         swept = tmp_path / "sweep.out"
         assert main(["bound", "sweep", "--config", cfg, "--out", str(swept), "--format", fmt]) == 0
+        assert len(calls) == 1
+        assert "np." not in swept.read_text()
+        assert [row[parameter] for row in read_records(str(swept))[1]] == grid
         lines = swept.read_text().splitlines()
         for i, point in enumerate(grid):
             one = write_yaml(tmp_path / "point.yaml", {"bound": {**bound, parameter: point}})
@@ -569,12 +589,81 @@ class TestReport:
         with pytest.raises(ConfigurationError, match=r"rows\.jsonl line 2: expected a JSON object"):
             read_records(str(path))
 
+    def test_a_nan_beta_sorts_last_whatever_the_input_order(self, tmp_path):
+        row = {"bound": "fano", "name": "fano", "n": 10, "delta": "", "kl": "", "value": 0.5, "vacuous": False}
+        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        cli.write_records([{**row, "beta": math.nan}, {**row, "beta": 2.0}], {}, a, "csv", "nats")
+        cli.write_records([{**row, "beta": 1.0}], {}, b, "csv", "nats")
+        merged = []
+        for inputs in ([a, b], [b, a]):
+            out = tmp_path / "merged.csv"
+            assert main(["report", *inputs, "--out", str(out)]) == 0
+            merged.append(out.read_bytes().split(b"\n", 1)[1])  # the header line names the inputs in order
+        assert merged[0] == merged[1]
+        assert [line.split(",")[3] for line in merged[0].decode().splitlines()[1:]] == ["1.0", "2.0", "nan"]
+
+    def emitted(self, tmp_path) -> list[str]:
+        """CLI-emitted CSV and JSON-lines files holding -0.0, 5e-324, 1e-05, 1e+16, inf, nan and large n."""
+        kl_sweep = {"bound": {"name": "catoni", "n": 50, "beta": 0.8, "delta": 0.1, "empirical_risk": 0.2},
+                    "sweep": {"parameter": "kl", "grid": [-0.0, 5e-324, 1e-05, 1e16, math.inf]}}
+        n_sweep = {"bound": {"name": "fano", "cmi": 1e-05, "beta": math.nan},
+                   "sweep": {"parameter": "n", "grid": [10, 2**60, 10**15, 3]}}
+        paths = []
+        for i, config in enumerate((kl_sweep, n_sweep)):
+            cfg = write_yaml(tmp_path / f"sweep{i}.yaml", config)
+            for fmt in ("csv", "json-lines"):
+                out = str(tmp_path / f"sweep{i}.{fmt}")
+                assert main(["bound", "sweep", "--config", cfg, "--out", out, "--format", fmt]) == 0
+                paths.append(out)
+        return paths
+
+    def test_a_csv_report_is_the_float_round_trip_of_its_inputs(self, tmp_path):
+        # Read back as numbers, sorted and written again, every cell the CLI emits gives the text it had.
+        odd = str(tmp_path / "odd.csv")  # quoted cells and missing columns: read through csv, not as lines
+        cli.write_records(ODD_RECORDS, {}, odd, "csv", "nats")
+        paths = [*self.emitted(tmp_path), odd]
+        merged, reference = tmp_path / "merged.csv", tmp_path / "reference.csv"
+        assert main(["report", *paths, "--out", str(merged)]) == 0
+        rows = [row for path in paths for row in read_records(path)[1]]
+        rows.sort(key=lambda row: (str(row.get("bound", "")), _key_number(row.get("n")), _key_number(row.get("beta"))))
+        header = {"command": "report", "config": {"inputs": paths}, "seed": ""}
+        cli.write_records(rows, header, str(reference), "csv", "nats")
+        assert merged.read_bytes() == reference.read_bytes()
+        for cell in (b",-0.0,", b",5e-324,", b",1e-05,", b",1e+16,", b",inf,", b",nan,", b",1152921504606846976,"):
+            assert cell in merged.read_bytes()
+
+    def test_a_hand_written_cell_passes_through_as_written(self, tmp_path):
+        # Cells are not normalized: 0.10 stays 0.10 and 1e-3 stays 1e-3, from CSV, from quoted CSV and from JSON.
+        head = '# genbounds {"unit": "nats"}\n' + ",".join(cli.CSV_HEADER) + "\n"
+        lines = (tmp_path / "lines.csv", head + "catoni,catoni,50,1e-3,0.10,1.50,0.10,False,\n")
+        quoted = (tmp_path / "quoted.csv", head + 'mcallester,"a, b",7,1,0.050,2.0E0,1e-3,False,\n')
+        row = '{"bound": "zhang", "name": "z", "n": 5, "beta": 1e-3, "delta": 0.10, "kl": NaN, "value": 1E2}'
+        json_lines = (tmp_path / "rows.jsonl", '{"record_type": "header", "unit": "nats"}\n' + row + "\n")
+        for path, text in (lines, quoted, json_lines):
+            path.write_text(text)
+        out = tmp_path / "merged.csv"
+        assert main(["report", str(lines[0]), str(quoted[0]), str(json_lines[0]), "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[2:] == [
+            "catoni,catoni,50,1e-3,0.10,1.50,0.10,False,",
+            'mcallester,"a, b",7,1,0.050,2.0E0,1e-3,False,',
+            "zhang,z,5,1e-3,0.10,nan,1E2,,",
+        ]
+
     def test_an_experiment_row_without_beta_writes_none(self, tmp_path):
         experiment = {"bound": "pac-bayes-kl", "delta": 0.05, "trials": 20, "seed": 7}
         cfg = write_yaml(tmp_path / "exp.yaml", {"experiment": experiment, "problem": dict(STANDARD_PROBLEM)})
         out = tmp_path / "exp.csv"
         assert main(["experiment", "run", "--config", cfg, "--out", str(out)]) in (0, 1)
         assert out.read_text().splitlines()[-1].startswith("pac-bayes-kl,pac-bayes-kl,50,None,0.05,,")
+
+
+def _key_number(value) -> float:
+    """A sort-key number as ``report`` takes it: inf for a cell that is not a number or is NaN."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        return math.inf
+    return math.inf if math.isnan(number) else number
 
 
 def _reference_cell(value) -> str:
@@ -639,6 +728,18 @@ class TestEmission:
         assert third["delta"] == 0.30000000000000004 and third["value"] == 5e-324
         assert math.copysign(1.0, third["kl"]) == -1.0
         assert (fourth["name"], fourth["beta"], fourth["value"]) == ("tail,", "", 1e300)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_a_cell_holding_a_unicode_line_break_reads_back_whole(self, tmp_path, fmt):
+        # The CSV writer quotes \r and \n only; str.splitlines also breaks at these.
+        name = "a\x0bb\x0cc\x1cd\x1de\x1ef\x85g\u2028h\u2029i"
+        record = {"bound": "catoni", "name": name, "n": 5, "beta": 1.0, "delta": 0.1, "kl": 0.0, "value": 0.5,
+                  "vacuous": False, "seed": ""}
+        path, merged = tmp_path / "one.out", tmp_path / "merged.out"
+        cli.write_records([record], {}, str(path), fmt, "nats")
+        assert [row["name"] for row in read_records(str(path))[1]] == [name]
+        assert main(["report", str(path), "--out", str(merged), "--format", fmt]) == 0
+        assert [row["name"] for row in read_records(str(merged))[1]] == [name]
 
     @pytest.mark.parametrize(
         "rows, message",

@@ -27,7 +27,7 @@ from genbounds import (
     max_info_exact,
     mutual_info,
 )
-from genbounds.divergences import _kl_rows
+from genbounds.divergences import _SHORT_INVERSE, _bisect_rows, _inverse_of, _kl_rows
 from conftest import random_dist
 
 
@@ -182,6 +182,26 @@ class TestKlBinaryInverseUpper:
         assert [repr(v) for v in rows.tolist()] == want
         assert rows[4] == 1.0 - 1e-13 and rows[3] == rows[5] == 1.0
         assert type(kl_binary_inverse_upper(0.1, 1.0)) is float
+
+    def test_one_row_steps_end_on_the_double_the_array_bisection_ends_on(self):
+        # kl(y || x) in doubles is not monotone from one double to the next near the root, so the result
+        # depends on the bisection's path; the steps in Python floats must follow the array steps exactly.
+        rng = np.random.default_rng(31)
+        edges_y = [0.0, 1.0, 5e-324, 1e-300, 1e-10, 0.3, 0.5, 1.0 - 2**-53]
+        edges_c = [0.0, 5e-324, 1e-300, 1e-20, 1e-12, 0.3, 1e300, math.inf]
+        blocks = [
+            (rng.random(100_000), 10.0 ** rng.uniform(-16.0, 2.5, 100_000)),
+            tuple(np.array(pair).ravel() for pair in np.meshgrid(edges_y, edges_c)),
+            # Roots near 0: y = 0 with a tiny c, and y itself tiny.
+            (np.zeros(300), 10.0 ** rng.uniform(-320.0, -1.0, 300)),
+            (10.0 ** rng.uniform(-320.0, -5.0, 300), 10.0 ** rng.uniform(-320.0, 1.0, 300)),
+        ]
+        for y, c in blocks:
+            want = _bisect_rows(y, c).tolist()
+            assert [_inverse_of(a, b) for a, b in zip(y.tolist(), c.tolist())] == want
+        # The public function takes the Python steps up to _SHORT_INVERSE rows and the array steps beyond.
+        y, c = blocks[0][0][:_SHORT_INVERSE], blocks[0][1][:_SHORT_INVERSE]
+        assert kl_binary_inverse_upper(y, c).tolist() == _bisect_rows(y, c).tolist()
 
     @given(y=st.floats(0.0, 0.9), u_extra=st.floats(0.01, 14.0))
     @settings(max_examples=150, deadline=None)

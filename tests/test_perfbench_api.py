@@ -1,11 +1,12 @@
-"""The benchmark's certifications and exact checks, run through the package API the benchmark calls.
+"""The benchmark's certifications, exact checks and sweep rounds, run through the package API the benchmark calls.
 
 perfbench/workloads.py calls the entry points of each trial kind, ``BoundSpec(name, params)``, the
 dp-prior ``epsilon`` arguments and the exact checks: ``iei_exact`` with a closure and
-``cmi_exact_quantities`` with a ``GibbsAlgorithm``.  perfbench/run.py traces package functions by their
-``module.name``.  Running the benchmark's own checks here, resolving every name it traces, and counting
-the traced calls of the iei check's rule shows a break in that API in the test suite, before it can fail
-or silently zero a benchmark run.
+``cmi_exact_quantities`` with a ``GibbsAlgorithm``.  perfbench/sweeps.py draws a ``bound sweep`` config
+for every bound name, which perfbench/run.py runs through ``cli.main`` and merges with ``report``.
+perfbench/run.py traces package functions by their ``module.name``.  Running the benchmark's own checks
+here, resolving every name it traces, and counting the traced calls of the iei check's rule shows a break
+in that API in the test suite, before it can fail or silently zero a benchmark run.
 """
 
 import ast
@@ -16,6 +17,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+
+import genbounds.cli as cli
 
 _PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 _SPEC = importlib.util.spec_from_file_location("perfbench_workloads", _PATH)
@@ -26,6 +30,9 @@ _SPEC.loader.exec_module(workloads)
 _SPANS_SPEC = importlib.util.spec_from_file_location("perfbench_spans", _PATH.parent / "spans.py")
 spans = importlib.util.module_from_spec(_SPANS_SPEC)
 _SPANS_SPEC.loader.exec_module(spans)
+_SWEEPS_SPEC = importlib.util.spec_from_file_location("perfbench_sweeps", _PATH.parent / "sweeps.py")
+sweeps = importlib.util.module_from_spec(_SWEEPS_SPEC)
+_SWEEPS_SPEC.loader.exec_module(sweeps)
 
 PROBLEMS = {
     "coin": lambda: workloads.coin_problem(50),
@@ -86,3 +93,20 @@ def test_the_trace_counts_one_call_of_each_rule_primitive_per_sequence(workload)
     for name in ("divergences.DiscreteDist", "posteriors.gibbs_posterior", "problems.empirical_risks"):
         assert summary.get(name, {"calls": 0})["calls"] == sequences, name
     assert summary["posteriors.iei_exact"]["calls"] == 1
+
+
+@pytest.mark.parametrize("points", [5, 100])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_benchmark_sweep_round_passes_its_own_checks(tmp_path, seed, points):
+    # As perfbench/run.py runs a round: every bound name swept, CSV and JSON lines alternating, then merged.
+    outputs = []
+    for i, (name, config) in enumerate(sweeps.sweep_configs(np.random.default_rng([seed, 0, 2]), points)):
+        path, out = tmp_path / f"{i:02d}-{name}.yaml", str(tmp_path / f"{i:02d}-{name}.out")
+        path.write_text(yaml.safe_dump(config))
+        fmt = "csv" if i % 2 == 0 else "json-lines"
+        assert cli.main(["bound", "sweep", "--config", str(path), "--out", out, "--format", fmt]) == 0, name
+        assert [row["value"] for row in cli.read_records(out)[1]] == sweeps.direct_values(config), name
+        outputs.append(out)
+    merged = str(tmp_path / "merged.csv")
+    assert cli.main(["report", *outputs, "--out", merged]) == 0
+    assert len(cli.read_records(merged)[1]) == len(sweeps.SWEEPS) * points
