@@ -59,7 +59,6 @@ from .harness import (
     ErmAlgorithm,
     ExpectationBoundReport,
     GibbsAlgorithm,
-    SupersampleDraw,
     TrialConfig,
     ViolationReport,
     certify,
@@ -69,7 +68,6 @@ from .harness import (
     dp_mechanism_max_log_ratio,
     dp_prior_mechanism,
     dp_prior_trial,
-    draw_supersample,
     enumerate_joint,
     run_cmi_experiment,
     run_dp_prior_experiment,

@@ -390,8 +390,10 @@ def _json_rows(path: str, numbered: list[tuple[int, str]], loads=json.loads) -> 
     return [_json_record(path, number, line, loads) for number, line in numbered]
 
 
-#: CSV columns read back as numbers; an ``n`` that is a whole number is read as an int.
-_NUMERIC_COLUMNS = ("n", "beta", "delta", "kl", "value")
+#: CSV columns read back as numbers; an ``n`` or ``seed`` that is a whole number is read as an int.
+_NUMERIC_COLUMNS = ("n", "beta", "delta", "kl", "value", "seed")
+#: The ``vacuous`` cells read back as bools; any other cell stays as it is.
+_BOOLS = {"True": True, "False": False}
 
 
 def _number(cell, integral: bool):
@@ -402,24 +404,16 @@ def _number(cell, integral: bool):
         number = float(cell)
     except ValueError:
         return cell
-    return int(number) if integral and number.is_integer() else number
-
-
-def _numbers(cells, integral: bool) -> list:
-    """:func:`_number` of each cell, in one pass over the column when every filled cell is a number."""
-    try:
-        numbers = [float(cell) if cell else cell for cell in cells]
-    except ValueError:
-        return [_number(cell, integral) for cell in cells]
-    if integral:
-        return [int(x) if isinstance(x, float) and x.is_integer() else x for x in numbers]
-    return numbers
+    if integral and number.is_integer():
+        return int(cell) if cell.isdecimal() else int(number)  # digits read exactly, as a 64-bit seed needs
+    return number
 
 
 def _csv_rows(lines: list[str], text: bool = False) -> list[dict]:
-    """The rows under the CSV header line, as ``csv.DictReader`` gives them, numeric columns converted unless ``text``.
+    """The rows under the CSV header line, as ``csv.DictReader`` gives them.
 
-    A short row is padded with ``None``; a long row keeps its extra cells
+    Unless ``text``, cells are read as :func:`read_records` reads them.  A
+    short row is padded with ``None``; a long row keeps its extra cells
     under the key ``None``.
     """
     table = [row for row in csv.reader(io.StringIO("\n".join(lines))) if row]
@@ -430,7 +424,9 @@ def _csv_rows(lines: list[str], text: bool = False) -> list[dict]:
     padded = [row if len(row) == width else (row + [None] * width)[:width] for row in table]
     if not text:
         columns = [
-            _numbers(column, field == "n") if field in _NUMERIC_COLUMNS else column
+            [_number(cell, field in ("n", "seed")) for cell in column] if field in _NUMERIC_COLUMNS
+            else [_BOOLS.get(cell, cell) for cell in column] if field == "vacuous"
+            else column
             for field, column in zip(fields, zip(*padded))
         ]
         padded = zip(*columns)
@@ -448,8 +444,10 @@ _CSV_HEADER_LINE = ",".join(CSV_HEADER)
 def read_records(path: str) -> tuple[dict, list[dict]]:
     """Read back an emitted file; returns (header, rows).
 
-    Number cells are read as numbers: a CSV ``n`` that is a whole number as
-    an int, the other numeric CSV columns and every JSON float as floats.  A
+    Cells are read as JSON lines hold them: a CSV ``n`` or ``seed`` that is
+    a whole number as an int, the other numeric CSV columns and every JSON
+    float as floats, and a CSV ``vacuous`` of ``True`` or ``False`` as a
+    bool, so a record reads the same from either format.  A
     file that cannot be read, is not UTF-8 or holds a malformed JSON header
     or row is a ``ConfigurationError`` naming the path (and the line).
     """

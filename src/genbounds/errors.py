@@ -58,3 +58,11 @@ class BudgetError(GenBoundsError, RuntimeError):
 
 class ConfigurationError(GenBoundsError, ValueError):
     """An experiment or CLI configuration is invalid or inconsistent."""
+
+
+def _require_scale(name: str, value, error: type[GenBoundsError] = DomainError) -> None:
+    """Raise ``error`` unless ``value`` is a positive, finite scale; NaN is not positive."""
+    if not value > 0:
+        raise error(f"{name} must be positive")
+    if value == math.inf:
+        raise error(f"{name} must be finite")

@@ -8,12 +8,14 @@ table entry names a ``trial``, which picks how it draws (a sample or a
 supersample) and its prior (the fixed one or the private one).
 Per-trial randomness comes from counter-based streams derived from
 (seed, trial index): trial t draws from ``numpy.random.default_rng([seed,
-t])``, a sample by ``choice(k, n, p=mu)`` and a supersample as
-:func:`draw_supersample` draws it, so results do not depend on execution
-order and parallel or serial runs agree bit-exactly.  No generator is
-created per trial: SeedSequence and PCG64 are fixed algorithms, so the
-harness computes the streams of a block of trials at once in array
-arithmetic, bit for bit, and the test suite pins this to numpy itself.
+t])``, a sample by ``choice(k, n, p=mu)`` and a supersample z~ by
+``choice(k, (n, 2), p=mu)`` and then selector bits u by ``integers(0, 2,
+n)``, with training sample z~[i, u_i] and ghost sample z~[i, 1 - u_i], so
+results do not depend on execution order and parallel or serial runs agree
+bit-exactly.  No generator is created per trial: SeedSequence and PCG64 are
+fixed algorithms, so the harness computes the streams of a block of trials
+at once in array arithmetic, bit for bit, and the test suite pins this to
+numpy itself.
 Each stream word is one 128-bit product and one addition: with MULT - 1 =
 4 u, u odd, the state the LCG reaches from a trial's x in t steps is B_t y
 + x mod 2^128, where y = 4 x + inc u^-1 is computed once per trial and B_t
@@ -86,7 +88,7 @@ from .divergences import (
     golden_formula_residual,
     mutual_info,
 )
-from .errors import ConfigurationError, DomainError, _is_positive_integer, _is_real
+from .errors import ConfigurationError, DomainError, _is_positive_integer, _is_real, _require_scale
 from .losses import LossModel, _annealed
 from .posteriors import (
     ErmAlgorithm,
@@ -103,7 +105,6 @@ from .problems import (
     _check_budget,
     _bd0,
     _count_risks,
-    _is_integral,
     _stirlerr,
     annealed_risks,
     empirical_risks,
@@ -188,34 +189,6 @@ class ViolationReport:
     def certified(self, delta: float) -> bool:
         """True when the 95% upper confidence bound on the rate is within delta."""
         return self.clopper_pearson_upper_95 <= delta
-
-
-@dataclass(frozen=True, eq=False)
-class SupersampleDraw:
-    """An n x 2 supersample and the selector bits picking the training column."""
-
-    z_tilde: np.ndarray
-    u: np.ndarray
-
-    def __post_init__(self) -> None:
-        z, u = np.asarray(self.z_tilde), np.asarray(self.u)
-        if not _is_integral(z) or not (_is_integral(u) or u.dtype.kind == "b"):
-            raise DomainError("z_tilde and u must hold integers")
-        z, u = z.astype(int), u.astype(int)
-        if z.ndim != 2 or z.shape[1] != 2:
-            raise DomainError("z_tilde must be an n x 2 index array")
-        if u.shape != (z.shape[0],) or np.any((u != 0) & (u != 1)):
-            raise DomainError("u must be one bit per supersample row")
-        object.__setattr__(self, "z_tilde", z)
-        object.__setattr__(self, "u", u)
-
-    @property
-    def training_sample(self) -> np.ndarray:
-        return self.z_tilde[np.arange(len(self.u)), self.u]
-
-    @property
-    def ghost_sample(self) -> np.ndarray:
-        return self.z_tilde[np.arange(len(self.u)), 1 - self.u]
 
 
 #: Steps of the Clopper-Pearson solver: enough for the bisection alone to reach adjacent doubles near 0.
@@ -485,8 +458,9 @@ def _trial_counts(problem: FiniteProblem, seed: int, trials: np.ndarray | range,
     Each block is an array of shape (block, 1, k) of training counts, or
     (block, 2, k) of training and ghost counts for a supersample.  The draws
     are those trial t makes from ``default_rng([seed, t])``: ``choice(k, n,
-    p=mu)`` for a sample, and for a supersample ``choice(k, (n, 2), p=mu)``
-    and then ``integers(0, 2, n)``, as :func:`draw_supersample` makes them.
+    p=mu)`` for a sample, and for a supersample z~ ``choice(k, (n, 2),
+    p=mu)`` and then the selector bits u ``integers(0, 2, n)``, whose
+    training sample is z~[i, u_i] and ghost sample z~[i, 1 - u_i].
     A double is the top 53 bits of an output, and the selector bit
     ``integers(0, 2)`` takes from a 32-bit half-word (low half first) is its
     top bit.  A draw's outcome is the number of :func:`_thresholds` its top
@@ -803,12 +777,6 @@ def dp_prior_trial(config: TrialConfig, trial: int, epsilon: float) -> tuple[flo
 # ---------------------------------------------------------------------------
 
 
-def draw_supersample(problem: FiniteProblem, rng: np.random.Generator) -> SupersampleDraw:
-    """An n x 2 supersample and n selector bits, in this order from ``rng``."""
-    z_tilde = rng.choice(problem.num_outcomes, (problem.n, 2), p=problem.mu.probs)
-    return SupersampleDraw(z_tilde=z_tilde, u=rng.integers(0, 2, problem.n))
-
-
 def cmi_exact_quantities(
     problem: FiniteProblem,
     algorithm,
@@ -858,10 +826,7 @@ def dp_prior_mechanism(problem: FiniteProblem, sample, epsilon: float) -> Discre
 def _check_dp_prior(problem: FiniteProblem, epsilon: float) -> None:
     if not problem.has_unit_losses:
         raise ConfigurationError("the sensitivity argument requires losses in [0, 1]")
-    if not epsilon > 0:
-        raise DomainError("epsilon must be positive")
-    if epsilon == math.inf:
-        raise DomainError("epsilon must be finite")
+    _require_scale("epsilon", epsilon)
 
 
 def _dp_prior_rows(problem: FiniteProblem, risks: np.ndarray, epsilon: float) -> np.ndarray:

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, ParameterError
+from .errors import DomainError, EvaluationError, ParameterError, _require_scale
 
 BERNOULLI01 = "bernoulli01"
 BOUNDED_UNIT = "bounded_unit"
@@ -222,10 +222,7 @@ def psi_star_inverse_numeric(psi: PsiFunction, y: float) -> float:
 
 def phi_beta(beta: float, x: float) -> float:
     """The annealing bijection -log(1 - (1 - e^-beta) x) / beta on [0, 1], the row [0, 1] with mass x on 1."""
-    if not beta > 0:
-        raise DomainError("beta must be positive")
-    if beta == math.inf:
-        raise DomainError("beta must be finite")
+    _require_scale("beta", beta)
     if not 0.0 <= x <= 1.0:
         raise DomainError("x must lie in [0, 1]")
     return float(_annealed(np.array([0.0, 1.0]), np.array([1.0 - x, x]), beta))

@@ -36,7 +36,9 @@ from .divergences import (
     kl_gaussian_diag,
     kl_gaussian_spectral,
 )
-from .errors import ConfigurationError, DegenerateError, DomainError, ParameterError, ShapeError, _is_positive_integer
+from .errors import (
+    ConfigurationError, DegenerateError, DomainError, ParameterError, ShapeError, _is_positive_integer, _require_scale
+)
 from .losses import _annealed
 from .problems import (
     ENUMERATION_BUDGET,
@@ -124,20 +126,14 @@ def _gibbs_rows(q: np.ndarray, f: np.ndarray, beta: float, log_q: np.ndarray | N
 def stochastic_complexity(q: DiscreteDist, f_values, beta: float) -> float:
     """-log E_q[e^{-beta f}] / beta by the annealing kernel of ``losses``; a zero-mass entry adds nothing."""
     f = _as_values(q, f_values)
-    if not beta > 0:
-        raise DomainError("beta must be positive")
-    if beta == math.inf:
-        raise DomainError("beta must be finite")
+    _require_scale("beta", beta)
     return float(_annealed(f, q.probs, beta))
 
 
 def information_complexity(p: DiscreteDist, q: DiscreteDist, f_values, beta: float) -> float:
     """E_p[f] + D(p || q) / beta, the regularized objective minimized by the Gibbs measure."""
     f = _as_values(q, f_values)
-    if not beta > 0:
-        raise DomainError("beta must be positive")
-    if beta == math.inf:  # an infinite D(p || q) / beta would be NaN
-        raise DomainError("beta must be finite")
+    _require_scale("beta", beta)  # an infinite D(p || q) / beta would be NaN
     divergence = kl_discrete(p, q)
     return _expectation(p, f) + divergence / beta
 
@@ -152,11 +148,9 @@ def oic(
     posterior (so it can be cross-checked against the stochastic complexity,
     which it equals).
     """
-    sample = np.asarray(sample, dtype=int)
-    if sample.size != problem.n:
+    if np.size(sample) != problem.n:
         raise DomainError("sample length must equal the problem's n")
-    if not beta > 0:
-        raise DomainError("beta must be positive")
+    _require_scale("beta", beta)
     risks = empirical_risks(problem, sample)
     temperature = problem.n * beta
     posterior = gibbs_posterior(q, risks, temperature)
@@ -172,8 +166,7 @@ def dv_identity_residual(p: DiscreteDist, q: DiscreteDist, f_values, beta: float
     with every term evaluated independently; the last is minus the stochastic complexity.
     """
     f = _as_values(q, f_values)
-    if not beta > 0:
-        raise DomainError("beta must be positive")
+    _require_scale("beta", beta)
     p_star = gibbs_posterior(q, f, beta)
     lhs = kl_discrete(p, p_star) / beta
     rhs = _expectation(p, f) + kl_discrete(p, q) / beta - float(_annealed(f, q.probs, beta))
@@ -228,10 +221,7 @@ class GibbsAlgorithm:
     beta_alg: float
 
     def __post_init__(self) -> None:
-        if not self.beta_alg > 0:
-            raise ConfigurationError("beta_alg must be positive")
-        if self.beta_alg == math.inf:
-            raise ConfigurationError("beta_alg must be finite")
+        _require_scale("beta_alg", self.beta_alg, ConfigurationError)
 
     def posterior(self, problem: FiniteProblem, sample) -> DiscreteDist:
         uniform = _uniform_probs(problem.num_hypotheses)
@@ -313,8 +303,7 @@ def iei_exact(
     sequences (see :func:`_exact_table`).  A :class:`GibbsAlgorithm` takes
     the uniform base, not q; a Gibbs rule against q is a callable.
     """
-    if not beta > 0:
-        raise DomainError("beta must be positive")
+    _require_scale("beta", beta)
     if len(q) != problem.num_hypotheses:
         raise ShapeError("q must have one entry per hypothesis")
     annealed = annealed_risks(problem, beta)
@@ -339,8 +328,7 @@ def iei_empirical_check(
     estimate.  Deterministic given the seed.  The estimate should not exceed
     1 by more than a few standard errors.
     """
-    if not beta > 0:
-        raise DomainError("beta must be positive")
+    _require_scale("beta", beta)
     if not _is_positive_integer(trials):
         raise DomainError("trials must be a positive integer")
     if len(q) != problem.num_hypotheses:
@@ -585,10 +573,7 @@ def local_entropy(model: QuadraticModel, gamma: float, w=None) -> float:
     -sum(log(2 pi / (beta (h_i + gamma)))) / (2 beta); lower values mean a
     flatter surface (more smoothed low-loss volume around w).
     """
-    if not gamma > 0:
-        raise DomainError("gamma must be positive")
-    if gamma == math.inf:
-        raise DomainError("gamma must be finite")
+    _require_scale("gamma", gamma)
     h = model.hessian_eigenvalues
     beta = model.beta
     base = -0.5 / beta * float(np.sum(np.log(2.0 * math.pi / (beta * (h + gamma)))))
@@ -614,10 +599,7 @@ def local_entropy_mc(
     e^{-beta loss} below the smallest float still gives a finite value;
     deterministic given the seed.  Intended for small k.
     """
-    if not gamma > 0:
-        raise DomainError("gamma must be positive")
-    if gamma == math.inf:
-        raise DomainError("gamma must be finite")
+    _require_scale("gamma", gamma)
     if not _is_positive_integer(draws) or draws < 2:
         raise DomainError("draws must be an integer of at least 2 for a standard error")
     center = model.w_p if w is None else np.asarray(w, dtype=float)

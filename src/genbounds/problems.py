@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .divergences import _SHORT_ROW, DiscreteDist
-from .errors import BudgetError, DomainError, ShapeError, _is_positive_integer
+from .errors import BudgetError, DomainError, ShapeError, _is_positive_integer, _require_scale
 from .losses import _annealed
 
 #: Default ceiling on the number of samples an exhaustive enumeration may visit.
@@ -118,10 +118,7 @@ def annealed_risks(problem: FiniteProblem, beta: float) -> np.ndarray:
     A soft-min surrogate for the true risk by the annealing kernel of ``losses``: it never exceeds
     it, is nonincreasing in beta, and keeps its relative precision as beta -> 0.
     """
-    if not beta > 0:
-        raise DomainError("beta must be positive")
-    if beta == math.inf:  # -inf * a zero loss is NaN
-        raise DomainError("beta must be finite")
+    _require_scale("beta", beta)  # -inf * a zero loss is NaN
     return _within_rows(problem, _annealed(problem.losses, problem.mu.probs, beta))
 
 

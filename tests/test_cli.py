@@ -103,7 +103,7 @@ class TestBoundCompute:
         out_path = tmp_path / "overflow.csv"
         assert main(["bound", "compute", "--config", cfg, "--out", str(out_path)]) == 0
         _, rows = read_records(str(out_path))
-        assert (float(rows[0]["value"]), rows[0]["vacuous"]) == (1.0, "True")
+        assert (float(rows[0]["value"]), rows[0]["vacuous"]) == (1.0, True)
 
     def test_unknown_config_field_exits_2(self, tmp_path):
         cfg = write_yaml(tmp_path / "bad.yaml", {"bound": {"name": "catoni", "banana": 1}})
@@ -114,7 +114,7 @@ class TestBoundCompute:
         out_path = tmp_path / "vac.csv"
         assert main(["bound", "compute", "--config", cfg, "--out", str(out_path)]) == 0
         _, rows = read_records(str(out_path))
-        assert rows[0]["vacuous"] == "True"
+        assert rows[0]["vacuous"] is True
 
     def test_bits_conversion_applies_to_kl_column(self, tmp_path):
         cfg = compute_config(tmp_path, kl=2.0)
@@ -602,6 +602,24 @@ class TestReport:
         assert merged[0] == merged[1]
         assert [line.split(",")[3] for line in merged[0].decode().splitlines()[1:]] == ["1.0", "2.0", "nan"]
 
+    def test_a_json_lines_report_writes_a_record_alike_from_a_csv_and_a_json_lines_input(self, tmp_path):
+        # A CSV seed is an int, exact at 64 bits, and a CSV vacuous a bool, as a JSON-lines input holds them.
+        records = [
+            {"bound": "catoni", "name": "c", "n": 50, "beta": 0.5, "delta": 0.1, "kl": 1.0, "value": 0.25,
+             "vacuous": False, "seed": 7},
+            {"bound": "zhang", "name": "z", "n": 10, "beta": 2.0, "delta": "", "kl": "", "value": 1.0,
+             "vacuous": True, "seed": 2**64 - 1},
+        ]
+        merged = []
+        for fmt in ("csv", "json-lines"):
+            path, out = str(tmp_path / f"in.{fmt}"), tmp_path / f"out.{fmt}"
+            cli.write_records(records, {}, path, fmt, "nats")
+            assert main(["report", path, "--format", "json-lines", "--out", str(out)]) == 0
+            merged.append(out.read_text().splitlines()[1:])  # the header line names the input
+        assert merged[0] == merged[1]
+        assert [json.loads(line)["seed"] for line in merged[0]] == [7, 2**64 - 1]
+        assert [json.loads(line)["vacuous"] for line in merged[0]] == [False, True]
+
     def emitted(self, tmp_path) -> list[str]:
         """CLI-emitted CSV and JSON-lines files holding -0.0, 5e-324, 1e-05, 1e+16, inf, nan and large n."""
         kl_sweep = {"bound": {"name": "catoni", "n": 50, "beta": 0.8, "delta": 0.1, "empirical_risk": 0.2},
@@ -723,7 +741,7 @@ class TestEmission:
             return
         first, second, third, fourth = rows
         assert first["name"] == ODD_RECORDS[0]["name"] and first["value"] == math.inf and first["n"] == 50
-        assert (first["vacuous"], first["seed"]) == ("True", "7")
+        assert (first["vacuous"], first["seed"]) == (True, 7)
         assert second["beta"] == "None" and second["delta"] == "" and math.isnan(second["kl"])
         assert third["delta"] == 0.30000000000000004 and third["value"] == 5e-324
         assert math.copysign(1.0, third["kl"]) == -1.0

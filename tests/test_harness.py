@@ -32,7 +32,6 @@ from genbounds import (
     LossModel,
     PacBayesSgdParams,
     ParameterError,
-    SupersampleDraw,
     TrialConfig,
     annealed_risks,
     certify,
@@ -45,7 +44,6 @@ from genbounds import (
     dp_mechanism_max_log_ratio,
     dp_prior_mechanism,
     dp_prior_trial,
-    draw_supersample,
     empirical_risks,
     enumerate_joint,
     gibbs_posterior,
@@ -653,12 +651,11 @@ def reference_cmi_quantities(problem, algorithm):
         z_tilde = np.array(flat, dtype=int).reshape(n, 2)
         weight = float(np.prod(problem.mu.probs[z_tilde])) / 2**n
         for ui, u in enumerate(selectors):
-            draw = SupersampleDraw(z_tilde=z_tilde, u=np.array(u))
-            posterior = algorithm.posterior(problem, draw.training_sample)
+            u = np.array(u)
+            train, ghost = z_tilde[np.arange(n), u], z_tilde[np.arange(n), 1 - u]
+            posterior = algorithm.posterior(problem, train)
             joint[zi, ui] = weight * posterior.probs
-            gaps = empirical_risks(problem, draw.ghost_sample) - empirical_risks(
-                problem, draw.training_sample
-            )
+            gaps = empirical_risks(problem, ghost) - empirical_risks(problem, train)
             expected_gap += weight * float(posterior.probs @ gaps)
     return conditional_mutual_info(joint / joint.sum()), expected_gap
 
@@ -668,26 +665,9 @@ def trial_samples(problem, seed, trial, supersample):
     rng, k, n = np.random.default_rng([seed, trial]), problem.num_outcomes, problem.n
     if not supersample:
         return rng.choice(k, n, p=problem.mu.probs), None
-    draw = SupersampleDraw(rng.choice(k, (n, 2), p=problem.mu.probs), rng.integers(0, 2, n))
-    return draw.training_sample, draw.ghost_sample
-
-
-class TestTrialDraw:
-    """A supersample is ``Generator.choice`` and then ``integers``, to the bit."""
-
-    @pytest.mark.parametrize(
-        "weights", [[0.5, 0.5], np.random.default_rng(5).random(8) + 0.2], ids=["coin", "8-outcome"]
-    )
-    def test_draws_equal_generator_choice(self, weights):
-        mu = DiscreteDist.from_weights(weights)
-        k, n = len(mu), 50
-        problem = FiniteProblem(losses=np.zeros((1, k)), mu=mu, n=n)
-        for trial in range(300):
-            ours, theirs = np.random.default_rng([2, trial]), np.random.default_rng([2, trial])
-            draw = draw_supersample(problem, ours)
-            assert np.array_equal(draw.z_tilde, theirs.choice(k, size=(n, 2), p=mu.probs))
-            assert np.array_equal(draw.u, theirs.integers(0, 2, size=n))
-            assert ours.random() == theirs.random()
+    z_tilde = rng.choice(k, (n, 2), p=problem.mu.probs)
+    u = rng.integers(0, 2, n)
+    return z_tilde[np.arange(n), u], z_tilde[np.arange(n), 1 - u]
 
 
 def per_trial_counts(problem, seed, trial, supersample):
@@ -927,34 +907,14 @@ class TestStreamArithmetic:
 
 
 class TestCmiExperiment:
-    def test_supersample_split(self, rng):
-        problem = random_problem(rng, 2, 2, n=6)
-        draw = draw_supersample(problem, np.random.default_rng(3))
-        both = np.sort(np.stack([draw.training_sample, draw.ghost_sample], axis=1), axis=1)
-        assert np.array_equal(both, np.sort(draw.z_tilde, axis=1))
-
-    @pytest.mark.parametrize(
-        "z_tilde, u",
-        [([[0, 1.9]], [0]), ([[0, 1]], [0.7]), ([[0, math.nan]], [0]), ([[True, False]], [0])],
-        ids=["fractional index", "fractional bit", "nan index", "bool index"],
-    )
-    def test_supersample_entries_must_be_integers(self, z_tilde, u):
-        with pytest.raises(DomainError, match="must hold integers"):
-            SupersampleDraw(z_tilde=z_tilde, u=u)
-
-    def test_integral_floats_and_bool_bits_pass(self):
-        draw = SupersampleDraw(z_tilde=[[0, 1.0]], u=[True])
-        assert draw.z_tilde.dtype.kind == draw.u.dtype.kind == "i"
-        assert draw.training_sample.tolist() == [1] and draw.ghost_sample.tolist() == [0]
-
     def test_trials_follow_the_validated_draw(self):
         problem = soft_problem(n=9)
         config = make_config(problem, "cmi", trials=60, beta=0.3, algorithm=ErmAlgorithm("uniform"))
         for trial in range(config.trials):
-            draw = draw_supersample(problem, np.random.default_rng([config.seed, trial]))
-            posterior = config.algorithm.posterior(problem, draw.training_sample)
-            risks = empirical_risks(problem, draw.training_sample)
-            gap = float(posterior.probs @ (empirical_risks(problem, draw.ghost_sample) - risks))
+            train, ghost = trial_samples(problem, config.seed, trial, supersample=True)
+            posterior = config.algorithm.posterior(problem, train)
+            risks = empirical_risks(problem, train)
+            gap = float(posterior.probs @ (empirical_risks(problem, ghost) - risks))
             request = BoundRequest(
                 n=problem.n, delta=config.delta, empirical_risk=float(posterior.probs @ risks),
                 kl=kl_discrete(posterior, DiscreteDist.uniform(4)), beta=0.3, model=LossModel.bounded_unit(),

@@ -49,7 +49,6 @@ from genbounds.harness import (
     BoundSpec,
     ErmAlgorithm,
     GibbsAlgorithm,
-    SupersampleDraw,
     TrialConfig,
     certify,
     cmi_exact_quantities,
@@ -67,6 +66,7 @@ from genbounds.posteriors import (
     _as_values,
     _gibbs_rows,
     _uniform_probs,
+    dv_identity_residual,
     expected_quadratic_loss,
     gaussian_icm_objective,
     gibbs_posterior,
@@ -75,6 +75,7 @@ from genbounds.posteriors import (
     information_complexity,
     local_entropy,
     local_entropy_mc,
+    oic,
     stochastic_complexity,
 )
 from genbounds.problems import _count_risks, annealed_risks, empirical_risks
@@ -429,6 +430,8 @@ NAN_SITES = [
     ("annealed_risks", lambda x: annealed_risks(COIN, x), "beta must be positive"),
     ("stochastic_complexity", lambda x: stochastic_complexity(_POINT, [0.5], x), "beta must be positive"),
     ("information_complexity", lambda x: information_complexity(_POINT, _POINT, [0.5], x), "beta must be positive"),
+    ("oic", lambda x: oic(UNIFORM_2, COIN, [0, 1], x), "beta must be positive"),
+    ("dv_identity_residual", lambda x: dv_identity_residual(_POINT, _POINT, [0.5], x), "beta must be positive"),
     ("iei_exact", lambda x: iei_exact(COIN, _coin_rule, UNIFORM_2, x), "beta must be positive"),
     ("iei_empirical_check", lambda x: iei_empirical_check(COIN, _coin_rule, UNIFORM_2, x, 10, seed=0),
      "beta must be positive"),
@@ -476,10 +479,6 @@ OUT_OF_RANGE = [
     ("GibbsAlgorithm-0", GibbsAlgorithm, 0.0, ConfigurationError, "beta_alg must be positive"),
     ("TrialConfig-prior-length", lambda x: _trial_config(COIN, "zhang", DiscreteDist.uniform(x)), 3,
      ConfigurationError, "prior must match the hypothesis count"),
-    ("SupersampleDraw-one-column", lambda x: SupersampleDraw(np.zeros((x, 1), int), np.zeros(x, int)), 3,
-     DomainError, "z_tilde must be an n x 2 index array"),
-    ("SupersampleDraw-u-not-bits", lambda x: SupersampleDraw(np.zeros((3, 2), int), [0, x, 1]), 2, DomainError,
-     "u must be one bit per supersample row"),
     ("union_beta_grid-alpha", lambda x: union_beta_grid(10, x, 4.0, 0.5), 1.0, DomainError,
      "need alpha > 1, v > 0, sigma > 0"),
     ("LossModel-c", lambda x: LossModel("sub_gaussian", c=x), 0.5, DomainError,
@@ -585,6 +584,16 @@ OUT_OF_RANGE = [
     ("subgamma_mi-c-inf", lambda x: subgamma_mi(0.0, 5, 1.0, x), INF, DomainError,
      "c must be a nonnegative finite real"),
     ("GibbsAlgorithm-inf", GibbsAlgorithm, INF, ConfigurationError, "beta_alg must be finite"),
+    ("oic-beta-inf", lambda x: oic(UNIFORM_2, COIN, [0, 1], x), INF, DomainError, "beta must be finite"),
+    ("dv_identity_residual-beta-inf", lambda x: dv_identity_residual(_POINT, _POINT, [0.5], x), INF, DomainError,
+     "beta must be finite"),
+    ("iei_exact-beta-inf", lambda x: iei_exact(COIN, _coin_rule, UNIFORM_2, x), INF, DomainError,
+     "beta must be finite"),
+    ("iei_empirical_check-beta-inf", lambda x: iei_empirical_check(COIN, _coin_rule, UNIFORM_2, x, 10, seed=0), INF,
+     DomainError, "beta must be finite"),
+    # oic leaves the sample's entries to empirical_risks, which refuses what is not an integer index.
+    ("oic-fractional-sample", lambda x: oic(UNIFORM_2, COIN, x, 1.0), [0.7, 1.0], DomainError, NOT_INDICES),
+    ("oic-bool-sample", lambda x: oic(UNIFORM_2, COIN, x, 1.0), [True, False], DomainError, NOT_INDICES),
     ("dp_prior_mechanism-epsilon-inf", lambda x: dp_prior_mechanism(COIN, [0, 1], x), INF, DomainError,
      "epsilon must be finite"),
     ("dp_mechanism_max_log_ratio-epsilon-inf", lambda x: dp_mechanism_max_log_ratio(COIN, x), INF, DomainError,
@@ -630,7 +639,6 @@ ARRAY_HOLDERS = {
     "FiniteProblem": lambda: FiniteProblem(losses=[[0, 1], [1, 0]], mu=DiscreteDist([0.5, 0.5]), n=2),
     "QuadraticModel": lambda: QuadraticModel(_ONE, _ONE, _ONE, lam=1.0, n=3, beta=1.0),
     "GaussianKLInputs": lambda: GaussianKLInputs(0.0, np.array([2.0, 2.0]), 2.0),
-    "SupersampleDraw": lambda: SupersampleDraw(z_tilde=[[0, 1], [1, 0]], u=[0, 1]),
 }
 
 
