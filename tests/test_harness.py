@@ -907,6 +907,16 @@ class TestStreamArithmetic:
 
 
 class TestCmiExperiment:
+    def test_supersample_split(self):
+        # The training and ghost counts of a trial together count its whole supersample z~.
+        problem = count_problem(8, 6)
+        trials = np.arange(40, dtype=np.uint64)
+        counts = block_counts(problem, 3, trials, supersample=True)
+        for t in trials.tolist():
+            z_tilde = np.random.default_rng([3, t]).choice(8, (6, 2), p=problem.mu.probs)
+            assert counts[t].sum(axis=1).tolist() == [6, 6]
+            assert np.array_equal(counts[t].sum(axis=0), np.bincount(z_tilde.ravel(), minlength=8))
+
     def test_trials_follow_the_validated_draw(self):
         problem = soft_problem(n=9)
         config = make_config(problem, "cmi", trials=60, beta=0.3, algorithm=ErmAlgorithm("uniform"))

@@ -594,6 +594,7 @@ OUT_OF_RANGE = [
     # oic leaves the sample's entries to empirical_risks, which refuses what is not an integer index.
     ("oic-fractional-sample", lambda x: oic(UNIFORM_2, COIN, x, 1.0), [0.7, 1.0], DomainError, NOT_INDICES),
     ("oic-bool-sample", lambda x: oic(UNIFORM_2, COIN, x, 1.0), [True, False], DomainError, NOT_INDICES),
+    ("oic-nan-sample", lambda x: oic(UNIFORM_2, COIN, x, 1.0), [0, NAN], DomainError, NOT_INDICES),
     ("dp_prior_mechanism-epsilon-inf", lambda x: dp_prior_mechanism(COIN, [0, 1], x), INF, DomainError,
      "epsilon must be finite"),
     ("dp_mechanism_max_log_ratio-epsilon-inf", lambda x: dp_mechanism_max_log_ratio(COIN, x), INF, DomainError,
@@ -605,6 +606,13 @@ OUT_OF_RANGE = [
                          ids=[case[0] for case in OUT_OF_RANGE])
 def test_out_of_range_values_are_refused(call, value, cls, message):
     _raises_exactly(cls, message, call, value)
+
+
+@pytest.mark.parametrize("sample", [[0, 1.0], np.array([0.0, 1.0])], ids=["list", "float array"])
+def test_oic_takes_an_integral_float_sample_as_its_integer_sample(sample):
+    posterior, value = oic(UNIFORM_2, COIN, sample, 1.0)
+    want_posterior, want_value = oic(UNIFORM_2, COIN, [0, 1], 1.0)
+    assert posterior.probs.tolist() == want_posterior.probs.tolist() and value == want_value
 
 
 def test_phi_beta_inverse_refuses_an_infinite_beta():
