@@ -13,11 +13,11 @@ configuration error.
 field that the bound's table entry evaluates as rows is one bound call (``kl``
 for the bounds that take a request, ``n`` for the six expectation bounds),
 and the records of any sweep are read off its results' columns.  CSV is
-written from zipped columns and read back a numeric column at a time, and
-the rows of a JSON-lines file are decoded with one ``json.loads`` when that
-is safe.  A CSV ``report`` writes every cell as the text it read, parsing
-only its (bound, n, beta) sort key: a CSV input that the writer would write
-back line for line is kept as lines, and JSON float tokens are read as their
+written from zipped columns and read back by ``csv.DictReader``, and the
+rows of a JSON-lines file are decoded with one ``json.loads`` when that is
+safe.  A CSV ``report`` writes every cell as the text it read, parsing only
+its (bound, n, beta) sort key: a CSV input that the writer would write back
+line for line is kept as lines, and JSON float tokens are read as their
 text.  So a cell passes through as written, ``0.10`` included.
 """
 
@@ -181,10 +181,10 @@ _YAML_LOADER = _config_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 def _read_text(path: str, what: str) -> str:
-    """The UTF-8 text of ``path``; a file that cannot be read or decoded is a ``ConfigurationError``."""
+    """The UTF-8 text of ``path`` less a leading BOM; an unreadable or undecodable file is a ``ConfigurationError``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read().removeprefix("\ufeff")  # not utf-8-sig, which counts a bad byte from after the BOM
     except OSError as exc:
         raise ConfigurationError(f"cannot read {what}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -397,43 +397,34 @@ _BOOLS = {"True": True, "False": False}
 
 
 def _number(cell, integral: bool):
-    """``cell`` as a number; an empty cell, or one that is not a number, as it is."""
+    """``cell`` as a number, and ``None`` as the writer writes it; an empty cell, or any other, as it is."""
     if not cell:
         return cell
     try:
         number = float(cell)
     except ValueError:
-        return cell
+        return None if cell == "None" else cell
     if integral and number.is_integer():
         return int(cell) if cell.isdecimal() else int(number)  # digits read exactly, as a 64-bit seed needs
     return number
 
 
-def _csv_rows(lines: list[str], text: bool = False) -> list[dict]:
-    """The rows under the CSV header line, as ``csv.DictReader`` gives them.
+def _csv_rows(text: str, as_text: bool = False) -> list[dict]:
+    """The rows of CSV ``text`` under its first row, the column names, as ``csv.DictReader`` gives them.
 
-    Unless ``text``, cells are read as :func:`read_records` reads them.  A
-    short row is padded with ``None``; a long row keeps its extra cells
-    under the key ``None``.
+    A quoted cell keeps its line ends and blank lines.  A line of only
+    blanks outside quotes, one blank cell to ``csv``, is skipped.  Unless
+    ``as_text``, cells are read as :func:`read_records` reads them.
     """
-    table = [row for row in csv.reader(io.StringIO("\n".join(lines))) if row]
-    if not table:
-        return []
-    fields, *table = table
-    width = len(fields)
-    padded = [row if len(row) == width else (row + [None] * width)[:width] for row in table]
-    if not text:
-        columns = [
-            [_number(cell, field in ("n", "seed")) for cell in column] if field in _NUMERIC_COLUMNS
-            else [_BOOLS.get(cell, cell) for cell in column] if field == "vacuous"
-            else column
-            for field, column in zip(fields, zip(*padded))
-        ]
-        padded = zip(*columns)
-    rows = [dict(zip(fields, values)) for values in padded]
-    for row, cells in zip(rows, table):
-        if len(cells) > width:
-            row[None] = cells[width:]
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    fields = reader.fieldnames or []
+    second = fields[1] if len(fields) > 1 else None  # where a row's second cell is, if it has one
+    rows = [row for row in reader if row.get(second) is not None or str(row[fields[0]]).strip()]
+    if not as_text:
+        for field in set(fields) & {*_NUMERIC_COLUMNS, "vacuous"}:
+            for row in rows:
+                cell = row[field]
+                row[field] = _BOOLS.get(cell, cell) if field == "vacuous" else _number(cell, field in ("n", "seed"))
     return rows
 
 
@@ -446,10 +437,11 @@ def read_records(path: str) -> tuple[dict, list[dict]]:
 
     Cells are read as JSON lines hold them: a CSV ``n`` or ``seed`` that is
     a whole number as an int, the other numeric CSV columns and every JSON
-    float as floats, and a CSV ``vacuous`` of ``True`` or ``False`` as a
-    bool, so a record reads the same from either format.  A
-    file that cannot be read, is not UTF-8 or holds a malformed JSON header
-    or row is a ``ConfigurationError`` naming the path (and the line).
+    float as floats, a numeric CSV ``None`` as ``None``, and a CSV
+    ``vacuous`` of ``True`` or ``False`` as a bool, so a record reads the
+    same from either format.  A file that cannot be read, is not UTF-8 or
+    holds a malformed JSON header or row is a ``ConfigurationError`` naming
+    the path (and the line).
     """
     return _read(path, text=False)
 
@@ -457,15 +449,19 @@ def read_records(path: str) -> tuple[dict, list[dict]]:
 def _read(path: str, text: bool) -> tuple[dict, list]:
     """:func:`read_records`, or with ``text`` every cell as the text it was read as.
 
-    As text, a CSV cell is what ``csv`` gives, a JSON float token is as
-    written, and JSON's NaN and infinities are as CSV writes them (``nan``,
-    ``inf``, ``-inf``).  A CSV file that the writer would write back line for
-    line, its header ``CSV_HEADER`` and no line holding a quote or other than
+    JSON rows are read by line, CSV records by :func:`_csv_rows`.  As text, a
+    CSV cell is what ``csv`` gives, a JSON float token is as written, and
+    JSON's NaN and infinities are as CSV writes them (``nan``, ``inf``,
+    ``-inf``).  A CSV file that the writer would write back line for line,
+    its header ``CSV_HEADER`` and no line holding a quote, a CR or other than
     one cell per column, gives its lines instead of records, each kept whole.
     """
-    # The text is read with universal newlines, so every line ends in "\n"; str.splitlines would also break
-    # at characters such as \x0c and \u2028, which the CSV writer leaves unquoted inside a cell.
-    numbered = [(i, line) for i, line in enumerate(_read_text(path, path).split("\n"), 1) if line.strip()]
+    # The header is the first line not blank.  A line ends at "\n", or at "\r" in a file with none, less a trailing
+    # "\r"; str.splitlines would also break at \x0c, \u2028 and others, which the writer leaves unquoted in a cell.
+    raw = _read_text(path, path)
+    end = "\n" if "\n" in raw else "\r"
+    lines = raw.split(end)
+    numbered = [(i, line.rstrip("\r")) for i, line in enumerate(lines, 1) if line.strip()]
     if not numbered:
         raise ConfigurationError(f"{path} is empty")
     number, first = numbered[0]
@@ -476,12 +472,14 @@ def _read(path: str, text: bool) -> tuple[dict, list]:
         return header, _json_rows(path, numbered[1:], _TEXT_LOADS if text else json.loads)
     if first.startswith("# genbounds "):
         header = _json_record(path, number, first[len("# genbounds "):])
-        lines = [line for _, line in numbered[1:]]
+        body = [line for _, line in numbered[1:]]
         # Unquoted, each line is its cells joined by commas, which is how the writer writes them.
         commas = len(CSV_HEADER) - 1
-        if text and lines[:1] == [_CSV_HEADER_LINE] and all('"' not in x and x.count(",") == commas for x in lines):
-            return header, lines[1:]
-        return header, _csv_rows(lines, text)
+        if text and body[:1] == [_CSV_HEADER_LINE] and all(
+            x.count(",") == commas and '"' not in x and "\r" not in x for x in body
+        ):
+            return header, body[1:]
+        return header, _csv_rows(end.join(lines[numbered[1][0] - 1:]) if body else "", text)  # from the column names
     raise ConfigurationError(f"{path} does not look like an emitted report")
 
 

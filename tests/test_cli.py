@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its report formats."""
 
+import codecs
 import csv
 import io
 import json
@@ -555,6 +556,24 @@ class TestReport:
         assert main(["report", str(path)]) == 2
         assert f"{path} is not UTF-8 text" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_an_input_saved_with_a_bom_reads_past_it(self, tmp_path, capsys, fmt):
+        path, bom = tmp_path / f"run.{fmt}", tmp_path / f"bom.{fmt}"
+        cli.write_records(ODD_RECORDS, {"seed": 3}, str(path), fmt, "nats")
+        bom.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        (header, rows), (bom_header, bom_rows) = read_records(str(path)), read_records(str(bom))
+        assert bom_header == header and _same_value(bom_rows, rows)
+        reported = []
+        for source in (path, bom):
+            merged = tmp_path / "merged.csv"
+            assert main(["report", str(source), "--out", str(merged)]) == 0
+            reported.append(merged.read_bytes().split(b"\n", 1)[1])
+        assert reported[0] == reported[1]
+        # A byte that is not UTF-8 is counted from the start of the file, the BOM included.
+        bom.write_bytes(codecs.BOM_UTF8 + b"# genbounds {}\n\xff\n")
+        assert main(["report", str(bom)]) == 2
+        assert f"{bom} is not UTF-8 text (byte 18)" in capsys.readouterr().err
+
     def test_truncated_json_header_exits_2(self, tmp_path, capsys):
         path = tmp_path / "truncated.jsonl"
         path.write_text('{"record_type": "header"')
@@ -668,11 +687,22 @@ class TestReport:
         ]
 
     def test_an_experiment_row_without_beta_writes_none(self, tmp_path):
+        # CSV writes the beta as None and JSON lines as null; either reads back, and reports into JSON lines, as None.
         experiment = {"bound": "pac-bayes-kl", "delta": 0.05, "trials": 20, "seed": 7}
         cfg = write_yaml(tmp_path / "exp.yaml", {"experiment": experiment, "problem": dict(STANDARD_PROBLEM)})
-        out = tmp_path / "exp.csv"
-        assert main(["experiment", "run", "--config", cfg, "--out", str(out)]) in (0, 1)
-        assert out.read_text().splitlines()[-1].startswith("pac-bayes-kl,pac-bayes-kl,50,None,0.05,,")
+        rows, reported = [], []
+        for fmt in ("csv", "json-lines"):
+            out, merged = tmp_path / f"exp.{fmt}", tmp_path / f"merged-{fmt}.jsonl"
+            assert main(["experiment", "run", "--config", cfg, "--out", str(out), "--format", fmt]) in (0, 1)
+            rows.append(read_records(str(out))[1][0])
+            assert main(["report", str(out), "--out", str(merged), "--format", "json-lines"]) == 0
+            reported.append(merged.read_text().splitlines()[-1])
+        assert (tmp_path / "exp.csv").read_text().splitlines()[-1].startswith("pac-bayes-kl,pac-bayes-kl,50,None,0.05,,")
+        from_csv, from_json = rows
+        assert from_csv["beta"] is None and from_csv == {field: from_json[field] for field in cli.CSV_HEADER}
+        assert all('"beta": null' in line for line in reported)
+        from_csv, from_json = map(json.loads, reported)
+        assert from_csv == {field: from_json[field] for field in from_csv}
 
 
 def _key_number(value) -> float:
@@ -742,22 +772,63 @@ class TestEmission:
         first, second, third, fourth = rows
         assert first["name"] == ODD_RECORDS[0]["name"] and first["value"] == math.inf and first["n"] == 50
         assert (first["vacuous"], first["seed"]) == (True, 7)
-        assert second["beta"] == "None" and second["delta"] == "" and math.isnan(second["kl"])
+        assert second["beta"] is None and second["delta"] == "" and math.isnan(second["kl"])
         assert third["delta"] == 0.30000000000000004 and third["value"] == 5e-324
         assert math.copysign(1.0, third["kl"]) == -1.0
         assert (fourth["name"], fourth["beta"], fourth["value"]) == ("tail,", "", 1e300)
 
     @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
-    def test_a_cell_holding_a_unicode_line_break_reads_back_whole(self, tmp_path, fmt):
-        # The CSV writer quotes \r and \n only; str.splitlines also breaks at these.
-        name = "a\x0bb\x0cc\x1cd\x1de\x1ef\x85g\u2028h\u2029i"
+    @pytest.mark.parametrize(
+        "name",
+        ["a\x0bb\x0cc\x1cd\x1de\x1ef\x85g\u2028h\u2029i", "a\rb", "a\r\nb", "a\n\nb", "a\n \t\nb"],
+        ids=["unicode", "cr", "crlf", "blank-line", "blanks-line"],
+    )
+    def test_a_cell_holding_a_unicode_line_break_reads_back_whole(self, tmp_path, fmt, name):
+        # The CSV writer quotes \r and \n only; str.splitlines also breaks at the others.  A quoted cell's
+        # \r, \r\n and blank lines are its own, as csv reads them.
         record = {"bound": "catoni", "name": name, "n": 5, "beta": 1.0, "delta": 0.1, "kl": 0.0, "value": 0.5,
                   "vacuous": False, "seed": ""}
-        path, merged = tmp_path / "one.out", tmp_path / "merged.out"
+        path = tmp_path / "one.out"
         cli.write_records([record], {}, str(path), fmt, "nats")
         assert [row["name"] for row in read_records(str(path))[1]] == [name]
-        assert main(["report", str(path), "--out", str(merged), "--format", fmt]) == 0
-        assert [row["name"] for row in read_records(str(merged))[1]] == [name]
+        for out_fmt in ("csv", "json-lines"):
+            merged = tmp_path / f"merged.{out_fmt}"
+            assert main(["report", str(path), "--out", str(merged), "--format", out_fmt]) == 0
+            assert [row["name"] for row in read_records(str(merged))[1]] == [name]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    @pytest.mark.parametrize(
+        "records", [ODD_RECORDS[1:3], [{**ODD_RECORDS[0], "name": 'a, "quoted" label'}, *ODD_RECORDS[1:]]],
+        ids=["unquoted", "quoted"],
+    )
+    def test_crlf_and_lone_cr_line_ends_read_as_lf(self, tmp_path, fmt, records):
+        # Unquoted CSV rows are kept as lines by a CSV report; quoted ones are read by csv.
+        path = tmp_path / "lf.out"
+        cli.write_records(records, self.HEADER, str(path), fmt, "nats")
+        lf = path.read_bytes().replace(b"\r\n", b"\n")
+        path.write_bytes(lf)
+        header, rows = read_records(str(path))
+        reported = []
+        for eol in (b"\n", b"\r\n", b"\r"):
+            other, merged = tmp_path / "other.out", tmp_path / "merged.csv"
+            other.write_bytes(lf.replace(b"\n", eol))
+            other_header, other_rows = read_records(str(other))
+            assert other_header == header and _same_value(other_rows, rows)
+            assert main(["report", str(other), "--out", str(merged)]) == 0
+            reported.append(merged.read_bytes().split(b"\n", 1)[1])
+        assert reported[0] == reported[1] == reported[2]
+
+    @pytest.mark.parametrize("label", ["plain", '"a, b"'], ids=["unquoted", "quoted"])
+    def test_a_line_of_blanks_is_skipped_and_a_row_of_empty_cells_kept(self, tmp_path, label):
+        path, merged = tmp_path / "rows.csv", tmp_path / "merged.csv"
+        catoni, zhang = f"catoni,{label},50,1.0,0.1,,0.5,False,", "zhang,z,5,,,,1.0,True,7"
+        lines = [",".join(cli.CSV_HEADER), catoni, " \t", ",,,,,,,,", "", zhang, "\x0c"]
+        path.write_bytes(('# genbounds {"unit": "nats"}\n' + "\r\n".join(lines) + "\r\n").encode())
+        rows = read_records(str(path))[1]
+        assert [row["bound"] for row in rows] == ["catoni", "", "zhang"]
+        assert rows[1] == dict.fromkeys(cli.CSV_HEADER, "")
+        assert main(["report", str(path), "--out", str(merged)]) == 0
+        assert merged.read_text().splitlines()[2:] == [",,,,,,,,", catoni, zhang]
 
     @pytest.mark.parametrize(
         "rows, message",
@@ -857,6 +928,19 @@ class TestConfigLoader:
         path.write_text("bound: {name: pac-bayes-kl, kl: .inf, delta: .nan}\n")
         bound = load_config(str(path), "compute")["bound"]
         assert bound["kl"] == math.inf and math.isnan(bound["delta"])
+
+    @pytest.mark.parametrize("eol, bom", [("\r\n", ""), ("\r", ""), ("\n", "\ufeff")], ids=["crlf", "cr", "bom"])
+    def test_a_config_with_crlf_or_cr_line_ends_or_a_bom_loads_as_with_lf(self, tmp_path, eol, bom):
+        text = (
+            "bound:\n  name: zhang\n  label: |\n    x\n    y\n  variant: \"a\n    b\"\n"
+            "  model: {family: sub_gaussian,\n    sigma: 0.5}\n  hessian_eigenvalues:\n    - 1.0\n    - 2\n"
+        )
+        lf, other = tmp_path / "lf.yaml", tmp_path / "other.yaml"
+        lf.write_bytes(text.encode())
+        other.write_bytes((bom + text.replace("\n", eol)).encode())
+        expected = {"name": "zhang", "label": "x\ny\n", "variant": "a b",
+                    "model": {"family": "sub_gaussian", "sigma": 0.5}, "hessian_eigenvalues": [1.0, 2]}
+        assert load_config(str(lf), "compute") == load_config(str(other), "compute") == {"bound": expected}
 
     def test_malformed_yaml_exits_2_naming_the_file(self, tmp_path, capsys):
         path = tmp_path / "malformed.yaml"
