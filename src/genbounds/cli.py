@@ -441,7 +441,8 @@ def read_records(path: str) -> tuple[dict, list[dict]]:
     ``vacuous`` of ``True`` or ``False`` as a bool, so a record reads the
     same from either format.  A file that cannot be read, is not UTF-8 or
     holds a malformed JSON header or row is a ``ConfigurationError`` naming
-    the path (and the line).
+    the path (and the line); so is a CSV record that ``csv`` cannot read,
+    such as one with a cell past its field size limit of 131 072 characters.
     """
     return _read(path, text=False)
 
@@ -479,7 +480,10 @@ def _read(path: str, text: bool) -> tuple[dict, list]:
             x.count(",") == commas and '"' not in x and "\r" not in x for x in body
         ):
             return header, body[1:]
-        return header, _csv_rows(end.join(lines[numbered[1][0] - 1:]) if body else "", text)  # from the column names
+        try:
+            return header, _csv_rows(end.join(lines[numbered[1][0] - 1:]) if body else "", text)  # from the column names
+        except csv.Error as exc:  # such as a cell past csv's field size limit, or a quote left open
+            raise ConfigurationError(f"{path}: unreadable CSV ({exc})") from exc
     raise ConfigurationError(f"{path} does not look like an emitted report")
 
 

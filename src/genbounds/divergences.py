@@ -10,17 +10,20 @@ KLs to a reference row, runs on one row kernel.  In a row, a zero entry adds
 exactly 0 and a positive entry against a zero of the reference gives ``inf``.
 
 Every probability table, and every row of a block of distributions, passes
-one check: its smallest entry must be >= 0, which refuses negative entries,
-NaN and -inf; its largest must not be +inf; and its total must be 1 within
-``PROB_MASS_ATOL``.  Finite entries whose total overflows, such as [1e308,
-1e308], are refused as summing to inf, without a floating-point warning.
-A 1-D row of at most ``_SHORT_ROW`` (64) entries, such as one posterior or a
-small table read flat, is first read as Python floats, since a call per
-sample pays about 1 µs for each numpy reduction: it passes if its smallest
-entry is >= 0 and its Python total is within a slightly tighter bound of 1,
-which makes any row it passes one that the numpy check passes too.  Every
-other row, and every row the Python read does not pass, takes the numpy
-check, so each verdict and each refusal's message is the numpy check's.
+one check, once: its smallest entry must be >= 0, which refuses negative
+entries, NaN and -inf; its largest must not be +inf; and its total must be 1
+within ``PROB_MASS_ATOL``.  Finite entries whose total overflows, such as
+[1e308, 1e308], are refused as summing to inf, without a floating-point
+warning.  A 1-D row of at most ``_SHORT_ROW`` (64) entries, such as one
+posterior or a small table read flat, is first read as Python floats, since
+a call per sample pays about 1 µs for each numpy reduction: it passes if its
+smallest entry is >= 0 and its Python total is within a slightly tighter
+bound of 1, which makes any row it passes one that the numpy check passes
+too.  Every other row, and every row the Python read does not pass, takes
+the numpy check, so each verdict and each refusal's message is the numpy
+check's.  A rule called once per sample builds one :class:`DiscreteDist` per
+call, in one constructor frame that copies the probabilities, checks their
+shape and runs this check.
 """
 
 from __future__ import annotations
@@ -111,23 +114,29 @@ def _floored_log(q: np.ndarray) -> np.ndarray:
     return log_q
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DiscreteDist:
     """A probability vector over a finite index set, immutable.
 
     ``probs`` is a read-only copy of the given probabilities, so the caller's
     array stays writable and unchanged, and two distributions with equal
-    probabilities are equal and hash alike.  The floored log of
-    :func:`_floored_log`, which every Gibbs measure against this
-    distribution reads, is computed on first use and kept.
+    probabilities are equal and hash alike.  The constructor is one frame:
+    it copies, checks the shape and runs :func:`_check_rows` once, with the
+    refusals of :func:`_probabilities`; a rule called once per sample builds
+    one distribution per call.  The floored log of :func:`_floored_log`,
+    which every Gibbs measure against this distribution reads, is computed
+    on first use and kept.
     """
 
     probs: np.ndarray
 
-    def __post_init__(self) -> None:
-        probs = _probabilities(np.array(self.probs, dtype=float), 1)
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
+    def __init__(self, probs) -> None:
+        table = np.array(probs, dtype=float)
+        if table.ndim != 1 or table.size == 0:
+            raise ShapeError(f"expected a nonempty 1-D probability table; got shape {table.shape}")
+        _check_rows(table)
+        table.setflags(write=False)
+        object.__setattr__(self, "probs", table)
 
     def __len__(self) -> int:
         return self.probs.size

@@ -62,7 +62,7 @@ class MonteCarloEstimate:
 
 def _as_values(q: DiscreteDist, f_values) -> np.ndarray:
     f = np.asarray(f_values, dtype=float)
-    if f.ndim != 1 or f.size != len(q):
+    if f.ndim != 1 or f.size != q.probs.size:
         raise ShapeError("f_values must be a 1-D vector matching the distribution")
     # A NaN or -inf entry makes the total NaN or -inf; a short row with a
     # larger total passes without a numpy reduction, and any other row,
@@ -88,7 +88,7 @@ def gibbs_posterior(q: DiscreteDist, f_values, beta: float) -> DiscreteDist:
 
 
 def _gibbs_rows(q: np.ndarray, f: np.ndarray, beta: float, log_q: np.ndarray | None = None) -> np.ndarray:
-    """The Gibbs weights of each row of ``f`` against ``q``, one row or one row per row of ``f``.
+    """The Gibbs weights of each row of float ``f`` against ``q``, one row or one row per row of ``f``.
 
     ``log_q`` is ``_floored_log(q)``, taken here when not given.  Each row is
     computed as a single vector would be, so a row equals
@@ -103,13 +103,17 @@ def _gibbs_rows(q: np.ndarray, f: np.ndarray, beta: float, log_q: np.ndarray | N
         return np.array(np.broadcast_to(q, np.broadcast_shapes(q.shape, f.shape)))
     if log_q is None:
         log_q = _floored_log(q)
-    logits = log_q - beta * f
+    # One allocation: -beta f, then the prior's log added in place, which is
+    # log_q - beta f to the bit (negation is exact, and x - y is x + (-y)).
+    logits = np.multiply(f, -beta)
+    logits += log_q
     # On short rows numpy's call overhead outweighs the work, so: the ufuncs'
     # own reductions, in-place steps, and for a single row a scalar peak and
-    # total, as broadcasting a 1-element array costs more than a scalar.  A
-    # short single row takes its peak from Python's max: its callers check f,
-    # so its logits hold no NaN, which max would skip.  The total stays
-    # numpy's, so a single row equals a row of a block to the bit.
+    # a total without keywords, as broadcasting a 1-element array costs more
+    # than a scalar.  A short single row takes its peak from Python's max:
+    # its callers check f, so its logits hold no NaN, which max would skip.
+    # The total stays numpy's, so a single row equals a row of a block to
+    # the bit.
     rows = logits.ndim > 1
     if rows or logits.size > _SHORT_ROW:
         peak = np.maximum.reduce(logits, axis=-1, keepdims=rows)
@@ -119,7 +123,10 @@ def _gibbs_rows(q: np.ndarray, f: np.ndarray, beta: float, log_q: np.ndarray | N
         raise DegenerateError("all prior mass sits on infinite f values")
     logits -= peak
     weights = np.exp(logits, out=logits)
-    weights /= np.add.reduce(weights, axis=-1, keepdims=rows)
+    if rows:
+        weights /= np.add.reduce(weights, axis=-1, keepdims=True)
+    else:  # a Python float divides in place at about two thirds of a numpy scalar's cost
+        weights /= float(np.add.reduce(weights))
     return weights
 
 

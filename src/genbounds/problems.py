@@ -88,28 +88,37 @@ def empirical_risks(problem: FiniteProblem, sample) -> np.ndarray:
     """Per-hypothesis average loss on a sample of outcome indices.
 
     Computed from the sample's type (its count vector), so it is exactly the
-    same for every ordering of the sample and costs O(h k), not O(h n).
+    same for every ordering of the sample and costs O(h k), not O(h n).  A
+    rule called once per sample calls this once per sample, so an integer
+    array, which the sample tables hold, skips the entry checks that a list
+    or a float array takes; each sample gives the bits of its integer array.
     """
     s = np.asarray(sample)
     if s.ndim != 1 or s.size == 0:
         raise DomainError("a sample must be a nonempty 1-D list of outcome indices")
-    # NumPy turns a list mixing bools and ints into ints, so look at its entries.
-    has_bool = not isinstance(sample, np.ndarray) and any(isinstance(x, (bool, np.bool_)) for x in sample)
-    if has_bool or not _is_integral(s):
-        raise DomainError("sample entries must be integer outcome indices")
+    kind = s.dtype.kind
+    if kind not in "iu" or not isinstance(sample, np.ndarray):
+        # NumPy turns a list mixing bools and ints into ints, so look at its entries.
+        has_bool = not isinstance(sample, np.ndarray) and any(isinstance(x, (bool, np.bool_)) for x in sample)
+        if has_bool or not _is_integral(s):
+            raise DomainError("sample entries must be integer outcome indices")
     # The largest index is checked before bincount would allocate that many
     # bins, on a short sample as a Python number; bincount refuses a negative
     # one itself.  A float below the int64 range has no integer to cast to,
     # so floats check both ends.
+    k = problem.num_outcomes
     peak = max(s.tolist()) if s.size <= _SHORT_ROW else np.maximum.reduce(s)
-    if not peak < problem.num_outcomes or (s.dtype.kind == "f" and np.minimum.reduce(s) < 0):
+    if not peak < k or (kind == "f" and np.minimum.reduce(s) < 0):
         raise DomainError(_OUT_OF_RANGE)
     try:
-        counts = np.bincount(s.astype(int, copy=False), minlength=problem.num_outcomes)
+        counts = np.bincount(s.astype(int, copy=False), minlength=k)
     except ValueError:
         raise DomainError(_OUT_OF_RANGE) from None
-    # ndarray.dot calls the matrix-vector product with less overhead than the @ operator, to the same bits.
-    return problem.losses.dot(counts) / s.size
+    # ndarray.dot calls the matrix-vector product with less overhead than the @ operator, to the same bits,
+    # and dividing in place by a Python float costs less than by an int.
+    risks = problem.losses.dot(counts)
+    risks /= float(s.size)
+    return risks
 
 
 def annealed_risks(problem: FiniteProblem, beta: float) -> np.ndarray:

@@ -747,6 +747,14 @@ ODD_RECORDS = [
 ]
 
 
+#: The header line of a JSON-lines file.
+JSON_HEADER = '{"record_type": "header"}\n'
+
+#: A bound record whose cells the CSV writer leaves unquoted.
+PLAIN_RECORD = {"bound": "catoni", "name": "plain", "n": 5, "beta": 1.0, "delta": 0.1, "kl": 0.0, "value": 0.5,
+                "vacuous": False, "seed": ""}
+
+
 class TestEmission:
     """Emitted bytes are the reference formatter's, and read back to what was written."""
 
@@ -786,8 +794,7 @@ class TestEmission:
     def test_a_cell_holding_a_unicode_line_break_reads_back_whole(self, tmp_path, fmt, name):
         # The CSV writer quotes \r and \n only; str.splitlines also breaks at the others.  A quoted cell's
         # \r, \r\n and blank lines are its own, as csv reads them.
-        record = {"bound": "catoni", "name": name, "n": 5, "beta": 1.0, "delta": 0.1, "kl": 0.0, "value": 0.5,
-                  "vacuous": False, "seed": ""}
+        record = {**PLAIN_RECORD, "name": name}
         path = tmp_path / "one.out"
         cli.write_records([record], {}, str(path), fmt, "nats")
         assert [row["name"] for row in read_records(str(path))[1]] == [name]
@@ -831,26 +838,37 @@ class TestEmission:
         assert merged.read_text().splitlines()[2:] == [",,,,,,,,", catoni, zhang]
 
     @pytest.mark.parametrize(
-        "rows, message",
+        "text, options, message",
         [
-            ('{"a": 1}\n{"b": 2} {"c": 3}\n{"d": 4}\n', "line 3: malformed JSON (Extra data)"),
-            ('{"a": 1}\n{"b": 2},{"c": 3}\n', "line 3: malformed JSON (Extra data)"),
-            ('{"a": 1,\n"b": 2}\n', "line 2: malformed JSON (Expecting property name enclosed in double quotes)"),
-            ('{"a": 1}\n[1]\n', "line 3: expected a JSON object"),
-            ('{"a": 1}\n3\n{"b": 2}\n', "line 3: expected a JSON object"),
-            ('{"a": 1}\n\n{"b": }\n{"c": 3}\n', "line 4: malformed JSON (Expecting value)"),
+            (JSON_HEADER + '{"a": 1}\n{"b": 2} {"c": 3}\n{"d": 4}\n', [], " line 3: malformed JSON (Extra data)"),
+            (JSON_HEADER + '{"a": 1}\n{"b": 2},{"c": 3}\n', [], " line 3: malformed JSON (Extra data)"),
+            (JSON_HEADER + '{"a": 1,\n"b": 2}\n', [],
+             " line 2: malformed JSON (Expecting property name enclosed in double quotes)"),
+            (JSON_HEADER + '{"a": 1}\n[1]\n', [], " line 3: expected a JSON object"),
+            (JSON_HEADER + '{"a": 1}\n3\n{"b": 2}\n', [], " line 3: expected a JSON object"),
+            (JSON_HEADER + '{"a": 1}\n\n{"b": }\n{"c": 3}\n', [], " line 4: malformed JSON (Expecting value)"),
             # A split object and a line of two objects would decode, joined, to one object per line.
-            ('{"a": [{"x": 1}\n{"y": 2}]}\n{"p": 1}, {"q": 2}\n', "line 2: malformed JSON (Expecting ',' delimiter)"),
-            ('{"a": 1}, {"b": 2\n"c": 3}\n', "line 2: malformed JSON (Extra data)"),
+            (JSON_HEADER + '{"a": [{"x": 1}\n{"y": 2}]}\n{"p": 1}, {"q": 2}\n', [],
+             " line 2: malformed JSON (Expecting ',' delimiter)"),
+            (JSON_HEADER + '{"a": 1}, {"b": 2\n"c": 3}\n', [], " line 2: malformed JSON (Extra data)"),
+            # csv reads no cell past its field size limit: an emitted label that long (which a CSV report passes
+            # through unread, as a line it would write the same), or the rest of a file after a quote left open.
+            (_reference_text([{**PLAIN_RECORD, "name": "x" * 200_000}], {"unit": "nats"}, "csv").decode(),
+             ["--format", "json-lines"], ": unreadable CSV (field larger than field limit (131072))"),
+            ('# genbounds {}\n' + ",".join(cli.CSV_HEADER) + '\ncatoni,"open,5,1.0,0.1,0.0,0.5,False,\n'
+             + "catoni,x,5,1.0,0.1,0.0,0.5,False,\n" * 20_000,
+             [], ": unreadable CSV (field larger than field limit (131072))"),
         ],
         ids=["two-objects", "two-objects-comma", "split-object", "array", "number", "malformed-middle",
-             "split-and-two", "two-and-split"],
+             "split-and-two", "two-and-split", "csv-label-past-the-limit", "csv-quote-left-open"],
     )
-    def test_a_bad_json_row_is_refused_naming_its_line(self, tmp_path, rows, message):
-        path = tmp_path / "rows.jsonl"
-        path.write_text('{"record_type": "header"}\n' + rows)
-        with pytest.raises(ConfigurationError, match=f"^{re.escape(f'{path} {message}')}$"):
+    def test_a_bad_row_is_refused_naming_its_file(self, tmp_path, capsys, text, options, message):
+        path = tmp_path / "rows.out"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(f'{path}{message}')}$"):
             read_records(str(path))
+        assert main(["report", str(path), *options]) == 2
+        assert capsys.readouterr().err == f"error: {path}{message}\n"
 
     def test_json_rows_decode_as_each_line_alone_decodes(self, tmp_path):
         rows = ['{"a": 1}', '  {"b": "[x]", "c": [1, 2]}  ', '{"d": {"e": "},{"}}', '{"f": NaN}']

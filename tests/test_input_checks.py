@@ -174,11 +174,25 @@ def test_a_short_row_is_judged_as_a_row_of_a_block(row):
 #: Row lengths on both sides of the short-row cap, and of numpy's 8-way summation.
 ROW_LENGTHS = [1, 2, 3, 7, 8, 9, _SHORT_ROW - 1, _SHORT_ROW, _SHORT_ROW + 1, 2 * _SHORT_ROW + 3]
 
+#: The forms a sample of outcome indices may take, each read as its int64 array.
+SAMPLE_FORMS = [
+    lambda s: s,
+    lambda s: s.astype(np.uint8),
+    lambda s: s.astype(np.uint64),
+    lambda s: s.astype(float),
+    lambda s: s.tolist(),
+]
 
+
+@pytest.mark.parametrize("f_inf", [False, True], ids=["finite f", "f with +inf"])
+@pytest.mark.parametrize("zeros", [False, True], ids=["positive prior", "prior with zeros"])
 @pytest.mark.parametrize("h", ROW_LENGTHS)
-def test_one_row_primitives_equal_their_block_rows_bit_for_bit(h):
+def test_one_row_primitives_equal_their_block_rows_bit_for_bit(h, zeros, f_inf):
     rng = np.random.default_rng([29, h])
-    q = DiscreteDist.from_weights(rng.random(h) + 0.05)
+    weights = rng.random(h) + 0.05
+    if zeros:
+        weights[1::3] = 0.0  # entry 0 keeps its mass
+    q = DiscreteDist.from_weights(weights)
     assert DiscreteDist(q.probs).probs.tobytes() == q.probs.tobytes()
     for n in (10, _SHORT_ROW, _SHORT_ROW + 1, 200):
         problem = FiniteProblem(losses=rng.random((h, 3)), mu=DiscreteDist.uniform(3), n=n)
@@ -187,13 +201,16 @@ def test_one_row_primitives_equal_their_block_rows_bit_for_bit(h):
         risks = _count_risks(problem, counts)
         rule = GibbsAlgorithm(0.7)
         rows = rule._posterior_rows(risks, _uniform_probs(h), n)
+        f = risks.copy()
+        if f_inf:
+            f[:, 1::2] = INF  # on entries with and without prior mass; entry 0 stays finite
         for beta in (0.0, 0.3, 40.0):
-            gibbs = _gibbs_rows(q.probs, risks, beta)
+            gibbs = _gibbs_rows(q.probs, f, beta)
             for i, sample in enumerate(samples):
-                assert gibbs_posterior(q, risks[i], beta).probs.tobytes() == gibbs[i].tobytes()
+                assert gibbs_posterior(q, f[i], beta).probs.tobytes() == gibbs[i].tobytes()
         for i, sample in enumerate(samples):
-            assert empirical_risks(problem, sample).tobytes() == risks[i].tobytes()
-            assert empirical_risks(problem, sample.tolist()).tobytes() == risks[i].tobytes()
+            for form in SAMPLE_FORMS:
+                assert empirical_risks(problem, form(sample)).tobytes() == risks[i].tobytes()
             assert rule.posterior(problem, sample).probs.tobytes() == rows[i].tobytes()
 
 
@@ -293,6 +310,7 @@ def test_gibbs_posterior_takes_inf_where_the_prior_is_zero():
 COIN = FiniteProblem(losses=[[0, 1], [1, 0]], mu=DiscreteDist([0.5, 0.5]), n=2)
 OUT_OF_RANGE = "sample contains out-of-range outcome indices"
 NOT_INDICES = "sample entries must be integer outcome indices"
+NOT_A_SAMPLE = "a sample must be a nonempty 1-D list of outcome indices"
 
 
 @pytest.mark.parametrize(
@@ -305,6 +323,7 @@ NOT_INDICES = "sample entries must be integer outcome indices"
         ([0, 10**12], OUT_OF_RANGE),
         (np.array([0, np.iinfo(np.int64).max]), OUT_OF_RANGE),
         (np.array([0, 2**64 - 1], dtype=np.uint64), OUT_OF_RANGE),
+        (np.array([1, 2], dtype=np.uint64), OUT_OF_RANGE),
         (np.array([0.0, 1e20]), OUT_OF_RANGE),
         (np.array([-1e20, 0.0]), OUT_OF_RANGE),
         ([True, False], NOT_INDICES),
@@ -313,10 +332,14 @@ NOT_INDICES = "sample entries must be integer outcome indices"
         (np.array([0.0, NAN]), NOT_INDICES),
         (np.array([0.0, INF]), NOT_INDICES),
         (np.array([-INF, 1.0]), NOT_INDICES),
+        (np.array([], dtype=int), NOT_A_SAMPLE),
+        (np.array([[0, 1]]), NOT_A_SAMPLE),
+        ([[0, 1]], NOT_A_SAMPLE),
+        (np.int64(1), NOT_A_SAMPLE),
     ],
     ids=["list past k", "negative", "uint8 past k", "integral floats past k", "10**12", "int64 max",
-         "uint64 max", "1e20", "-1e20", "bools", "int and bool",
-         "fraction", "nan", "+inf", "-inf"],
+         "uint64 max", "uint64 past k", "1e20", "-1e20", "bools", "int and bool",
+         "fraction", "nan", "+inf", "-inf", "empty array", "2-D array", "2-D list", "0-d"],
 )
 def test_empirical_risks_refuses_samples_with_the_same_error(sample, message):
     _raises_exactly(DomainError, message, empirical_risks, COIN, sample)
@@ -520,8 +543,12 @@ OUT_OF_RANGE = [
      ShapeError, "losses must be a nonempty (hypotheses x outcomes) matrix"),
     ("FiniteProblem-mu-length", lambda x: FiniteProblem(losses=[[0.0, 1.0]], mu=DiscreteDist.uniform(x), n=1), 3,
      ShapeError, "mu must have one entry per outcome column"),
-    ("empirical_risks-empty", lambda x: empirical_risks(COIN, x), [], DomainError,
-     "a sample must be a nonempty 1-D list of outcome indices"),
+    ("empirical_risks-empty", lambda x: empirical_risks(COIN, x), [], DomainError, NOT_A_SAMPLE),
+    *[
+        (f"DiscreteDist-{name}", DiscreteDist, table, ShapeError,
+         f"expected a nonempty 1-D probability table; got shape {np.shape(table)}")
+        for name, table in [("0-d", np.array(1.0)), ("empty", np.array([])), ("2-D", np.array([[0.5, 0.5]]))]
+    ],
     ("certify-pac-bayes-kl-losses",
      lambda x: certify(_trial_config(FiniteProblem(losses=[[0.0, x], [x, 0.0]], mu=COIN.mu, n=10), "pac-bayes-kl")),
      2.0, ConfigurationError, "bound 'pac-bayes-kl' requires losses in [0, 1]"),
