@@ -15,7 +15,9 @@ results do not depend on execution order and parallel or serial runs agree
 bit-exactly.  No generator is created per trial: SeedSequence and PCG64 are
 fixed algorithms, so the harness computes the streams of a block of trials
 at once in array arithmetic, bit for bit, and the test suite pins this to
-numpy itself.
+numpy itself.  SeedSequence's pool is one (4, trials) array: each step of
+its hash is one pass over all the block's trials, with constants built at
+import.
 Each stream word is one 128-bit product and one addition: with MULT - 1 =
 4 u, u odd, the state the LCG reaches from a trial's x in t steps is B_t y
 + x mod 2^128, where y = 4 x + inc u^-1 is computed once per trial and B_t
@@ -300,83 +302,78 @@ _INC_FACTOR = tuple(np.uint64(pow(_PCG_MULT >> 2, -1, 1 << 128) >> shift & _M64)
 _BLOCK_WORDS = 8192
 
 
-def _entropy_words(value: int) -> list[int]:
-    """``value`` as SeedSequence reads it: its uint32 words, least significant first."""
-    words = [value & _M32]
-    while value := value >> 32:
-        words.append(value & _M32)
-    return words
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The xor and multiplier constants of ``count`` successive hashmixes, (2, count, 1) uint32: c_i and c_i+1."""
+    consts = np.array([init * pow(mult, i, 1 << 32) & _M32 for i in range(count + 1)], dtype=np.uint32)[:, None]
+    return np.stack([consts[:-1], consts[1:]])
 
 
-def _hashmix(value: np.ndarray, const: int) -> tuple[np.ndarray, int]:
-    """SeedSequence's ``hashmix`` of uint32 words, and the advanced hash constant."""
-    value = value ^ const
-    const = const * _MULT_A & _M32
-    value *= const
-    value ^= value >> 16
-    return value, const
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = x * _MIX_L - y * _MIX_R
-    result ^= result >> 16
-    return result
-
-
-def _seed_pool(entropy: list[np.ndarray]) -> list[np.ndarray]:
-    """SeedSequence's pool from columns of uint32 entropy words, each an array over the trials."""
-    const = _INIT_A
-    pool = []
-    for i in range(_POOL_WORDS):
-        word, const = _hashmix(entropy[i] if i < len(entropy) else np.zeros_like(entropy[0]), const)
-        pool.append(word)
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                word, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], word)
-    for extra in entropy[_POOL_WORDS:]:
-        for dst in range(_POOL_WORDS):
-            word, const = _hashmix(extra, const)
-            pool[dst] = _mix(pool[dst], word)
-    return pool
+#: The pool's hashmixes: 4 start it, 3 per source row mix it, then 4 per entropy word past the fourth, each
+#: word's constants the previous word's times MULT_A^4.  A source row's own row takes 0s, and its mix is dropped.
+_POOL_HASH = _hash_constants(_INIT_A, _MULT_A, 5 * _POOL_WORDS)
+_SOURCE_HASH = [np.insert(_POOL_HASH[:, 4 + 3 * src : 7 + 3 * src], src, 0, axis=1) for src in range(_POOL_WORDS)]
+_EXTRA_STEP = np.uint32(pow(_MULT_A, _POOL_WORDS, 1 << 32))
+#: generate_state(4, uint64)'s 8 hashmixes, as (2, 2, 4, 1): two passes over the pool.
+_STATE_HASH = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_WORDS).reshape(2, 2, _POOL_WORDS, 1)
 
 
 def _pcg64_origins(seed: int, trials: np.ndarray) -> np.ndarray:
     """Each trial's x = initstate + inc and y = 4 x + inc u^-1 mod 2^128: rows x_hi, x_lo, y_hi, y_lo.
 
-    ``generate_state(4, uint64)`` of the trial's pool gives PCG64 its
-    initstate and initseq, and inc = 2 initseq + 1.  Seeding steps the LCG
-    from 0, adds initstate and steps again, so the state the j-th output
-    reads is step^(j+1)(x).  With MULT - 1 = 4 u, u odd, t steps take x to
-    B_t y + x (see :func:`_jump_constants`), so y is all a trial's stream
-    needs beside x.  A trial of 2^32 or more is two entropy words, so the
-    trials are seeded in groups of one word count.
+    SeedSequence's pool is one (4, trials) uint32 array, and each hash step
+    is one pass over all the trials with constants built at import: the
+    pool's start, each source row's three hashmixes and mixes, each entropy
+    word past the fourth, and ``generate_state(4, uint64)``, which gives
+    PCG64 its initstate and initseq; inc = 2 initseq + 1.  The entropy is
+    the seed's uint32 words, least significant first, then the trial's.  A
+    trial of 2^32 or more has a second word, its high half, which the other
+    trials pad with 0 in the first four rows and skip past them.  Seeding
+    steps the LCG from 0, adds initstate and steps again, so the j-th output
+    reads step^(j+1)(x), and t steps take x to B_t y + x (see
+    :func:`_jump_constants`).
     """
-    seed_words = _entropy_words(seed)
-    widths = np.where(trials > _M32, 2, 1)
-    limbs = np.empty((4, len(trials)), dtype=np.uint64)
-    for width in np.unique(widths).tolist():
-        rows = widths == width
-        group = trials[rows]
-        entropy = [np.full(len(group), word, dtype=np.uint32) for word in seed_words]
-        entropy += [(group >> 32 * i & _M32).astype(np.uint32) for i in range(width)]
-        pool = _seed_pool(entropy)
-        const = _INIT_B
-        halves = []
-        for i in range(8):
-            word = pool[i % _POOL_WORDS] ^ const
-            const = const * _MULT_B & _M32
-            word *= const
-            word ^= word >> 16
-            halves.append(word.astype(np.uint64))
-        init_hi, init_lo, seq_hi, seq_lo = (halves[2 * i] | halves[2 * i + 1] << 32 for i in range(4))
-        inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
-        x_lo = init_lo + inc_lo
-        x_hi = init_hi + inc_hi + (x_lo < inc_lo)
-        y = _mul_add128((inc_hi, inc_lo), _INC_FACTOR, (x_hi << 2 | x_lo >> 62, x_lo << 2))
-        limbs[:, rows] = x_hi, x_lo, *y
-    return limbs
+    seed_words = [int(seed) >> shift & _M32 for shift in range(0, max(int(seed).bit_length(), 1), 32)]
+    high = len(seed_words) + 1
+    wide = trials > _M32
+    words = high + 1 if wide.any() else high
+    entropy = np.zeros((max(_POOL_WORDS, words), len(trials)), dtype=np.uint32)
+    entropy[: high - 1] = np.array(seed_words, dtype=np.uint32)[:, None]
+    entropy[high - 1] = trials  # the cast keeps the low halves
+    if words > high:
+        entropy[high] = trials >> 32
+    xor, mult = _POOL_HASH[:, :_POOL_WORDS]
+    pool = entropy[:_POOL_WORDS] ^ xor
+    pool *= mult
+    pool ^= pool >> 16
+    for src, (xor, mult) in enumerate(_SOURCE_HASH):
+        hashed = pool[src] ^ xor
+        hashed *= mult
+        hashed ^= hashed >> 16
+        mixed = pool * _MIX_L
+        mixed -= hashed * _MIX_R
+        mixed ^= mixed >> 16
+        mixed[src] = pool[src]
+        pool = mixed
+    consts = _POOL_HASH[:, 4 * _POOL_WORDS :]
+    for i in range(_POOL_WORDS, words):
+        hashed = entropy[i] ^ consts[0]
+        hashed *= consts[1]
+        hashed ^= hashed >> 16
+        mixed = pool * _MIX_L
+        mixed -= hashed * _MIX_R
+        mixed ^= mixed >> 16
+        pool = np.where(wide, mixed, pool) if i == high and not wide.all() else mixed
+        consts = consts * _EXTRA_STEP
+    state = pool ^ _STATE_HASH[0]
+    state *= _STATE_HASH[1]
+    state ^= state >> 16
+    halves = state.reshape(2 * _POOL_WORDS, -1).astype(np.uint64)
+    init_hi, init_lo, seq_hi, seq_lo = halves[0::2] | halves[1::2] << 32
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    x_lo = init_lo + inc_lo
+    x_hi = init_hi + inc_hi + (x_lo < inc_lo)
+    y_hi, y_lo = _mul_add128((inc_hi, inc_lo), _INC_FACTOR, (x_hi << 2 | x_lo >> 62, x_lo << 2))
+    return np.array([x_hi, x_lo, y_hi, y_lo])
 
 
 @functools.lru_cache(maxsize=8)
@@ -476,7 +473,8 @@ def _trial_counts(problem: FiniteProblem, seed: int, trials: np.ndarray | range,
     keep the word array within ``_BLOCK_WORDS`` values; the outcomes of a
     chunk are counted by one ``bincount``, each trial's training (and ghost)
     outcomes offset by k times their row.  ``trials`` is an array or a range
-    of indices, and only each block of it is an array.
+    of indices, and only each block of it is an array: a block of a range
+    is made by ``np.arange``, not from its Python ints.
     """
     k, n, h = problem.num_outcomes, problem.n, problem.num_hypotheses
     thresholds = _thresholds(problem.mu.probs).tolist()
@@ -502,7 +500,9 @@ def _trial_counts(problem: FiniteProblem, seed: int, trials: np.ndarray | range,
         return np.bincount(draws.ravel(), minlength=size * parts * k).reshape(size, parts, k)
 
     for first in range(0, len(trials), block):
-        origins = _pcg64_origins(seed, np.asarray(trials[first : first + block], dtype=np.uint64))
+        part = trials[first : first + block]
+        part = np.arange(part.start, part.stop, part.step, dtype=np.uint64) if isinstance(part, range) else part
+        origins = _pcg64_origins(seed, np.asarray(part, dtype=np.uint64))
         counts = [count(_stream_words(origins[:, i : i + chunk], width)) for i in range(0, origins.shape[1], chunk)]
         yield counts[0] if len(counts) == 1 else np.concatenate(counts)
 

@@ -720,7 +720,7 @@ def record_evaluations(monkeypatch):
 class TestBlockDraw:
     """The block draw is ``default_rng([seed, trial])`` to the bit, on the installed numpy."""
 
-    @pytest.mark.parametrize("seed", [0, 1, 7, 20240817, 2**32 - 1, 2**32, 2**64 + 3])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 20240817, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 5])
     @pytest.mark.parametrize("k", [2, 8])
     @pytest.mark.parametrize("n", [7, 10])
     @pytest.mark.parametrize("supersample", [False, True], ids=["sample", "supersample"])
@@ -815,6 +815,22 @@ class TestBlockDraw:
             expected = [per_trial_counts(problem, 11, t, supersample) for t in BLOCK_TRIALS.tolist()]
             assert np.array_equal(block_counts(problem, 11, BLOCK_TRIALS, supersample), expected)
 
+    @pytest.mark.parametrize(
+        "trials",
+        [range(0, 3000), range(2**32 - 1500, 2**32 + 1500), range(7, 9000, 3)],
+        ids=["from-0", "across-2^32", "stepped"],
+    )
+    def test_a_range_and_its_index_array_give_the_same_blocks(self, monkeypatch, trials):
+        # 100 words: blocks of 33 trials, or 20 for a supersample, each seeded by itself.
+        monkeypatch.setattr(genbounds.harness, "_BLOCK_WORDS", 100)
+        problem = count_problem(2, 7)
+        indices = np.array(list(trials), dtype=np.uint64)
+        for supersample in (False, True):
+            ranged = list(_trial_counts(problem, 11, trials, supersample))
+            indexed = list(_trial_counts(problem, 11, indices, supersample))
+            assert len(ranged) == len(indexed) > 1
+            assert all(np.array_equal(a, b) for a, b in zip(ranged, indexed))
+
     def test_each_block_is_seeded_by_itself(self, monkeypatch):
         # On the coin at n = 50 a block holds 1365 trials, so 10^4 trials are seeded in 8 calls.
         config = make_config(standard_problem(), "zhang", trials=10_000)
@@ -880,6 +896,26 @@ class TestStreamArithmetic:
         for y in values:
             scalar = tuple(np.uint64(limb[0]) for limb in limbs([y]))
             assert joined(*_mul_add128(limbs(a), scalar, limbs(c))) == [(x * y + z) % 2**128 for x, z in zip(a, c)]
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 5, 2**128 - 1])
+    def test_origins_are_the_seed_sequence_state(self, seed):
+        # One block mixes one- and two-word trials.  The last two seeds are four words, so a
+        # two-word trial mixes two entropy words past the pool, and 2^64 + 3 mixes one.
+        trials = np.array([0, 17, 2**32 - 1, 2**32, 2**64 - 1], dtype=np.uint64)
+        u_inverse = pow((PCG_MULT - 1) // 4, -1, 2**128)
+        xs, ys = [], []
+        for trial in trials.tolist():
+            state = np.random.SeedSequence([seed, trial]).generate_state(4, np.uint64)
+            init_hi, init_lo, seq_hi, seq_lo = state.tolist()
+            inc = (2 * (seq_hi << 64 | seq_lo) + 1) % 2**128
+            xs.append(((init_hi << 64 | init_lo) + inc) % 2**128)
+            ys.append((4 * xs[-1] + inc * u_inverse) % 2**128)
+        origins = genbounds.harness._pcg64_origins(seed, trials)
+        assert origins.shape == (4, len(trials)) and origins.dtype == np.uint64
+        assert joined(*origins[:2]) == xs and joined(*origins[2:]) == ys
+        # A block of one width alone seeds its trials as the mixed block does.
+        for part in (slice(0, 3), slice(3, 5)):
+            assert np.array_equal(genbounds.harness._pcg64_origins(seed, trials[part]), origins[:, part])
 
     def test_jump_constants_are_the_lcg_sums_times_u(self):
         # B_t = C_t u with C_t = sum_{i<t} MULT^i and MULT - 1 = 4 u, for t = 2..m+1.
