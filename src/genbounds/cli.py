@@ -109,6 +109,7 @@ _ALGORITHM_SCHEMA = {"kind": str, "beta_alg": _NUM, "tie_break": str}
 
 _PROBLEM_SCHEMA = {"losses": _MATRIX, "mu": _VECTOR, "n": int}
 
+#: The run's fields, then the parameters (table ``fields``) of every certifiable bound, typed as in a bound section.
 _EXPERIMENT_SCHEMA = {
     "bound": str,
     "label": str,
@@ -116,10 +117,10 @@ _EXPERIMENT_SCHEMA = {
     "delta": _NUM,
     "trials": int,
     "seed": int,
-    "epsilon": _NUM,
     "bound_offset": _NUM,
     "algorithm": _ALGORITHM_SCHEMA,
     "prior": _VECTOR,
+    **{key: _BOUND_SCHEMA[key] for entry in BOUNDS.values() if entry.trial for key in entry.fields},
 }
 
 #: The experiment fields that set up the run; every other one is a bound parameter, for ``BoundSpec.params``.
@@ -148,7 +149,7 @@ def _validate(data, schema, path: str) -> None:
         expected = schema[key]
         if isinstance(expected, dict):
             _validate(value, expected, where)
-        elif expected is _NUM or expected == _NUM:
+        elif expected is _NUM:
             if not _is_real(value):
                 raise ConfigurationError(f"{where} must be a number")
         elif expected is _VECTOR or expected is _MATRIX:
@@ -635,7 +636,7 @@ def cmd_experiment(args) -> int:
         "value": report.clopper_pearson_upper_95,
         "vacuous": False,
         "seed": trial_config.seed,
-        **{k: v for k, v in dataclasses.asdict(report).items()},
+        **dataclasses.asdict(report),
     }
     header = {"command": "experiment", "config": config, "seed": trial_config.seed}
     write_records([record], header, path, fmt, unit)

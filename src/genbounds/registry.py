@@ -8,17 +8,19 @@ samples, which exact quantity they must dominate, and which loss values they
 are stated for.  The CLI dispatch, the unit conversion on emission and the
 harness's trials and bound calls are all read off this table.
 
-Bound functions are looked up through their module at call time (never
-stored as function objects), so a replacement installed on the module, such
-as a tracing wrapper, is the one that runs.
+Every call to a bound runs what the bound function's module holds under the
+function's name at that time: an entry stores no function object, so a
+replacement installed on the module, such as a tracing wrapper, is the one
+that runs.  A config section that becomes a dataclass (the quadratic model of
+``occam``, the parameters of ``pac-bayes-sgd``) is read by the dataclass's
+field names, in field order.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from . import bounds, divergences, posteriors
 from .errors import ConfigurationError
@@ -53,33 +55,17 @@ def _request_from(cfg: dict) -> bounds.BoundRequest:
     )
 
 
-def _quadratic_model_from(cfg: dict) -> posteriors.QuadraticModel:
-    return posteriors.QuadraticModel(
-        hessian_eigenvalues=np.asarray(_need(cfg, "hessian_eigenvalues"), float),
-        w_p=np.asarray(_need(cfg, "w_p"), float),
-        w_q=np.asarray(_need(cfg, "w_q"), float),
-        lam=_need(cfg, "lam"),
-        n=_need(cfg, "n"),
-        beta=_need(cfg, "beta"),
-    )
-
-
-_SGD_FIELDS = (
-    "n", "beta", "lam", "alpha", "b", "c", "m", "delta", "delta_prime", "mc_empirical_risk"
-)
-
-
-def _sgd_params_from(cfg: dict) -> posteriors.PacBayesSgdParams:
-    return posteriors.PacBayesSgdParams(
-        kl=cfg.get("kl", 0.0), **{key: _need(cfg, key) for key in _SGD_FIELDS}
-    )
+def _from_fields(cls, cfg: dict):
+    """The dataclass ``cls`` from the config fields of its field names; only ``kl`` may be left out (0)."""
+    return cls(**{key: cfg.get("kl", 0.0) if key == "kl" else _need(cfg, key) for key in cls.__dataclass_fields__})
 
 
 @dataclass(frozen=True)
 class BoundEntry:
     """One named bound.
 
-    ``evaluate(cfg)`` computes it from a flat config mapping.  ``rows`` names
+    ``evaluate(cfg)`` computes it from a flat config mapping, looking the
+    bound function up as the module docstring says.  ``rows`` names
     the config fields that ``evaluate`` also takes as 1-D rows, in one call
     giving one value per row, each the value a one-row config gives: ``kl``
     for every bound that takes a request and for ``pac-bayes-sgd``, ``delta``
@@ -106,12 +92,19 @@ class BoundEntry:
     info_valued: bool = False
 
 
-def _on_request(request, *params: str, **facts) -> BoundEntry:
-    """An entry for a bound taking a request followed by the config fields ``params``."""
+def _on_request(function: Callable[..., bounds.BoundResult], *params: str, **facts) -> BoundEntry:
+    """An entry for ``function``, a bound taking a request followed by the config fields ``params``.
+
+    ``function`` gives only its module and name; both ``evaluate`` and
+    ``request`` look it up by them at each call.
+    """
+    module, name = sys.modules[function.__module__], function.__name__
+
+    def request(req: bounds.BoundRequest, *values) -> bounds.BoundResult:
+        return getattr(module, name)(req, *values)
 
     def evaluate(cfg: dict) -> bounds.BoundResult:
-        req = _request_from(cfg)
-        return request(req, *(_need(cfg, key) for key in params))
+        return request(_request_from(cfg), *(_need(cfg, key) for key in params))
 
     return BoundEntry(evaluate, request, rows=("kl",), fields=params, **facts)
 
@@ -130,8 +123,8 @@ def _cmi_expectation(cfg: dict) -> float:
 
 #: Every bound the CLI can evaluate, by name.
 BOUNDS: dict[str, BoundEntry] = {
-    "zhang": _on_request(lambda r: bounds.zhang_high_prob(r), trial="plain", truth="annealed"),
-    "zhang-gen": _on_request(lambda r: bounds.zhang_gen_high_prob(r)),
+    "zhang": _on_request(bounds.zhang_high_prob, trial="plain", truth="annealed"),
+    "zhang-gen": _on_request(bounds.zhang_gen_high_prob),
     "zhang-gen-expectation": _scalar(
         lambda c: bounds.zhang_gen_expectation(
             _need(c, "avg_kl"), _need(c, "n"), _model_from(c.get("model"))
@@ -145,42 +138,22 @@ BOUNDS: dict[str, BoundEntry] = {
             _need(c, "mi"), _need(c, "n"), _need(c, "sigma"), c.get("c", 0.0)
         )
     ),
-    "subgamma": _on_request(lambda r: bounds.subgamma_pacbayes(r)),
-    "union-beta": _on_request(
-        lambda r, alpha, v: bounds.union_bound_beta(r, alpha, v), "alpha", "v"
-    ),
-    "catoni": _on_request(
-        lambda r: bounds.catoni_bound(r), trial="plain", truth="true", losses="binary"
-    ),
-    "catoni-linear": _on_request(
-        lambda r: bounds.catoni_linear(r), trial="plain", truth="true", losses="binary"
-    ),
+    "subgamma": _on_request(bounds.subgamma_pacbayes),
+    "union-beta": _on_request(bounds.union_bound_beta, "alpha", "v"),
+    "catoni": _on_request(bounds.catoni_bound, trial="plain", truth="true", losses="binary"),
+    "catoni-linear": _on_request(bounds.catoni_linear, trial="plain", truth="true", losses="binary"),
     "mcallester-linear": _on_request(
-        lambda r: bounds.mcallester_linear(r), trial="plain", truth="true", losses="binary"
+        bounds.mcallester_linear, trial="plain", truth="true", losses="binary"
     ),
-    "pac-bayes-kl": _on_request(
-        lambda r: bounds.pac_bayes_kl(r), trial="plain", truth="true", losses="unit"
-    ),
-    "delta": _on_request(
-        lambda r, variant, moment: bounds.delta_bound(r, variant, moment),
-        "variant",
-        "moment_bound",
-    ),
-    "cmi": _on_request(
-        lambda r: bounds.cmi_pac_high_prob(r), trial="supersample", truth="gap", losses="unit"
-    ),
+    "pac-bayes-kl": _on_request(bounds.pac_bayes_kl, trial="plain", truth="true", losses="unit"),
+    "delta": _on_request(bounds.delta_bound, "variant", "moment_bound"),
+    "cmi": _on_request(bounds.cmi_pac_high_prob, trial="supersample", truth="gap", losses="unit"),
     "cmi-expectation": _scalar(_cmi_expectation),
     "fano": _scalar(lambda c: bounds.fano_identification_lb(_need(c, "cmi"), _need(c, "n"))),
     "dp-prior": _on_request(
-        lambda r, epsilon: bounds.dp_prior_high_prob(r, epsilon),
-        "epsilon",
-        trial="private-prior",
-        truth="annealed",
-        losses="unit",
+        bounds.dp_prior_high_prob, "epsilon", trial="private-prior", truth="annealed", losses="unit"
     ),
-    "dp-prior-gen": _on_request(
-        lambda r, epsilon: bounds.dp_prior_gen_bound(r, epsilon), "epsilon"
-    ),
+    "dp-prior-gen": _on_request(bounds.dp_prior_gen_bound, "epsilon"),
     "max-info-dp": _scalar(
         lambda c: divergences.max_info_dp_bound(
             _need(c, "epsilon"), _need(c, "n"), c.get("alpha", 0.0)
@@ -189,11 +162,12 @@ BOUNDS: dict[str, BoundEntry] = {
     ),
     "occam": BoundEntry(
         lambda c: posteriors.occam_bound(
-            _quadratic_model_from(c), _need(c, "delta"), c.get("empirical_risk", 0.0)
+            _from_fields(posteriors.QuadraticModel, c), _need(c, "delta"), c.get("empirical_risk", 0.0)
         ),
         rows=("delta",),
     ),
     "pac-bayes-sgd": BoundEntry(
-        lambda c: posteriors.pacbayes_sgd_objective(_sgd_params_from(c)), rows=("kl",)
+        lambda c: posteriors.pacbayes_sgd_objective(_from_fields(posteriors.PacBayesSgdParams, c)),
+        rows=("kl",),
     ),
 }

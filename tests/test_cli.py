@@ -19,6 +19,7 @@ import genbounds
 import genbounds.cli as cli
 from genbounds.cli import load_config, main, read_records
 from genbounds.errors import ConfigurationError
+from genbounds.registry import BOUNDS
 
 STANDARD_PROBLEM = {
     "losses": [[0, 1], [1, 0], [0, 1], [1, 0]],
@@ -362,6 +363,26 @@ class TestMalformedListFields:
         cfg = write_yaml(tmp_path / "bad.yaml", {"bound": GRID_SWEEP["bound"], "sweep": sweep})
         assert main(["bound", "sweep", "--config", cfg]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+
+#: A value of each bound-field type, and a value of another type.
+_TYPED_VALUES = {cli._NUM: (0.2, "text"), str: ("text", 0.2)}
+
+
+class TestExperimentBoundFields:
+    """An experiment config takes the table's fields of each certifiable bound, typed as in a bound section."""
+
+    @pytest.mark.parametrize(
+        "bound, field",
+        [(name, field) for name, entry in BOUNDS.items() if entry.trial for field in entry.fields],
+    )
+    def test_a_bound_field_is_read_and_type_checked(self, tmp_path, capsys, bound, field):
+        good, bad = _TYPED_VALUES[cli._BOUND_SCHEMA[field]]
+        cfg = experiment_config(tmp_path, filename="good.yaml", bound=bound, **{field: good})
+        assert load_config(cfg, "experiment")["experiment"][field] == good
+        cfg = experiment_config(tmp_path, filename="bad.yaml", bound=bound, **{field: bad})
+        assert main(["experiment", "run", "--config", cfg]) == 2
+        assert f"error: experiment.{field} must be" in capsys.readouterr().err
 
 
 class TestExperimentCommands:

@@ -1,5 +1,6 @@
 """Tests of the bound table: every entry evaluates, recomposes and flags vacuity,
-and the README documents exactly the registered names."""
+looks its bound function up at call time, and the README documents exactly the
+registered names."""
 
 import copy
 import math
@@ -8,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from genbounds import bounds, divergences, posteriors
 from genbounds.bounds import COMPONENT_ATOL
 from genbounds.errors import GenBoundsError
-from genbounds.registry import BOUNDS
+from genbounds.registry import BOUNDS, _request_from
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -73,6 +75,55 @@ def test_every_bound_has_a_case():
 def test_components_recompose(name, cfg):
     result = BOUNDS[name].evaluate(cfg)
     assert result.raw_value == pytest.approx(result.recompose(), abs=COMPONENT_ATOL)
+
+
+#: The module and name each bound's function is looked up by.
+FUNCTIONS = {
+    "zhang": (bounds, "zhang_high_prob"),
+    "zhang-gen": (bounds, "zhang_gen_high_prob"),
+    "zhang-gen-expectation": (bounds, "zhang_gen_expectation"),
+    "xu-raginsky": (bounds, "xu_raginsky"),
+    "subgamma-mi": (bounds, "subgamma_mi"),
+    "subgamma": (bounds, "subgamma_pacbayes"),
+    "union-beta": (bounds, "union_bound_beta"),
+    "catoni": (bounds, "catoni_bound"),
+    "catoni-linear": (bounds, "catoni_linear"),
+    "mcallester-linear": (bounds, "mcallester_linear"),
+    "pac-bayes-kl": (bounds, "pac_bayes_kl"),
+    "delta": (bounds, "delta_bound"),
+    "cmi": (bounds, "cmi_pac_high_prob"),
+    "cmi-expectation": (bounds, "cmi_expectation"),
+    "fano": (bounds, "fano_identification_lb"),
+    "dp-prior": (bounds, "dp_prior_high_prob"),
+    "dp-prior-gen": (bounds, "dp_prior_gen_bound"),
+    "max-info-dp": (divergences, "max_info_dp_bound"),
+    "occam": (posteriors, "occam_bound"),
+    "pac-bayes-sgd": (posteriors, "pacbayes_sgd_objective"),
+}
+
+
+def test_every_bound_names_its_function():
+    assert set(FUNCTIONS) == set(BOUNDS)
+
+
+@pytest.mark.parametrize("name, cfg", _params(CASES))
+def test_a_call_runs_what_the_module_holds_at_call_time(monkeypatch, name, cfg):
+    # A tracer wraps a bound by replacing it on its module, after the table is built.
+    module, attr = FUNCTIONS[name]
+    original, calls = getattr(module, attr), []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, recording)
+    entry = BOUNDS[name]
+    entry.evaluate(cfg)
+    assert calls
+    if entry.request is not None:
+        calls.clear()
+        entry.request(_request_from(cfg), *(cfg[key] for key in entry.fields))
+        assert calls
 
 
 @pytest.mark.parametrize(
